@@ -32,6 +32,7 @@ class LoopRecord:
     step_s: list = field(default_factory=list)
     diverged: list = field(default_factory=list)
     reasons: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)
     command_digests: list = field(default_factory=list)
     ego_errors: list = field(default_factory=list)
     motion_est: list = field(default_factory=list)
@@ -73,18 +74,17 @@ def _clearance(sim, radius: float) -> float:
     return min(static, sim.min_agent_clearance(radius))
 
 
-def run_loop(scene, sim, pipeline, seconds: float | None = None,
-             steps: int | None = None) -> LoopRecord:
-    """Step the closed loop until `seconds` of wall time or `steps` steps.
+def run_loop(scene, sim, pipeline, steps: int | None = None,
+             after_step=None) -> LoopRecord:
+    """Step the closed loop for `steps` steps, by default one whole episode.
 
-    The episode also ends at ``scene.max_steps``. At least one step runs.
+    ``after_step(seconds)`` is called with each step's time once the step
+    is checked and ticked, outside the timed region.
     """
     cfg = scene.config
     rec = LoopRecord()
     agent_history: dict[int, dict[int, Pose2]] = {}
-    limit = scene.max_steps if steps is None else min(steps, scene.max_steps)
-    start = time.perf_counter()
-    for k in range(limit):
+    for k in range(scene.episode_steps if steps is None else steps):
         state = sim.state
         for obj, pose in state.agent_poses.items():
             agent_history.setdefault(obj, {})[k] = pose
@@ -97,6 +97,7 @@ def run_loop(scene, sim, pipeline, seconds: float | None = None,
 
         rec.diverged.append(bool(out.diverged))
         rec.reasons.append(str(out.stats.get("reason")))
+        rec.iterations.append(out.stats.get("iterations"))
         rec.command_digests.append(command_digest(out.command))
         est = np.asarray(out.estimate.translation, dtype=float)
         rec.ego_errors.append(math.hypot(est[0] - state.ego_pose.x,
@@ -113,8 +114,8 @@ def run_loop(scene, sim, pipeline, seconds: float | None = None,
         sim.tick(out.command)
         rec.collisions += int(sim.check_collision(cfg.robot_radius))
         rec.min_clearance = min(rec.min_clearance, _clearance(sim, cfg.robot_radius))
-        if seconds is not None and time.perf_counter() - start >= seconds:
-            break
+        if after_step is not None:
+            after_step(rec.step_s[-1])
     rec.final_pose = sim.state.ego_pose
     return rec
 
@@ -169,27 +170,36 @@ END_TO_END = {
 }
 
 
-def end_to_end(scene, rec: LoopRecord, setup_s: float) -> tuple[dict, dict]:
-    """All end-to-end metrics as {name: value} plus details of the tail."""
-    dt = scene.config.dt
-    n = rec.steps
-    tail = tail_percentile(rec.step_s)
-    if rec.motion_est:
-        me_r_deg, me_t = compute_motion_error(rec.motion_est, rec.motion_true)
+def end_to_end(episodes, setup_s: float) -> tuple[dict, dict]:
+    """All end-to-end metrics over `episodes`, a list of (scene, LoopRecord).
+
+    Step metrics pool the steps of every episode; `goal_progress_m` is the
+    mean over episodes, which all run the same number of steps.
+    """
+    dt = episodes[0][0].config.dt
+    step_s = [t for _, rec in episodes for t in rec.step_s]
+    reasons = [r for _, rec in episodes for r in rec.reasons]
+    motion_est = [m for _, rec in episodes for m in rec.motion_est]
+    motion_true = [m for _, rec in episodes for m in rec.motion_true]
+    n = len(step_s)
+    tail = tail_percentile(step_s)
+    if motion_est:
+        me_r_deg, me_t = compute_motion_error(motion_est, motion_true)
     else:
         me_r_deg = me_t = None
     values = {
         "setup_s": setup_s,
-        "step_p50_s": statistics.median(rec.step_s),
+        "step_p50_s": statistics.median(step_s),
         "step_tail_s": tail["value"],
-        "realtime_factor": n * dt / sum(rec.step_s),
-        "deadline_miss_frac": sum(t > dt for t in rec.step_s) / n,
-        "diverged_frac": sum(rec.diverged) / n,
-        "max_iters_frac": sum(r == "max_iters" for r in rec.reasons) / n,
-        "collision_steps": rec.collisions,
-        "min_clearance_m": rec.min_clearance,
-        "goal_progress_m": path_progress(scene.path, rec.final_pose),
-        "ego_ate_m": statistics.fmean(rec.ego_errors),
+        "realtime_factor": n * dt / sum(step_s),
+        "deadline_miss_frac": sum(t > dt for t in step_s) / n,
+        "diverged_frac": sum(sum(rec.diverged) for _, rec in episodes) / n,
+        "max_iters_frac": sum(r == "max_iters" for r in reasons) / n,
+        "collision_steps": sum(rec.collisions for _, rec in episodes),
+        "min_clearance_m": min(rec.min_clearance for _, rec in episodes),
+        "goal_progress_m": statistics.fmean(
+            path_progress(scene.path, rec.final_pose) for scene, rec in episodes),
+        "ego_ate_m": statistics.fmean(e for _, rec in episodes for e in rec.ego_errors),
         "obj_me_t_m": me_t,
         "obj_me_r_deg": me_r_deg,
         "peak_rss_mb": peak_rss_mb(),

@@ -3,13 +3,14 @@
 Usage, from the repository root:
 
     python3 perfbench/run.py --workload headon_directed --seed 1 \
-        --seconds 30 --trace 0
+        --seconds 50 --trace 0
 
 One process, one closed loop, no threads of its own; BLAS runs one thread
-unless OPENBLAS_NUM_THREADS says otherwise. ``--trace 0`` steps the loop
-for ``--seconds`` of wall time and reports the end-to-end metrics;
-``--trace 1`` steps the untraced loop for half of that, then replays the
-same steps with every layer wrapped and reports the per-layer split. Every step's output is checked; a failed
+unless OPENBLAS_NUM_THREADS says otherwise. ``--trace 0`` runs as many
+whole fixed-length episodes of the workload as fit in ``--seconds`` of
+wall time and reports the end-to-end metrics; ``--trace 1`` does so for
+half of that, then replays the same episodes with every layer wrapped and
+reports the per-layer split. Every step's output is checked; a failed
 check prints ``"correct": false`` and exits 1. The last stdout line is one
 JSON object: ``correct``, ``attempted`` (steps), ``failed`` (diverged
 steps, whose command is zeroed) and ``metrics``. The line before it is the
@@ -38,10 +39,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = Path(__file__).resolve().parent
-# set up at least this many times and for at least this long; setup_s is
-# the median, so a set-up of a few milliseconds is still measured steadily
-SETUPS = 5
-SETUP_SECONDS = 1.0
+# share of the step time spent setting up again, for the setup_s samples
+SETUP_SHARE = 0.1
 # command digests of earlier runs of the same sources, workload and seed
 DIGEST_DIR = ROOT / ".perfbench_digests"
 
@@ -125,15 +124,57 @@ def check_digests(workload: str, seed: int, digests: list) -> None:
         os.replace(tmp, path)
 
 
-def set_up_timed(scene):
-    """Set up repeatedly; return the last world and the median time."""
-    import scenarios
-    times = []
-    while len(times) < SETUPS or sum(times) < SETUP_SECONDS:
+class SetUps:
+    """Times the set-ups of a run, spread over the whole run.
+
+    One set-up comes before each episode; after a step, the world is set up
+    again (and thrown away) while set-ups have taken less than SETUP_SHARE
+    of the step time so far. ``setup_s`` is the median of all of them, so it
+    is measured on the same machine state as the steps around it.
+    """
+
+    def __init__(self):
+        self.times: list = []
+        self.step_s = 0.0
+        self.scene = None
+
+    def set_up(self, scene):
+        import scenarios
         t0 = time.perf_counter()
         world = scenarios.set_up(scene)
-        times.append(time.perf_counter() - t0)
-    return world, statistics.median(times)
+        self.times.append(time.perf_counter() - t0)
+        self.scene = scene
+        return world
+
+    def after_step(self, step_s: float) -> None:
+        self.step_s += step_s
+        while sum(self.times) < SETUP_SHARE * self.step_s:
+            self.set_up(self.scene)
+
+    @property
+    def median(self) -> float:
+        return statistics.median(self.times)
+
+
+def run_episodes(workload: str, seed: int, seconds: float, setups: SetUps) -> list:
+    """Run whole episodes 0, 1, ... of `workload`; return [(scene, record)].
+
+    At least one episode runs. Another starts only while the mean episode
+    so far would still end within `seconds` of the first one's start, so a
+    faster program runs more episodes of the same steps.
+    """
+    import closedloop
+    import scenarios
+    episodes = []
+    start = time.perf_counter()
+    while True:
+        scene = scenarios.WORKLOADS[workload](seed, len(episodes))
+        sim, pipe = setups.set_up(scene)
+        rec = closedloop.run_loop(scene, sim, pipe, after_step=setups.after_step)
+        episodes.append((scene, rec))
+        elapsed = time.perf_counter() - start
+        if elapsed * (len(episodes) + 1) / len(episodes) > seconds:
+            return episodes
 
 
 def run(args) -> tuple[dict, dict, int, int]:
@@ -142,36 +183,47 @@ def run(args) -> tuple[dict, dict, int, int]:
     import scenarios
     import tracing
 
-    scene = scenarios.WORKLOADS[args.workload](args.seed)
-    (sim, pipe), setup_s = set_up_timed(scene)
+    # the first set-up and step in a process pay for first use of their code
+    warm = scenarios.WORKLOADS[args.workload](args.seed)
+    closedloop.run_loop(warm, *scenarios.set_up(warm), steps=1)
+    setups = SetUps()
     budget = args.seconds / 2 if args.trace else args.seconds
-    rec = closedloop.run_loop(scene, sim, pipe, seconds=budget)
-    check_digests(args.workload, args.seed, rec.command_digests)
-    e2e, tail = closedloop.end_to_end(scene, rec, setup_s)
+    episodes = run_episodes(args.workload, args.seed, budget, setups)
+    digests = [d for _, rec in episodes for d in rec.command_digests]
+    check_digests(args.workload, args.seed, digests)
+    e2e, tail = closedloop.end_to_end(episodes, setups.median)
+    step_s = [t for _, rec in episodes for t in rec.step_s]
     report = {"end_to_end": {k: {"value": v, "unit": closedloop.END_TO_END[k][0]}
                              for k, v in e2e.items()},
               "step_tail": tail,
-              "per_step": [[t, r, d] for t, r, d in
-                           zip(rec.step_s, rec.reasons, rec.diverged)]}
+              "episodes": len(episodes),
+              "setups": len(setups.times),
+              "per_step": [[i, *step] for i, (_, rec) in enumerate(episodes)
+                           for step in zip(rec.step_s, rec.reasons, rec.diverged,
+                                           rec.iterations)]}
+    steps = len(step_s)
+    failed = sum(sum(rec.diverged) for _, rec in episodes)
     if not args.trace:
         metrics = {k: report["end_to_end"][k] for k in _bench_metrics("end_to_end")}
-        return metrics, report, rec.steps, sum(rec.diverged)
+        return metrics, report, steps, failed
 
     tracer = tracing.Tracer()
+    traced = []
     with tracer.installed():
-        sim, pipe = scenarios.set_up(scene)
-        traced = closedloop.run_loop(scene, sim, pipe, steps=rec.steps)
-    if traced.command_digests != rec.command_digests:
+        for scene, _ in episodes:
+            sim, pipe = scenarios.set_up(scene)
+            traced.append(closedloop.run_loop(scene, sim, pipe))
+    if [d for rec in traced for d in rec.command_digests] != digests:
         raise closedloop.CheckFailed("the traced replay stepped differently")
-    layers = tracer.per_layer(traced.steps, statistics.median(rec.step_s),
-                              statistics.median(traced.step_s))
+    layers = tracer.per_layer(steps, statistics.median(step_s),
+                              statistics.median([t for rec in traced for t in rec.step_s]))
     report["per_layer"] = {k: {"value": v, "unit": tracing.PER_LAYER[k]}
                            for k, v in layers.items()}
     unknown = tracer.factor_types_seen() - set(tracing.FACTOR_TYPES)
     if unknown:
         report["untracked_factor_types"] = sorted(unknown)
     metrics = {k: report["per_layer"][k] for k in _bench_metrics("per_layer")}
-    return metrics, report, traced.steps, sum(traced.diverged)
+    return metrics, report, steps, failed
 
 
 def _bench_metrics(kind: str) -> list:

@@ -9,6 +9,7 @@ import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import run
@@ -47,7 +48,7 @@ def _first_loop(name):
 def test_workload_reports_every_metric_and_repeats(name):
     scene, rec = _first_loop(name)
     assert rec.steps == STEPS
-    values, tail = closedloop.end_to_end(scene, rec, setup_s=0.1)
+    values, tail = closedloop.end_to_end([(scene, rec)], setup_s=0.1)
     assert {k: u for k, (u, _) in closedloop.END_TO_END.items()} == END_TO_END_NAMES
     assert set(values) == set(END_TO_END_NAMES)
     assert values["step_p50_s"] > 0 and values["realtime_factor"] > 0
@@ -77,6 +78,20 @@ def test_traced_replay_reports_every_layer(name):
     assert layers["graph.solve_calls"] > 0
     if not scene.agents:
         assert layers["factors.ObjectSmoothingFactor.linearize_calls"] == 0
+
+
+def test_run_holds_whole_episodes_with_their_own_noise():
+    setups = run.SetUps()
+    episodes = run.run_episodes("clutter_decoupled", 0, 0.0, setups)
+    assert len(episodes) == 1
+    scene, rec = episodes[0]
+    assert rec.steps == scene.episode_steps
+    assert len(setups.times) >= 1 and setups.median > 0
+    first, second, again = (scenarios.clutter_decoupled(0, e) for e in (0, 1, 1))
+    assert first.sim_seed != second.sim_seed == again.sim_seed
+    assert not np.array_equal(first.landmarks[0], second.landmarks[0])
+    assert all(np.array_equal(second.landmarks[i], again.landmarks[i])
+               for i in second.landmarks)
 
 
 def test_tracer_restores_originals_on_error():
