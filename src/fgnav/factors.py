@@ -1,9 +1,20 @@
 """Residual catalog for estimation, prediction and planning.
 
-Every factor supplies a raw residual, analytic Jacobian blocks with respect
-to a right perturbation of each connected variable, and a whitening model
-(per-dimension standard deviations or a full covariance). Factors carry two
-pieces of direction metadata used by :func:`apply_mode_masks`:
+Every factor class writes its geometry once, as a batch kernel:
+``evaluate(params, args, jacobians)`` takes the stacked constants of n
+instances (``stack_params``) and one batch per key (see
+:func:`fgnav.lie.stack`), and returns the raw residuals as an (n, dim)
+array and, when asked, the Jacobians with respect to a right perturbation
+of every key as one (n, dim, D) array whose columns run over the keys'
+tangents in key order. Instances share a kernel call when they have the
+same class, the same value kinds per key and the same ``batch_key()``.
+:class:`fgnav.graph.FactorGraph` calls one kernel per such family; the
+per-factor methods (``residual``, ``linearize_raw`` and the whitened
+forms) are calls with a batch of one.
+
+Each factor also carries a whitening model (per-dimension standard
+deviations or a full covariance) and two pieces of direction metadata
+used by :func:`apply_mode_masks`:
 
 * ``component``: which stage of the pipeline the factor belongs to;
 * ``directed_sources``: which of its variables act as information sources
@@ -27,10 +38,19 @@ import numpy as np
 from .lie import (
     Pose2,
     Pose3,
-    left_jacobian_inverse,
-    right_jacobian_inverse,
-    se2_view,
-    skew,
+    adjoint_batch,
+    batch_dim,
+    between_batch,
+    columns,
+    compose_batch,
+    inverse_batch,
+    log_batch,
+    right_jacobian_inverse,  # noqa: F401  (re-exported under this module)
+    right_jacobian_inverse_batch,
+    rot2_batch,
+    skew_batch,
+    stack,
+    wrap_angles,
 )
 
 
@@ -125,6 +145,21 @@ def com_pose(motion: Pose3, com_ref: Pose3) -> Pose3:
     return motion.compose(com_ref)
 
 
+def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
+    """Whitened residuals and Jacobians of a batch.
+
+    ``sqrt_info`` is (n, dim) for per-dimension sigmas or (n, dim, dim)
+    for full covariances; ``r`` is (n, dim) and ``jac`` (n, dim, D).
+    """
+    if sqrt_info.ndim == 2:
+        rw = sqrt_info * r
+        jw = None if jac is None else sqrt_info[:, :, None] * jac
+    else:
+        rw = np.einsum("nij,nj->ni", sqrt_info, r)
+        jw = None if jac is None else sqrt_info @ jac
+    return rw, jw
+
+
 class Factor:
     """Base class: keys, whitening, masks and direction metadata."""
 
@@ -150,40 +185,52 @@ class Factor:
         self.component = component
         self.cooperative_only = bool(cooperative_only)
 
-    # subclasses implement these two
-    def residual(self, values) -> np.ndarray:
+    # -- batch kernel: subclasses implement evaluate, and stack_params and
+    #    batch_key when their instances carry constants
+
+    def batch_key(self):
+        """Instances with equal keys (and class and value kinds) share a batch."""
+        return ()
+
+    @classmethod
+    def stack_params(cls, factors):
+        """Per-instance constants of a batch, stacked for ``evaluate``."""
+        return None
+
+    @classmethod
+    def evaluate(cls, params, args, jacobians: bool):
+        """Raw residuals (n, dim) and Jacobians (n, dim, D) or None."""
         raise NotImplementedError
+
+    # -- one instance
+
+    def _evaluate_one(self, values, jacobians: bool):
+        if type(self).evaluate.__func__ is Factor.evaluate.__func__:
+            raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
+        args = [stack([values[k]]) for k in self.keys]
+        r, jac = self.evaluate(self.stack_params([self]), args, jacobians)
+        return r, jac, [batch_dim(a) for a in args]
+
+    def residual(self, values) -> np.ndarray:
+        return self._evaluate_one(values, False)[0][0]
 
     def linearize_raw(self, values):
         """Return (residual, [jacobian per key])."""
-        raise NotImplementedError
-
-    def jacobians(self, values) -> list[np.ndarray]:
-        return self.linearize_raw(values)[1]
+        r, jac, dims = self._evaluate_one(values, True)
+        return r[0], np.split(jac[0], np.cumsum(dims)[:-1], axis=1)
 
     def whitened_residual(self, values) -> np.ndarray:
-        r = self.residual(values)
-        w = self.sqrt_info
-        return w * r if w.ndim == 1 else w @ r
+        r = self._evaluate_one(values, False)[0]
+        return whiten(self.sqrt_info[None], r)[0][0]
 
     def whitened_linearization(self, values):
         """Whitened residual plus per-key blocks; masked keys yield None."""
-        r, jacs = self.linearize_raw(values)
-        w = self.sqrt_info
-        if w.ndim == 1:
-            rw = w * r
-            wc = w[:, None]
-            blocks = [
-                (k, None) if m else (k, wc * j)
-                for k, j, m in zip(self.keys, jacs, self.mask)
-            ]
-        else:
-            rw = w @ r
-            blocks = [
-                (k, None) if m else (k, w @ j)
-                for k, j, m in zip(self.keys, jacs, self.mask)
-            ]
-        return rw, blocks
+        r, jac, dims = self._evaluate_one(values, True)
+        rw, jw = whiten(self.sqrt_info[None], r, jac)
+        blocks = np.split(jw[0], np.cumsum(dims)[:-1], axis=1)
+        return rw[0], [
+            (k, None if m else b) for k, b, m in zip(self.keys, blocks, self.mask)
+        ]
 
     def with_mask(self, mask) -> "Factor":
         mask = tuple(bool(b) for b in mask)
@@ -215,38 +262,102 @@ def apply_mode_masks(factors, mode) -> list[Factor]:
 
 
 # ---------------------------------------------------------------------------
+# Batch helpers
+
+
+def _eye(n: int, d: int, scale: float = 1.0) -> np.ndarray:
+    return np.broadcast_to(scale * np.eye(d), (n, d, d))
+
+
+def _planar(arg) -> np.ndarray:
+    """(n, 3) planar [x, y, yaw] of a Pose2 batch or a nearly planar Pose3 batch."""
+    if not isinstance(arg, tuple):
+        return arg
+    r, t = arg
+    return columns(t[:, 0], t[:, 1], np.arctan2(r[:, 1, 0], r[:, 0, 0]))
+
+
+def _planar_chain(arg, jac: np.ndarray) -> np.ndarray:
+    """A Jacobian in planar (x, y, yaw) columns, in the batch's own tangent.
+
+    For a planar Pose3 the se(3) directions (tx, ty, yaw) coincide with the
+    se(2) ones and the out-of-plane directions have no first-order effect
+    on the planar view, so the chain is a column selection.
+    """
+    if not isinstance(arg, tuple):
+        return jac
+    out = np.zeros(jac.shape[:-1] + (6,))
+    out[..., [0, 1, 5]] = jac
+    return out
+
+
+def _xy(arg, com_t=None) -> np.ndarray:
+    """(n, 2) workspace position of poses, or of object centres through motions."""
+    if com_t is not None:
+        r, t = arg
+        return (np.einsum("nij,nj->ni", r, com_t) + t)[:, 0:2]
+    if isinstance(arg, tuple):
+        return arg[1][:, 0:2]
+    return arg[:, 0:2]
+
+
+def _xy_jacobian(arg, com_t=None) -> np.ndarray:
+    """(n, 2, d) Jacobian of ``_xy`` in the batch's tangent."""
+    if com_t is not None:
+        r = arg[0]
+        return np.concatenate([r, r @ -skew_batch(com_t)], axis=2)[:, 0:2, :]
+    if isinstance(arg, tuple):
+        out = np.zeros((arg[0].shape[0], 2, 6))
+        out[:, :, 0:3] = arg[0][:, 0:2, :]
+        return out
+    out = np.zeros((arg.shape[0], 2, 3))
+    out[:, :, 0:2] = rot2_batch(arg[:, 2])
+    return out
+
+
+def _point_jacobian(p: np.ndarray) -> np.ndarray:
+    """d(R^T (m - t))/d(pose) = [-I, skew(p)] at the body-frame point p."""
+    return np.concatenate([_eye(p.shape[0], 3, -1.0), skew_batch(p)], axis=2)
+
+
+# ---------------------------------------------------------------------------
 # Estimation factors
 
 
 class PriorFactor(Factor):
     """r = log(prior^-1 * x) for poses, r = x - prior for vectors."""
 
-    __slots__ = ("prior", "_prior_inv", "_is_pose")
+    __slots__ = ("prior", "_prior_inv")
 
     def __init__(self, key, prior, noise, **kw):
         if isinstance(prior, (Pose2, Pose3)):
             dim = prior.tangent_dim()
-            self._is_pose = True
             self._prior_inv = prior.inverse()
         else:
             prior = np.asarray(prior, dtype=float)
             dim = prior.shape[0]
-            self._is_pose = False
             self._prior_inv = None
         self.prior = prior
         super().__init__((key,), noise, dim, **kw)
 
-    def residual(self, values):
-        x = values[self.keys[0]]
-        if self._is_pose:
-            return self._prior_inv.compose(x).log()
-        return np.asarray(x, dtype=float) - self.prior
+    def batch_key(self):
+        return type(self.prior)
 
-    def linearize_raw(self, values):
-        if not self._is_pose:
-            return self.residual(values), [np.eye(self.dim)]
-        r = self.residual(values)
-        return r, [right_jacobian_inverse(r)]
+    @classmethod
+    def stack_params(cls, factors):
+        if factors[0]._prior_inv is None:
+            return False, stack([f.prior for f in factors])
+        return True, stack([f._prior_inv for f in factors])
+
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        is_pose, prior = params
+        x = args[0]
+        if not is_pose:
+            r = x - prior
+            return r, (_eye(*r.shape) if jacobians else None)
+        r = log_batch(compose_batch(prior, x))
+        return r, (right_jacobian_inverse_batch(r) if jacobians else None)
 
 
 class BetweenFactor(Factor):
@@ -263,23 +374,19 @@ class BetweenFactor(Factor):
         self.measured = measured
         self._meas_inv = measured.inverse()
 
-    def residual(self, values):
-        rel = values[self.keys[0]].between(values[self.keys[1]])
-        return self._meas_inv.compose(rel).log()
+    @classmethod
+    def stack_params(cls, factors):
+        return stack([f._meas_inv for f in factors])
 
-    def linearize_raw(self, values):
-        a = values[self.keys[0]]
-        b = values[self.keys[1]]
-        rel = a.between(b)
-        r = self._meas_inv.compose(rel).log()
-        jr_inv = right_jacobian_inverse(r)
-        j_b = jr_inv
-        j_a = -jr_inv @ rel.inverse().adjoint()
-        return r, [j_a, j_b]
-
-
-def odometry_factor(pose_prev, pose_next, measured, noise, **kw) -> BetweenFactor:
-    return BetweenFactor(pose_prev, pose_next, measured, noise, **kw)
+    @classmethod
+    def evaluate(cls, meas_inv, args, jacobians):
+        rel = between_batch(args[0], args[1])
+        r = log_batch(compose_batch(meas_inv, rel))
+        if not jacobians:
+            return r, None
+        jr_inv = right_jacobian_inverse_batch(r)
+        j_a = -jr_inv @ adjoint_batch(inverse_batch(rel))
+        return r, np.concatenate([j_a, jr_inv], axis=2)
 
 
 class PointMeasurementFactor(Factor):
@@ -291,19 +398,19 @@ class PointMeasurementFactor(Factor):
         super().__init__((pose_key, point_key), noise, 3, **kw)
         self.measured = np.asarray(measured, dtype=float)
 
-    def residual(self, values):
-        x: Pose3 = values[self.keys[0]]
-        m = values[self.keys[1]]
-        return x.rotation.T @ (m - x.translation) - self.measured
+    @classmethod
+    def stack_params(cls, factors):
+        return stack([f.measured for f in factors])
 
-    def linearize_raw(self, values):
-        x: Pose3 = values[self.keys[0]]
-        m = values[self.keys[1]]
-        rt = x.rotation.T
-        p = rt @ (m - x.translation)
-        r = p - self.measured
-        j_x = np.hstack([-np.eye(3), skew(p)])
-        return r, [j_x, rt.copy()]
+    @classmethod
+    def evaluate(cls, measured, args, jacobians):
+        (rot, t), m = args
+        rt = rot.transpose(0, 2, 1)
+        p = np.einsum("nij,nj->ni", rt, m - t)
+        r = p - measured
+        if not jacobians:
+            return r, None
+        return r, np.concatenate([_point_jacobian(p), rt], axis=2)
 
 
 class HybridMotionFactor(Factor):
@@ -322,24 +429,22 @@ class HybridMotionFactor(Factor):
         super().__init__((pose_key, motion_key, point_key), noise, 3, **kw)
         self.measured = np.asarray(measured, dtype=float)
 
-    def residual(self, values):
-        x: Pose3 = values[self.keys[0]]
-        h: Pose3 = values[self.keys[1]]
-        m = values[self.keys[2]]
-        return x.rotation.T @ (h.act(m) - x.translation) - self.measured
+    @classmethod
+    def stack_params(cls, factors):
+        return stack([f.measured for f in factors])
 
-    def linearize_raw(self, values):
-        x: Pose3 = values[self.keys[0]]
-        h: Pose3 = values[self.keys[1]]
-        m = np.asarray(values[self.keys[2]], dtype=float)
-        rt = x.rotation.T
-        w = h.act(m)
-        p = rt @ (w - x.translation)
-        r = p - self.measured
-        j_x = np.hstack([-np.eye(3), skew(p)])
-        rot = rt @ h.rotation
-        j_h = np.hstack([rot, rot @ (-skew(m))])
-        return r, [j_x, j_h, rot]
+    @classmethod
+    def evaluate(cls, measured, args, jacobians):
+        (rx, tx), (rh, th), m = args
+        rt = rx.transpose(0, 2, 1)
+        w = np.einsum("nij,nj->ni", rh, m) + th
+        p = np.einsum("nij,nj->ni", rt, w - tx)
+        r = p - measured
+        if not jacobians:
+            return r, None
+        rot = rt @ rh
+        return r, np.concatenate(
+            [_point_jacobian(p), rot, rot @ -skew_batch(m), rot], axis=2)
 
 
 class ObjectSmoothingFactor(Factor):
@@ -358,50 +463,33 @@ class ObjectSmoothingFactor(Factor):
         self.com_ref = com_ref
         self._ad_ref_inv = com_ref.inverse().adjoint()
 
-    def _chain(self, values):
-        c1 = values[self.keys[0]].compose(self.com_ref)
-        c2 = values[self.keys[1]].compose(self.com_ref)
-        c3 = values[self.keys[2]].compose(self.com_ref)
-        a = c1.between(c2)
-        b = c2.between(c3)
-        return a, b
+    @classmethod
+    def stack_params(cls, factors):
+        return (stack([f.com_ref for f in factors]),
+                np.array([f._ad_ref_inv for f in factors]))
 
-    def residual(self, values):
-        a, b = self._chain(values)
-        return a.between(b).log()
-
-    def linearize_raw(self, values):
-        a, b = self._chain(values)
-        m = a.between(b)
-        r = m.log()
-        jr_inv = right_jacobian_inverse(r)
-        jl_inv = jr_inv @ m.inverse().adjoint()
-        ad_b_inv = b.inverse().adjoint()
-        ad_a_inv = a.inverse().adjoint()
-        j1 = jr_inv @ ad_b_inv @ self._ad_ref_inv
-        j2 = -(jl_inv @ (np.eye(6) + ad_a_inv)) @ self._ad_ref_inv
-        j3 = jr_inv @ self._ad_ref_inv
-        return r, [j1, j2, j3]
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        ref, ad_ref_inv = params
+        c1, c2, c3 = (compose_batch(h, ref) for h in args)
+        a = between_batch(c1, c2)
+        b = between_batch(c2, c3)
+        m = between_batch(a, b)
+        r = log_batch(m)
+        if not jacobians:
+            return r, None
+        jr_inv = right_jacobian_inverse_batch(r)
+        jl_inv = jr_inv @ adjoint_batch(inverse_batch(m))
+        ad_a_inv = adjoint_batch(inverse_batch(a))
+        ad_b_inv = adjoint_batch(inverse_batch(b))
+        j1 = jr_inv @ ad_b_inv @ ad_ref_inv
+        j2 = -(jl_inv @ (np.eye(6) + ad_a_inv)) @ ad_ref_inv
+        j3 = jr_inv @ ad_ref_inv
+        return r, np.concatenate([j1, j2, j3], axis=2)
 
 
 # ---------------------------------------------------------------------------
 # Planning factors
-
-
-def _planar_chain(value) -> np.ndarray | None:
-    """d(se2 perturbation)/d(se3 perturbation) for a planar Pose3.
-
-    For a planar pose the se(3) directions (tx, ty, yaw) coincide with the
-    se(2) ones and the out-of-plane directions have no first-order effect
-    on the planar view, so the chain is a component selection.
-    """
-    if isinstance(value, Pose2):
-        return None
-    p = np.zeros((3, 6))
-    p[0, 0] = 1.0
-    p[1, 1] = 1.0
-    p[2, 5] = 1.0
-    return p
 
 
 class MotionModelFactor(Factor):
@@ -420,72 +508,57 @@ class MotionModelFactor(Factor):
         super().__init__((pose_a, pose_b, vel_a, vel_b, acc_a), noise, 5, **kw)
         self.dt = float(dt)
 
-    def residual(self, values):
-        xa = se2_view(values[self.keys[0]])
-        xb = se2_view(values[self.keys[1]])
-        va = np.asarray(values[self.keys[2]], dtype=float)
-        vb = np.asarray(values[self.keys[3]], dtype=float)
-        aa = np.asarray(values[self.keys[4]], dtype=float)
-        g = propagate_unicycle(xa, vb[0], vb[1], self.dt)
-        rp = xb.between(g).log()
-        rv = vb - (va + aa * self.dt)
-        return np.concatenate([rp, rv])
+    @classmethod
+    def stack_params(cls, factors):
+        return np.array([f.dt for f in factors])
 
-    def linearize_raw(self, values):
-        raw_a = values[self.keys[0]]
-        raw_b = values[self.keys[1]]
-        xa = se2_view(raw_a)
-        xb = se2_view(raw_b)
-        va = np.asarray(values[self.keys[2]], dtype=float)
-        vb = np.asarray(values[self.keys[3]], dtype=float)
-        aa = np.asarray(values[self.keys[4]], dtype=float)
-        dt = self.dt
-        v, om = float(vb[0]), float(vb[1])
+    @classmethod
+    def evaluate(cls, dt, args, jacobians):
+        raw_a, raw_b, va, vb, aa = args
+        xa, xb = _planar(raw_a), _planar(raw_b)
+        v, om = vb[:, 0], vb[:, 1]
+        # propagate_unicycle of xa with the next velocity
+        psi = xa[:, 2] + 0.5 * om * dt
+        cp, sp = np.cos(psi), np.sin(psi)
+        g = columns(xa[:, 0] + v * dt * cp, xa[:, 1] + v * dt * sp,
+                    wrap_angles(xa[:, 2] + om * dt))
+        e = between_batch(xb, g)
+        rp = log_batch(e)
+        r = np.concatenate([rp, vb - (va + aa * dt[:, None])], axis=1)
+        if not jacobians:
+            return r, None
 
-        g = propagate_unicycle(xa, v, om, dt)
-        e = xb.between(g)
-        rp = e.log()
-        rv = vb - (va + aa * dt)
-        r = np.concatenate([rp, rv])
-
-        jr_inv = right_jacobian_inverse(rp)
-        jl_inv = jr_inv @ e.inverse().adjoint()
-
-        psi = xa.theta + 0.5 * om * dt
-        cp, sp = math.cos(psi), math.sin(psi)
-        rg_t = g.rotation().T
-        ra = xa.rotation()
+        n = r.shape[0]
+        jr_inv = right_jacobian_inverse_batch(rp)
+        jl_inv = jr_inv @ adjoint_batch(inverse_batch(e))
+        rg_t = rot2_batch(g[:, 2]).transpose(0, 2, 1)
+        along = np.einsum("nij,nj->ni", rg_t, columns(cp, sp))
+        across = np.einsum("nij,nj->ni", rg_t, columns(-sp, cp))
 
         # current pose: world displacement R_a dt_xy, heading shift d_theta
-        s = np.zeros((3, 3))
-        s[0:2, 0:2] = rg_t @ ra
-        s[0:2, 2] = rg_t @ np.array([-sp, cp]) * (v * dt)
-        s[2, 2] = 1.0
-        j_pose_a = jr_inv @ s
-
+        s = np.zeros((n, 3, 3))
+        s[:, 0:2, 0:2] = rg_t @ rot2_batch(xa[:, 2])
+        s[:, 0:2, 2] = across * (v * dt)[:, None]
+        s[:, 2, 2] = 1.0
         # next velocity through the propagation
-        t = np.zeros((3, 2))
-        t[0:2, 0] = rg_t @ np.array([cp, sp]) * dt
-        t[0:2, 1] = rg_t @ np.array([-sp, cp]) * (0.5 * v * dt * dt)
-        t[2, 1] = dt
-        j_vb_pose = jr_inv @ t
+        t = np.zeros((n, 3, 2))
+        t[:, 0:2, 0] = along * dt[:, None]
+        t[:, 0:2, 1] = across * (0.5 * v * dt * dt)[:, None]
+        t[:, 2, 1] = dt
 
-        j_pose_b = -jl_inv
-
-        chain_a = _planar_chain(raw_a)
-        if chain_a is not None:
-            j_pose_a = j_pose_a @ chain_a
-        chain_b = _planar_chain(raw_b)
-        if chain_b is not None:
-            j_pose_b = j_pose_b @ chain_b
-
-        z23 = np.zeros((2, j_pose_a.shape[1]))
-        j_a_full = np.vstack([j_pose_a, z23])
-        j_b_full = np.vstack([j_pose_b, np.zeros((2, j_pose_b.shape[1]))])
-        j_va = np.vstack([np.zeros((3, 2)), -np.eye(2)])
-        j_vb = np.vstack([j_vb_pose, np.eye(2)])
-        j_aa = np.vstack([np.zeros((3, 2)), -dt * np.eye(2)])
-        return r, [j_a_full, j_b_full, j_va, j_vb, j_aa]
+        j_pose_a = _planar_chain(raw_a, jr_inv @ s)
+        j_pose_b = _planar_chain(raw_b, -jl_inv)
+        da, db = j_pose_a.shape[2], j_pose_b.shape[2]
+        jac = np.zeros((n, 5, da + db + 6))
+        jac[:, 0:3, 0:da] = j_pose_a
+        jac[:, 0:3, da:da + db] = j_pose_b
+        o = da + db
+        eye2 = np.eye(2)
+        jac[:, 3:5, o:o + 2] = -eye2
+        jac[:, 0:3, o + 2:o + 4] = jr_inv @ t
+        jac[:, 3:5, o + 2:o + 4] = eye2
+        jac[:, 3:5, o + 4:o + 6] = -dt[:, None, None] * eye2
+        return r, jac
 
 
 class LimitFactor(Factor):
@@ -503,15 +576,19 @@ class LimitFactor(Factor):
         self.lower = lower
         self.upper = upper
 
-    def residual(self, values):
-        v = np.asarray(values[self.keys[0]], dtype=float)
-        return np.maximum(0.0, v - self.upper) + np.minimum(0.0, v - self.lower)
+    @classmethod
+    def stack_params(cls, factors):
+        return stack([f.lower for f in factors]), stack([f.upper for f in factors])
 
-    def linearize_raw(self, values):
-        v = np.asarray(values[self.keys[0]], dtype=float)
-        r = np.maximum(0.0, v - self.upper) + np.minimum(0.0, v - self.lower)
-        g = np.where(v > self.upper, 1.0, np.where(v < self.lower, 1.0, 0.0))
-        return r, [np.diag(g)]
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        lower, upper = params
+        v = args[0]
+        r = np.maximum(0.0, v - upper) + np.minimum(0.0, v - lower)
+        if not jacobians:
+            return r, None
+        active = (v > upper) | (v < lower)
+        return r, active[:, :, None] * np.eye(v.shape[1])
 
 
 class CostFactor(Factor):
@@ -523,11 +600,10 @@ class CostFactor(Factor):
         kw.setdefault("component", Component.PLANNING)
         super().__init__((key,), noise, dim, **kw)
 
-    def residual(self, values):
-        return np.asarray(values[self.keys[0]], dtype=float).copy()
-
-    def linearize_raw(self, values):
-        return self.residual(values), [np.eye(self.dim)]
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        r = args[0]
+        return r, (_eye(*r.shape) if jacobians else None)
 
 
 class ConstantAccelerationFactor(Factor):
@@ -539,13 +615,15 @@ class ConstantAccelerationFactor(Factor):
         kw.setdefault("component", Component.PLANNING)
         super().__init__((acc_prev, acc_next), noise, dim, **kw)
 
-    def residual(self, values):
-        prev = np.asarray(values[self.keys[0]], dtype=float)
-        nxt = np.asarray(values[self.keys[1]], dtype=float)
-        return nxt - prev
-
-    def linearize_raw(self, values):
-        return self.residual(values), [-np.eye(self.dim), np.eye(self.dim)]
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        prev, nxt = args
+        r = nxt - prev
+        if not jacobians:
+            return r, None
+        eye = np.eye(r.shape[1])
+        return r, np.broadcast_to(np.concatenate([-eye, eye], axis=1),
+                                  (r.shape[0],) + (r.shape[1], 2 * r.shape[1]))
 
 
 class GoalFactor(Factor):
@@ -559,38 +637,20 @@ class GoalFactor(Factor):
         self.goal = goal
         self._goal_inv = goal.inverse()
 
-    def residual(self, values):
-        return self._goal_inv.compose(se2_view(values[self.keys[0]])).log()
+    @classmethod
+    def stack_params(cls, factors):
+        return stack([f._goal_inv for f in factors])
 
-    def linearize_raw(self, values):
-        raw = values[self.keys[0]]
-        r = self._goal_inv.compose(se2_view(raw)).log()
-        j = right_jacobian_inverse(r)
-        chain = _planar_chain(raw)
-        if chain is not None:
-            j = j @ chain
-        return r, [j]
+    @classmethod
+    def evaluate(cls, goal_inv, args, jacobians):
+        r = log_batch(compose_batch(goal_inv, _planar(args[0])))
+        if not jacobians:
+            return r, None
+        return r, _planar_chain(args[0], right_jacobian_inverse_batch(r))
 
 
 # ---------------------------------------------------------------------------
 # Obstacle factors
-
-
-def _position_and_jacobian(value, com_ref: Pose3 | None):
-    """Workspace xy position of a variable plus its 2-row Jacobian."""
-    if com_ref is not None:
-        h: Pose3 = value
-        centre = h.act(com_ref.translation)
-        j = np.hstack([h.rotation, h.rotation @ (-skew(com_ref.translation))])
-        return centre[0:2], j[0:2, :]
-    if isinstance(value, Pose2):
-        j = np.zeros((2, 3))
-        j[:, 0:2] = value.rotation()
-        return value.translation(), j
-    p: Pose3 = value
-    j = np.zeros((2, 6))
-    j[:, 0:3] = p.rotation[0:2, :]
-    return p.translation[0:2], j
 
 
 class StaticObstacleFactor(Factor):
@@ -610,19 +670,26 @@ class StaticObstacleFactor(Factor):
         self.d_safe = float(d_safe)
         self.com_ref = com_ref
 
-    def residual(self, values):
-        p, _ = _position_and_jacobian(values[self.keys[0]], self.com_ref)
-        d = self.esdf.query(p[0], p[1])
-        return np.array([max(0.0, self.d_safe - d)])
+    def batch_key(self):
+        return self.esdf, self.com_ref is None
 
-    def linearize_raw(self, values):
-        value = values[self.keys[0]]
-        p, j_pos = _position_and_jacobian(value, self.com_ref)
-        d = self.esdf.query(p[0], p[1])
-        if d >= self.d_safe:
-            return np.zeros(1), [np.zeros((1, j_pos.shape[1]))]
-        g = self.esdf.gradient(p[0], p[1])
-        return np.array([self.d_safe - d]), [(-g @ j_pos).reshape(1, -1)]
+    @classmethod
+    def stack_params(cls, factors):
+        com_t = None
+        if factors[0].com_ref is not None:
+            com_t = np.array([f.com_ref.translation for f in factors])
+        return factors[0].esdf, np.array([f.d_safe for f in factors]), com_t
+
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        esdf, d_safe, com_t = params
+        d, grad = esdf.lookup(_xy(args[0], com_t))
+        active = d < d_safe
+        r = np.where(active, d_safe - d, 0.0)[:, None]
+        if not jacobians:
+            return r, None
+        j = -np.einsum("ni,nij->nj", grad, _xy_jacobian(args[0], com_t))
+        return r, np.where(active[:, None], j, 0.0)[:, None, :]
 
 
 class DynamicObstacleFactor(Factor):
@@ -650,27 +717,25 @@ class DynamicObstacleFactor(Factor):
         self.d_safe = float(d_safe)
         self.direction = direction
 
-    def _geometry(self, values):
-        p_xy, j_pose = _position_and_jacobian(values[self.keys[0]], None)
-        c_xy, j_motion = _position_and_jacobian(
-            values[self.keys[1]], self.com_ref)
-        diff = p_xy - c_xy
-        rng = float(np.hypot(diff[0], diff[1]))
-        return diff, rng, j_pose, j_motion
+    @classmethod
+    def stack_params(cls, factors):
+        return (np.array([f.com_ref.translation for f in factors]),
+                np.array([f.d_safe for f in factors]))
 
-    def residual(self, values):
-        _, rng, _, _ = self._geometry(values)
-        return np.array([max(0.0, self.d_safe - rng)])
-
-    def linearize_raw(self, values):
-        diff, rng, j_pose, j_motion = self._geometry(values)
-        if rng >= self.d_safe:
-            return np.zeros(1), [
-                np.zeros((1, j_pose.shape[1])),
-                np.zeros((1, j_motion.shape[1])),
-            ]
-        u = diff / rng if rng > 1e-12 else np.array([1.0, 0.0])
-        return (
-            np.array([self.d_safe - rng]),
-            [(-u @ j_pose).reshape(1, -1), (u @ j_motion).reshape(1, -1)],
-        )
+    @classmethod
+    def evaluate(cls, params, args, jacobians):
+        com_t, d_safe = params
+        pose, motion = args
+        diff = _xy(pose) - _xy(motion, com_t)
+        rng = np.hypot(diff[:, 0], diff[:, 1])
+        active = rng < d_safe
+        r = np.where(active, d_safe - rng, 0.0)[:, None]
+        if not jacobians:
+            return r, None
+        apart = rng > 1e-12
+        u = np.where(apart[:, None], diff / np.where(apart, rng, 1.0)[:, None],
+                     np.array([1.0, 0.0]))
+        j = np.concatenate([-np.einsum("ni,nij->nj", u, _xy_jacobian(pose)),
+                            np.einsum("ni,nij->nj", u, _xy_jacobian(motion, com_t))],
+                           axis=1)
+        return r, np.where(active[:, None], j, 0.0)[:, None, :]

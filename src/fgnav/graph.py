@@ -5,6 +5,23 @@ of factors. Each factor produces a residual vector ``r`` and one Jacobian
 block per connected variable, both whitened by the factor's noise model;
 the MAP objective is the sum of squared whitened residuals.
 
+Evaluation is batched. The first evaluation of a graph builds its scatter
+pattern (:class:`_Pattern`) once: it sorts the variables into one table per
+value kind (Pose2, Pose3, vectors of each length), groups the factors into
+batches that share one kernel call (same class, same value kinds per key,
+same whitening kind and ``batch_key``, see :mod:`fgnav.factors`), and
+records for every batch the table rows its keys read and the ``J^T J`` and
+``J^T r`` entries its Jacobian columns land in. Every later
+:meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` stacks
+the current values into the tables, calls one kernel per batch, and
+:class:`LinearSystem` keeps the stacked whitened blocks; ``J^T J`` and
+``J^T r`` are then one ``np.bincount`` over the fixed index arrays. The
+pattern is the same at every linearization point because hinge factors
+return zero blocks rather than dropping them. Objects that are not
+:class:`~fgnav.factors.Factor` subclasses are evaluated one at a time
+through their own ``whitened_residual`` and ``whitened_linearization`` and
+join the same scatter.
+
 Directionality is implemented at linearization: a factor may mask any of
 its variables, in which case the Jacobian block for that variable is left
 out of the linear system (structurally zero) while the residual still
@@ -29,7 +46,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .lie import Pose2, Pose3
+from .factors import Factor, whiten
+from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
 
 
 class GraphError(Exception):
@@ -46,6 +64,14 @@ class UnknownVariableError(GraphError):
 
 class SingularSystemError(GraphError):
     pass
+
+
+class StructuralSingularityError(SingularSystemError):
+    """A variable has a zero diagonal in J^T J; damping cannot repair it."""
+
+
+class NumericalSingularityError(SingularSystemError):
+    """The damped normal equations failed to factorize."""
 
 
 class VarKind(IntEnum):
@@ -106,11 +132,14 @@ def tangent_dim(value) -> int:
     return int(np.asarray(value).shape[0])
 
 
+def _retract_poses(poses: list, deltas: np.ndarray) -> list:
+    """``p * exp(d)`` for same-typed poses and their (n, dim) tangent steps."""
+    return unstack(compose_batch(stack(poses), exp_batch(deltas)))
+
+
 def retract_value(value, delta: np.ndarray):
-    if isinstance(value, Pose2):
-        return value.compose(Pose2.exp(delta))
-    if isinstance(value, Pose3):
-        return value.compose(Pose3.exp(delta))
+    if isinstance(value, (Pose2, Pose3)):
+        return _retract_poses([value], np.asarray(delta, dtype=float)[None])[0]
     return value + delta
 
 
@@ -149,77 +178,185 @@ class Values:
     def retract(self, deltas: Mapping[VariableKey, np.ndarray]) -> "Values":
         """Apply per-variable tangent updates, returning a new snapshot."""
         out = dict(self._data)
+        poses: dict[type, list] = {Pose2: [], Pose3: []}
         for key, d in deltas.items():
-            out[key] = retract_value(out[key], d)
+            value = out[key]
+            if type(value) in poses:
+                poses[type(value)].append(key)
+            else:
+                out[key] = value + d
+        for keys in poses.values():
+            if keys:
+                moved = _retract_poses([out[k] for k in keys],
+                                       np.array([deltas[k] for k in keys], dtype=float))
+                out.update(zip(keys, moved))
         return Values(out)
 
 
-@dataclass
-class _Entry:
-    """Linearized factor: whitened residual plus active Jacobian blocks."""
+def _value_kind(value):
+    if isinstance(value, (Pose2, Pose3)):
+        return type(value)
+    return np.ndarray, tangent_dim(value)
 
-    row: int
+
+def _scatter_index(cols: np.ndarray, ncols: int):
+    """Flat J^T J and J^T r positions of a batch's local products.
+
+    ``cols`` is (n, D): the global column of each local Jacobian column, or
+    -1 for a masked or fixed one, whose products go to a discarded last bin.
+    """
+    valid = cols >= 0
+    h = np.where(valid[:, :, None] & valid[:, None, :],
+                 cols[:, :, None] * ncols + cols[:, None, :], ncols * ncols)
+    g = np.where(valid, cols, ncols)
+    return h.ravel(), g.ravel()
+
+
+def _concat(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+class _Batch:
+    """Factors of one class that share a kernel call, and where they land."""
+
+    __slots__ = ("cls", "index", "params", "slots", "sqrt_info", "cols")
+
+    def __init__(self, factors, index, slots, cols):
+        self.cls = type(factors[0])
+        self.index = np.asarray(index)   # positions in the graph's factor list
+        self.params = self.cls.stack_params(factors)
+        self.slots = slots               # (table, rows) per key
+        self.sqrt_info = np.array([f.sqrt_info for f in factors])
+        self.cols = cols                 # (n, D) global columns, -1 if dropped
+
+
+class _Pattern:
+    """Value tables, factor batches and scatter indices of one graph.
+
+    Built from the graph's initial values: every point the graph is later
+    evaluated at must hold values of the same kinds.
+    """
+
+    def __init__(self, graph: "FactorGraph"):
+        initial = graph._initial
+        self.fixed = frozenset(graph._fixed)
+        self.tangent = {k: tangent_dim(v) for k, v in initial.items()}
+        self.ordering = graph.active_keys()
+        self.dims = {k: self.tangent[k] for k in self.ordering}
+        self.offsets: dict[VariableKey, int] = {}
+        off = 0
+        for key in self.ordering:
+            self.offsets[key] = off
+            off += self.dims[key]
+        self.ncols = off
+
+        # one table of keys per value kind; row_of[key] = (table, row)
+        table_of: dict[object, int] = {}
+        self.tables: list[list[VariableKey]] = []
+        row_of: dict[VariableKey, tuple[int, int]] = {}
+        for key, value in initial.items():
+            t = table_of.setdefault(_value_kind(value), len(table_of))
+            if t == len(self.tables):
+                self.tables.append([])
+            row_of[key] = (t, len(self.tables[t]))
+            self.tables[t].append(key)
+
+        groups: dict[object, list[int]] = {}
+        self.singles: list[int] = []
+        for idx, f in enumerate(graph._factors):
+            if isinstance(f, Factor):
+                kinds = tuple(_value_kind(initial[k]) for k in f.keys)
+                groups.setdefault(
+                    (type(f), kinds, f.sqrt_info.ndim, f.batch_key()), []).append(idx)
+            else:
+                self.singles.append(idx)
+
+        self.batches: list[_Batch] = []
+        h_parts, g_parts = [], []
+        for index in groups.values():
+            factors = [graph._factors[i] for i in index]
+            slots = []
+            for j in range(len(factors[0].keys)):
+                rows = [row_of[f.keys[j]] for f in factors]
+                slots.append((rows[0][0], np.array([r for _, r in rows])))
+            cols = np.array([self.columns(f.keys, f.mask) for f in factors],
+                            dtype=np.intp)
+            h, g = _scatter_index(cols, self.ncols)
+            h_parts.append(h)
+            g_parts.append(g)
+            self.batches.append(_Batch(factors, index, slots, cols))
+        self.h_index = _concat(h_parts).astype(np.intp)
+        self.g_index = _concat(g_parts).astype(np.intp)
+        # scratch for the damped matrix of every solve; allocating it per
+        # solve paid page faults costing several times the copy into it
+        self.work = np.empty((self.ncols, self.ncols))
+
+    def columns(self, keys, dropped) -> list[int]:
+        """Global column per local Jacobian column; -1 where dropped or fixed."""
+        out = []
+        for key, drop in zip(keys, dropped):
+            if drop or key in self.fixed:
+                out.extend([-1] * self.tangent[key])
+            else:
+                o = self.offsets[key]
+                out.extend(range(o, o + self.dims[key]))
+        return out
+
+    def arguments(self, values):
+        """Per batch, the current values of each key as one batch per key."""
+        data = values._data if isinstance(values, Values) else values
+        tables = [stack([data[k] for k in keys]) for keys in self.tables]
+        for b in self.batches:
+            yield b, [take(tables[t], rows) for t, rows in b.slots]
+
+
+class _Block(NamedTuple):
+    """Whitened residuals (n, m) and Jacobians (n, m, D) of one batch."""
+
+    index: np.ndarray     # positions in the graph's factor list
     residual: np.ndarray
-    blocks: list  # list of (VariableKey, ndarray); masked/fixed keys omitted
-    factor_index: int
+    jacobian: np.ndarray
+    cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
 
 
 class LinearSystem:
-    """Sparse block linearization of a graph at a given point.
+    """Whitened linearization of a graph at one point, kept as stacked blocks.
 
-    Only unmasked, unfixed Jacobian blocks are stored; a missing block is
-    structurally zero. ``cross_block`` therefore returns an exact zero
-    matrix for variable pairs that no stored factor couples.
+    Masked and fixed Jacobian columns never enter ``J``: their products go
+    to no ``J^T J`` entry, so ``cross_block`` returns an exact zero matrix
+    for variable pairs that no unmasked factor couples.
     """
 
-    def __init__(self, ordering, dims, entries, nrows):
-        self.ordering: list[VariableKey] = ordering
-        self.dims: dict[VariableKey, int] = dims
-        self.offsets: dict[VariableKey, int] = {}
-        off = 0
-        for key in ordering:
-            self.offsets[key] = off
-            off += dims[key]
-        self.ncols = off
-        self.nrows = nrows
-        self.entries: list[_Entry] = entries
+    def __init__(self, pattern: _Pattern, blocks: list[_Block], h_index, g_index):
+        self.ordering: list[VariableKey] = pattern.ordering
+        self.dims: dict[VariableKey, int] = pattern.dims
+        self.offsets: dict[VariableKey, int] = pattern.offsets
+        self.ncols = pattern.ncols
+        self._work = pattern.work
+        self.blocks = blocks
+        self._h_index = h_index
+        self._g_index = g_index
         self._hess: np.ndarray | None = None
         self._grad: np.ndarray | None = None
 
+    @property
+    def nrows(self) -> int:
+        return sum(b.residual.size for b in self.blocks)
+
     def total_error(self) -> float:
-        return float(sum(e.residual @ e.residual for e in self.entries))
+        return float(sum(np.vdot(b.residual, b.residual) for b in self.blocks))
 
     def _accumulate(self):
         if self._hess is not None:
             return
-        h = np.zeros((self.ncols, self.ncols))
-        g = np.zeros(self.ncols)
-        offs = self.offsets
-        for e in self.entries:
-            blocks = e.blocks
-            n = len(blocks)
-            for i in range(n):
-                ki, ji = blocks[i]
-                oi = offs[ki]
-                di = ji.shape[1]
-                g[oi:oi + di] += ji.T @ e.residual
-                h[oi:oi + di, oi:oi + di] += ji.T @ ji
-                for j in range(i + 1, n):
-                    kj, jj = blocks[j]
-                    oj = offs[kj]
-                    dj = jj.shape[1]
-                    if oi <= oj:
-                        h[oi:oi + di, oj:oj + dj] += ji.T @ jj
-                    else:
-                        h[oj:oj + dj, oi:oi + di] += jj.T @ ji
-        # mirror: off-diagonal coupling was accumulated above the block
-        # diagonal only, diagonal blocks are already complete
-        diag_of_blocks = np.zeros_like(h)
-        for key in self.ordering:
-            o, d = offs[key], self.dims[key]
-            diag_of_blocks[o:o + d, o:o + d] = h[o:o + d, o:o + d]
-        self._hess = h + h.T - diag_of_blocks
-        self._grad = g
+        n = self.ncols
+        h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()
+                          for b in self.blocks])
+        g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()
+                          for b in self.blocks])
+        h = np.bincount(self._h_index, h_vals, n * n + 1)[:-1]
+        self._hess = h.reshape(n, n)
+        self._grad = np.bincount(self._g_index, g_vals, n + 1)[:-1]
 
     def jtj(self) -> np.ndarray:
         self._accumulate()
@@ -234,31 +371,30 @@ class LinearSystem:
         for key in (key_a, key_b):
             if key not in self.offsets:
                 raise UnknownVariableError(f"{key} is not an active variable")
-        out = np.zeros((self.dims[key_a], self.dims[key_b]))
-        for e in self.entries:
-            ja = jb = None
-            for k, j in e.blocks:
-                if k == key_a:
-                    ja = j
-                if k == key_b:
-                    jb = j
-            if ja is not None and jb is not None:
-                out += ja.T @ jb
-        return out
+        oa, ob = self.offsets[key_a], self.offsets[key_b]
+        return self.jtj()[oa:oa + self.dims[key_a], ob:ob + self.dims[key_b]].copy()
+
+    def _rows(self):
+        """(block, (n, m) row of every residual entry) in factor order."""
+        size = np.zeros(sum(len(b.index) for b in self.blocks), dtype=np.intp)
+        for b in self.blocks:
+            size[b.index] = b.residual.shape[1]
+        start = np.cumsum(size) - size
+        for b in self.blocks:
+            yield b, start[b.index][:, None] + np.arange(b.residual.shape[1])
 
     def dense_jacobian(self) -> np.ndarray:
         j = np.zeros((self.nrows, self.ncols))
-        for e in self.entries:
-            r0 = e.row
-            for k, b in e.blocks:
-                o = self.offsets[k]
-                j[r0:r0 + b.shape[0], o:o + b.shape[1]] = b
+        for b, rows in self._rows():
+            rr, cc = np.broadcast_arrays(rows[:, :, None], b.cols[:, None, :])
+            keep = cc >= 0
+            np.add.at(j, (rr[keep], cc[keep]), b.jacobian[keep])
         return j
 
     def stacked_residual(self) -> np.ndarray:
         r = np.zeros(self.nrows)
-        for e in self.entries:
-            r[e.row:e.row + e.residual.shape[0]] = e.residual
+        for b, rows in self._rows():
+            r[rows] = b.residual
         return r
 
     def solve(self, lam: float) -> np.ndarray:
@@ -266,24 +402,27 @@ class LinearSystem:
         self._accumulate()
         h = self._hess
         g = self._grad
-        d = np.diag(h)
+        d = h.diagonal()
         if np.any(d <= 0.0):
             col = int(np.argmin(d))
             bad = next(
                 k for k in self.ordering
                 if self.offsets[k] <= col < self.offsets[k] + self.dims[k])
-            exc = SingularSystemError(
+            raise StructuralSingularityError(
                 f"variable {bad} has no unmasked factor support")
-            exc.structural = True    # damping cannot repair a zero diagonal
-            raise exc
-        a = h + np.diag(lam * d)
+        a = self._work
+        np.copyto(a, h)
+        a.flat[::self.ncols + 1] = d + lam * d
         try:
-            cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+            # J^T J is symmetric, so a.T is the same matrix in the Fortran
+            # order cho_factor factorizes in place; given a C-ordered one it
+            # first makes a transposed copy, a third or more of the solve
+            # time at a few hundred columns
+            cf = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True,
+                                         check_finite=False)
             return scipy.linalg.cho_solve(cf, -g, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            err = SingularSystemError(str(exc))
-            err.structural = False
-            raise err from exc
+            raise NumericalSingularityError(str(exc)) from exc
 
     def delta_as_dict(self, delta: np.ndarray) -> dict[VariableKey, np.ndarray]:
         return {
@@ -300,14 +439,12 @@ class LinearSystem:
             stream.write(
                 f"% var {i} kind={key.kind.name} obj={key.object_id} "
                 f"k={key.time_step} dim={self.dims[key]}\n")
+        var_of_col = np.repeat(np.arange(n), [self.dims[k] for k in self.ordering])
         coupled: set[tuple[int, int]] = set()
-        index = {k: i for i, k in enumerate(self.ordering)}
-        for e in self.entries:
-            ids = [index[k] for k, _ in e.blocks]
-            for a in ids:
-                for b in ids:
-                    if a <= b:
-                        coupled.add((a, b))
+        for b in self.blocks:
+            for cols in b.cols:
+                ids = set(var_of_col[cols[cols >= 0]].tolist())
+                coupled.update((a, c) for a in ids for c in ids if a <= c)
         for i in range(n):
             for j in range(i, n):
                 stream.write(f"{i} {j} {1 if (i, j) in coupled else 0}\n")
@@ -344,6 +481,7 @@ class FactorGraph:
         self._initial: dict[VariableKey, object] = {}
         self._fixed: set[VariableKey] = set()
         self._factors: list = []
+        self._pattern: _Pattern | None = None
 
     # -- construction -------------------------------------------------
 
@@ -351,18 +489,21 @@ class FactorGraph:
         if key in self._initial:
             raise DuplicateVariableError(f"variable {key} already added")
         self._initial[key] = initial
+        self._pattern = None
 
     def add_factor(self, factor) -> int:
         for key in factor.keys:
             if key not in self._initial:
                 raise UnknownVariableError(f"factor references unknown variable {key}")
         self._factors.append(factor)
+        self._pattern = None
         return len(self._factors) - 1
 
     def fix_variable(self, key: VariableKey) -> None:
         if key not in self._initial:
             raise UnknownVariableError(f"cannot fix unknown variable {key}")
         self._fixed.add(key)
+        self._pattern = None
 
     # -- introspection -------------------------------------------------
 
@@ -392,10 +533,20 @@ class FactorGraph:
 
     # -- evaluation ----------------------------------------------------
 
+    def _get_pattern(self) -> _Pattern:
+        if self._pattern is None:
+            self._pattern = _Pattern(self)
+        return self._pattern
+
     def total_error(self, values: Values) -> float:
+        pattern = self._get_pattern()
         total = 0.0
-        for f in self._factors:
-            r = f.whitened_residual(values)
+        for b, args in pattern.arguments(values):
+            r, _ = b.cls.evaluate(b.params, args, False)
+            rw, _ = whiten(b.sqrt_info, r)
+            total += float(np.vdot(rw, rw))
+        for idx in pattern.singles:
+            r = self._factors[idx].whitened_residual(values)
             total += float(r @ r)
         return total
 
@@ -405,20 +556,28 @@ class FactorGraph:
         Masked and fixed variables get no Jacobian columns; their current
         values still enter every residual.
         """
-        ordering = self.active_keys()
-        dims = {k: tangent_dim(values[k]) for k in ordering}
-        entries: list[_Entry] = []
-        row = 0
-        for idx, f in enumerate(self._factors):
-            r, blocks = f.whitened_linearization(values)
-            kept = [
-                (k, b)
-                for k, b in blocks
-                if b is not None and k not in self._fixed
-            ]
-            entries.append(_Entry(row, r, kept, idx))
-            row += r.shape[0]
-        return LinearSystem(ordering, dims, entries, row)
+        pattern = self._get_pattern()
+        blocks = []
+        for b, args in pattern.arguments(values):
+            r, jac = b.cls.evaluate(b.params, args, True)
+            rw, jw = whiten(b.sqrt_info, r, jac)
+            blocks.append(_Block(b.index, rw, jw, b.cols))
+        h_index, g_index = pattern.h_index, pattern.g_index
+        if pattern.singles:
+            h_parts, g_parts = [h_index], [g_index]
+            for idx in pattern.singles:
+                r, kept = self._factors[idx].whitened_linearization(values)
+                jac = np.concatenate(
+                    [np.zeros((r.shape[0], pattern.tangent[k])) if j is None else j
+                     for k, j in kept], axis=1)
+                cols = np.array([pattern.columns(
+                    [k for k, _ in kept], [j is None for _, j in kept])], dtype=np.intp)
+                blocks.append(_Block(np.array([idx]), r[None], jac[None], cols))
+                h, g = _scatter_index(cols, pattern.ncols)
+                h_parts.append(h)
+                g_parts.append(g)
+            h_index, g_index = np.concatenate(h_parts), np.concatenate(g_parts)
+        return LinearSystem(pattern, blocks, h_index, g_index)
 
     # -- solving ---------------------------------------------------------
 
@@ -448,9 +607,7 @@ class FactorGraph:
             while True:
                 try:
                     delta = system.solve(lam)
-                except SingularSystemError as exc:
-                    if getattr(exc, "structural", False):
-                        raise
+                except NumericalSingularityError:
                     if lam <= 0.0:
                         lam = cfg.lambda_init
                     else:
@@ -499,8 +656,3 @@ class FactorGraph:
         o = system.offsets[key]
         d = system.dims[key]
         return cov[o:o + d, o:o + d]
-
-
-def solve_normal_equations(system: LinearSystem, lam: float) -> np.ndarray:
-    """Module-level alias for LinearSystem.solve."""
-    return system.solve(lam)

@@ -117,6 +117,7 @@ class OccupancyGrid:
 
 
 _FREE_SENTINEL = 1.0e6
+_OFFSETS = np.arange(-1, 3)
 
 
 def _edt_1d(f: np.ndarray) -> np.ndarray:
@@ -159,29 +160,19 @@ def squared_distance_cells(occ: OccupancyGrid) -> np.ndarray:
     return g
 
 
-def _cubic_weights(t: float):
-    """Cubic convolution kernel weights and derivatives at offsets -1..2.
-
-    Keys' interpolator (a = -1/2): interpolates the samples, reproduces
-    quadratics, and is C1 across cell boundaries, which the optimizer
-    needs; a piecewise-linear field would leave gradient jumps exactly
-    where clearance minimizers settle.
-    """
-    t2 = t * t
-    t3 = t2 * t
-    w = (
-        -0.5 * t3 + t2 - 0.5 * t,
-        1.5 * t3 - 2.5 * t2 + 1.0,
-        -1.5 * t3 + 2.0 * t2 + 0.5 * t,
-        0.5 * t3 - 0.5 * t2,
-    )
-    dw = (
-        -1.5 * t2 + 2.0 * t - 0.5,
-        4.5 * t2 - 5.0 * t,
-        -4.5 * t2 + 4.0 * t + 0.5,
-        1.5 * t2 - t,
-    )
-    return w, dw
+# Keys' cubic convolution kernel (a = -1/2) at the sample offsets -1..2:
+# row p holds the coefficient of t**p in each of the four weights. It
+# interpolates the samples, reproduces quadratics, and is C1 across cell
+# boundaries, which the optimizer needs; a piecewise-linear field would
+# leave gradient jumps exactly where clearance minimizers settle.
+_KEYS = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-0.5, 0.0, 0.5, 0.0],
+    [1.0, -2.5, 2.0, -0.5],
+    [-0.5, 1.5, -1.5, 0.5],
+])
+# the same for the weights' derivatives in t
+_KEYS_DT = np.arange(1, 4)[:, None] * _KEYS[1:]
 
 
 class EsdfGrid:
@@ -211,35 +202,30 @@ class EsdfGrid:
             dist = occ.resolution * np.sqrt(squared_distance_cells(occ))
         return cls(dist, occ.resolution, occ.origin)
 
-    def _patch(self, x: float, y: float):
+    def lookup(self, xy: np.ndarray):
+        """Distances (n,) and gradients (n, 2) at the n points of ``xy`` (n, 2)."""
         h, w = self.distances.shape
-        u = (x - self.origin[0]) / self.resolution - 0.5
-        v = (y - self.origin[1]) / self.resolution - 0.5
-        if u < 0.0 or v < 0.0 or u > w - 1 or v > h - 1:
-            return None
-        ix = min(int(u), w - 2) if w > 1 else 0
-        iy = min(int(v), h - 2) if h > 1 else 0
-        cols = np.clip(np.arange(ix - 1, ix + 3), 0, w - 1)
-        rows = np.clip(np.arange(iy - 1, iy + 3), 0, h - 1)
-        block = self.distances[np.ix_(rows, cols)]
-        return block, u - ix, v - iy
+        uv = (xy - self.origin) / self.resolution - 0.5
+        inside = np.all((uv >= 0.0) & (uv <= (w - 1, h - 1)), axis=1)
+        uv = np.where(inside[:, None], uv, 0.0)
+        corner = np.minimum(uv.astype(np.intp), (max(w - 2, 0), max(h - 2, 0)))
+        # 4x4 sample patch around the cell, border samples replicated
+        cols = np.clip(corner[:, 0:1] + _OFFSETS, 0, w - 1)
+        rows = np.clip(corner[:, 1:2] + _OFFSETS, 0, h - 1)
+        block = self.distances[rows[:, :, None], cols[:, None, :]]
+        powers = (uv - corner)[:, :, None] ** np.arange(4)
+        wts = powers @ _KEYS                   # (n, 2, 4): x and y weights
+        dwts = powers[:, :, 0:3] @ _KEYS_DT
+        along_y = (wts[:, 1, None, :] @ block)[:, 0, :]
+        d = np.einsum("nj,nj->n", along_y, wts[:, 0])
+        grad = np.empty((xy.shape[0], 2))
+        grad[:, 0] = np.einsum("nj,nj->n", along_y, dwts[:, 0])
+        grad[:, 1] = np.einsum("ni,nij,nj->n", dwts[:, 1], block, wts[:, 0])
+        grad /= self.resolution
+        return np.where(inside, d, 0.0), np.where(inside[:, None], grad, 0.0)
 
     def query(self, x: float, y: float) -> float:
-        patch = self._patch(x, y)
-        if patch is None:
-            return 0.0
-        block, fu, fv = patch
-        wx, _ = _cubic_weights(fu)
-        wy, _ = _cubic_weights(fv)
-        return float(np.asarray(wy) @ block @ np.asarray(wx))
+        return float(self.lookup(np.array([[x, y]], dtype=float))[0][0])
 
     def gradient(self, x: float, y: float) -> np.ndarray:
-        patch = self._patch(x, y)
-        if patch is None:
-            return np.zeros(2)
-        block, fu, fv = patch
-        wx, dwx = _cubic_weights(fu)
-        wy, dwy = _cubic_weights(fv)
-        gx = float(np.asarray(wy) @ block @ np.asarray(dwx)) / self.resolution
-        gy = float(np.asarray(dwy) @ block @ np.asarray(wx)) / self.resolution
-        return np.array([gx, gy])
+        return self.lookup(np.array([[x, y]], dtype=float))[1][0]

@@ -1,0 +1,398 @@
+"""Batched graph evaluation against the per-factor reference.
+
+For every factor class a graph holds several instances, with Pose3 keys
+where the class accepts them, both branches of every hinge, one masked
+instance on keys of its own, one full-covariance noise model and one
+fixed variable. The graph's ``jtj()``, ``jtr()`` and ``total_error()``,
+which come from one kernel call per batch and one scatter, must match the
+dense system stacked from each factor's own ``whitened_linearization``.
+"""
+
+import numpy as np
+import pytest
+
+from fgnav.factors import (
+    BetweenFactor,
+    ConstantAccelerationFactor,
+    CostFactor,
+    Direction,
+    DynamicObstacleFactor,
+    GoalFactor,
+    HybridMotionFactor,
+    LimitFactor,
+    MotionModelFactor,
+    NoiseSpec,
+    ObjectSmoothingFactor,
+    PointMeasurementFactor,
+    PriorFactor,
+    StaticObstacleFactor,
+)
+from fgnav.graph import (
+    FactorGraph,
+    acceleration,
+    dynamic_point,
+    object_motion,
+    robot_pose,
+    static_point,
+    velocity,
+)
+from fgnav.lie import Pose2, Pose3, embed_se3
+from fgnav.worldmap import EsdfGrid, OccupancyGrid
+
+RTOL = 1e-12
+
+
+def pose2(rng, scale=1.0):
+    return Pose2(*rng.normal(0, scale, 2), rng.uniform(-2.5, 2.5))
+
+
+def pose3(rng, t=1.0, r=0.5):
+    return Pose3.exp(np.concatenate([rng.normal(0, t, 3), rng.normal(0, r, 3)]))
+
+
+def full_cov(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return NoiseSpec.from_covariance(a @ a.T + dim * np.eye(dim))
+
+
+def disk_esdf():
+    grid = OccupancyGrid.empty(40, 40, 0.1, origin=(-2.0, -2.0))
+    grid.mark_disk(0.0, 0.0, 0.25)
+    return EsdfGrid.from_occupancy(grid)
+
+
+# Each builder returns (values, factors, masked, fixed): ``masked`` is the
+# one masked instance, whose keys no other factor touches.
+
+
+def build_prior(rng):
+    vals, fs = {}, []
+    for i in range(3):
+        vals[robot_pose(i)] = pose2(rng)
+        fs.append(PriorFactor(robot_pose(i), pose2(rng), [0.1, 0.2, 0.05]))
+        vals[object_motion(1, i)] = pose3(rng)
+        fs.append(PriorFactor(object_motion(1, i), pose3(rng), 0.1))
+        vals[velocity(i)] = rng.normal(size=2)
+        fs.append(PriorFactor(velocity(i), rng.normal(size=2), [0.5, 0.3]))
+    fs.append(PriorFactor(robot_pose(0), pose2(rng), full_cov(rng, 3)))
+    vals[robot_pose(9)] = pose2(rng)
+    masked = PriorFactor(robot_pose(9), pose2(rng), 0.1).with_mask((True,))
+    return vals, fs + [masked], masked, [object_motion(1, 2)]
+
+
+def build_between(rng):
+    vals, fs = {}, []
+    for i in range(4):
+        vals[robot_pose(i)] = pose2(rng)
+        vals[object_motion(1, i)] = pose3(rng)
+    for i in range(3):
+        fs.append(BetweenFactor(robot_pose(i), robot_pose(i + 1), pose2(rng, 0.3), 0.1))
+        fs.append(BetweenFactor(object_motion(1, i), object_motion(1, i + 1),
+                                pose3(rng, 0.3, 0.2), [0.1, 0.1, 0.1, 0.05, 0.05, 0.05]))
+    fs.append(BetweenFactor(robot_pose(0), robot_pose(2), pose2(rng, 0.3),
+                            full_cov(rng, 3)))
+    vals[robot_pose(8)], vals[robot_pose(9)] = pose2(rng), pose2(rng)
+    masked = BetweenFactor(robot_pose(8), robot_pose(9), pose2(rng, 0.3),
+                           0.1).with_mask((True, False))
+    return vals, fs + [masked], masked, [robot_pose(3)]
+
+
+def build_point(rng):
+    vals, fs = {}, []
+    for i in range(3):
+        vals[robot_pose(i)] = pose3(rng)
+        vals[static_point(i)] = rng.normal(0, 2, 3)
+    for i in range(3):
+        for p in range(3):
+            fs.append(PointMeasurementFactor(robot_pose(i), static_point(p),
+                                             rng.normal(size=3), 0.1))
+    fs.append(PointMeasurementFactor(robot_pose(0), static_point(0),
+                                     rng.normal(size=3), full_cov(rng, 3)))
+    vals[robot_pose(9)], vals[static_point(9)] = pose3(rng), rng.normal(size=3)
+    masked = PointMeasurementFactor(robot_pose(9), static_point(9), rng.normal(size=3),
+                                    0.1).with_mask((False, True))
+    return vals, fs + [masked], masked, [robot_pose(0)]
+
+
+def build_hybrid(rng):
+    vals, fs = {}, []
+    for i in range(3):
+        vals[robot_pose(i)] = pose3(rng)
+        vals[object_motion(2, i)] = pose3(rng, 0.5, 0.3)
+        vals[dynamic_point(2, i)] = rng.normal(0, 2, 3)
+    for i in range(3):
+        for p in range(3):
+            fs.append(HybridMotionFactor(robot_pose(i), object_motion(2, i),
+                                         dynamic_point(2, p), rng.normal(size=3), 0.1))
+    fs.append(HybridMotionFactor(robot_pose(1), object_motion(2, 1), dynamic_point(2, 1),
+                                 rng.normal(size=3), full_cov(rng, 3)))
+    for k in (robot_pose(9), object_motion(2, 9)):
+        vals[k] = pose3(rng)
+    vals[dynamic_point(2, 9)] = rng.normal(size=3)
+    masked = HybridMotionFactor(robot_pose(9), object_motion(2, 9), dynamic_point(2, 9),
+                                rng.normal(size=3), 0.1).with_mask((True, False, True))
+    return vals, fs + [masked], masked, [robot_pose(2)]
+
+
+def build_smoothing(rng):
+    vals, fs = {}, []
+    for i in range(6):
+        vals[object_motion(1, i)] = pose3(rng, 0.8, 0.3)
+    for i in range(4):
+        keys = tuple(object_motion(1, i + j) for j in range(3))
+        fs.append(ObjectSmoothingFactor(keys, pose3(rng, 0.2, 0.2), 0.05))
+    fs.append(ObjectSmoothingFactor(tuple(object_motion(1, j) for j in range(3)),
+                                    pose3(rng, 0.2, 0.2), full_cov(rng, 6)))
+    keys = tuple(object_motion(3, j) for j in range(3))
+    for k in keys:
+        vals[k] = pose3(rng, 0.8, 0.3)
+    masked = ObjectSmoothingFactor(keys, pose3(rng), 0.05).with_mask((True, True, False))
+    return vals, fs + [masked], masked, [object_motion(1, 0)]
+
+
+def _motion_chain(rng, vals, fs, start, n, first_pose3):
+    for j in range(n + 1):
+        x = pose2(rng)
+        vals[robot_pose(start + j)] = embed_se3(x) if j == 0 and first_pose3 else x
+        vals[velocity(start + j)] = rng.normal(0, 0.5, 2)
+        vals[acceleration(start + j)] = rng.normal(0, 0.5, 2)
+    for j in range(n):
+        k = start + j
+        fs.append(MotionModelFactor(robot_pose(k), robot_pose(k + 1), velocity(k),
+                                    velocity(k + 1), acceleration(k), 0.1, 1e-3))
+
+
+def build_motion_model(rng):
+    vals, fs = {}, []
+    _motion_chain(rng, vals, fs, 0, 4, first_pose3=True)
+    _motion_chain(rng, vals, fs, 10, 3, first_pose3=False)
+    fs.append(MotionModelFactor(robot_pose(11), robot_pose(12), velocity(11), velocity(12),
+                                acceleration(11), 0.1, full_cov(rng, 5)))
+    m_vals, m_fs = {}, []
+    _motion_chain(rng, m_vals, m_fs, 20, 1, first_pose3=True)
+    vals.update(m_vals)
+    masked = m_fs[0].with_mask((True, False, False, False, False))
+    return vals, fs + [masked], masked, [velocity(0)]
+
+
+def build_limit(rng):
+    vals, fs = {}, []
+    lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    for i, v in enumerate(([0.3, -1.5], [1.5, 0.0], [0.0, -2.7], [-3.0, 3.0])):
+        vals[velocity(i)] = np.array(v)
+        fs.append(LimitFactor(velocity(i), lo, hi, 1e-2))
+    fs.append(LimitFactor(velocity(1), lo, hi, full_cov(rng, 2)))
+    vals[velocity(9)] = np.array([5.0, 5.0])
+    masked = LimitFactor(velocity(9), lo, hi, 1e-2).with_mask((True,))
+    return vals, fs + [masked], masked, [velocity(3)]
+
+
+def build_cost(rng):
+    vals, fs = {}, []
+    for i in range(4):
+        vals[acceleration(i)] = rng.normal(size=2)
+        fs.append(CostFactor(acceleration(i), 2, 0.5))
+    fs.append(CostFactor(acceleration(0), 2, full_cov(rng, 2)))
+    vals[acceleration(9)] = rng.normal(size=2)
+    masked = CostFactor(acceleration(9), 2, 0.5).with_mask((True,))
+    return vals, fs + [masked], masked, [acceleration(3)]
+
+
+def build_constant_acceleration(rng):
+    vals, fs = {}, []
+    for i in range(5):
+        vals[acceleration(i)] = rng.normal(size=2)
+    for i in range(4):
+        fs.append(ConstantAccelerationFactor(acceleration(i), acceleration(i + 1), 2, 0.5))
+    fs.append(ConstantAccelerationFactor(acceleration(0), acceleration(2), 2,
+                                         full_cov(rng, 2)))
+    vals[acceleration(8)], vals[acceleration(9)] = rng.normal(size=2), rng.normal(size=2)
+    masked = ConstantAccelerationFactor(acceleration(8), acceleration(9), 2,
+                                        0.5).with_mask((False, True))
+    return vals, fs + [masked], masked, [acceleration(4)]
+
+
+def build_goal(rng):
+    vals, fs = {}, []
+    for i in range(3):
+        vals[robot_pose(i)] = pose2(rng)
+        fs.append(GoalFactor(robot_pose(i), pose2(rng), 0.1))
+    vals[robot_pose(3)] = embed_se3(pose2(rng))
+    fs.append(GoalFactor(robot_pose(3), pose2(rng), [0.1, 0.1, 0.3]))
+    fs.append(GoalFactor(robot_pose(1), pose2(rng), full_cov(rng, 3)))
+    vals[robot_pose(9)] = pose2(rng)
+    masked = GoalFactor(robot_pose(9), pose2(rng), 0.1).with_mask((True,))
+    return vals, fs + [masked], masked, [robot_pose(2)]
+
+
+def build_static_obstacle(rng):
+    esdf = disk_esdf()
+    vals, fs = {}, []
+    near = [(0.4, 0.1), (-0.2, 0.45), (0.3, -0.3)]
+    far = [(1.5, 1.5), (-1.4, 0.9)]
+    for i, (x, y) in enumerate(near + far):
+        vals[robot_pose(i)] = Pose2(x, y, rng.uniform(-3, 3))
+        fs.append(StaticObstacleFactor(robot_pose(i), esdf, 0.6, 0.05))
+    for i, (x, y) in enumerate([near[0], far[0]]):
+        vals[robot_pose(10 + i)] = embed_se3(Pose2(x, y, 0.3))
+        fs.append(StaticObstacleFactor(robot_pose(10 + i), esdf, 0.6, 0.05))
+    com_ref = pose3(rng, 0.05, 0.2)
+    for i, (x, y) in enumerate([near[1], far[1]]):
+        centre = Pose3.exp(np.array([x, y, 0.3, 0.1, -0.2, 0.4]))
+        vals[object_motion(1, i)] = centre.compose(com_ref.inverse())
+        fs.append(StaticObstacleFactor(object_motion(1, i), esdf, 0.6, 0.05,
+                                       com_ref=com_ref))
+    fs.append(StaticObstacleFactor(robot_pose(0), esdf, 0.6, full_cov(rng, 1)))
+    vals[robot_pose(9)] = Pose2(0.35, 0.0, 0.0)
+    masked = StaticObstacleFactor(robot_pose(9), esdf, 0.6, 0.05).with_mask((True,))
+    return vals, fs + [masked], masked, [robot_pose(4)]
+
+
+def build_dynamic_obstacle(rng):
+    vals, fs = {}, []
+    com_ref = pose3(rng, 0.1, 0.2)
+    for i in range(4):
+        vals[object_motion(1, i)] = Pose3.exp(np.array([0.1 * i, 0, 0, 0, 0, 0.1 * i]))
+        centre = vals[object_motion(1, i)].act(com_ref.translation)
+        offset = 0.4 if i % 2 == 0 else 3.0
+        x = Pose2(centre[0] + offset, centre[1], rng.uniform(-3, 3))
+        vals[robot_pose(i)] = embed_se3(x) if i == 0 else x
+        for direction in Direction:
+            fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(1, i), com_ref,
+                                            1.0, 0.05, direction=direction))
+    fs.append(DynamicObstacleFactor(robot_pose(2), object_motion(1, 2), com_ref, 1.0,
+                                    full_cov(rng, 1)))
+    vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)
+    vals[object_motion(1, 9)] = Pose3.identity()
+    masked = DynamicObstacleFactor(robot_pose(9), object_motion(1, 9), com_ref, 1.0,
+                                   0.05).with_mask((False, True))
+    return vals, fs + [masked], masked, [object_motion(1, 3)]
+
+
+BUILDERS = {
+    "PriorFactor": build_prior,
+    "BetweenFactor": build_between,
+    "PointMeasurementFactor": build_point,
+    "HybridMotionFactor": build_hybrid,
+    "ObjectSmoothingFactor": build_smoothing,
+    "MotionModelFactor": build_motion_model,
+    "LimitFactor": build_limit,
+    "CostFactor": build_cost,
+    "ConstantAccelerationFactor": build_constant_acceleration,
+    "GoalFactor": build_goal,
+    "StaticObstacleFactor": build_static_obstacle,
+    "DynamicObstacleFactor": build_dynamic_obstacle,
+}
+HINGES = {"LimitFactor", "StaticObstacleFactor", "DynamicObstacleFactor"}
+
+
+def make_graph(vals, factors, fixed):
+    g = FactorGraph()
+    for key, value in vals.items():
+        g.add_variable(key, value)
+    for f in factors:
+        g.add_factor(f)
+    for key in fixed:
+        g.fix_variable(key)
+    return g
+
+
+def per_factor_reference(graph, system, vals):
+    """J^T J, J^T r and the error stacked from each factor's own linearization."""
+    rows, res = [], []
+    for f in graph.factors:
+        rw, blocks = f.whitened_linearization(vals)
+        j = np.zeros((rw.shape[0], system.ncols))
+        for key, b in blocks:
+            if b is not None and key in system.offsets:
+                o = system.offsets[key]
+                j[:, o:o + b.shape[1]] += b
+        rows.append(j)
+        res.append(rw)
+    j = np.vstack(rows)
+    r = np.concatenate(res)
+    return j.T @ j, j.T @ r, float(r @ r)
+
+
+def assert_close(got, want):
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= RTOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_batched_system_matches_per_factor_stack(name):
+    rng = np.random.default_rng(sorted(BUILDERS).index(name))
+    vals, factors, masked, fixed = BUILDERS[name](rng)
+    assert {type(f).__name__ for f in factors} == {name}
+    assert any(isinstance(f.sqrt_info, np.ndarray) and f.sqrt_info.ndim == 2
+               for f in factors)
+    if name in HINGES:
+        active = {bool(np.any(f.residual(vals) != 0.0)) for f in factors}
+        assert active == {True, False}
+        for f in factors:
+            r, jacs = f.linearize_raw(vals)
+            for i in np.flatnonzero(r == 0.0):
+                # an inactive hinge row has a zero Jacobian row
+                assert all(np.all(j[i] == 0.0) for j in jacs)
+
+    graph = make_graph(vals, factors, fixed)
+    system = graph.linearize(graph.initial_values())
+    h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
+    assert_close(system.jtj(), h_ref)
+    assert_close(system.jtr(), g_ref)
+    assert graph.total_error(graph.initial_values()) == pytest.approx(e_ref, rel=RTOL)
+    assert system.total_error() == pytest.approx(e_ref, rel=RTOL)
+
+    dropped = [k for k, m in zip(masked.keys, masked.mask) if m]
+    kept = [k for k, m in zip(masked.keys, masked.mask) if not m]
+    for a in dropped:
+        # the masked instance is the only factor on its keys
+        assert np.all(system.cross_block(a, a) == 0.0)
+        for b in kept:
+            assert np.all(system.cross_block(a, b) == 0.0)
+            assert np.all(system.cross_block(b, a) == 0.0)
+
+
+class _Delegate:
+    """A factor that is not a Factor subclass: evaluated through its own methods."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys = inner.keys
+        self.dim = inner.dim
+
+    def whitened_residual(self, values):
+        return self.inner.whitened_residual(values)
+
+    def whitened_linearization(self, values):
+        return self.inner.whitened_linearization(values)
+
+
+def test_duck_typed_factors_join_the_scatter():
+    rng = np.random.default_rng(40)
+    vals, factors, masked, fixed = build_between(rng)
+    factors = factors[:3] + [_Delegate(f) for f in factors[3:]]
+    graph = make_graph(vals, factors, fixed)
+    system = graph.linearize(graph.initial_values())
+    h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
+    assert_close(system.jtj(), h_ref)
+    assert_close(system.jtr(), g_ref)
+    assert graph.total_error(graph.initial_values()) == pytest.approx(e_ref, rel=RTOL)
+    assert np.all(system.cross_block(*masked.keys) == 0.0)
+    j = system.dense_jacobian()
+    r = system.stacked_residual()
+    assert_close(j.T @ j, h_ref)
+    assert_close(j.T @ r, g_ref)
+
+
+def test_pattern_is_rebuilt_after_the_graph_changes():
+    rng = np.random.default_rng(41)
+    vals, factors, _, fixed = build_prior(rng)
+    graph = make_graph(vals, factors, fixed)
+    before = graph.linearize(graph.initial_values()).ncols
+    graph.fix_variable(robot_pose(0))
+    after = graph.linearize(graph.initial_values())
+    assert after.ncols == before - 3
+    assert robot_pose(0) not in after.offsets
+    h_ref, _, _ = per_factor_reference(graph, after, vals)
+    assert_close(after.jtj(), h_ref)

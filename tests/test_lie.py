@@ -160,7 +160,8 @@ class TestSE3:
         for expnt in range(16):
             phi = rng.standard_normal(3)
             phi *= 10.0 ** -expnt / np.linalg.norm(phi)
-            prod = lie._so3_left_v(phi) @ lie._so3_left_v_inv(phi)
+            v, v_inv = lie._so3_left_jacobian(phi[None]), lie._so3_left_jacobian_inv(phi[None])
+            prod = v[0] @ v_inv[0]
             assert np.max(np.abs(prod - np.eye(3))) < 1e-13
 
     def test_compose_against_matrix_product(self):
@@ -284,3 +285,51 @@ class TestTangentJacobians:
     def test_left_jacobian_identity(self):
         assert np.allclose(lie.left_jacobian(np.zeros(6)), np.eye(6))
         assert np.allclose(lie.left_jacobian(np.zeros(3)), np.eye(3))
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_closed_form_inverse_matches_series(self, dim):
+        # angles on both sides of every series switch, down to the identity
+        rng = np.random.default_rng(15)
+        for angle in (0.0, 1e-9, 1e-5, 0.009, 0.011, 0.099, 0.101, 0.49, 0.51, 1.3, 2.9):
+            for _ in range(5):
+                xi = rng.normal(0, 1, dim)
+                rot = xi[2:3] if dim == 3 else xi[3:6]
+                norm = np.linalg.norm(rot)
+                rot *= angle / norm if norm > 0 else 0.0
+                want = np.linalg.inv(lie.left_jacobian(-xi))
+                got = lie.right_jacobian_inverse(xi)
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+class TestBatches:
+    def test_batched_maps_match_single_elements(self):
+        rng = np.random.default_rng(16)
+        for make in (random_pose2, random_pose3):
+            a = [make(rng) for _ in range(20)]
+            b = [make(rng) for _ in range(20)]
+            ba, bb = lie.stack(a), lie.stack(b)
+            steps = rng.normal(0, 0.7, (20, a[0].tangent_dim()))
+            steps[:3] *= np.array([[0.0], [1e-9], [1e-5]])
+            for got, want in (
+                (lie.compose_batch(ba, bb), [p.compose(q) for p, q in zip(a, b)]),
+                (lie.between_batch(ba, bb), [p.between(q) for p, q in zip(a, b)]),
+                (lie.inverse_batch(ba), [p.inverse() for p in a]),
+                (lie.exp_batch(steps), [type(a[0]).exp(v) for v in steps]),
+            ):
+                for g, w in zip(lie.unstack(got), want):
+                    assert np.allclose(g.log() if isinstance(g, Pose3) else
+                                       [g.x, g.y, g.theta],
+                                       w.log() if isinstance(w, Pose3) else
+                                       [w.x, w.y, w.theta], atol=1e-12)
+            logs = lie.log_batch(lie.between_batch(ba, bb))
+            assert np.allclose(logs, [p.between(q).log() for p, q in zip(a, b)],
+                               atol=1e-12)
+            assert np.allclose(lie.adjoint_batch(ba), [p.adjoint() for p in a],
+                               atol=1e-12)
+
+    def test_batched_log_rejects_pi(self):
+        with pytest.raises(lie.SingularLogError):
+            lie.log_batch(lie.stack([Pose2(0, 0, 0.1), Pose2(1.0, 0.0, math.pi)]))
+        flip = Pose3(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
+        with pytest.raises(lie.SingularLogError):
+            lie.log_batch(lie.stack([Pose3.identity(), flip]))
