@@ -14,8 +14,9 @@ records for every batch the table rows its keys read and the ``J^T J`` and
 ``J^T r`` entries its Jacobian columns land in. Every later
 :meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` stacks
 the current values into the tables, calls one kernel per batch, and
-:class:`LinearSystem` keeps the stacked whitened blocks; ``J^T J`` and
-``J^T r`` are then one ``np.bincount`` over the fixed index arrays. The
+:class:`LinearSystem` keeps the stacked whitened blocks; the band of
+``J^T J`` and ``J^T r`` are then one ``np.bincount`` each over the fixed
+index arrays. The
 pattern is the same at every linearization point because hinge factors
 return zero blocks rather than dropping them. Objects that are not
 :class:`~fgnav.factors.Factor` subclasses are evaluated one at a time
@@ -31,9 +32,18 @@ factor, and the corresponding Gauss-Newton cross terms vanish.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
-damping updates. Variables can be frozen with :meth:`FactorGraph.fix_variable`
-(no columns, values still read), which is how the pipeline implements its
-fixed-lag window.
+damping updates. The pattern numbers the columns in reverse Cuthill-McKee
+order (Cuthill & McKee, 1969) of the variables that unmasked factors
+couple, which keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals,
+the widest column span of any factor. ``J^T J`` is assembled straight into
+that lower band storage, ``(bw + 1, ncols)``, and each damped system is
+solved by a banded Cholesky (``scipy.linalg.solveh_banded``), so neither
+the dense matrix nor its factor is ever formed on the solver path; the
+dense ``J^T J`` is built from the band only when :meth:`LinearSystem.jtj`
+asks for it. :meth:`FactorGraph.active_keys` stays in time order.
+Variables can be frozen with :meth:`FactorGraph.fix_variable` (no columns,
+values still read), which is how the pipeline implements its fixed-lag
+window.
 """
 
 from __future__ import annotations
@@ -199,17 +209,73 @@ def _value_kind(value):
     return np.ndarray, tangent_dim(value)
 
 
-def _scatter_index(cols: np.ndarray, ncols: int):
-    """Flat J^T J and J^T r positions of a batch's local products.
+def _scatter_index(cols: np.ndarray, ncols: int, bw: int):
+    """Lower band and J^T r positions of a batch's local products.
 
     ``cols`` is (n, D): the global column of each local Jacobian column, or
-    -1 for a masked or fixed one, whose products go to a discarded last bin.
+    -1 for a masked or fixed one. The product of columns ``i >= j`` lands at
+    ``(i - j) * ncols + j`` of the ``(bw + 1, ncols)`` lower band storage;
+    upper-triangle products and those of masked or fixed columns go to a
+    discarded last bin.
     """
     valid = cols >= 0
-    h = np.where(valid[:, :, None] & valid[:, None, :],
-                 cols[:, :, None] * ncols + cols[:, None, :], ncols * ncols)
+    i, j = cols[:, :, None], cols[:, None, :]
+    keep = valid[:, :, None] & valid[:, None, :] & (i >= j)
+    h = np.where(keep, (i - j) * ncols + j, (bw + 1) * ncols)
     g = np.where(valid, cols, ncols)
     return h.ravel(), g.ravel()
+
+
+def _reverse_cuthill_mckee(neighbours: list[set[int]]) -> list[int]:
+    """Reverse Cuthill-McKee order of the nodes ``0..n-1`` of a graph.
+
+    Each connected component is walked breadth-first from its unvisited
+    node of least degree, visiting neighbours by ascending degree; ties go
+    to the lower node number, so the order is a pure function of the input.
+    """
+    degree = [len(nb) for nb in neighbours]
+    order: list[int] = []
+    seen = [False] * len(neighbours)
+    for start in sorted(range(len(neighbours)), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            fresh = sorted((m for m in neighbours[order[head]] if not seen[m]),
+                           key=lambda m: (degree[m], m))
+            for m in fresh:
+                seen[m] = True
+            order.extend(fresh)
+            head += 1
+    return order[::-1]
+
+
+def _band_ordering(graph: "FactorGraph") -> list[VariableKey]:
+    """Active keys in reverse Cuthill-McKee order of their coupling.
+
+    Two variables are coupled when one factor reads both and neither is
+    masked there or fixed; a duck-typed factor couples all its keys.
+    """
+    active = graph.active_keys()
+    node = {k: i for i, k in enumerate(active)}
+    neighbours: list[set[int]] = [set() for _ in active]
+    for f in graph._factors:
+        dropped = f.mask if isinstance(f, Factor) else (False,) * len(f.keys)
+        kept = [node[k] for k, d in zip(f.keys, dropped) if not d and k in node]
+        for a in kept:
+            # each node also lands in its own set; that adds one to the
+            # degree of every coupled node and leaves the order unchanged
+            neighbours[a].update(kept)
+    return [active[i] for i in _reverse_cuthill_mckee(neighbours)]
+
+
+def _span(cols: np.ndarray) -> int:
+    """Widest distance between the kept (>= 0) columns of any row of ``cols``."""
+    hi = cols.max(axis=1)    # -1 where a row keeps no column
+    lo = np.where(cols >= 0, cols, hi[:, None]).min(axis=1)
+    return int((hi - lo).max(initial=0))
 
 
 def _concat(parts) -> np.ndarray:
@@ -234,14 +300,17 @@ class _Pattern:
     """Value tables, factor batches and scatter indices of one graph.
 
     Built from the graph's initial values: every point the graph is later
-    evaluated at must hold values of the same kinds.
+    evaluated at must hold values of the same kinds. The columns follow a
+    reverse Cuthill-McKee order of the variables that factors couple, and
+    ``bw`` is the widest column span of any factor, so every ``J^T J``
+    product falls inside a band of ``bw`` subdiagonals.
     """
 
     def __init__(self, graph: "FactorGraph"):
         initial = graph._initial
         self.fixed = frozenset(graph._fixed)
         self.tangent = {k: tangent_dim(v) for k, v in initial.items()}
-        self.ordering = graph.active_keys()
+        self.ordering = _band_ordering(graph)
         self.dims = {k: self.tangent[k] for k in self.ordering}
         self.offsets: dict[VariableKey, int] = {}
         off = 0
@@ -272,7 +341,6 @@ class _Pattern:
                 self.singles.append(idx)
 
         self.batches: list[_Batch] = []
-        h_parts, g_parts = [], []
         for index in groups.values():
             factors = [graph._factors[i] for i in index]
             slots = []
@@ -281,15 +349,23 @@ class _Pattern:
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
             cols = np.array([self.columns(f.keys, f.mask) for f in factors],
                             dtype=np.intp)
-            h, g = _scatter_index(cols, self.ncols)
+            self.batches.append(_Batch(factors, index, slots, cols))
+        # a duck-typed factor drops columns only at linearization, so its
+        # span is taken over all of its keys
+        spans = [_span(b.cols) for b in self.batches]
+        for i in self.singles:
+            keys = graph._factors[i].keys
+            spans.append(_span(np.array([self.columns(keys, [False] * len(keys))])))
+        self.bw = max(spans, default=0)
+        h_parts, g_parts = [], []
+        for b in self.batches:
+            h, g = _scatter_index(b.cols, self.ncols, self.bw)
             h_parts.append(h)
             g_parts.append(g)
-            self.batches.append(_Batch(factors, index, slots, cols))
         self.h_index = _concat(h_parts).astype(np.intp)
         self.g_index = _concat(g_parts).astype(np.intp)
-        # scratch for the damped matrix of every solve; allocating it per
-        # solve paid page faults costing several times the copy into it
-        self.work = np.empty((self.ncols, self.ncols))
+        # scratch for the damped band of every solve
+        self.work = np.empty((self.bw + 1, self.ncols))
 
     def columns(self, keys, dropped) -> list[int]:
         """Global column per local Jacobian column; -1 where dropped or fixed."""
@@ -322,6 +398,8 @@ class _Block(NamedTuple):
 class LinearSystem:
     """Whitened linearization of a graph at one point, kept as stacked blocks.
 
+    ``J^T J`` is kept as its lower band: row ``d`` of the ``(bw + 1, ncols)``
+    array holds the ``d``-th subdiagonal, ``band[d, j] = (J^T J)[j + d, j]``.
     Masked and fixed Jacobian columns never enter ``J``: their products go
     to no ``J^T J`` entry, so ``cross_block`` returns an exact zero matrix
     for variable pairs that no unmasked factor couples.
@@ -332,11 +410,12 @@ class LinearSystem:
         self.dims: dict[VariableKey, int] = pattern.dims
         self.offsets: dict[VariableKey, int] = pattern.offsets
         self.ncols = pattern.ncols
+        self.bw = pattern.bw
         self._work = pattern.work
         self.blocks = blocks
         self._h_index = h_index
         self._g_index = g_index
-        self._hess: np.ndarray | None = None
+        self._band: np.ndarray | None = None
         self._grad: np.ndarray | None = None
 
     @property
@@ -347,20 +426,28 @@ class LinearSystem:
         return float(sum(np.vdot(b.residual, b.residual) for b in self.blocks))
 
     def _accumulate(self):
-        if self._hess is not None:
+        if self._band is not None:
             return
         n = self.ncols
         h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()
                           for b in self.blocks])
         g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()
                           for b in self.blocks])
-        h = np.bincount(self._h_index, h_vals, n * n + 1)[:-1]
-        self._hess = h.reshape(n, n)
+        size = (self.bw + 1) * n
+        self._band = np.bincount(self._h_index, h_vals, size + 1)[:-1].reshape(-1, n)
         self._grad = np.bincount(self._g_index, g_vals, n + 1)[:-1]
 
     def jtj(self) -> np.ndarray:
+        """Dense ``J^T J``, built from the band on every call."""
         self._accumulate()
-        return self._hess
+        n = self.ncols
+        d, j = np.divmod(np.arange(self._band.size), n)
+        inside = d + j < n
+        d, j, v = d[inside], j[inside], self._band.ravel()[inside]
+        h = np.zeros((n, n))
+        h[j + d, j] = v
+        h[j, j + d] = v
+        return h
 
     def jtr(self) -> np.ndarray:
         self._accumulate()
@@ -372,7 +459,7 @@ class LinearSystem:
             if key not in self.offsets:
                 raise UnknownVariableError(f"{key} is not an active variable")
         oa, ob = self.offsets[key_a], self.offsets[key_b]
-        return self.jtj()[oa:oa + self.dims[key_a], ob:ob + self.dims[key_b]].copy()
+        return self.jtj()[oa:oa + self.dims[key_a], ob:ob + self.dims[key_b]]
 
     def _rows(self):
         """(block, (n, m) row of every residual entry) in factor order."""
@@ -400,9 +487,7 @@ class LinearSystem:
     def solve(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
         self._accumulate()
-        h = self._hess
-        g = self._grad
-        d = h.diagonal()
+        d = self._band[0]
         if np.any(d <= 0.0):
             col = int(np.argmin(d))
             bad = next(
@@ -410,17 +495,12 @@ class LinearSystem:
                 if self.offsets[k] <= col < self.offsets[k] + self.dims[k])
             raise StructuralSingularityError(
                 f"variable {bad} has no unmasked factor support")
-        a = self._work
-        np.copyto(a, h)
-        a.flat[::self.ncols + 1] = d + lam * d
+        ab = self._work
+        np.copyto(ab, self._band)
+        ab[0] += lam * d
         try:
-            # J^T J is symmetric, so a.T is the same matrix in the Fortran
-            # order cho_factor factorizes in place; given a C-ordered one it
-            # first makes a transposed copy, a third or more of the solve
-            # time at a few hundred columns
-            cf = scipy.linalg.cho_factor(a.T, lower=True, overwrite_a=True,
-                                         check_finite=False)
-            return scipy.linalg.cho_solve(cf, -g, check_finite=False)
+            return scipy.linalg.solveh_banded(ab, -self._grad, overwrite_ab=True,
+                                              lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalSingularityError(str(exc)) from exc
 
@@ -429,25 +509,6 @@ class LinearSystem:
             key: delta[self.offsets[key]:self.offsets[key] + self.dims[key]]
             for key in self.ordering
         }
-
-    def write_block_sparsity(self, stream) -> None:
-        """Matrix-market style dump of the J^T J block pattern (1 nonzero)."""
-        n = len(self.ordering)
-        stream.write("%% jtj block sparsity\n")
-        stream.write(f"% blocks {n} {n}\n")
-        for i, key in enumerate(self.ordering):
-            stream.write(
-                f"% var {i} kind={key.kind.name} obj={key.object_id} "
-                f"k={key.time_step} dim={self.dims[key]}\n")
-        var_of_col = np.repeat(np.arange(n), [self.dims[k] for k in self.ordering])
-        coupled: set[tuple[int, int]] = set()
-        for b in self.blocks:
-            for cols in b.cols:
-                ids = set(var_of_col[cols[cols >= 0]].tolist())
-                coupled.update((a, c) for a in ids for c in ids if a <= c)
-        for i in range(n):
-            for j in range(i, n):
-                stream.write(f"{i} {j} {1 if (i, j) in coupled else 0}\n")
 
 
 @dataclass
@@ -458,6 +519,20 @@ class OptimizerConfig:
     lambda_cap: float = 1e7
     abs_tol: float = 1e-8       # on the update norm
     rel_tol: float = 1e-10      # on the relative error decrease
+
+    def __post_init__(self):
+        # a rejected step multiplies lambda by lambda_scale until it passes
+        # lambda_cap; these bounds are what make that loop end
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.lambda_init > 0:
+            raise ValueError("lambda_init must be > 0")
+        if not self.lambda_scale > 1:
+            raise ValueError("lambda_scale must be > 1")
+        if not self.lambda_cap > self.lambda_init:
+            raise ValueError("lambda_cap must be > lambda_init")
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0):
+            raise ValueError("tolerances must be >= 0")
 
 
 @dataclass
@@ -573,7 +648,7 @@ class FactorGraph:
                 cols = np.array([pattern.columns(
                     [k for k, _ in kept], [j is None for _, j in kept])], dtype=np.intp)
                 blocks.append(_Block(np.array([idx]), r[None], jac[None], cols))
-                h, g = _scatter_index(cols, pattern.ncols)
+                h, g = _scatter_index(cols, pattern.ncols, pattern.bw)
                 h_parts.append(h)
                 g_parts.append(g)
             h_index, g_index = np.concatenate(h_parts), np.concatenate(g_parts)
@@ -608,10 +683,7 @@ class FactorGraph:
                 try:
                     delta = system.solve(lam)
                 except NumericalSingularityError:
-                    if lam <= 0.0:
-                        lam = cfg.lambda_init
-                    else:
-                        lam *= cfg.lambda_scale
+                    lam *= cfg.lambda_scale
                     if lam > cfg.lambda_cap:
                         return OptimizeResult(vals, it, err, False, "lambda_cap", history)
                     continue

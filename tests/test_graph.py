@@ -5,7 +5,6 @@ scipy.optimize.least_squares run on the same retraction-parameterized
 objective.
 """
 
-import io
 import math
 
 import numpy as np
@@ -14,12 +13,18 @@ import scipy.optimize
 
 from fgnav.factors import (
     BetweenFactor,
+    Direction,
+    DynamicObstacleFactor,
+    HybridMotionFactor,
+    Mode,
     PointMeasurementFactor,
     PriorFactor,
+    apply_mode_masks,
 )
 from fgnav.graph import (
     DuplicateVariableError,
     FactorGraph,
+    NumericalSingularityError,
     OptimizerConfig,
     SingularSystemError,
     UnknownVariableError,
@@ -202,6 +207,150 @@ def test_gauss_newton_step_matches_dense_solve():
 
 
 # ---------------------------------------------------------------------------
+# banded solve
+
+
+class _Wrapped:
+    """A factor that is not a Factor subclass: evaluated through its own methods."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys = inner.keys
+        self.dim = inner.dim
+
+    def whitened_residual(self, values):
+        return self.inner.whitened_residual(values)
+
+    def whitened_linearization(self, values):
+        return self.inner.whitened_linearization(values)
+
+
+def wide_graph(steps=10):
+    """Estimation window, two object chains and a plan, wide in time order.
+
+    Landmark and dynamic-point ids start above the last time step, so the
+    time-sorted order puts their columns far from the early poses that
+    observe them. The obstacle hinges between planned poses and predicted
+    motions come in pairs masked both ways, as cooperative mode masks them.
+    """
+    rng = np.random.default_rng(23)
+    g = FactorGraph()
+    factors = []
+
+    def noisy(pose, scale):
+        return pose.compose(Pose3.exp(rng.normal(0, scale, 6)))
+
+    for k in range(steps):
+        g.add_variable(robot_pose(k), Pose3.exp(np.array([0.5 * k, 0, 0, 0, 0, 0])))
+        for obj in (1, 2):
+            g.add_variable(object_motion(obj, k), Pose3.exp(
+                np.array([0.05 * k, 0.02 * obj, 0, 0, 0, 0.01 * k])))
+    factors.append(PriorFactor(robot_pose(0), Pose3.identity(), 0.05))
+    for k in range(steps - 1):
+        step = Pose3.exp(np.array([0.5, 0, 0, 0, 0, 0]))
+        factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), noisy(step, 0.02), 0.05))
+        for obj in (1, 2):
+            factors.append(BetweenFactor(object_motion(obj, k), object_motion(obj, k + 1),
+                                         noisy(Pose3.identity(), 0.02), 0.1))
+    factors.append(PriorFactor(object_motion(2, 0), Pose3.identity(), 0.1))
+    for p in range(6):
+        key = static_point(steps + 30 + p)
+        g.add_variable(key, rng.normal(0, 2, 3))
+        for k in (p % 3, p % 3 + 1):
+            factors.append(PointMeasurementFactor(robot_pose(k), key, rng.normal(0, 2, 3), 0.1))
+    for obj in (1, 2):
+        for p in range(3):
+            key = dynamic_point(obj, steps + 20 + p)
+            g.add_variable(key, rng.normal(0, 1, 3))
+            for k in range(3):
+                factors.append(HybridMotionFactor(robot_pose(k), object_motion(obj, k), key,
+                                                  rng.normal(0, 1, 3), 0.1))
+    com_ref = Pose3.exp(np.array([2.0, 0.3, 0, 0, 0, 0]))
+    for k in range(4, steps):
+        for obj in (1, 2):
+            for direction in Direction:
+                factors.append(DynamicObstacleFactor(robot_pose(k), object_motion(obj, k),
+                                                     com_ref, 10.0, 0.05, direction=direction))
+    factors = apply_mode_masks(factors, Mode.COOPERATIVE)
+    factors.append(_Wrapped(PointMeasurementFactor(
+        robot_pose(steps - 1), static_point(steps + 30), rng.normal(0, 2, 3), 0.1)))
+    for f in factors:
+        g.add_factor(f)
+    g.fix_variable(object_motion(1, 0))
+    return g
+
+
+def time_sorted_bandwidth(g, system):
+    """Bandwidth of the system's J^T J with its columns in active_keys() order."""
+    position = np.zeros(system.ncols, dtype=int)
+    at = 0
+    for key in g.active_keys():
+        o, d = system.offsets[key], system.dims[key]
+        position[o:o + d] = np.arange(at, at + d)
+        at += d
+    rows, cols = np.nonzero(system.jtj())
+    return int(np.max(np.abs(position[rows] - position[cols])))
+
+
+def assert_rel(got, want, rtol):
+    assert float(np.abs(got - want).max()) <= rtol * float(np.abs(want).max())
+
+
+def test_banded_solve_matches_dense_oracle_on_a_wide_graph():
+    g = wide_graph()
+    system = g.linearize(g.initial_values())
+    j = system.dense_jacobian()
+    h = j.T @ j
+    assert_rel(system.jtj(), h, 1e-12)
+    assert_rel(system.jtr(), j.T @ system.stacked_residual(), 1e-12)
+    # every product lies inside the band, and the band is narrower than time order
+    rows, cols = np.nonzero(system.jtj())
+    assert np.max(rows - cols) <= system.bw
+    assert system.bw < time_sorted_bandwidth(g, system)
+    # hinge pairs masked both ways never couple a planned pose to a motion
+    assert np.all(system.cross_block(robot_pose(6), object_motion(1, 6)) == 0.0)
+    assert np.any(system.cross_block(robot_pose(1), object_motion(1, 1)) != 0.0)
+    for lam in (0.0, 1e-3, 10.0):
+        damped = h + lam * np.diag(np.diag(h))
+        want = np.linalg.solve(damped, -system.jtr())
+        assert_rel(system.solve(lam), want, 1e-9)
+
+
+def test_column_order_is_deterministic():
+    a, b = wide_graph(), wide_graph()
+    order = a.linearize(a.initial_values()).ordering
+    assert order == b.linearize(b.initial_values()).ordering
+    assert sorted(order) == sorted(a.active_keys())
+
+
+class _SumRow:
+    """One whitened row ``J = [1, ..., 1]``: J^T J is singular, its diagonal is not."""
+
+    def __init__(self, key):
+        self.keys = (key,)
+        self.dim = 1
+
+    def whitened_residual(self, values):
+        return np.array([float(np.sum(values[self.keys[0]])) - 1.0])
+
+    def whitened_linearization(self, values):
+        n = values[self.keys[0]].shape[0]
+        return self.whitened_residual(values), [(self.keys[0], np.ones((1, n)))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rank_deficient_system_raises_numerical_singularity(dim):
+    # dim 2 is a one-subdiagonal band, dim 3 a wider one
+    g = FactorGraph()
+    g.add_variable(velocity(0), np.zeros(dim))
+    g.add_factor(_SumRow(velocity(0)))
+    system = g.linearize(g.initial_values())
+    assert np.all(np.diag(system.jtj()) > 0.0)
+    with pytest.raises(NumericalSingularityError):
+        system.solve(0.0)
+
+
+# ---------------------------------------------------------------------------
 # optimization
 
 
@@ -291,6 +440,25 @@ def test_optimize_iteration_budget():
     assert res.reason in ("max_iters", "abs_tol", "rel_tol")
 
 
+@pytest.mark.parametrize("bad", [
+    {"max_iters": 0},
+    {"lambda_init": 0.0},
+    {"lambda_init": -1e-4},
+    {"lambda_init": math.nan},
+    {"lambda_scale": 1.0},
+    {"lambda_scale": 0.5},
+    {"lambda_cap": 1e-4},
+    {"lambda_init": 1.0, "lambda_cap": 0.5},
+    {"abs_tol": -1e-8},
+    {"rel_tol": -1e-10},
+])
+def test_optimizer_config_rejects_settings_whose_damping_never_ends(bad):
+    # lambda_init = 0 or lambda_scale <= 1 would never push lambda past
+    # lambda_cap after a rejected step
+    with pytest.raises(ValueError):
+        OptimizerConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # marginals
 
@@ -351,19 +519,3 @@ def test_masked_spanning_factor_leaves_upstream_solution_unchanged():
         assert np.allclose(d_joint[robot_pose(k)], d_est[robot_pose(k)],
                            atol=1e-12)
 
-
-def test_block_sparsity_dump():
-    g = FactorGraph()
-    a, b = robot_pose(0), robot_pose(1)
-    g.add_variable(a, Pose2.identity())
-    g.add_variable(b, Pose2(1, 0, 0))
-    g.add_factor(PriorFactor(a, Pose2.identity(), 0.1))
-    link = BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
-    g.add_factor(link.with_mask((True, False)))
-    buf = io.StringIO()
-    g.linearize(g.initial_values()).write_block_sparsity(buf)
-    lines = buf.getvalue().strip().splitlines()
-    pattern = [ln for ln in lines if not ln.startswith("%")]
-    # upper triangle of a 2x2 block pattern
-    assert pattern == ["0 0 1", "0 1 0", "1 1 1"]
-    assert any("ROBOT_POSE" in ln for ln in lines if ln.startswith("%"))
