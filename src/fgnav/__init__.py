@@ -1,15 +1,10 @@
 """Factor-graph estimation, prediction and planning for 2D navigation."""
 
-from .lie import Pose2, Pose3, between, compose, embed_se3, exp, inverse, log, project_se2
+from .lie import Pose2, Pose3, embed_se3, project_se2
 
 __all__ = [
     "Pose2",
     "Pose3",
-    "between",
-    "compose",
     "embed_se3",
-    "exp",
-    "inverse",
-    "log",
     "project_se2",
 ]

@@ -12,8 +12,8 @@ batches that share one kernel call (same class, same value kinds per key,
 same whitening kind and ``batch_key``, see :mod:`fgnav.factors`), and
 records for every batch the table rows its keys read and the ``J^T J`` and
 ``J^T r`` entries its Jacobian columns land in. Every later
-:meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` stacks
-the current values into the tables, calls one kernel per batch, and
+:meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` of a
+:class:`Values` stacks it into the tables, calls one kernel per batch, and
 :class:`LinearSystem` keeps the stacked whitened blocks; the band of
 ``J^T J`` and ``J^T r`` are then one ``np.bincount`` each over the fixed
 index arrays. The
@@ -32,7 +32,19 @@ factor, and the corresponding Gauss-Newton cross terms vanish.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
-damping updates. The pattern numbers the columns in reverse Cuthill-McKee
+damping updates. :meth:`FactorGraph.optimize` redoes only the work whose
+inputs change (Kaess et al., *iSAM2*, IJRR 2012, applied within one
+solve). Its iterate is the pattern's stacked tables (:class:`_State`), not
+a :class:`Values`: a trial step is one ``exp_batch`` and ``compose_batch``
+per pose table and one add per vector table, written into fresh arrays so
+a rejected trial never touches the accepted point. A batch whose every
+key is fixed is constant: its block is evaluated once per ``optimize``
+call, and every later error and linearization of that call reuses it at
+its own place in the sum, so the error is bitwise the one a fresh
+evaluation gives; its products never enter the scatter. The first error
+is the one the first linearization already holds, and the
+:class:`Values` the solve returns are built once, on return; fixed keys
+keep their objects. The pattern numbers the columns in reverse Cuthill-McKee
 order (Cuthill & McKee, 1969) of the variables that unmasked factors
 couple, which keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals,
 the widest column span of any factor. ``J^T J`` is assembled straight into
@@ -285,15 +297,34 @@ def _concat(parts) -> np.ndarray:
 class _Batch:
     """Factors of one class that share a kernel call, and where they land."""
 
-    __slots__ = ("cls", "index", "params", "slots", "sqrt_info", "cols")
+    __slots__ = ("cls", "index", "params", "slots", "sqrt_info", "cols",
+                 "scatters", "constant")
 
-    def __init__(self, factors, index, slots, cols):
+    def __init__(self, factors, index, slots, cols, fixed):
         self.cls = type(factors[0])
         self.index = np.asarray(index)   # positions in the graph's factor list
         self.params = self.cls.stack_params(factors)
         self.slots = slots               # (table, rows) per key
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
         self.cols = cols                 # (n, D) global columns, -1 if dropped
+        # some Jacobian column lands in J^T J
+        self.scatters = bool((cols >= 0).any())
+        # every key of every instance is fixed: the block never changes
+        self.constant = all(k in fixed for f in factors for k in f.keys)
+
+    def residual(self, tables) -> np.ndarray:
+        """Whitened (n, m) residuals at the stacked value ``tables``."""
+        r, _ = self.cls.evaluate(self.params, self._arguments(tables), False)
+        return whiten(self.sqrt_info, r)[0]
+
+    def block(self, tables) -> "_Block":
+        """Whitened residuals and Jacobians at the stacked value ``tables``."""
+        r, jac = self.cls.evaluate(self.params, self._arguments(tables), True)
+        rw, jw = whiten(self.sqrt_info, r, jac)
+        return _Block(self.index, rw, jw, self.cols, self.scatters)
+
+    def _arguments(self, tables) -> list:
+        return [take(tables[t], rows) for t, rows in self.slots]
 
 
 class _Pattern:
@@ -330,6 +361,18 @@ class _Pattern:
             row_of[key] = (t, len(self.tables[t]))
             self.tables[t].append(key)
 
+        # per table with active keys: those keys in column order, their
+        # rows, their (n, dim) delta columns and whether the table holds poses
+        self.moves = []
+        for kind, t in table_of.items():
+            keys = sorted((k for k in self.tables[t] if k in self.offsets),
+                          key=self.offsets.__getitem__)
+            if keys:
+                rows = np.array([row_of[k][1] for k in keys], dtype=np.intp)
+                cols = np.array([range(self.offsets[k], self.offsets[k] + self.dims[k])
+                                 for k in keys], dtype=np.intp)
+                self.moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
+
         groups: dict[object, list[int]] = {}
         self.singles: list[int] = []
         for idx, f in enumerate(graph._factors):
@@ -349,7 +392,7 @@ class _Pattern:
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
             cols = np.array([self.columns(f.keys, f.mask) for f in factors],
                             dtype=np.intp)
-            self.batches.append(_Batch(factors, index, slots, cols))
+            self.batches.append(_Batch(factors, index, slots, cols, self.fixed))
         # a duck-typed factor drops columns only at linearization, so its
         # span is taken over all of its keys
         spans = [_span(b.cols) for b in self.batches]
@@ -359,9 +402,10 @@ class _Pattern:
         self.bw = max(spans, default=0)
         h_parts, g_parts = [], []
         for b in self.batches:
-            h, g = _scatter_index(b.cols, self.ncols, self.bw)
-            h_parts.append(h)
-            g_parts.append(g)
+            if b.scatters:
+                h, g = _scatter_index(b.cols, self.ncols, self.bw)
+                h_parts.append(h)
+                g_parts.append(g)
         self.h_index = _concat(h_parts).astype(np.intp)
         self.g_index = _concat(g_parts).astype(np.intp)
         # scratch for the damped band of every solve
@@ -378,12 +422,68 @@ class _Pattern:
                 out.extend(range(o, o + self.dims[key]))
         return out
 
-    def arguments(self, values):
-        """Per batch, the current values of each key as one batch per key."""
+    def state(self, values, hold_constant: bool = False) -> "_State":
+        """``values`` stacked into the tables.
+
+        With ``hold_constant`` the blocks of the constant batches are
+        evaluated here, once, and every state retracted from this one
+        reuses them.
+        """
         data = values._data if isinstance(values, Values) else values
         tables = [stack([data[k] for k in keys]) for keys in self.tables]
-        for b in self.batches:
-            yield b, [take(tables[t], rows) for t, rows in b.slots]
+        constant = {}
+        if hold_constant:
+            constant = {i: b.block(tables) for i, b in enumerate(self.batches)
+                        if b.constant}
+        return _State(self, tables, data, constant, values)
+
+
+def _put(batch, rows, moved):
+    """Copy of ``batch`` with its elements at ``rows`` replaced by ``moved``."""
+    if isinstance(batch, tuple):
+        return tuple(_put(a, rows, m) for a, m in zip(batch, moved))
+    out = batch.copy()
+    out[rows] = moved
+    return out
+
+
+class _State:
+    """One point of a graph as its pattern's stacked value tables.
+
+    ``base`` maps every key to the value the first tables were stacked
+    from; fixed keys keep those objects. ``constant`` maps a batch's
+    position to its block when the batch is constant and the state belongs
+    to one ``optimize`` call; it is empty otherwise.
+    """
+
+    __slots__ = ("pattern", "tables", "base", "constant", "_values")
+
+    def __init__(self, pattern: _Pattern, tables: list, base, constant: dict,
+                 values=None):
+        self.pattern = pattern
+        self.tables = tables
+        self.base = base
+        self.constant = constant
+        self._values = values
+
+    def retract(self, delta: np.ndarray) -> "_State":
+        """``p * exp(d)`` and ``v + d`` for every active key, in fresh tables."""
+        tables = list(self.tables)
+        for t, _, rows, cols, pose in self.pattern.moves:
+            old, d = take(tables[t], rows), delta[cols]
+            moved = compose_batch(old, exp_batch(d)) if pose else old + d
+            tables[t] = _put(tables[t], rows, moved)
+        return _State(self.pattern, tables, self.base, self.constant)
+
+    def values(self) -> Values:
+        """The state as :class:`Values`, built on first use."""
+        if self._values is None:
+            data = dict(self.base)
+            for t, keys, rows, _, pose in self.pattern.moves:
+                moved = take(self.tables[t], rows)
+                data.update(zip(keys, unstack(moved) if pose else moved))
+            self._values = Values(data)
+        return self._values
 
 
 class _Block(NamedTuple):
@@ -393,6 +493,15 @@ class _Block(NamedTuple):
     residual: np.ndarray
     jacobian: np.ndarray
     cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
+    scatters: bool        # its products enter J^T J and J^T r
+
+
+def _sum_of_squares(residuals) -> float:
+    """Sum of squared entries, accumulated array by array in order."""
+    total = 0.0
+    for r in residuals:
+        total += float(np.vdot(r, r))
+    return total
 
 
 class LinearSystem:
@@ -423,18 +532,21 @@ class LinearSystem:
         return sum(b.residual.size for b in self.blocks)
 
     def total_error(self) -> float:
-        return float(sum(np.vdot(b.residual, b.residual) for b in self.blocks))
+        """Equal, bit for bit, to :meth:`FactorGraph.total_error` at the same point."""
+        return _sum_of_squares(b.residual for b in self.blocks)
 
     def _accumulate(self):
         if self._band is not None:
             return
         n = self.ncols
+        scattered = [b for b in self.blocks if b.scatters]
         h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()
-                          for b in self.blocks])
+                          for b in scattered])
         g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()
-                          for b in self.blocks])
+                          for b in scattered])
         size = (self.bw + 1) * n
-        self._band = np.bincount(self._h_index, h_vals, size + 1)[:-1].reshape(-1, n)
+        self._band = np.bincount(self._h_index, h_vals, size + 1)[:-1].reshape(
+            self.bw + 1, n)
         self._grad = np.bincount(self._g_index, g_vals, n + 1)[:-1]
 
     def jtj(self) -> np.ndarray:
@@ -613,41 +725,49 @@ class FactorGraph:
             self._pattern = _Pattern(self)
         return self._pattern
 
-    def total_error(self, values: Values) -> float:
-        pattern = self._get_pattern()
-        total = 0.0
-        for b, args in pattern.arguments(values):
-            r, _ = b.cls.evaluate(b.params, args, False)
-            rw, _ = whiten(b.sqrt_info, r)
-            total += float(np.vdot(rw, rw))
-        for idx in pattern.singles:
-            r = self._factors[idx].whitened_residual(values)
-            total += float(r @ r)
-        return total
+    def _state(self, values) -> _State:
+        if isinstance(values, _State):
+            return values
+        return self._get_pattern().state(values)
 
-    def linearize(self, values: Values) -> LinearSystem:
+    def total_error(self, values) -> float:
+        """Sum of squared whitened residuals at ``values``.
+
+        ``values`` is a :class:`Values` or, inside :meth:`optimize`, the
+        stacked state of the solve; :meth:`linearize` takes either too.
+        """
+        state = self._state(values)
+        pattern = state.pattern
+        residuals = []
+        for i, b in enumerate(pattern.batches):
+            block = state.constant.get(i)
+            residuals.append(b.residual(state.tables) if block is None
+                             else block.residual)
+        for idx in pattern.singles:
+            residuals.append(self._factors[idx].whitened_residual(state.values()))
+        return _sum_of_squares(residuals)
+
+    def linearize(self, values) -> LinearSystem:
         """Whitened block linearization at ``values``.
 
         Masked and fixed variables get no Jacobian columns; their current
         values still enter every residual.
         """
-        pattern = self._get_pattern()
-        blocks = []
-        for b, args in pattern.arguments(values):
-            r, jac = b.cls.evaluate(b.params, args, True)
-            rw, jw = whiten(b.sqrt_info, r, jac)
-            blocks.append(_Block(b.index, rw, jw, b.cols))
+        state = self._state(values)
+        pattern = state.pattern
+        blocks = [state.constant.get(i) or b.block(state.tables)
+                  for i, b in enumerate(pattern.batches)]
         h_index, g_index = pattern.h_index, pattern.g_index
         if pattern.singles:
             h_parts, g_parts = [h_index], [g_index]
             for idx in pattern.singles:
-                r, kept = self._factors[idx].whitened_linearization(values)
+                r, kept = self._factors[idx].whitened_linearization(state.values())
                 jac = np.concatenate(
                     [np.zeros((r.shape[0], pattern.tangent[k])) if j is None else j
                      for k, j in kept], axis=1)
                 cols = np.array([pattern.columns(
                     [k for k, _ in kept], [j is None for _, j in kept])], dtype=np.intp)
-                blocks.append(_Block(np.array([idx]), r[None], jac[None], cols))
+                blocks.append(_Block(np.array([idx]), r[None], jac[None], cols, True))
                 h, g = _scatter_index(cols, pattern.ncols, pattern.bw)
                 h_parts.append(h)
                 g_parts.append(g)
@@ -667,7 +787,9 @@ class FactorGraph:
                  config: OptimizerConfig | None = None) -> OptimizeResult:
         cfg = config or OptimizerConfig()
         vals = values.copy() if values is not None else self.initial_values()
-        err = self.total_error(vals)
+        state = self._get_pattern().state(vals, hold_constant=True)
+        system = self.linearize(state)
+        err = system.total_error()
         history = [err]
         lam = cfg.lambda_init
         reason = "max_iters"
@@ -675,7 +797,8 @@ class FactorGraph:
         iterations = 0
         for it in range(1, cfg.max_iters + 1):
             iterations = it
-            system = self.linearize(vals)
+            if it > 1:
+                system = self.linearize(state)
             delta = None
             cand = None
             cand_err = math.inf
@@ -685,21 +808,24 @@ class FactorGraph:
                 except NumericalSingularityError:
                     lam *= cfg.lambda_scale
                     if lam > cfg.lambda_cap:
-                        return OptimizeResult(vals, it, err, False, "lambda_cap", history)
+                        return OptimizeResult(state.values(), it, err, False,
+                                              "lambda_cap", history)
                     continue
-                cand = vals.retract(system.delta_as_dict(delta))
+                cand = state.retract(delta)
                 cand_err = self.total_error(cand)
                 if cand_err <= err and math.isfinite(cand_err):
                     break
                 if float(np.linalg.norm(delta)) < cfg.abs_tol:
                     # the damped step is below the step tolerance and still
                     # not accepted: stationary up to floating-point noise
-                    return OptimizeResult(vals, it, err, True, "abs_tol", history)
+                    return OptimizeResult(state.values(), it, err, True, "abs_tol",
+                                          history)
                 lam *= cfg.lambda_scale
                 if lam > cfg.lambda_cap:
-                    return OptimizeResult(vals, it, err, False, "lambda_cap", history)
+                    return OptimizeResult(state.values(), it, err, False,
+                                          "lambda_cap", history)
             prev_err = err
-            vals, err = cand, cand_err
+            state, err = cand, cand_err
             history.append(err)
             lam = max(lam / cfg.lambda_scale, 1e-12)
             step_norm = float(np.linalg.norm(delta))
@@ -709,7 +835,7 @@ class FactorGraph:
             if prev_err - err < cfg.rel_tol * max(prev_err, 1e-300):
                 converged, reason = True, "rel_tol"
                 break
-        return OptimizeResult(vals, iterations, err, converged, reason, history)
+        return OptimizeResult(state.values(), iterations, err, converged, reason, history)
 
     def marginal_covariance(self, values: Values, key: VariableKey) -> np.ndarray:
         """Covariance block of one variable from the full (J^T J)^-1.

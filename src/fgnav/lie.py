@@ -6,7 +6,7 @@ Conventions used throughout the package:
   for SE(2) and ``[rho, phi]`` (two 3-vectors) for SE(3);
 * perturbations act on the right, ``p * exp(delta)``, and every retraction
   and factor Jacobian in the package follows that convention;
-* ``between(a, b) = inverse(a) * b``.
+* ``a.between(b) = a.inverse() * b``.
 
 Rotations are kept as matrices. Every composition re-orthonormalizes the
 product with one Newton-Schulz polar step, which projects a nearly
@@ -191,37 +191,6 @@ class Pose3:
 
     def __repr__(self) -> str:
         return f"Pose3(t={self.translation}, R={self.rotation.tolist()})"
-
-
-# ---------------------------------------------------------------------------
-# Generic entry points (dispatch on value type / tangent length)
-
-
-def exp(v):
-    """Tangent vector to group element: length 3 -> Pose2, length 6 -> Pose3."""
-    v = np.asarray(v, dtype=float)
-    if v.shape == (3,):
-        return Pose2.exp(v)
-    if v.shape == (6,):
-        return Pose3.exp(v)
-    raise ValueError(f"tangent must have length 3 or 6, got shape {v.shape}")
-
-
-def log(p) -> np.ndarray:
-    return p.log()
-
-
-def compose(a, b):
-    return a.compose(b)
-
-
-def inverse(p):
-    return p.inverse()
-
-
-def between(a, b):
-    """Relative transform inverse(a) * b."""
-    return a.between(b)
 
 
 def project_se2(p: Pose3, tol: float = 1e-6) -> Pose2:

@@ -440,6 +440,167 @@ def test_optimize_iteration_budget():
     assert res.reason in ("max_iters", "abs_tol", "rel_tol")
 
 
+def test_optimize_ends_at_once_without_active_columns():
+    empty = FactorGraph().optimize()
+    assert (empty.iterations, empty.reason, len(empty.values)) == (1, "abs_tol", 0)
+
+    g = FactorGraph()
+    v0 = np.array([1.0, -2.0])
+    g.add_variable(velocity(0), v0)
+    g.add_factor(PriorFactor(velocity(0), np.zeros(2), 0.5))
+    g.fix_variable(velocity(0))
+    res = g.optimize()
+    assert (res.iterations, res.reason) == (1, "abs_tol")
+    assert res.accepted_errors == [20.0, 20.0]
+    assert res.values[velocity(0)] is v0
+
+
+class _Overshooting(_Wrapped):
+    """Reports 0.4 times its Jacobian, so undamped steps overshoot and fail."""
+
+    def whitened_linearization(self, values):
+        r, kept = self.inner.whitened_linearization(values)
+        return r, [(k, None if j is None else 0.4 * j) for k, j in kept]
+
+
+def mixed_graph():
+    """Pose2, Pose3 and vector values; fixed, mixed, masked and duck-typed factors.
+
+    The Pose3 prior batch reads only fixed keys; the Pose3 between batch
+    has one instance on fixed keys and one on a fixed and a free key. The
+    overshooting prior makes the solver reject trial steps.
+    """
+    rng = np.random.default_rng(31)
+    g = FactorGraph()
+    for k in range(4):
+        g.add_variable(robot_pose(k), Pose2(1.0 * k, 0.1 * k, 0.1).compose(
+            Pose2.exp(rng.normal(0, 0.2, 3))))
+    for k in range(3):
+        g.add_variable(object_motion(1, k), Pose3.exp(
+            np.array([0.4 * k, 0.1, 0.0, 0.0, 0.0, 0.05 * k]) + rng.normal(0, 0.1, 6)))
+    for p in range(3):
+        g.add_variable(static_point(p), rng.normal(0, 1, 3))
+    g.add_variable(velocity(0), rng.normal(0, 1, 2))
+
+    g.add_factor(PriorFactor(robot_pose(0), Pose2.identity(), [0.1, 0.1, 0.05]))
+    for k in range(3):
+        g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1),
+                                   Pose2(1.0, 0.1, 0.0), [0.05, 0.05, 0.02]))
+    g.add_factor(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1),
+                               0.1).with_mask((True, False)))
+    g.add_factor(PriorFactor(object_motion(1, 0), Pose3.identity(), 0.1))
+    step = Pose3.exp(np.array([0.4, 0, 0, 0, 0, 0.05]))
+    for k in range(2):
+        g.add_factor(BetweenFactor(object_motion(1, k), object_motion(1, k + 1), step, 0.05))
+    for p in range(3):
+        for k in (1, 2):
+            g.add_factor(PointMeasurementFactor(object_motion(1, k), static_point(p),
+                                                rng.normal(0, 1, 3), 0.1))
+    g.add_factor(PriorFactor(velocity(0), np.array([0.5, 0.0]), [0.2, 0.1]))
+    g.add_factor(_Overshooting(PriorFactor(velocity(0), np.array([-0.5, 0.3]), 0.01)))
+    g.add_factor(_Wrapped(PointMeasurementFactor(
+        object_motion(1, 2), static_point(0), rng.normal(0, 1, 3), 0.2)))
+    g.fix_variable(object_motion(1, 0))
+    g.fix_variable(object_motion(1, 1))
+    return g
+
+
+def reference_optimize(graph, config):
+    """Levenberg-Marquardt over Values, one retraction per trial step."""
+    vals = graph.initial_values()
+    err = graph.total_error(vals)
+    history = [err]
+    lam = config.lambda_init
+    for it in range(1, config.max_iters + 1):
+        system = graph.linearize(vals)
+        while True:
+            try:
+                delta = system.solve(lam)
+            except NumericalSingularityError:
+                lam *= config.lambda_scale
+                if lam > config.lambda_cap:
+                    return vals, it, "lambda_cap", history
+                continue
+            cand = vals.retract(system.delta_as_dict(delta))
+            cand_err = graph.total_error(cand)
+            if cand_err <= err and math.isfinite(cand_err):
+                break
+            if float(np.linalg.norm(delta)) < config.abs_tol:
+                return vals, it, "abs_tol", history
+            lam *= config.lambda_scale
+            if lam > config.lambda_cap:
+                return vals, it, "lambda_cap", history
+        prev_err = err
+        vals, err = cand, cand_err
+        history.append(err)
+        lam = max(lam / config.lambda_scale, 1e-12)
+        if float(np.linalg.norm(delta)) < config.abs_tol:
+            return vals, it, "abs_tol", history
+        if prev_err - err < config.rel_tol * max(prev_err, 1e-300):
+            return vals, it, "rel_tol", history
+    return vals, config.max_iters, "max_iters", history
+
+
+def as_arrays(value):
+    if isinstance(value, Pose2):
+        return [np.array([value.x, value.y, value.theta])]
+    if isinstance(value, Pose3):
+        return [value.rotation, value.translation]
+    return [value]
+
+
+def assert_same_values(got, want):
+    assert set(got.keys()) == set(want.keys())
+    for key in want.keys():
+        for a, b in zip(as_arrays(got[key]), as_arrays(want[key])):
+            assert np.array_equal(a, b), key
+
+
+def test_mixed_graph_has_constant_and_mixed_batches():
+    g = mixed_graph()
+    g.linearize(g.initial_values())
+    constant = [b for b in g._pattern.batches if b.constant]
+    assert [(b.cls.__name__, len(b.index)) for b in constant] == [("PriorFactor", 1)]
+    between3 = [b for b in g._pattern.batches
+                if b.cls is BetweenFactor and isinstance(b.params, tuple)]
+    assert len(between3) == 1 and len(between3[0].index) == 2
+    assert not between3[0].constant and g._pattern.singles
+
+
+def test_first_error_of_a_linearization_equals_total_error_exactly():
+    g = mixed_graph()
+    vals = g.initial_values()
+    assert g.linearize(vals).total_error() == g.total_error(vals)
+
+
+@pytest.mark.parametrize("config", [OptimizerConfig(), OptimizerConfig(max_iters=3)])
+def test_optimize_matches_a_values_based_reference_exactly(config):
+    got = mixed_graph().optimize(config=config)
+    vals, iterations, reason, history = reference_optimize(mixed_graph(), config)
+    assert (got.reason, got.iterations) == (reason, iterations)
+    assert got.accepted_errors == history
+    assert_same_values(got.values, vals)
+
+
+def test_optimize_returns_values_that_share_no_memory():
+    res = mixed_graph().optimize()
+    before = {k: [a.copy() for a in as_arrays(v)] for k, v in res.values.items()}
+    res.values[static_point(1)][:] += 1.0
+    for key, arrays in before.items():
+        if key != static_point(1):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(as_arrays(res.values[key]), arrays)), key
+
+
+def test_no_cached_block_outlives_optimize():
+    g = mixed_graph()
+    vals = g.optimize().values.copy()
+    vals[object_motion(1, 0)] = Pose3.exp(np.array([0.3, -0.2, 0.0, 0.0, 0.0, 0.4]))
+    want = mixed_graph().total_error(vals)
+    assert g.total_error(vals) == want
+    assert g.linearize(vals).total_error() == want
+
+
 @pytest.mark.parametrize("bad", [
     {"max_iters": 0},
     {"lambda_init": 0.0},
