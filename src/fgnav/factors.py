@@ -6,11 +6,24 @@ instances (``stack_params``) and one batch per key (see
 :func:`fgnav.lie.stack`), and returns the raw residuals as an (n, dim)
 array and, when asked, the Jacobians with respect to a right perturbation
 of every key as one (n, dim, D) array whose columns run over the keys'
-tangents in key order. Instances share a kernel call when they have the
-same class, the same value kinds per key and the same ``batch_key()``.
+tangents in key order.
+
+A class lists in ``planar_slots`` the keys it reads in SE(2). Those keys
+reach the kernel through :func:`planar_view`: a Pose2 as itself, a Pose3
+as ``(t_x, t_y, atan2(R_10, R_00))``. The kernel therefore only ever sees
+(n, 3) poses there, and its three Jacobian columns for such a key land on
+the key's own tangent columns ``read_columns(dim, True)``: all three of a
+Pose2, columns 0, 1 and 5 of a Pose3 (whose other three columns this
+factor does not move). This is how a planning chain reads the Pose3
+estimate it starts from.
+
+Instances share a kernel call when they have the same class, the same
+viewed value kinds per key and the same ``batch_key()``, so a chain whose
+first pose is a Pose3 is still one batch.
 :class:`fgnav.graph.FactorGraph` calls one kernel per such family; the
 per-factor methods (``residual``, ``linearize_raw`` and the whitened
-forms) are calls with a batch of one.
+forms) are calls with a batch of one, through the same view and column
+map, so they return a 6-wide block for a Pose3 key.
 
 Each factor also carries a whitening model (per-dimension standard
 deviations or a full covariance) and two pieces of direction metadata
@@ -145,6 +158,30 @@ def com_pose(motion: Pose3, com_ref: Pose3) -> Pose3:
     return motion.compose(com_ref)
 
 
+# tangent columns of a Pose3 that its SE(2) view moves along: t_x, t_y, yaw
+PLANAR_COLUMNS = np.array([0, 1, 5])
+
+
+def planar_view(batch) -> np.ndarray:
+    """(n, 3) SE(2) view of a Pose2 batch (itself) or a nearly planar Pose3 batch.
+
+    A Pose3 reads as ``(t_x, t_y, atan2(R_10, R_00))``. For a planar Pose3
+    the se(3) directions t_x, t_y and yaw coincide with the se(2) ones and
+    the out-of-plane directions have no first-order effect on the view, so
+    a Jacobian with respect to the view is one with respect to the Pose3's
+    ``PLANAR_COLUMNS``.
+    """
+    if not isinstance(batch, tuple):
+        return batch
+    r, t = batch
+    return columns(t[:, 0], t[:, 1], np.arctan2(r[:, 1, 0], r[:, 0, 0]))
+
+
+def read_columns(dim: int, planar: bool) -> np.ndarray:
+    """Tangent columns of a key of width ``dim`` that its kernel columns land on."""
+    return PLANAR_COLUMNS if planar and dim == 6 else np.arange(dim)
+
+
 def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
     """Whitened residuals and Jacobians of a batch.
 
@@ -165,6 +202,9 @@ class Factor:
 
     __slots__ = ("keys", "dim", "sqrt_info", "mask", "directed_sources",
                  "component", "cooperative_only")
+
+    # positions in ``keys`` that the kernel reads through planar_view
+    planar_slots: tuple[int, ...] = ()
 
     def __init__(self, keys, noise, dim, component=Component.ESTIMATION,
                  directed_sources=None, cooperative_only=False, weight=1.0):
@@ -205,11 +245,27 @@ class Factor:
     # -- one instance
 
     def _evaluate_one(self, values, jacobians: bool):
+        """Residual (1, dim), Jacobian (1, dim, D) or None, and each key's width.
+
+        The Jacobian runs over every key's whole tangent: columns of a key
+        read through ``planar_view`` that the view does not move are zero.
+        """
         if type(self).evaluate.__func__ is Factor.evaluate.__func__:
             raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
         args = [stack([values[k]]) for k in self.keys]
+        dims = [batch_dim(a) for a in args]
+        for j in self.planar_slots:
+            args[j] = planar_view(args[j])
         r, jac = self.evaluate(self.stack_params([self]), args, jacobians)
-        return r, jac, [batch_dim(a) for a in args]
+        if jac is not None and jac.shape[2] != sum(dims):
+            # a Pose3 read through its view: spread the view's columns out
+            starts = np.cumsum(dims) - dims
+            cols = np.concatenate([o + read_columns(d, j in self.planar_slots)
+                                   for j, (o, d) in enumerate(zip(starts, dims))])
+            full = np.zeros(jac.shape[:2] + (sum(dims),))
+            full[:, :, cols] = jac
+            jac = full
+        return r, jac, dims
 
     def residual(self, values) -> np.ndarray:
         return self._evaluate_one(values, False)[0][0]
@@ -267,28 +323,6 @@ def apply_mode_masks(factors, mode) -> list[Factor]:
 
 def _eye(n: int, d: int, scale: float = 1.0) -> np.ndarray:
     return np.broadcast_to(scale * np.eye(d), (n, d, d))
-
-
-def _planar(arg) -> np.ndarray:
-    """(n, 3) planar [x, y, yaw] of a Pose2 batch or a nearly planar Pose3 batch."""
-    if not isinstance(arg, tuple):
-        return arg
-    r, t = arg
-    return columns(t[:, 0], t[:, 1], np.arctan2(r[:, 1, 0], r[:, 0, 0]))
-
-
-def _planar_chain(arg, jac: np.ndarray) -> np.ndarray:
-    """A Jacobian in planar (x, y, yaw) columns, in the batch's own tangent.
-
-    For a planar Pose3 the se(3) directions (tx, ty, yaw) coincide with the
-    se(2) ones and the out-of-plane directions have no first-order effect
-    on the planar view, so the chain is a column selection.
-    """
-    if not isinstance(arg, tuple):
-        return jac
-    out = np.zeros(jac.shape[:-1] + (6,))
-    out[..., [0, 1, 5]] = jac
-    return out
 
 
 def _xy(arg, com_t=None) -> np.ndarray:
@@ -497,11 +531,12 @@ class MotionModelFactor(Factor):
 
     Rows 0..2: log of the SE(2) error between the next pose and the
     propagation of the current pose with the next velocity. Rows 3..4:
-    v_next - (v_prev + a dt). Poses are read in SE(2); a Pose3 at the
-    estimation boundary is interpreted through its planar view.
+    v_next - (v_prev + a dt). Both poses are read in SE(2), so a Pose3 at
+    the estimation boundary is read through its planar view.
     """
 
     __slots__ = ("dt",)
+    planar_slots = (0, 1)
 
     def __init__(self, pose_a, pose_b, vel_a, vel_b, acc_a, dt, noise, **kw):
         kw.setdefault("component", Component.PLANNING)
@@ -514,8 +549,7 @@ class MotionModelFactor(Factor):
 
     @classmethod
     def evaluate(cls, dt, args, jacobians):
-        raw_a, raw_b, va, vb, aa = args
-        xa, xb = _planar(raw_a), _planar(raw_b)
+        xa, xb, va, vb, aa = args
         v, om = vb[:, 0], vb[:, 1]
         # propagate_unicycle of xa with the next velocity
         psi = xa[:, 2] + 0.5 * om * dt
@@ -546,18 +580,14 @@ class MotionModelFactor(Factor):
         t[:, 0:2, 1] = across * (0.5 * v * dt * dt)[:, None]
         t[:, 2, 1] = dt
 
-        j_pose_a = _planar_chain(raw_a, jr_inv @ s)
-        j_pose_b = _planar_chain(raw_b, -jl_inv)
-        da, db = j_pose_a.shape[2], j_pose_b.shape[2]
-        jac = np.zeros((n, 5, da + db + 6))
-        jac[:, 0:3, 0:da] = j_pose_a
-        jac[:, 0:3, da:da + db] = j_pose_b
-        o = da + db
+        jac = np.zeros((n, 5, 12))
+        jac[:, 0:3, 0:3] = jr_inv @ s
+        jac[:, 0:3, 3:6] = -jl_inv
         eye2 = np.eye(2)
-        jac[:, 3:5, o:o + 2] = -eye2
-        jac[:, 0:3, o + 2:o + 4] = jr_inv @ t
-        jac[:, 3:5, o + 2:o + 4] = eye2
-        jac[:, 3:5, o + 4:o + 6] = -dt[:, None, None] * eye2
+        jac[:, 3:5, 6:8] = -eye2
+        jac[:, 0:3, 8:10] = jr_inv @ t
+        jac[:, 3:5, 8:10] = eye2
+        jac[:, 3:5, 10:12] = -dt[:, None, None] * eye2
         return r, jac
 
 
@@ -630,6 +660,7 @@ class GoalFactor(Factor):
     """SE(2) pull toward the local goal: r = log(goal^-1 * x)."""
 
     __slots__ = ("goal", "_goal_inv")
+    planar_slots = (0,)
 
     def __init__(self, pose_key, goal: Pose2, noise, **kw):
         kw.setdefault("component", Component.PLANNING)
@@ -643,10 +674,8 @@ class GoalFactor(Factor):
 
     @classmethod
     def evaluate(cls, goal_inv, args, jacobians):
-        r = log_batch(compose_batch(goal_inv, _planar(args[0])))
-        if not jacobians:
-            return r, None
-        return r, _planar_chain(args[0], right_jacobian_inverse_batch(r))
+        r = log_batch(compose_batch(goal_inv, args[0]))
+        return r, (right_jacobian_inverse_batch(r) if jacobians else None)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +712,8 @@ class StaticObstacleFactor(Factor):
     @classmethod
     def evaluate(cls, params, args, jacobians):
         esdf, d_safe, com_t = params
-        d, grad = esdf.lookup(_xy(args[0], com_t))
+        xy = _xy(args[0], com_t)
+        d, grad = esdf.lookup(xy) if jacobians else (esdf.lookup_distance(xy), None)
         active = d < d_safe
         r = np.where(active, d_safe - d, 0.0)[:, None]
         if not jacobians:

@@ -11,7 +11,12 @@ value kind (Pose2, Pose3, vectors of each length), groups the factors into
 batches that share one kernel call (same class, same value kinds per key,
 same whitening kind and ``batch_key``, see :mod:`fgnav.factors`), and
 records for every batch the table rows its keys read and the ``J^T J`` and
-``J^T r`` entries its Jacobian columns land in. Every later
+``J^T r`` entries its Jacobian columns land in. A key that a factor reads
+in SE(2) (its class's ``planar_slots``) counts as a Pose2 there: the Pose2
+table is followed by the planar view of every Pose3 key some planar slot
+reads, the slot reads that row, and the view's three Jacobian columns land
+on the Pose3's tangent columns 0, 1 and 5. So a planning chain that starts
+at a Pose3 estimate is one batch. Every later
 :meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` of a
 :class:`Values` stacks it into the tables, calls one kernel per batch, and
 :class:`LinearSystem` keeps the stacked whitened blocks; the band of
@@ -37,11 +42,12 @@ inputs change (Kaess et al., *iSAM2*, IJRR 2012, applied within one
 solve). Its iterate is the pattern's stacked tables (:class:`_State`), not
 a :class:`Values`: a trial step is one ``exp_batch`` and ``compose_batch``
 per pose table and one add per vector table, written into fresh arrays so
-a rejected trial never touches the accepted point. A batch whose every
-key is fixed is constant: its block is evaluated once per ``optimize``
-call, and every later error and linearization of that call reuses it at
-its own place in the sum, so the error is bitwise the one a fresh
-evaluation gives; its products never enter the scatter. The first error
+a rejected trial never touches the accepted point; the planar view rows
+are refreshed from the Pose3 table only when one of their keys is free. A
+batch whose every key is fixed is constant: its block is evaluated once
+per ``optimize`` call, and every later error and linearization of that
+call reuses it at its own place in the sum, so the error is bitwise the
+one a fresh evaluation gives; its products never enter the scatter. The first error
 is the one the first linearization already holds, and the
 :class:`Values` the solve returns are built once, on return; fixed keys
 keep their objects. The pattern numbers the columns in reverse Cuthill-McKee
@@ -68,7 +74,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .factors import Factor, whiten
+from .factors import Factor, planar_view, read_columns, whiten
 from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
 
 
@@ -154,17 +160,6 @@ def tangent_dim(value) -> int:
     return int(np.asarray(value).shape[0])
 
 
-def _retract_poses(poses: list, deltas: np.ndarray) -> list:
-    """``p * exp(d)`` for same-typed poses and their (n, dim) tangent steps."""
-    return unstack(compose_batch(stack(poses), exp_batch(deltas)))
-
-
-def retract_value(value, delta: np.ndarray):
-    if isinstance(value, (Pose2, Pose3)):
-        return _retract_poses([value], np.asarray(delta, dtype=float)[None])[0]
-    return value + delta
-
-
 class Values:
     """Mapping from VariableKey to typed value (poses or plain vectors)."""
 
@@ -197,27 +192,11 @@ class Values:
     def copy(self) -> "Values":
         return Values(self._data)
 
-    def retract(self, deltas: Mapping[VariableKey, np.ndarray]) -> "Values":
-        """Apply per-variable tangent updates, returning a new snapshot."""
-        out = dict(self._data)
-        poses: dict[type, list] = {Pose2: [], Pose3: []}
-        for key, d in deltas.items():
-            value = out[key]
-            if type(value) in poses:
-                poses[type(value)].append(key)
-            else:
-                out[key] = value + d
-        for keys in poses.values():
-            if keys:
-                moved = _retract_poses([out[k] for k in keys],
-                                       np.array([deltas[k] for k in keys], dtype=float))
-                out.update(zip(keys, moved))
-        return Values(out)
 
-
-def _value_kind(value):
+def _value_kind(value, planar: bool = False):
+    """Table kind of a value; a pose read in SE(2) is read as a Pose2."""
     if isinstance(value, (Pose2, Pose3)):
-        return type(value)
+        return Pose2 if planar else type(value)
     return np.ndarray, tangent_dim(value)
 
 
@@ -327,6 +306,16 @@ class _Batch:
         return [take(tables[t], rows) for t, rows in self.slots]
 
 
+class _View(NamedTuple):
+    """Where the planar view of the Pose3 keys that planar slots read lives."""
+
+    table: int                # the Pose2 table, which the view rows extend
+    rows: np.ndarray          # the view rows in it
+    source: int               # the Pose3 table
+    source_rows: np.ndarray   # the viewed keys' rows there
+    moves: bool               # some viewed key is free
+
+
 class _Pattern:
     """Value tables, factor batches and scatter indices of one graph.
 
@@ -334,7 +323,8 @@ class _Pattern:
     evaluated at must hold values of the same kinds. The columns follow a
     reverse Cuthill-McKee order of the variables that factors couple, and
     ``bw`` is the widest column span of any factor, so every ``J^T J``
-    product falls inside a band of ``bw`` subdiagonals.
+    product falls inside a band of ``bw`` subdiagonals. ``view`` is None
+    when no planar slot reads a Pose3 key.
     """
 
     def __init__(self, graph: "FactorGraph"):
@@ -361,6 +351,23 @@ class _Pattern:
             row_of[key] = (t, len(self.tables[t]))
             self.tables[t].append(key)
 
+        # the Pose3 keys that planar slots read get a row of their planar
+        # view after the Pose2 keys' rows; those slots read that row
+        viewed = list(dict.fromkeys(
+            f.keys[j] for f in graph._factors if isinstance(f, Factor)
+            for j in f.planar_slots if isinstance(initial[f.keys[j]], Pose3)))
+        planar_row: dict[VariableKey, tuple[int, int]] = {}
+        self.view = None
+        if viewed:
+            t2 = table_of.setdefault(Pose2, len(table_of))
+            if t2 == len(self.tables):
+                self.tables.append([])
+            n2 = len(self.tables[t2])
+            planar_row = {k: (t2, n2 + i) for i, k in enumerate(viewed)}
+            self.view = _View(t2, np.arange(n2, n2 + len(viewed)), row_of[viewed[0]][0],
+                              np.array([row_of[k][1] for k in viewed]),
+                              any(k in self.offsets for k in viewed))
+
         # per table with active keys: those keys in column order, their
         # rows, their (n, dim) delta columns and whether the table holds poses
         self.moves = []
@@ -377,7 +384,8 @@ class _Pattern:
         self.singles: list[int] = []
         for idx, f in enumerate(graph._factors):
             if isinstance(f, Factor):
-                kinds = tuple(_value_kind(initial[k]) for k in f.keys)
+                kinds = tuple(_value_kind(initial[k], j in f.planar_slots)
+                              for j, k in enumerate(f.keys))
                 groups.setdefault(
                     (type(f), kinds, f.sqrt_info.ndim, f.batch_key()), []).append(idx)
             else:
@@ -388,10 +396,11 @@ class _Pattern:
             factors = [graph._factors[i] for i in index]
             slots = []
             for j in range(len(factors[0].keys)):
-                rows = [row_of[f.keys[j]] for f in factors]
+                read = planar_row if j in factors[0].planar_slots else {}
+                rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
-            cols = np.array([self.columns(f.keys, f.mask) for f in factors],
-                            dtype=np.intp)
+            cols = np.array([self.columns(f.keys, f.mask, f.planar_slots)
+                             for f in factors], dtype=np.intp)
             self.batches.append(_Batch(factors, index, slots, cols, self.fixed))
         # a duck-typed factor drops columns only at linearization, so its
         # span is taken over all of its keys
@@ -411,15 +420,15 @@ class _Pattern:
         # scratch for the damped band of every solve
         self.work = np.empty((self.bw + 1, self.ncols))
 
-    def columns(self, keys, dropped) -> list[int]:
+    def columns(self, keys, dropped, planar_slots=()) -> list[int]:
         """Global column per local Jacobian column; -1 where dropped or fixed."""
         out = []
-        for key, drop in zip(keys, dropped):
+        for j, (key, drop) in enumerate(zip(keys, dropped)):
+            local = read_columns(self.tangent[key], j in planar_slots)
             if drop or key in self.fixed:
-                out.extend([-1] * self.tangent[key])
+                out.extend([-1] * len(local))
             else:
-                o = self.offsets[key]
-                out.extend(range(o, o + self.dims[key]))
+                out.extend((self.offsets[key] + local).tolist())
         return out
 
     def state(self, values, hold_constant: bool = False) -> "_State":
@@ -430,7 +439,14 @@ class _Pattern:
         reuses them.
         """
         data = values._data if isinstance(values, Values) else values
-        tables = [stack([data[k] for k in keys]) for keys in self.tables]
+        # only the Pose2 table can be empty, when it holds views alone
+        tables = [stack([data[k] for k in keys]) if keys else np.zeros((0, 3))
+                  for keys in self.tables]
+        view = self.view
+        if view is not None:
+            tables[view.table] = np.concatenate(
+                [tables[view.table], planar_view(take(tables[view.source],
+                                                      view.source_rows))])
         constant = {}
         if hold_constant:
             constant = {i: b.block(tables) for i, b in enumerate(self.batches)
@@ -473,6 +489,10 @@ class _State:
             old, d = take(tables[t], rows), delta[cols]
             moved = compose_batch(old, exp_batch(d)) if pose else old + d
             tables[t] = _put(tables[t], rows, moved)
+        view = self.pattern.view
+        if view is not None and view.moves:
+            tables[view.table] = _put(tables[view.table], view.rows, planar_view(
+                take(tables[view.source], view.source_rows)))
         return _State(self.pattern, tables, self.base, self.constant)
 
     def values(self) -> Values:
@@ -615,12 +635,6 @@ class LinearSystem:
                                               lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalSingularityError(str(exc)) from exc
-
-    def delta_as_dict(self, delta: np.ndarray) -> dict[VariableKey, np.ndarray]:
-        return {
-            key: delta[self.offsets[key]:self.offsets[key] + self.dims[key]]
-            for key in self.ordering
-        }
 
 
 @dataclass
@@ -775,13 +789,6 @@ class FactorGraph:
         return LinearSystem(pattern, blocks, h_index, g_index)
 
     # -- solving ---------------------------------------------------------
-
-    def gauss_newton_step(self, values: Values):
-        """One undamped step. Returns (new values, delta dict)."""
-        system = self.linearize(values)
-        delta = system.solve(0.0)
-        d = system.delta_as_dict(delta)
-        return values.retract(d), d
 
     def optimize(self, values: Values | None = None,
                  config: OptimizerConfig | None = None) -> OptimizeResult:

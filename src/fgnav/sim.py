@@ -230,6 +230,3 @@ class Simulator:
             d = math.hypot(pose.x - ego.x, pose.y - ego.y)
             best = min(best, d - robot_radius - self.agents[obj].radius)
         return best
-
-    def object_com_pose(self, obj: int) -> Pose2:
-        return self.state.agent_poses[obj]

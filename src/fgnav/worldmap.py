@@ -202,8 +202,13 @@ class EsdfGrid:
             dist = occ.resolution * np.sqrt(squared_distance_cells(occ))
         return cls(dist, occ.resolution, occ.origin)
 
-    def lookup(self, xy: np.ndarray):
-        """Distances (n,) and gradients (n, 2) at the n points of ``xy`` (n, 2)."""
+    def _interpolate(self, xy: np.ndarray):
+        """Interpolation state at the n points of ``xy`` (n, 2).
+
+        Per point: the inside mask, the 4x4 sample patch, the powers of the
+        in-cell offset, the x and y kernel weights, the patch weighted along
+        y, and the distance before the outside rule.
+        """
         h, w = self.distances.shape
         uv = (xy - self.origin) / self.resolution - 0.5
         inside = np.all((uv >= 0.0) & (uv <= (w - 1, h - 1)), axis=1)
@@ -215,14 +220,24 @@ class EsdfGrid:
         block = self.distances[rows[:, :, None], cols[:, None, :]]
         powers = (uv - corner)[:, :, None] ** np.arange(4)
         wts = powers @ _KEYS                   # (n, 2, 4): x and y weights
-        dwts = powers[:, :, 0:3] @ _KEYS_DT
         along_y = (wts[:, 1, None, :] @ block)[:, 0, :]
         d = np.einsum("nj,nj->n", along_y, wts[:, 0])
+        return inside, block, powers, wts, along_y, d
+
+    def lookup(self, xy: np.ndarray):
+        """Distances (n,) and gradients (n, 2) at the n points of ``xy`` (n, 2)."""
+        inside, block, powers, wts, along_y, d = self._interpolate(xy)
+        dwts = powers[:, :, 0:3] @ _KEYS_DT
         grad = np.empty((xy.shape[0], 2))
         grad[:, 0] = np.einsum("nj,nj->n", along_y, dwts[:, 0])
         grad[:, 1] = np.einsum("ni,nij,nj->n", dwts[:, 1], block, wts[:, 0])
         grad /= self.resolution
         return np.where(inside, d, 0.0), np.where(inside[:, None], grad, 0.0)
+
+    def lookup_distance(self, xy: np.ndarray) -> np.ndarray:
+        """The distances of :meth:`lookup`, bit for bit, without the gradients."""
+        inside, *_, d = self._interpolate(xy)
+        return np.where(inside, d, 0.0)
 
     def query(self, x: float, y: float) -> float:
         return float(self.lookup(np.array([[x, y]], dtype=float))[0][0])

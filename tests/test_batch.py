@@ -6,6 +6,7 @@ instance on keys of its own, one full-covariance noise model and one
 fixed variable. The graph's ``jtj()``, ``jtr()`` and ``total_error()``,
 which come from one kernel call per batch and one scatter, must match the
 dense system stacked from each factor's own ``whitened_linearization``.
+Factors that read poses in SE(2) form one batch whatever the kind of pose.
 """
 
 import numpy as np
@@ -396,3 +397,37 @@ def test_pattern_is_rebuilt_after_the_graph_changes():
     assert robot_pose(0) not in after.offsets
     h_ref, _, _ = per_factor_reference(graph, after, vals)
     assert_close(after.jtj(), h_ref)
+
+
+def test_planar_families_are_one_batch_each():
+    rng = np.random.default_rng(42)
+    vals, factors = {}, []
+    # a chain from a free, slightly non-planar Pose3, a Pose2 chain and a
+    # chain from a fixed Pose3
+    _motion_chain(rng, vals, factors, 0, 4, first_pose3=True)
+    vals[robot_pose(0)] = vals[robot_pose(0)].compose(
+        Pose3.exp(np.array([0.0, 0.0, 0.02, 0.01, -0.02, 0.0])))
+    _motion_chain(rng, vals, factors, 10, 3, first_pose3=False)
+    _motion_chain(rng, vals, factors, 20, 2, first_pose3=True)
+    for k in (robot_pose(0), robot_pose(4), robot_pose(13), robot_pose(20)):
+        factors.append(GoalFactor(k, pose2(rng), [0.1, 0.1, 0.3]))
+    # the free Pose3 needs support off the plane for the solve below
+    factors.append(PriorFactor(robot_pose(0), vals[robot_pose(0)], 0.1))
+    used = {k for f in factors for k in f.keys}
+    vals = {k: v for k, v in vals.items() if k in used}
+    graph = make_graph(vals, factors, [robot_pose(20)])
+    system = graph.linearize(graph.initial_values())
+
+    listing = sorted((b.cls.__name__, len(b.index)) for b in graph._pattern.batches)
+    assert listing == [("GoalFactor", 4), ("MotionModelFactor", 9), ("PriorFactor", 1)]
+    h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
+    assert_close(system.jtj(), h_ref)
+    assert_close(system.jtr(), g_ref)
+    assert graph.total_error(graph.initial_values()) == pytest.approx(e_ref, rel=RTOL)
+
+    # the solver's view rows follow the Pose3 it moves: its last error is
+    # the one a fresh evaluation of the returned values gives
+    res = graph.optimize()
+    assert res.values[robot_pose(0)] is not vals[robot_pose(0)]
+    assert graph.total_error(res.values) == res.final_error
+    assert res.final_error < res.accepted_errors[0]

@@ -14,7 +14,6 @@ from fgnav.graph import (
     acceleration,
     dynamic_point,
     object_motion,
-    retract_value,
     robot_pose,
     static_point,
     tangent_dim,
@@ -57,6 +56,13 @@ def rand_pose3(rng, t_scale=1.0, r_scale=0.5):
     return Pose3.exp(xi)
 
 
+def retract(value, delta):
+    """``p * exp(delta)`` for a pose, ``v + delta`` for a vector."""
+    if isinstance(value, (Pose2, Pose3)):
+        return value.compose(type(value).exp(delta))
+    return value + delta
+
+
 def numeric_jacobians(factor, values, h=1e-6):
     jacs = []
     for key in factor.keys:
@@ -67,9 +73,9 @@ def numeric_jacobians(factor, values, h=1e-6):
             step = np.zeros(n)
             step[i] = h
             vp = dict(values)
-            vp[key] = retract_value(v0, step)
+            vp[key] = retract(v0, step)
             vm = dict(values)
-            vm[key] = retract_value(v0, -step)
+            vm[key] = retract(v0, -step)
             jac[:, i] = (factor.residual(vp) - factor.residual(vm)) / (2 * h)
         jacs.append(jac)
     return jacs
@@ -386,6 +392,30 @@ def test_motion_model_jacobians(boundary):
             keys[4]: rng.normal(0, 1, 2),
         }
         check_jacobians(f, vals)
+
+
+def test_pose3_boundary_keeps_its_six_wide_block():
+    # the kernel reads the Pose3 through its SE(2) view; the batch-of-one
+    # path maps the view's columns back onto t_x, t_y and yaw
+    rng = np.random.default_rng(12)
+    keys = (robot_pose(0), robot_pose(1), velocity(0), velocity(1),
+            acceleration(0))
+    motion = MotionModelFactor(*keys, dt=0.1, noise=1e-3)
+    goal = GoalFactor(robot_pose(0), Pose2(1.0, -0.5, 0.4), 0.1)
+    xa = rand_pose2(rng)
+    vals = {keys[0]: embed_se3(xa), keys[1]: rand_pose2(rng),
+            keys[2]: rng.normal(0, 1, 2), keys[3]: rng.normal(0, 1, 2),
+            keys[4]: rng.normal(0, 1, 2)}
+    planar = {**vals, keys[0]: xa}
+    for f in (motion, goal):
+        r, jacs = f.linearize_raw(vals)
+        r2, jacs2 = f.linearize_raw(planar)
+        assert jacs[0].shape == (f.dim, 6)
+        assert np.all(jacs[0][:, 2:5] == 0.0)
+        np.testing.assert_allclose(jacs[0][:, [0, 1, 5]], jacs2[0], atol=1e-12)
+        np.testing.assert_allclose(r, r2, atol=1e-12)
+        _, blocks = f.whitened_linearization(vals)
+        assert blocks[0][1].shape == (f.dim, 6)
 
 
 def test_limit_factor_branches():

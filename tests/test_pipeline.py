@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fgnav.factors import Mode, ModeConfig
+from fgnav.factors import Mode, ModeConfig, MotionModelFactor
 from fgnav.lie import Pose2, embed_se3
 from fgnav.pipeline import Pipeline, PipelineConfig, select_local_goal
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
@@ -82,3 +82,25 @@ def test_tracked_agent_commands_are_usable_and_repeatable(mode):
         assert_usable(cfg, k, out)
     _, again = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     assert_repeatable(outputs, again)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
+    # the chain's first pose is the Pose3 estimate, the rest are Pose2; the
+    # planar view puts all of its motion factors in one kernel call
+    graphs = []
+    solve = Pipeline._solve
+
+    def recording(self, *args, **kw):
+        res, graph = solve(self, *args, **kw)
+        graphs.append(graph)
+        return res, graph
+
+    monkeypatch.setattr(Pipeline, "_solve", recording)
+    run_closed_loop(mode, seed=3, steps=1)
+    planning = [g for g in graphs
+                if any(isinstance(f, MotionModelFactor) for f in g.factors)]
+    assert len(planning) == 1
+    batches = [len(b.index) for b in planning[0]._pattern.batches
+               if b.cls is MotionModelFactor]
+    assert batches == [HORIZON]

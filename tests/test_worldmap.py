@@ -97,6 +97,26 @@ def test_query_outside_is_unsafe():
     assert np.all(esdf.gradient(-5.0, 0.2) == 0.0)
 
 
+def test_distance_only_lookup_equals_lookup_bitwise():
+    rng = np.random.default_rng(13)
+    cells = np.zeros((12, 9), dtype=bool)
+    cells[6, 4] = cells[2, 7] = True
+    # binary resolution and origin keep the border points exact
+    esdf = EsdfGrid.from_occupancy(OccupancyGrid(cells, 0.25, origin=(-1.0, 0.5)))
+    lo, hi = np.array([-0.875, 0.625]), np.array([1.125, 3.375])   # sample centres
+    inside = lo + rng.random((40, 2)) * (hi - lo)
+    border = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]],
+                       [lo[0], 2.0], [hi[0], 2.0], [0.0, lo[1]], [0.0, hi[1]]])
+    step = np.array([1e-9, 0.0])
+    outside = np.array([lo - step, hi + step, lo - step[::-1], hi + step[::-1],
+                        [-5.0, -5.0], [3.0, 9.0]])
+    for xy in (inside, border, outside):
+        got = esdf.lookup_distance(xy)
+        assert got.tobytes() == esdf.lookup(xy)[0].tobytes()
+    assert np.all(esdf.lookup_distance(border) > 0.0)
+    assert np.all(esdf.lookup_distance(outside) == 0.0)
+
+
 def test_query_and_gradient_continuous_across_cells():
     rng = np.random.default_rng(11)
     cells = rng.random((20, 20)) < 0.15
