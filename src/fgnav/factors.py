@@ -20,14 +20,16 @@ estimate it starts from.
 Instances share a kernel call when they have the same class, the same
 viewed value kinds per key and the same ``batch_key()``, so a chain whose
 first pose is a Pose3 is still one batch.
-:class:`fgnav.graph.FactorGraph` calls one kernel per such family; the
-per-factor methods (``residual``, ``linearize_raw`` and the whitened
-forms) are calls with a batch of one, through the same view and column
-map, so they return a 6-wide block for a Pose3 key.
+:class:`fgnav.graph.FactorGraph` calls one kernel per such family and
+evaluates nothing else. The per-factor methods (``residual``,
+``linearize_raw`` and the whitened forms) are calls with a batch of one,
+through the same view and column map, so they return a 6-wide block for a
+Pose3 key; they serve as the reference the batched system is tested
+against.
 
-Each factor also carries a whitening model (per-dimension standard
-deviations or a full covariance) and two pieces of direction metadata
-used by :func:`apply_mode_masks`:
+Each factor also carries its whitening, the inverse of its per-dimension
+standard deviations (``sqrt_info``, times the factor's ``weight``), and
+two pieces of direction metadata used by :func:`apply_mode_masks`:
 
 * ``component``: which stage of the pipeline the factor belongs to;
 * ``directed_sources``: which of its variables act as information sources
@@ -95,7 +97,7 @@ class ModeConfig:
     def __post_init__(self):
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
-        if self.cooperation_weight < 0:
+        if not self.cooperation_weight >= 0:
             raise ValueError("cooperation_weight must be >= 0")
 
 
@@ -108,22 +110,7 @@ class NoiseSpec:
             raise ValueError("noise sigmas must be positive and finite")
         self.sigmas = arr
 
-    @classmethod
-    def from_covariance(cls, cov) -> "NoiseSpec":
-        """Full covariance; whitening uses the inverse Cholesky factor."""
-        cov = np.asarray(cov, dtype=float)
-        lower = np.linalg.cholesky(cov)
-        spec = cls.__new__(cls)
-        spec.sigmas = None
-        spec._sqrt_info = np.linalg.inv(lower)
-        return spec
-
     def sqrt_info(self, dim: int) -> np.ndarray:
-        if self.sigmas is None:
-            w = self._sqrt_info
-            if w.shape != (dim, dim):
-                raise ValueError(f"covariance is {w.shape}, factor dim is {dim}")
-            return w
         s = self.sigmas
         if s.shape == (1,):
             s = np.full(dim, s[0])
@@ -185,15 +172,11 @@ def read_columns(dim: int, planar: bool) -> np.ndarray:
 def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
     """Whitened residuals and Jacobians of a batch.
 
-    ``sqrt_info`` is (n, dim) for per-dimension sigmas or (n, dim, dim)
-    for full covariances; ``r`` is (n, dim) and ``jac`` (n, dim, D).
+    ``sqrt_info`` and ``r`` are (n, dim), the inverse sigmas and the raw
+    residuals; ``jac`` is (n, dim, D).
     """
-    if sqrt_info.ndim == 2:
-        rw = sqrt_info * r
-        jw = None if jac is None else sqrt_info[:, :, None] * jac
-    else:
-        rw = np.einsum("nij,nj->ni", sqrt_info, r)
-        jw = None if jac is None else sqrt_info @ jac
+    rw = sqrt_info * r
+    jw = None if jac is None else sqrt_info[:, :, None] * jac
     return rw, jw
 
 
@@ -212,7 +195,7 @@ class Factor:
         self.dim = int(dim)
         w = _sqrt_info(noise, self.dim)
         if weight != 1.0:
-            if weight < 0:
+            if not weight >= 0:
                 raise ValueError("factor weight must be >= 0")
             w = w * weight
         self.sqrt_info = w

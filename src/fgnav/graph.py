@@ -1,32 +1,30 @@
 """Factor graph, linearization and nonlinear least-squares solving.
 
 A graph holds typed variables addressed by :class:`VariableKey` and a list
-of factors. Each factor produces a residual vector ``r`` and one Jacobian
-block per connected variable, both whitened by the factor's noise model;
-the MAP objective is the sum of squared whitened residuals.
+of :class:`~fgnav.factors.Factor` instances. Each factor produces a
+residual vector ``r`` and one Jacobian block per connected variable, both
+whitened by its per-dimension sigmas; the MAP objective is the sum of
+squared whitened residuals. A point of the graph is a plain ``dict`` from
+key to value.
 
 Evaluation is batched. The first evaluation of a graph builds its scatter
 pattern (:class:`_Pattern`) once: it sorts the variables into one table per
 value kind (Pose2, Pose3, vectors of each length), groups the factors into
-batches that share one kernel call (same class, same value kinds per key,
-same whitening kind and ``batch_key``, see :mod:`fgnav.factors`), and
-records for every batch the table rows its keys read and the ``J^T J`` and
-``J^T r`` entries its Jacobian columns land in. A key that a factor reads
-in SE(2) (its class's ``planar_slots``) counts as a Pose2 there: the Pose2
-table is followed by the planar view of every Pose3 key some planar slot
-reads, the slot reads that row, and the view's three Jacobian columns land
-on the Pose3's tangent columns 0, 1 and 5. So a planning chain that starts
-at a Pose3 estimate is one batch. Every later
-:meth:`FactorGraph.linearize` and :meth:`FactorGraph.total_error` of a
-:class:`Values` stacks it into the tables, calls one kernel per batch, and
-:class:`LinearSystem` keeps the stacked whitened blocks; the band of
-``J^T J`` and ``J^T r`` are then one ``np.bincount`` each over the fixed
-index arrays. The
-pattern is the same at every linearization point because hinge factors
-return zero blocks rather than dropping them. Objects that are not
-:class:`~fgnav.factors.Factor` subclasses are evaluated one at a time
-through their own ``whitened_residual`` and ``whitened_linearization`` and
-join the same scatter.
+batches that share one kernel call (same class, same value kinds per key
+and same ``batch_key``, see :mod:`fgnav.factors`), and records for every
+batch the table rows its keys read and the ``J^T J`` and ``J^T r`` entries
+its Jacobian columns land in. A key that a factor reads in SE(2) (its
+class's ``planar_slots``) counts as a Pose2 there: the Pose2 table is
+followed by the planar view of every Pose3 key some planar slot reads, the
+slot reads that row, and the view's three Jacobian columns land on the
+Pose3's tangent columns 0, 1 and 5. So a planning chain that starts at a
+Pose3 estimate is one batch. Every later :meth:`FactorGraph.linearize` and
+:meth:`FactorGraph.total_error` stacks the point into the tables, calls one
+kernel per batch, and :class:`LinearSystem` keeps the stacked whitened
+blocks; the band of ``J^T J`` and ``J^T r`` are then one ``np.bincount``
+each over the fixed index arrays. The pattern is the same at every
+linearization point because hinge factors return zero blocks rather than
+dropping them.
 
 Directionality is implemented at linearization: a factor may mask any of
 its variables, in which case the Jacobian block for that variable is left
@@ -37,31 +35,31 @@ factor, and the corresponding Gauss-Newton cross terms vanish.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
-damping updates. :meth:`FactorGraph.optimize` redoes only the work whose
-inputs change (Kaess et al., *iSAM2*, IJRR 2012, applied within one
-solve). Its iterate is the pattern's stacked tables (:class:`_State`), not
-a :class:`Values`: a trial step is one ``exp_batch`` and ``compose_batch``
-per pose table and one add per vector table, written into fresh arrays so
-a rejected trial never touches the accepted point; the planar view rows
-are refreshed from the Pose3 table only when one of their keys is free. A
-batch whose every key is fixed is constant: its block is evaluated once
-per ``optimize`` call, and every later error and linearization of that
-call reuses it at its own place in the sum, so the error is bitwise the
-one a fresh evaluation gives; its products never enter the scatter. The first error
-is the one the first linearization already holds, and the
-:class:`Values` the solve returns are built once, on return; fixed keys
-keep their objects. The pattern numbers the columns in reverse Cuthill-McKee
-order (Cuthill & McKee, 1969) of the variables that unmasked factors
-couple, which keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals,
-the widest column span of any factor. ``J^T J`` is assembled straight into
-that lower band storage, ``(bw + 1, ncols)``, and each damped system is
-solved by a banded Cholesky (``scipy.linalg.solveh_banded``), so neither
-the dense matrix nor its factor is ever formed on the solver path; the
-dense ``J^T J`` is built from the band only when :meth:`LinearSystem.jtj`
-asks for it. :meth:`FactorGraph.active_keys` stays in time order.
-Variables can be frozen with :meth:`FactorGraph.fix_variable` (no columns,
-values still read), which is how the pipeline implements its fixed-lag
-window.
+damping updates (``LAMBDA_INIT``, ``LAMBDA_SCALE``, ``LAMBDA_CAP``).
+:meth:`FactorGraph.optimize` redoes only the work whose inputs change
+(Kaess et al., *iSAM2*, IJRR 2012, applied within one solve). Its iterate
+is the pattern's stacked tables (:class:`_State`), not a dict: a trial
+step is one ``exp_batch`` and ``compose_batch`` per pose table and one add
+per vector table, written into fresh arrays so a rejected trial never
+touches the accepted point; the planar view rows are refreshed from the
+Pose3 table only when one of their keys is free. A batch whose every key
+is fixed is constant: its block is evaluated once per ``optimize`` call,
+and every later error and linearization of that call reuses it at its own
+place in the sum, so the error is bitwise the one a fresh evaluation
+gives; its products never enter the scatter. The first error is the one
+the first linearization already holds, and the dict the solve returns is
+built once, on return; fixed keys keep their objects. The pattern numbers
+the columns in reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the
+variables that unmasked factors couple, which keeps every nonzero of
+``J^T J`` within ``bw`` subdiagonals, the widest column span of any
+factor. ``J^T J`` is assembled straight into that lower band storage,
+``(bw + 1, ncols)``, and each damped system is solved by a banded Cholesky
+(``scipy.linalg.solveh_banded``), so neither the dense matrix nor its
+factor is ever formed on the solver path; the dense ``J^T J`` is built
+from the band only when :meth:`LinearSystem.jtj` asks for it.
+:meth:`FactorGraph.active_keys` stays in time order. Variables can be
+frozen with :meth:`FactorGraph.fix_variable` (no columns, values still
+read), which is how the pipeline implements its fixed-lag window.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -160,39 +158,6 @@ def tangent_dim(value) -> int:
     return int(np.asarray(value).shape[0])
 
 
-class Values:
-    """Mapping from VariableKey to typed value (poses or plain vectors)."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Mapping[VariableKey, object] | None = None):
-        self._data = dict(data) if data else {}
-
-    def __getitem__(self, key: VariableKey):
-        return self._data[key]
-
-    def __setitem__(self, key: VariableKey, value):
-        self._data[key] = value
-
-    def __contains__(self, key: VariableKey) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def keys(self):
-        return self._data.keys()
-
-    def items(self):
-        return self._data.items()
-
-    def copy(self) -> "Values":
-        return Values(self._data)
-
-
 def _value_kind(value, planar: bool = False):
     """Table kind of a value; a pose read in SE(2) is read as a Pose2."""
     if isinstance(value, (Pose2, Pose3)):
@@ -247,14 +212,13 @@ def _band_ordering(graph: "FactorGraph") -> list[VariableKey]:
     """Active keys in reverse Cuthill-McKee order of their coupling.
 
     Two variables are coupled when one factor reads both and neither is
-    masked there or fixed; a duck-typed factor couples all its keys.
+    masked there or fixed.
     """
     active = graph.active_keys()
     node = {k: i for i, k in enumerate(active)}
     neighbours: list[set[int]] = [set() for _ in active]
     for f in graph._factors:
-        dropped = f.mask if isinstance(f, Factor) else (False,) * len(f.keys)
-        kept = [node[k] for k, d in zip(f.keys, dropped) if not d and k in node]
+        kept = [node[k] for k, d in zip(f.keys, f.mask) if not d and k in node]
         for a in kept:
             # each node also lands in its own set; that adds one to the
             # degree of every coupled node and leaves the order unchanged
@@ -276,12 +240,11 @@ def _concat(parts) -> np.ndarray:
 class _Batch:
     """Factors of one class that share a kernel call, and where they land."""
 
-    __slots__ = ("cls", "index", "params", "slots", "sqrt_info", "cols",
-                 "scatters", "constant")
+    __slots__ = ("cls", "params", "slots", "sqrt_info", "cols", "scatters",
+                 "constant")
 
-    def __init__(self, factors, index, slots, cols, fixed):
+    def __init__(self, factors, slots, cols, fixed):
         self.cls = type(factors[0])
-        self.index = np.asarray(index)   # positions in the graph's factor list
         self.params = self.cls.stack_params(factors)
         self.slots = slots               # (table, rows) per key
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
@@ -300,7 +263,7 @@ class _Batch:
         """Whitened residuals and Jacobians at the stacked value ``tables``."""
         r, jac = self.cls.evaluate(self.params, self._arguments(tables), True)
         rw, jw = whiten(self.sqrt_info, r, jac)
-        return _Block(self.index, rw, jw, self.cols, self.scatters)
+        return _Block(rw, jw, self.cols, self.scatters)
 
     def _arguments(self, tables) -> list:
         return [take(tables[t], rows) for t, rows in self.slots]
@@ -354,7 +317,7 @@ class _Pattern:
         # the Pose3 keys that planar slots read get a row of their planar
         # view after the Pose2 keys' rows; those slots read that row
         viewed = list(dict.fromkeys(
-            f.keys[j] for f in graph._factors if isinstance(f, Factor)
+            f.keys[j] for f in graph._factors
             for j in f.planar_slots if isinstance(initial[f.keys[j]], Pose3)))
         planar_row: dict[VariableKey, tuple[int, int]] = {}
         self.view = None
@@ -380,35 +343,22 @@ class _Pattern:
                                  for k in keys], dtype=np.intp)
                 self.moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
 
-        groups: dict[object, list[int]] = {}
-        self.singles: list[int] = []
-        for idx, f in enumerate(graph._factors):
-            if isinstance(f, Factor):
-                kinds = tuple(_value_kind(initial[k], j in f.planar_slots)
-                              for j, k in enumerate(f.keys))
-                groups.setdefault(
-                    (type(f), kinds, f.sqrt_info.ndim, f.batch_key()), []).append(idx)
-            else:
-                self.singles.append(idx)
+        groups: dict[object, list] = {}
+        for f in graph._factors:
+            kinds = tuple(_value_kind(initial[k], j in f.planar_slots)
+                          for j, k in enumerate(f.keys))
+            groups.setdefault((type(f), kinds, f.batch_key()), []).append(f)
 
         self.batches: list[_Batch] = []
-        for index in groups.values():
-            factors = [graph._factors[i] for i in index]
+        for factors in groups.values():
             slots = []
             for j in range(len(factors[0].keys)):
                 read = planar_row if j in factors[0].planar_slots else {}
                 rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
-            cols = np.array([self.columns(f.keys, f.mask, f.planar_slots)
-                             for f in factors], dtype=np.intp)
-            self.batches.append(_Batch(factors, index, slots, cols, self.fixed))
-        # a duck-typed factor drops columns only at linearization, so its
-        # span is taken over all of its keys
-        spans = [_span(b.cols) for b in self.batches]
-        for i in self.singles:
-            keys = graph._factors[i].keys
-            spans.append(_span(np.array([self.columns(keys, [False] * len(keys))])))
-        self.bw = max(spans, default=0)
+            cols = np.array([self.columns(f) for f in factors], dtype=np.intp)
+            self.batches.append(_Batch(factors, slots, cols, self.fixed))
+        self.bw = max((_span(b.cols) for b in self.batches), default=0)
         h_parts, g_parts = [], []
         for b in self.batches:
             if b.scatters:
@@ -420,11 +370,11 @@ class _Pattern:
         # scratch for the damped band of every solve
         self.work = np.empty((self.bw + 1, self.ncols))
 
-    def columns(self, keys, dropped, planar_slots=()) -> list[int]:
-        """Global column per local Jacobian column; -1 where dropped or fixed."""
+    def columns(self, factor: Factor) -> list[int]:
+        """Global column per local Jacobian column; -1 where masked or fixed."""
         out = []
-        for j, (key, drop) in enumerate(zip(keys, dropped)):
-            local = read_columns(self.tangent[key], j in planar_slots)
+        for j, (key, drop) in enumerate(zip(factor.keys, factor.mask)):
+            local = read_columns(self.tangent[key], j in factor.planar_slots)
             if drop or key in self.fixed:
                 out.extend([-1] * len(local))
             else:
@@ -438,9 +388,8 @@ class _Pattern:
         evaluated here, once, and every state retracted from this one
         reuses them.
         """
-        data = values._data if isinstance(values, Values) else values
         # only the Pose2 table can be empty, when it holds views alone
-        tables = [stack([data[k] for k in keys]) if keys else np.zeros((0, 3))
+        tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
                   for keys in self.tables]
         view = self.view
         if view is not None:
@@ -451,7 +400,7 @@ class _Pattern:
         if hold_constant:
             constant = {i: b.block(tables) for i, b in enumerate(self.batches)
                         if b.constant}
-        return _State(self, tables, data, constant, values)
+        return _State(self, tables, values, constant, values)
 
 
 def _put(batch, rows, moved):
@@ -495,21 +444,19 @@ class _State:
                 take(tables[view.source], view.source_rows)))
         return _State(self.pattern, tables, self.base, self.constant)
 
-    def values(self) -> Values:
-        """The state as :class:`Values`, built on first use."""
+    def values(self) -> dict:
+        """The state as a dict from key to value, built on first use."""
         if self._values is None:
-            data = dict(self.base)
+            self._values = dict(self.base)
             for t, keys, rows, _, pose in self.pattern.moves:
                 moved = take(self.tables[t], rows)
-                data.update(zip(keys, unstack(moved) if pose else moved))
-            self._values = Values(data)
+                self._values.update(zip(keys, unstack(moved) if pose else moved))
         return self._values
 
 
 class _Block(NamedTuple):
     """Whitened residuals (n, m) and Jacobians (n, m, D) of one batch."""
 
-    index: np.ndarray     # positions in the graph's factor list
     residual: np.ndarray
     jacobian: np.ndarray
     cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
@@ -534,7 +481,7 @@ class LinearSystem:
     for variable pairs that no unmasked factor couples.
     """
 
-    def __init__(self, pattern: _Pattern, blocks: list[_Block], h_index, g_index):
+    def __init__(self, pattern: _Pattern, blocks: list[_Block]):
         self.ordering: list[VariableKey] = pattern.ordering
         self.dims: dict[VariableKey, int] = pattern.dims
         self.offsets: dict[VariableKey, int] = pattern.offsets
@@ -542,14 +489,10 @@ class LinearSystem:
         self.bw = pattern.bw
         self._work = pattern.work
         self.blocks = blocks
-        self._h_index = h_index
-        self._g_index = g_index
+        self._h_index = pattern.h_index
+        self._g_index = pattern.g_index
         self._band: np.ndarray | None = None
         self._grad: np.ndarray | None = None
-
-    @property
-    def nrows(self) -> int:
-        return sum(b.residual.size for b in self.blocks)
 
     def total_error(self) -> float:
         """Equal, bit for bit, to :meth:`FactorGraph.total_error` at the same point."""
@@ -593,29 +536,6 @@ class LinearSystem:
         oa, ob = self.offsets[key_a], self.offsets[key_b]
         return self.jtj()[oa:oa + self.dims[key_a], ob:ob + self.dims[key_b]]
 
-    def _rows(self):
-        """(block, (n, m) row of every residual entry) in factor order."""
-        size = np.zeros(sum(len(b.index) for b in self.blocks), dtype=np.intp)
-        for b in self.blocks:
-            size[b.index] = b.residual.shape[1]
-        start = np.cumsum(size) - size
-        for b in self.blocks:
-            yield b, start[b.index][:, None] + np.arange(b.residual.shape[1])
-
-    def dense_jacobian(self) -> np.ndarray:
-        j = np.zeros((self.nrows, self.ncols))
-        for b, rows in self._rows():
-            rr, cc = np.broadcast_arrays(rows[:, :, None], b.cols[:, None, :])
-            keep = cc >= 0
-            np.add.at(j, (rr[keep], cc[keep]), b.jacobian[keep])
-        return j
-
-    def stacked_residual(self) -> np.ndarray:
-        r = np.zeros(self.nrows)
-        for b, rows in self._rows():
-            r[rows] = b.residual
-        return r
-
     def solve(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
         self._accumulate()
@@ -637,33 +557,29 @@ class LinearSystem:
             raise NumericalSingularityError(str(exc)) from exc
 
 
+# Levenberg-Marquardt damping: a rejected step multiplies lambda by
+# LAMBDA_SCALE, and a solve that passes LAMBDA_CAP ends diverged
+LAMBDA_INIT = 1e-4
+LAMBDA_SCALE = 10.0
+LAMBDA_CAP = 1e7
+
+
 @dataclass
 class OptimizerConfig:
     max_iters: int = 100
-    lambda_init: float = 1e-4
-    lambda_scale: float = 10.0
-    lambda_cap: float = 1e7
     abs_tol: float = 1e-8       # on the update norm
     rel_tol: float = 1e-10      # on the relative error decrease
 
     def __post_init__(self):
-        # a rejected step multiplies lambda by lambda_scale until it passes
-        # lambda_cap; these bounds are what make that loop end
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.lambda_init > 0:
-            raise ValueError("lambda_init must be > 0")
-        if not self.lambda_scale > 1:
-            raise ValueError("lambda_scale must be > 1")
-        if not self.lambda_cap > self.lambda_init:
-            raise ValueError("lambda_cap must be > lambda_init")
         if not (self.abs_tol >= 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be >= 0")
 
 
 @dataclass
 class OptimizeResult:
-    values: Values
+    values: dict
     iterations: int
     final_error: float
     converged: bool
@@ -692,7 +608,9 @@ class FactorGraph:
         self._initial[key] = initial
         self._pattern = None
 
-    def add_factor(self, factor) -> int:
+    def add_factor(self, factor: Factor) -> int:
+        if not isinstance(factor, Factor):
+            raise TypeError(f"{type(factor).__name__} is not a Factor")
         for key in factor.keys:
             if key not in self._initial:
                 raise UnknownVariableError(f"factor references unknown variable {key}")
@@ -729,8 +647,8 @@ class FactorGraph:
             (k for k in self._initial if k not in self._fixed), key=_ordering_rank
         )
 
-    def initial_values(self) -> Values:
-        return Values(self._initial)
+    def initial_values(self) -> dict:
+        return dict(self._initial)
 
     # -- evaluation ----------------------------------------------------
 
@@ -747,18 +665,15 @@ class FactorGraph:
     def total_error(self, values) -> float:
         """Sum of squared whitened residuals at ``values``.
 
-        ``values`` is a :class:`Values` or, inside :meth:`optimize`, the
-        stacked state of the solve; :meth:`linearize` takes either too.
+        ``values`` is a dict or, inside :meth:`optimize`, the stacked state
+        of the solve; :meth:`linearize` takes either too.
         """
         state = self._state(values)
-        pattern = state.pattern
         residuals = []
-        for i, b in enumerate(pattern.batches):
+        for i, b in enumerate(state.pattern.batches):
             block = state.constant.get(i)
             residuals.append(b.residual(state.tables) if block is None
                              else block.residual)
-        for idx in pattern.singles:
-            residuals.append(self._factors[idx].whitened_residual(state.values()))
         return _sum_of_squares(residuals)
 
     def linearize(self, values) -> LinearSystem:
@@ -768,37 +683,21 @@ class FactorGraph:
         values still enter every residual.
         """
         state = self._state(values)
-        pattern = state.pattern
         blocks = [state.constant.get(i) or b.block(state.tables)
-                  for i, b in enumerate(pattern.batches)]
-        h_index, g_index = pattern.h_index, pattern.g_index
-        if pattern.singles:
-            h_parts, g_parts = [h_index], [g_index]
-            for idx in pattern.singles:
-                r, kept = self._factors[idx].whitened_linearization(state.values())
-                jac = np.concatenate(
-                    [np.zeros((r.shape[0], pattern.tangent[k])) if j is None else j
-                     for k, j in kept], axis=1)
-                cols = np.array([pattern.columns(
-                    [k for k, _ in kept], [j is None for _, j in kept])], dtype=np.intp)
-                blocks.append(_Block(np.array([idx]), r[None], jac[None], cols, True))
-                h, g = _scatter_index(cols, pattern.ncols, pattern.bw)
-                h_parts.append(h)
-                g_parts.append(g)
-            h_index, g_index = np.concatenate(h_parts), np.concatenate(g_parts)
-        return LinearSystem(pattern, blocks, h_index, g_index)
+                  for i, b in enumerate(state.pattern.batches)]
+        return LinearSystem(state.pattern, blocks)
 
     # -- solving ---------------------------------------------------------
 
-    def optimize(self, values: Values | None = None,
+    def optimize(self, values: dict | None = None,
                  config: OptimizerConfig | None = None) -> OptimizeResult:
         cfg = config or OptimizerConfig()
-        vals = values.copy() if values is not None else self.initial_values()
+        vals = dict(values) if values is not None else self.initial_values()
         state = self._get_pattern().state(vals, hold_constant=True)
         system = self.linearize(state)
         err = system.total_error()
         history = [err]
-        lam = cfg.lambda_init
+        lam = LAMBDA_INIT
         reason = "max_iters"
         converged = False
         iterations = 0
@@ -813,8 +712,8 @@ class FactorGraph:
                 try:
                     delta = system.solve(lam)
                 except NumericalSingularityError:
-                    lam *= cfg.lambda_scale
-                    if lam > cfg.lambda_cap:
+                    lam *= LAMBDA_SCALE
+                    if lam > LAMBDA_CAP:
                         return OptimizeResult(state.values(), it, err, False,
                                               "lambda_cap", history)
                     continue
@@ -827,14 +726,14 @@ class FactorGraph:
                     # not accepted: stationary up to floating-point noise
                     return OptimizeResult(state.values(), it, err, True, "abs_tol",
                                           history)
-                lam *= cfg.lambda_scale
-                if lam > cfg.lambda_cap:
+                lam *= LAMBDA_SCALE
+                if lam > LAMBDA_CAP:
                     return OptimizeResult(state.values(), it, err, False,
                                           "lambda_cap", history)
             prev_err = err
             state, err = cand, cand_err
             history.append(err)
-            lam = max(lam / cfg.lambda_scale, 1e-12)
+            lam = max(lam / LAMBDA_SCALE, 1e-12)
             step_norm = float(np.linalg.norm(delta))
             if step_norm < cfg.abs_tol:
                 converged, reason = True, "abs_tol"
@@ -844,7 +743,7 @@ class FactorGraph:
                 break
         return OptimizeResult(state.values(), iterations, err, converged, reason, history)
 
-    def marginal_covariance(self, values: Values, key: VariableKey) -> np.ndarray:
+    def marginal_covariance(self, values: dict, key: VariableKey) -> np.ndarray:
         """Covariance block of one variable from the full (J^T J)^-1.
 
         Evaluated at the supplied linearization point; call this with

@@ -570,45 +570,7 @@ def right_jacobian_inverse_batch(xi: np.ndarray) -> np.ndarray:
     return _se3_rjinv(xi) if xi.shape[1] == 6 else _se2_rjinv(xi)
 
 
-# ---------------------------------------------------------------------------
-# Tangent-space Jacobians
-#
-# left_jacobian(xi) is J_l with exp(xi + d) ~= exp(J_l(xi) d) * exp(xi);
-# the right-hand versions follow from J_r(xi) = J_l(-xi). left_jacobian sums
-# the series J_l = sum ad^n / (n+1)!, which converges for every input we
-# produce; it is the reference the closed-form inverses are tested against.
-
-
-def _algebra_adjoint(xi: np.ndarray) -> np.ndarray:
-    if xi.shape == (3,):
-        return np.array(
-            [[0.0, -xi[2], xi[1]], [xi[2], 0.0, -xi[0]], [0.0, 0.0, 0.0]]
-        )
-    ad = np.zeros((6, 6))
-    ad[0:3, 0:3] = skew(xi[3:6])
-    ad[0:3, 3:6] = skew(xi[0:3])
-    ad[3:6, 3:6] = skew(xi[3:6])
-    return ad
-
-
-def left_jacobian(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    ad = _algebra_adjoint(xi)
-    n = ad.shape[0]
-    total = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = (term @ ad) / (k + 1.0)
-        total = total + term
-        if float(np.abs(term).max()) < 1e-17:
-            break
-    return total
-
-
-def left_jacobian_inverse(xi) -> np.ndarray:
-    return right_jacobian_inverse(-np.asarray(xi, dtype=float))
-
-
 def right_jacobian_inverse(xi) -> np.ndarray:
+    """J_r^-1 of one tangent, with log(exp(xi) exp(d)) ~= xi + J_r^-1(xi) d."""
     xi = np.asarray(xi, dtype=float)
     return right_jacobian_inverse_batch(xi[None, :])[0]

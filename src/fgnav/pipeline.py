@@ -40,7 +40,6 @@ from .graph import (
     FactorGraph,
     OptimizerConfig,
     SingularSystemError,
-    Values,
     VarKind,
     VariableKey,
     acceleration,
@@ -100,7 +99,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if self.lag_window < 1:
             raise ValueError("lag_window must be >= 1")
@@ -492,7 +491,7 @@ class Pipeline:
         that stall the accept test.
         """
         cfg = self.config
-        out = dict(values.items())
+        out = dict(values)
         pose = se2_view(out[robot_pose(k)])
         vel = np.asarray(out[velocity(k)], dtype=float)
         m = cfg.limit_margin
@@ -509,19 +508,21 @@ class Pipeline:
             out[robot_pose(k + j)] = pose
             out[velocity(k + j)] = vel
             out[acceleration(k + j - 1)] = acc
-        return Values(out)
+        return out
 
     def _solve(self, factors, fixed, plan_step=None):
+        """Solve one stage; a stage that plans step ``plan_step`` is pre-solved.
+
+        The pre-solve relaxes the propagation rows and re-rolls the plan from
+        its controls, and its result is the warm start of the exact solve.
+        """
         graph = self._build_graph(factors, self._values, fixed)
         warm = None
-        if any(isinstance(f, MotionModelFactor) for f in factors):
+        if plan_step is not None:
             pre = self._build_graph(self._relaxed_motion(factors),
                                     self._values, fixed)
-            coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6,
-                                     lambda_init=self.config.optimizer.lambda_init)
-            warm = pre.optimize(config=coarse).values
-            if plan_step is not None:
-                warm = self._reroll_plan(warm, plan_step)
+            coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
+            warm = self._reroll_plan(pre.optimize(config=coarse).values, plan_step)
         res = graph.optimize(values=warm, config=self.config.optimizer)
         for key in graph.keys():
             self._values[key] = res.values[key]
@@ -540,43 +541,32 @@ class Pipeline:
         self._values.update(pred_vals)
         self._values.update(plan_vals)
 
-        est_keys = set()
-        for f in est_factors:
-            est_keys.update(f.keys)
+        # (factors, fixed keys, planned step) per stage, solved in order;
+        # decoupled solves estimation first and then holds it fixed
+        joint = apply_mode_masks(est_factors + pred_factors + plan_factors, cfg.mode)
+        fixed = self._fixed_keys({key for f in joint for key in f.keys}, fix_before,
+                                 extra=pinned)
+        stages = [(joint, fixed, k)]
+        if cfg.mode.mode is Mode.DECOUPLED:
+            est_keys = {key for f in est_factors for key in f.keys}
+            stages = [(apply_mode_masks(est_factors, cfg.mode),
+                       self._fixed_keys(est_keys, fix_before), None),
+                      (joint, fixed | est_keys, k)]
 
         diverged = False
         stats = {"mode": cfg.mode.mode.value}
         try:
-            if cfg.mode.mode is Mode.DECOUPLED:
-                fixed1 = self._fixed_keys(est_keys, fix_before)
-                res1, _ = self._solve(apply_mode_masks(est_factors, cfg.mode), fixed1)
-                joint = apply_mode_masks(
-                    est_factors + pred_factors + plan_factors, cfg.mode)
-                keys = set()
-                for f in joint:
-                    keys.update(f.keys)
-                fixed2 = self._fixed_keys(keys, fix_before, extra=pinned) | est_keys
-                res2, graph = self._solve(joint, fixed2, plan_step=k)
-                diverged = res1.diverged or res2.diverged
-                stats.update(
-                    iterations=res1.iterations + res2.iterations,
-                    final_error=res2.final_error,
-                    converged=res1.converged and res2.converged,
-                    reason=res2.reason)
-            else:
-                joint = apply_mode_masks(
-                    est_factors + pred_factors + plan_factors, cfg.mode)
-                keys = set()
-                for f in joint:
-                    keys.update(f.keys)
-                fixed = self._fixed_keys(keys, fix_before, extra=pinned)
-                res, graph = self._solve(joint, fixed, plan_step=k)
-                diverged = res.diverged
-                stats.update(iterations=res.iterations,
-                             final_error=res.final_error,
-                             converged=res.converged, reason=res.reason)
-            stats["num_factors"] = graph.num_factors()
-            stats["num_variables"] = graph.num_variables()
+            results = []
+            for factors, stage_fixed, plan_step in stages:
+                res, graph = self._solve(factors, stage_fixed, plan_step)
+                results.append(res)
+            diverged = any(r.diverged for r in results)
+            stats.update(iterations=sum(r.iterations for r in results),
+                         final_error=res.final_error,
+                         converged=all(r.converged for r in results),
+                         reason=res.reason,
+                         num_factors=graph.num_factors(),
+                         num_variables=graph.num_variables())
         except SingularSystemError as exc:
             diverged = True
             stats.update(converged=False, reason=f"singular: {exc}",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factors import propagate_unicycle
-from .lie import Pose2, Pose3, embed_se3
+from .lie import Pose2, embed_se3
 from .pipeline import StepInput
 from .worldmap import EsdfGrid, OccupancyGrid
 
@@ -43,7 +43,7 @@ class AgentSpec:
     turn_rate: float = 2.0
 
     def __post_init__(self):
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ValueError("agent speed must be > 0")
         if self.behavior not in ("scripted", "reactive"):
             raise ValueError(f"unknown behavior {self.behavior!r}")
@@ -65,7 +65,7 @@ class SensorSpec:
     global_period: int = 10
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
 
 

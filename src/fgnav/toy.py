@@ -126,15 +126,13 @@ def _initial_values():
     }
 
 
-def build_toy(mode=Mode.DIRECTED) -> ToyProblem:
-    """Joint graph under one operating mode."""
-    cfg = mode if isinstance(mode, ModeConfig) else ModeConfig(Mode(mode))
-    esdf = toy_esdf()
-    estimation, planning = _tagged_factors(esdf)
-    factors = apply_mode_masks(estimation + planning, cfg)
+def _problem(esdf: EsdfGrid, factors, mode: ModeConfig | None) -> ToyProblem:
+    """The graph of ``factors`` over the variables they read, at the initial values."""
+    used = {key for f in factors for key in f.keys}
     graph = FactorGraph()
     for key, value in _initial_values().items():
-        graph.add_variable(key, value)
+        if key in used:
+            graph.add_variable(key, value)
     for f in factors:
         graph.add_factor(f)
     x_prev, x_curr, landmark, plan = _truth()
@@ -142,35 +140,27 @@ def build_toy(mode=Mode.DIRECTED) -> ToyProblem:
         graph=graph,
         esdf=esdf,
         estimation_keys=(robot_pose(0), robot_pose(1)),
-        planned_keys=(robot_pose(2), robot_pose(3)),
+        planned_keys=tuple(k for k in (robot_pose(2), robot_pose(3)) if k in used),
         landmark_key=static_point(0),
         d_safe=D_SAFE,
-        mode=cfg,
+        mode=mode,
         truth={"poses": [x_prev, x_curr], "landmark": landmark, "plan": plan},
     )
+
+
+def build_toy(mode=Mode.DIRECTED) -> ToyProblem:
+    """Joint graph under one operating mode."""
+    cfg = mode if isinstance(mode, ModeConfig) else ModeConfig(Mode(mode))
+    esdf = toy_esdf()
+    estimation, planning = _tagged_factors(esdf)
+    return _problem(esdf, apply_mode_masks(estimation + planning, cfg), cfg)
 
 
 def build_estimation_only() -> ToyProblem:
     """The estimation subgraph alone, as the reference solution."""
     esdf = toy_esdf()
     estimation, _ = _tagged_factors(esdf)
-    graph = FactorGraph()
-    init = _initial_values()
-    for key in (robot_pose(0), robot_pose(1), static_point(0)):
-        graph.add_variable(key, init[key])
-    for f in estimation:
-        graph.add_factor(f)
-    x_prev, x_curr, landmark, plan = _truth()
-    return ToyProblem(
-        graph=graph,
-        esdf=esdf,
-        estimation_keys=(robot_pose(0), robot_pose(1)),
-        planned_keys=(),
-        landmark_key=static_point(0),
-        d_safe=D_SAFE,
-        mode=None,
-        truth={"poses": [x_prev, x_curr], "landmark": landmark, "plan": plan},
-    )
+    return _problem(esdf, estimation, None)
 
 
 TOY_OPTIMIZER = OptimizerConfig(max_iters=200, abs_tol=1e-10, rel_tol=1e-13)

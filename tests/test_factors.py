@@ -105,18 +105,6 @@ def test_noise_spec_vector_and_scalar():
     assert np.allclose(f.whitened_residual(vals), [2.0, -4.0])
 
 
-def test_noise_spec_full_covariance():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 3))
-    cov = a @ a.T + 3 * np.eye(3)
-    spec = NoiseSpec.from_covariance(cov)
-    w = spec.sqrt_info(3)
-    assert np.allclose(w @ cov @ w.T, np.eye(3), atol=1e-12)
-    f = PriorFactor(robot_pose(0), Pose2.identity(), spec)
-    vals = {robot_pose(0): Pose2(0.3, -0.2, 0.1)}
-    assert np.allclose(f.whitened_residual(vals), w @ f.residual(vals))
-
-
 def test_noise_spec_rejects_bad_sigmas():
     with pytest.raises(ValueError):
         NoiseSpec([0.1, -0.2])

@@ -234,6 +234,42 @@ class TestPlanar:
         assert np.allclose(lhs.matrix(), rhs.matrix(), atol=1e-12)
 
 
+# left_jacobian(xi) is J_l with exp(xi + d) ~= exp(J_l(xi) d) * exp(xi);
+# the right-hand versions follow from J_r(xi) = J_l(-xi). left_jacobian sums
+# the series J_l = sum ad^n / (n+1)!, which converges for every input used
+# here; it is the reference the closed-form inverses are tested against.
+
+
+def _algebra_adjoint(xi: np.ndarray) -> np.ndarray:
+    if xi.shape == (3,):
+        return np.array(
+            [[0.0, -xi[2], xi[1]], [xi[2], 0.0, -xi[0]], [0.0, 0.0, 0.0]]
+        )
+    ad = np.zeros((6, 6))
+    ad[0:3, 0:3] = lie.skew(xi[3:6])
+    ad[0:3, 3:6] = lie.skew(xi[0:3])
+    ad[3:6, 3:6] = lie.skew(xi[3:6])
+    return ad
+
+
+def left_jacobian(xi) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    ad = _algebra_adjoint(xi)
+    n = ad.shape[0]
+    total = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 60):
+        term = (term @ ad) / (k + 1.0)
+        total = total + term
+        if float(np.abs(term).max()) < 1e-17:
+            break
+    return total
+
+
+def left_jacobian_inverse(xi) -> np.ndarray:
+    return lie.right_jacobian_inverse(-np.asarray(xi, dtype=float))
+
+
 class TestTangentJacobians:
     # First-order BCH: log(exp(xi) exp(h d)) ~= xi + h * Jr_inv(xi) d
     #                  log(exp(h d) exp(xi)) ~= xi + h * Jl_inv(xi) d
@@ -257,7 +293,7 @@ class TestTangentJacobians:
 
     def _check_jl_inv(self, xi, dim):
         h = 1e-7
-        jl_inv = lie.left_jacobian_inverse(xi)
+        jl_inv = left_jacobian_inverse(xi)
         num = np.zeros((dim, dim))
         base = self._group_exp(xi)
         for i in range(dim):
@@ -283,8 +319,8 @@ class TestTangentJacobians:
             self._check_jl_inv(xi, 3)
 
     def test_left_jacobian_identity(self):
-        assert np.allclose(lie.left_jacobian(np.zeros(6)), np.eye(6))
-        assert np.allclose(lie.left_jacobian(np.zeros(3)), np.eye(3))
+        assert np.allclose(left_jacobian(np.zeros(6)), np.eye(6))
+        assert np.allclose(left_jacobian(np.zeros(3)), np.eye(3))
 
     @pytest.mark.parametrize("dim", [3, 6])
     def test_closed_form_inverse_matches_series(self, dim):
@@ -296,7 +332,7 @@ class TestTangentJacobians:
                 rot = xi[2:3] if dim == 3 else xi[3:6]
                 norm = np.linalg.norm(rot)
                 rot *= angle / norm if norm > 0 else 0.0
-                want = np.linalg.inv(lie.left_jacobian(-xi))
+                want = np.linalg.inv(left_jacobian(-xi))
                 got = lie.right_jacobian_inverse(xi)
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 

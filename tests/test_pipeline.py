@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from fgnav.factors import Mode, ModeConfig, MotionModelFactor
+from fgnav.factors import Mode, ModeConfig, MotionModelFactor, PriorFactor
+from fgnav.graph import velocity
 from fgnav.lie import Pose2, embed_se3
 from fgnav.pipeline import Pipeline, PipelineConfig, select_local_goal
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
@@ -101,6 +102,18 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
     planning = [g for g in graphs
                 if any(isinstance(f, MotionModelFactor) for f in g.factors)]
     assert len(planning) == 1
-    batches = [len(b.index) for b in planning[0]._pattern.batches
+    batches = [len(b.cols) for b in planning[0]._pattern.batches
                if b.cls is MotionModelFactor]
     assert batches == [HORIZON]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModeConfig(Mode.COOPERATIVE, cooperation_weight=math.nan),
+    lambda: PriorFactor(velocity(0), np.zeros(2), 0.1, weight=math.nan),
+    lambda: PipelineConfig(dt=math.nan),
+    lambda: SensorSpec(noise_sigma=math.nan),
+    lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], math.nan),
+], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed"])
+def test_nan_settings_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
