@@ -29,13 +29,12 @@ against.
 
 Each factor also carries its whitening, the inverse of its per-dimension
 standard deviations (``sqrt_info``, times the factor's ``weight``), and
-two pieces of direction metadata used by :func:`apply_mode_masks`:
-
-* ``component``: which stage of the pipeline the factor belongs to;
-* ``directed_sources``: which of its variables act as information sources
-  in the directed modes. A source variable feeds the residual but its
-  Jacobian block is masked out of the linear system, so it receives no
-  update through this factor.
+its ``component``: the part of the pipeline it belongs to. That is its
+only direction metadata. :func:`apply_mode_masks` compares it with the
+component that owns each variable the factor reads: in the directed
+modes a variable the factor's component does not own is a source, which
+feeds the residual but whose Jacobian block is masked out of the linear
+system, so it receives no update through this factor.
 
 Hinge-type factors (limits, obstacle clearance) return a zero residual and
 zero Jacobian on their inactive branch.
@@ -80,13 +79,6 @@ class Mode(Enum):
     DIRECTED = "directed"
     DECOUPLED = "decoupled"
     COOPERATIVE = "cooperative"
-
-
-class Direction(Enum):
-    """Information flow of a dynamic obstacle factor."""
-
-    TO_PLANNING = "to_planning"      # prediction is the source, planning reacts
-    TO_PREDICTION = "to_prediction"  # planning is the source, prediction reacts
 
 
 @dataclass(frozen=True)
@@ -181,16 +173,14 @@ def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
 
 
 class Factor:
-    """Base class: keys, whitening, masks and direction metadata."""
+    """Base class: keys, whitening, mask and component."""
 
-    __slots__ = ("keys", "dim", "sqrt_info", "mask", "directed_sources",
-                 "component", "cooperative_only")
+    __slots__ = ("keys", "dim", "sqrt_info", "mask", "component")
 
     # positions in ``keys`` that the kernel reads through planar_view
     planar_slots: tuple[int, ...] = ()
 
-    def __init__(self, keys, noise, dim, component=Component.ESTIMATION,
-                 directed_sources=None, cooperative_only=False, weight=1.0):
+    def __init__(self, keys, noise, dim, component=Component.ESTIMATION, weight=1.0):
         self.keys = tuple(keys)
         self.dim = int(dim)
         w = _sqrt_info(noise, self.dim)
@@ -200,13 +190,7 @@ class Factor:
             w = w * weight
         self.sqrt_info = w
         self.mask = (False,) * len(self.keys)
-        if directed_sources is None:
-            directed_sources = (False,) * len(self.keys)
-        self.directed_sources = tuple(bool(b) for b in directed_sources)
-        if len(self.directed_sources) != len(self.keys):
-            raise ValueError("directed_sources length must match keys")
         self.component = component
-        self.cooperative_only = bool(cooperative_only)
 
     # -- batch kernel: subclasses implement evaluate, and stack_params and
     #    batch_key when their instances carry constants
@@ -280,22 +264,27 @@ class Factor:
         return out
 
 
-def apply_mode_masks(factors, mode) -> list[Factor]:
-    """Instantiate one operating mode over a tagged factor set.
+def apply_mode_masks(factors, mode, owner) -> list[Factor]:
+    """Instantiate one operating mode over a factor set tagged by component.
 
-    Undirected and Decoupled clear all masks (Decoupled achieves its
-    one-way flow by solving in stages instead). Directed masks each
-    factor's declared source variables. Cooperative does the same and
-    additionally keeps the factors marked cooperative-only, which the
-    other modes drop.
+    ``owner`` maps a key to the component that owns it; a key it does not
+    list is owned by estimation. In directed and cooperative modes a
+    factor's key is masked exactly when the factor's component does not own
+    it; undirected and decoupled clear every mask (decoupled achieves its
+    one-way flow by solving in stages instead). Outside cooperative mode, a
+    factor that reads a key owned by a later component is dropped.
     """
     cfg = mode if isinstance(mode, ModeConfig) else ModeConfig(Mode(mode))
     masked = cfg.mode in (Mode.DIRECTED, Mode.COOPERATIVE)
+    cooperative = cfg.mode is Mode.COOPERATIVE
+    est = Component.ESTIMATION
     out = []
     for f in factors:
-        if f.cooperative_only and cfg.mode is not Mode.COOPERATIVE:
+        owners = [owner.get(key, est) for key in f.keys]
+        if not cooperative and max(owners) > f.component:
             continue
-        target = f.directed_sources if masked else (False,) * len(f.keys)
+        target = (tuple(map(f.component.__ne__, owners)) if masked
+                  else (False,) * len(owners))
         out.append(f.with_mask(target) if f.mask != target else f)
     return out
 
@@ -708,27 +697,18 @@ class StaticObstacleFactor(Factor):
 class DynamicObstacleFactor(Factor):
     """Hinge on the planar range between a planned pose and a predicted centre.
 
-    r = max(0, d_safe - ||t_pose - t_centre||). ``direction`` selects the
-    source side that is masked in the directed modes: TO_PLANNING treats
-    the predicted motion as given, TO_PREDICTION (the cooperative variant)
-    treats the planned pose as given and asks the prediction to make room.
+    r = max(0, d_safe - ||t_pose - t_centre||). A planning instance moves
+    the planned pose around the predicted motion; a prediction instance
+    (cooperative mode) moves the prediction to make room for the plan.
     """
 
-    __slots__ = ("com_ref", "d_safe", "direction")
+    __slots__ = ("com_ref", "d_safe")
 
-    def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise,
-                 direction: Direction = Direction.TO_PLANNING, weight=1.0, **kw):
-        if direction is Direction.TO_PLANNING:
-            kw.setdefault("component", Component.PLANNING)
-            kw.setdefault("directed_sources", (False, True))
-        else:
-            kw.setdefault("component", Component.PREDICTION)
-            kw.setdefault("directed_sources", (True, False))
-            kw.setdefault("cooperative_only", True)
-        super().__init__((pose_key, motion_key), noise, 1, weight=weight, **kw)
+    def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise, **kw):
+        kw.setdefault("component", Component.PLANNING)
+        super().__init__((pose_key, motion_key), noise, 1, **kw)
         self.com_ref = com_ref
         self.d_safe = float(d_safe)
-        self.direction = direction
 
     @classmethod
     def stack_params(cls, factors):

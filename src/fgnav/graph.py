@@ -26,12 +26,14 @@ each over the fixed index arrays. The pattern is the same at every
 linearization point because hinge factors return zero blocks rather than
 dropping them.
 
-Directionality is implemented at linearization: a factor may mask any of
-its variables, in which case the Jacobian block for that variable is left
-out of the linear system (structurally zero) while the residual still
-evaluates with the variable's current value. Masked variables therefore
-influence other updates through the residual but receive none from that
-factor, and the corresponding Gauss-Newton cross terms vanish.
+One-way information flow is implemented at linearization: a factor may
+mask any of its variables, in which case the Jacobian block for that
+variable is left out of the linear system (structurally zero) while the
+residual still evaluates with the variable's current value. Masked
+variables therefore influence other updates through the residual but
+receive none from that factor, and the corresponding Gauss-Newton cross
+terms vanish. :func:`fgnav.factors.apply_mode_masks` sets the masks from
+each factor's component and the component that owns each variable.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
@@ -635,9 +637,6 @@ class FactorGraph:
 
     def num_factors(self) -> int:
         return len(self._factors)
-
-    def is_fixed(self, key: VariableKey) -> bool:
-        return key in self._fixed
 
     def keys(self) -> list[VariableKey]:
         return list(self._initial.keys())

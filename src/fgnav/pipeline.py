@@ -3,14 +3,16 @@
 Every control step rebuilds one factor graph out of three fragments: a
 fixed-lag estimation window (robot poses, landmarks, object motions), a
 constant-motion prediction chain per tracked object, and an N-step local
-plan. Mode masks regulate how information flows between the fragments;
-the optimized first acceleration is the control command.
+plan. Prediction and planning own the variables they create, estimation
+the rest; this ownership sets each mode's masks, and ``STAGES`` each
+mode's solve order. The optimized first acceleration is the control command.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,6 @@ from .factors import (
     Component,
     ConstantAccelerationFactor,
     CostFactor,
-    Direction,
     DynamicObstacleFactor,
     GoalFactor,
     HybridMotionFactor,
@@ -71,6 +72,13 @@ class NoiseTable:
     dynamic_obstacle: float = 5e-3
 
 
+# the components each stage solves, in order; a stage evaluates the factors of
+# its own and earlier components and holds fixed every key an earlier stage solved
+STAGES = {mode: (tuple(Component),) for mode in Mode}
+STAGES[Mode.DECOUPLED] = ((Component.ESTIMATION,),
+                          (Component.PREDICTION, Component.PLANNING))
+
+
 def _default_optimizer() -> OptimizerConfig:
     return OptimizerConfig(max_iters=100, abs_tol=1e-9, rel_tol=1e-12)
 
@@ -97,12 +105,23 @@ class PipelineConfig:
     optimizer: OptimizerConfig = field(default_factory=_default_optimizer)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
+            raise ValueError("horizon must be an int >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.lag_window < 1:
+        if not self.lag_window >= 1:
             raise ValueError("lag_window must be >= 1")
+        for name in ("robot_radius", "object_radius", "goal_lookahead"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("safety_offset", "hinge_margin", "limit_margin"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        v_lo, v_hi = self.v_limits
+        for name, width in (("v_limits", v_hi - v_lo), ("w_limit", 2 * self.w_limit),
+                            ("a_limit", 2 * self.a_limit), ("aw_limit", 2 * self.aw_limit)):
+            if not width > 2 * self.limit_margin:
+                raise ValueError(f"{name} leaves no range inside limit_margin")
         if not isinstance(self.mode, ModeConfig):
             object.__setattr__(self, "mode", ModeConfig(Mode(self.mode)))
 
@@ -192,8 +211,6 @@ class Pipeline:
         self._values: dict[VariableKey, object] = {}
         # (retain_step, factor); retain_step None = kept while object tracked
         self._est_factors: list = []
-        self._landmarks: set[int] = set()
-        self._first_seen: dict[int, int] = {}
         self._com_ref: dict[int, Pose3] = {}
         self._motion_steps: dict[int, list[int]] = {}
         self._always_fixed: set[VariableKey] = set()
@@ -226,7 +243,6 @@ class Pipeline:
             key = static_point(pid)
             if key not in self._values:
                 self._values[key] = x_hat.act(np.asarray(z, dtype=float))
-                self._landmarks.add(pid)
             self._est_factors.append(
                 (k, PointMeasurementFactor(robot_pose(k), key, z, noise.point)))
 
@@ -234,14 +250,13 @@ class Pipeline:
         for obj, pid, z in inp.dynamic_points:
             by_object.setdefault(obj, []).append((pid, np.asarray(z, dtype=float)))
         for obj, obs in sorted(by_object.items()):
-            if obj not in self._first_seen:
+            if obj not in self._motion_steps:
                 self._start_track(obj, k, obs, x_hat)
             else:
                 self._extend_track(obj, k, obs, x_hat)
 
     def _start_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
         noise = self.config.noise
-        self._first_seen[obj] = k
         world = []
         for pid, z in obs:
             key = dynamic_point(obj, pid)
@@ -325,11 +340,8 @@ class Pipeline:
                 keys = (object_motion(obj, k + j - 2),
                         object_motion(obj, k + j - 1),
                         object_motion(obj, k + j))
-                sources = (j <= 2, j <= 1, False)
                 factors.append(ObjectSmoothingFactor(
-                    keys, c_ref, noise.smoothing,
-                    component=Component.PREDICTION,
-                    directed_sources=sources))
+                    keys, c_ref, noise.smoothing, component=Component.PREDICTION))
             for j in range(1, cfg.horizon + 1):
                 factors.append(StaticObstacleFactor(
                     object_motion(obj, k + j), self.esdf,
@@ -398,15 +410,11 @@ class Pipeline:
         a_hi = np.array([cfg.a_limit - m, cfg.aw_limit - m])
         d_rs = cfg.robot_radius + cfg.safety_offset
         d_ros = cfg.robot_radius + cfg.object_radius + cfg.safety_offset
-        coop = self.config.mode.cooperation_weight
 
         for j in range(1, cfg.horizon + 1):
-            pose_a = robot_pose(k + j - 1)
-            sources = (j == 1, False, False, False, False)
             factors.append(MotionModelFactor(
-                pose_a, robot_pose(k + j), velocity(k + j - 1), velocity(k + j),
-                acceleration(k + j - 1), cfg.dt, noise.motion_model,
-                directed_sources=sources))
+                robot_pose(k + j - 1), robot_pose(k + j), velocity(k + j - 1),
+                velocity(k + j), acceleration(k + j - 1), cfg.dt, noise.motion_model))
             factors.append(LimitFactor(velocity(k + j), v_lo, v_hi, noise.limit))
             factors.append(LimitFactor(acceleration(k + j - 1), a_lo, a_hi, noise.limit))
             factors.append(CostFactor(acceleration(k + j - 1), 2, noise.effort))
@@ -419,12 +427,11 @@ class Pipeline:
                 c_ref = self._com_ref[obj]
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
-                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
-                    direction=Direction.TO_PLANNING))
+                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle))
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
                     d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
-                    direction=Direction.TO_PREDICTION, weight=coop))
+                    component=Component.PREDICTION, weight=cfg.mode.cooperation_weight))
         factors.append(GoalFactor(robot_pose(k + cfg.horizon), local_goal, noise.goal))
         return factors, new_vals, pinned
 
@@ -441,8 +448,8 @@ class Pipeline:
         self._est_factors = keep
         return factors, fix_before
 
-    def _fixed_keys(self, keys, fix_before: int, extra=()):
-        fixed = set(extra) | {key for key in keys if key in self._always_fixed}
+    def _fixed_keys(self, keys, fix_before: int):
+        fixed = {key for key in keys if key in self._always_fixed}
         lagged = (VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION,
                   VarKind.VELOCITY, VarKind.ACCELERATION)
         for key in keys:
@@ -540,26 +547,24 @@ class Pipeline:
         plan_factors, plan_vals, pinned = self._build_planning(k, local_goal, objects)
         self._values.update(pred_vals)
         self._values.update(plan_vals)
-
-        # (factors, fixed keys, planned step) per stage, solved in order;
-        # decoupled solves estimation first and then holds it fixed
-        joint = apply_mode_masks(est_factors + pred_factors + plan_factors, cfg.mode)
-        fixed = self._fixed_keys({key for f in joint for key in f.keys}, fix_before,
-                                 extra=pinned)
-        stages = [(joint, fixed, k)]
-        if cfg.mode.mode is Mode.DECOUPLED:
-            est_keys = {key for f in est_factors for key in f.keys}
-            stages = [(apply_mode_masks(est_factors, cfg.mode),
-                       self._fixed_keys(est_keys, fix_before), None),
-                      (joint, fixed | est_keys, k)]
+        owner = dict.fromkeys(pred_vals, Component.PREDICTION)
+        owner.update(dict.fromkeys(plan_vals, Component.PLANNING))
+        joint = apply_mode_masks(est_factors + pred_factors + plan_factors, cfg.mode,
+                                 owner)
 
         diverged = False
         stats = {"mode": cfg.mode.mode.value}
         try:
             results = []
-            for factors, stage_fixed, plan_step in stages:
-                res, graph = self._solve(factors, stage_fixed, plan_step)
+            held = set(pinned)   # and then every key an earlier stage solved
+            for components in STAGES[cfg.mode.mode]:
+                factors = [f for f in joint if f.component <= max(components)]
+                keys = {key for f in factors for key in f.keys}
+                fixed = self._fixed_keys(keys, fix_before) | held
+                plan_step = k if Component.PLANNING in components else None
+                res, graph = self._solve(factors, fixed, plan_step)
                 results.append(res)
+                held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),
                          final_error=res.final_error,

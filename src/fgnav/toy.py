@@ -6,12 +6,13 @@ the ground truth, so the estimation-only optimum is the truth itself. A
 disk obstacle sits near the nominal plan and its clearance hinge pushes
 the planned poses away.
 
-The planning link from the newest estimated pose is tagged directed, with
-the estimated pose as the source. In directed mode the information matrix
-is block-diagonal across the estimation/planning boundary and the
-estimation solution is unaffected by planning; in undirected mode the
-obstacle information flows back and reshapes the pose estimates and their
-marginals.
+Planning owns the two future poses, so in directed mode the planning link
+from the newest estimated pose reads that pose as a source. The
+information matrix is then block-diagonal across the estimation/planning
+boundary and the estimation solution is unaffected by planning; in
+undirected mode the obstacle information flows back and reshapes the pose
+estimates and their marginals. Decoupled mode solves in two stages, so it
+has no single graph here.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class ToyProblem:
     planned_keys: tuple[VariableKey, ...]
     landmark_key: VariableKey
     d_safe: float
-    mode: ModeConfig | None
     truth: dict
 
 
@@ -82,15 +82,18 @@ def _truth():
     return x_prev, x_curr, landmark, plan
 
 
+OWNER = {robot_pose(2): Component.PLANNING, robot_pose(3): Component.PLANNING}
+
+
 def _tagged_factors(esdf: EsdfGrid):
-    """All toy factors with direction metadata, before mode masking."""
+    """All toy factors, tagged by component; the obstacle hinges plan by default."""
     x_prev, x_curr, landmark, plan = _truth()
     kp, kc = robot_pose(0), robot_pose(1)
     q1, q2 = robot_pose(2), robot_pose(3)
     lm = static_point(0)
     step = Pose3.exp(np.array([0.5, 0, 0, 0, 0, 0]))
 
-    estimation = [
+    return [
         PriorFactor(kp, x_prev, SIGMA_PRIOR),
         BetweenFactor(kp, kc, x_prev.between(x_curr), SIGMA_ODOM),
         PointMeasurementFactor(
@@ -99,17 +102,12 @@ def _tagged_factors(esdf: EsdfGrid):
         PointMeasurementFactor(
             kc, lm, x_curr.rotation.T @ (landmark - x_curr.translation),
             SIGMA_POINT),
-    ]
-    planning = [
-        BetweenFactor(kc, q1, step, SIGMA_PLAN,
-                      directed_sources=(True, False),
-                      component=Component.PLANNING),
+        BetweenFactor(kc, q1, step, SIGMA_PLAN, component=Component.PLANNING),
         BetweenFactor(q1, q2, step, SIGMA_PLAN,
                       component=Component.PLANNING),
         StaticObstacleFactor(q1, esdf, D_SAFE + CLEAR_MARGIN, SIGMA_OBSTACLE),
         StaticObstacleFactor(q2, esdf, D_SAFE + CLEAR_MARGIN, SIGMA_OBSTACLE),
     ]
-    return estimation, planning
 
 
 def _initial_values():
@@ -126,7 +124,7 @@ def _initial_values():
     }
 
 
-def _problem(esdf: EsdfGrid, factors, mode: ModeConfig | None) -> ToyProblem:
+def _problem(esdf: EsdfGrid, factors) -> ToyProblem:
     """The graph of ``factors`` over the variables they read, at the initial values."""
     used = {key for f in factors for key in f.keys}
     graph = FactorGraph()
@@ -143,24 +141,24 @@ def _problem(esdf: EsdfGrid, factors, mode: ModeConfig | None) -> ToyProblem:
         planned_keys=tuple(k for k in (robot_pose(2), robot_pose(3)) if k in used),
         landmark_key=static_point(0),
         d_safe=D_SAFE,
-        mode=mode,
         truth={"poses": [x_prev, x_curr], "landmark": landmark, "plan": plan},
     )
 
 
 def build_toy(mode=Mode.DIRECTED) -> ToyProblem:
-    """Joint graph under one operating mode."""
+    """Joint graph under one operating mode that solves in one stage."""
     cfg = mode if isinstance(mode, ModeConfig) else ModeConfig(Mode(mode))
+    if cfg.mode is Mode.DECOUPLED:
+        raise ValueError("decoupled mode solves in two stages, not on one graph")
     esdf = toy_esdf()
-    estimation, planning = _tagged_factors(esdf)
-    return _problem(esdf, apply_mode_masks(estimation + planning, cfg), cfg)
+    return _problem(esdf, apply_mode_masks(_tagged_factors(esdf), cfg, OWNER))
 
 
 def build_estimation_only() -> ToyProblem:
     """The estimation subgraph alone, as the reference solution."""
     esdf = toy_esdf()
-    estimation, _ = _tagged_factors(esdf)
-    return _problem(esdf, estimation, None)
+    factors = _tagged_factors(esdf)
+    return _problem(esdf, [f for f in factors if f.component is Component.ESTIMATION])
 
 
 TOY_OPTIMIZER = OptimizerConfig(max_iters=200, abs_tol=1e-10, rel_tol=1e-13)

@@ -15,8 +15,8 @@ import pytest
 from fgnav.factors import (
     BetweenFactor,
     ConstantAccelerationFactor,
+    Component,
     CostFactor,
-    Direction,
     DynamicObstacleFactor,
     GoalFactor,
     HybridMotionFactor,
@@ -257,9 +257,9 @@ def build_dynamic_obstacle(rng):
         offset = 0.4 if i % 2 == 0 else 3.0
         x = Pose2(centre[0] + offset, centre[1], rng.uniform(-3, 3))
         vals[robot_pose(i)] = embed_se3(x) if i == 0 else x
-        for direction in Direction:
+        for component in (Component.PLANNING, Component.PREDICTION):
             fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(1, i), com_ref,
-                                            1.0, 0.05, direction=direction))
+                                            1.0, 0.05, component=component))
     fs.append(DynamicObstacleFactor(robot_pose(2), object_motion(1, 2), com_ref, 1.0,
                                     sigmas(rng, 1)))
     vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)

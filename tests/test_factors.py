@@ -24,7 +24,6 @@ from fgnav.factors import (
     Component,
     ConstantAccelerationFactor,
     CostFactor,
-    Direction,
     DynamicObstacleFactor,
     Factor,
     GoalFactor,
@@ -133,31 +132,32 @@ def test_mask_produces_none_blocks():
 def test_apply_mode_masks():
     plain = BetweenFactor(robot_pose(0), robot_pose(1), Pose2(1, 0, 0), 0.1)
     spanning = BetweenFactor(robot_pose(1), robot_pose(2), Pose2(1, 0, 0), 0.1,
-                             directed_sources=(True, False),
                              component=Component.PLANNING)
+    # reads a planning-owned key: kept only in cooperative mode
     coop = BetweenFactor(robot_pose(2), robot_pose(3), Pose2(1, 0, 0), 0.1,
-                         directed_sources=(True, False), cooperative_only=True)
+                         component=Component.PREDICTION)
     tagged = [plain, spanning, coop]
+    owner = {robot_pose(2): Component.PLANNING, robot_pose(3): Component.PREDICTION}
 
-    undirected = apply_mode_masks(tagged, Mode.UNDIRECTED)
+    undirected = apply_mode_masks(tagged, Mode.UNDIRECTED, owner)
     assert len(undirected) == 2
     assert all(f.mask == (False, False) for f in undirected)
 
-    directed = apply_mode_masks(tagged, Mode.DIRECTED)
+    directed = apply_mode_masks(tagged, Mode.DIRECTED, owner)
     assert len(directed) == 2
     assert directed[0].mask == (False, False)
     assert directed[1].mask == (True, False)
 
-    decoupled = apply_mode_masks(tagged, Mode.DECOUPLED)
+    decoupled = apply_mode_masks(tagged, Mode.DECOUPLED, owner)
     assert len(decoupled) == 2
     assert all(f.mask == (False, False) for f in decoupled)
 
-    coop_mode = apply_mode_masks(tagged, ModeConfig(Mode.COOPERATIVE, 0.5))
+    coop_mode = apply_mode_masks(tagged, ModeConfig(Mode.COOPERATIVE, 0.5), owner)
     assert len(coop_mode) == 3
     assert coop_mode[2].mask == (True, False)
 
     # masks from a previous application are cleared, not accumulated
-    again = apply_mode_masks(directed, Mode.UNDIRECTED)
+    again = apply_mode_masks(directed, Mode.UNDIRECTED, owner)
     assert all(f.mask == (False, False) for f in again)
 
 
@@ -523,16 +523,11 @@ def test_dynamic_obstacle_residual_and_direction():
     com_ref = Pose3.identity()
     f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
                               d_safe=1.0, noise=0.05)
-    assert f.direction is Direction.TO_PLANNING
-    assert f.directed_sources == (False, True)
-    assert not f.cooperative_only
     assert f.component is Component.PLANNING
 
     g = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
                               d_safe=1.0, noise=0.05,
-                              direction=Direction.TO_PREDICTION)
-    assert g.directed_sources == (True, False)
-    assert g.cooperative_only
+                              component=Component.PREDICTION)
     assert g.component is Component.PREDICTION
 
     vals = {
@@ -577,9 +572,6 @@ def test_com_pose_composition():
 
 
 def test_factor_base_rejects_bad_metadata():
-    with pytest.raises(ValueError):
-        PriorFactor(robot_pose(0), Pose2.identity(), 0.1,
-                    directed_sources=(True, False))
     with pytest.raises(ValueError):
         PriorFactor(robot_pose(0), Pose2.identity(), 0.1, weight=-2.0)
     f = PriorFactor(robot_pose(0), Pose2.identity(), 0.1)

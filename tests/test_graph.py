@@ -15,7 +15,7 @@ from dense_oracle import dense_jacobian, stacked_residual
 
 from fgnav.factors import (
     BetweenFactor,
-    Direction,
+    Component,
     DynamicObstacleFactor,
     Factor,
     HybridMotionFactor,
@@ -293,12 +293,20 @@ def wide_graph(steps=10):
                 factors.append(HybridMotionFactor(robot_pose(k), object_motion(obj, k), key,
                                                   rng.normal(0, 1, 3), 0.1))
     com_ref = Pose3.exp(np.array([2.0, 0.3, 0, 0, 0, 0]))
+    # planning owns the late poses and prediction the late motions, so each
+    # hinge masks the key its own component does not own
+    owner = {}
+    hinges = []
     for k in range(4, steps):
+        owner[robot_pose(k)] = Component.PLANNING
         for obj in (1, 2):
-            for direction in Direction:
-                factors.append(DynamicObstacleFactor(robot_pose(k), object_motion(obj, k),
-                                                     com_ref, 10.0, 0.05, direction=direction))
-    factors = apply_mode_masks(factors, Mode.COOPERATIVE)
+            owner[object_motion(obj, k)] = Component.PREDICTION
+            for component in (Component.PLANNING, Component.PREDICTION):
+                hinges.append(DynamicObstacleFactor(robot_pose(k), object_motion(obj, k),
+                                                    com_ref, 10.0, 0.05, component=component))
+    hinges = apply_mode_masks(hinges, Mode.COOPERATIVE, owner)
+    assert [f.mask for f in hinges] == [(False, True), (True, False)] * (len(hinges) // 2)
+    factors += hinges
     factors.append(_Wrapped(robot_pose(steps - 1), static_point(steps + 30),
                             rng.normal(0, 2, 3), 0.1))
     for f in factors:
@@ -698,8 +706,7 @@ def test_masked_spanning_factor_leaves_upstream_solution_unchanged():
     joint = chain_graph(np.random.default_rng(7), n=3)   # same construction
     q = robot_pose(50)
     joint.add_variable(q, Pose2(3.0, 1.0, 0.0))
-    link = BetweenFactor(robot_pose(2), q, Pose2(1, 0, 0), 0.1,
-                         directed_sources=(True, False))
+    link = BetweenFactor(robot_pose(2), q, Pose2(1, 0, 0), 0.1)
     joint.add_factor(link.with_mask((True, False)))
 
     d_est = gauss_newton_step(est, est_vals)

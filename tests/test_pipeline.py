@@ -2,7 +2,10 @@
 
 A small map with one block and a few landmarks, a short horizon and a few
 control steps of ``Simulator`` + ``Pipeline``; every step's command must
-be usable and a run must be a pure function of its seed.
+be usable and a run must be a pure function of its seed. The step graphs
+the pipeline solves are captured to check each mode's masks against the
+ownership rule, and the directed guarantee: planning and prediction leave
+the estimation step unchanged.
 """
 
 import math
@@ -10,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from fgnav.factors import Mode, ModeConfig, MotionModelFactor, PriorFactor
-from fgnav.graph import velocity
+from fgnav.factors import Component, Mode, ModeConfig, MotionModelFactor, PriorFactor
+from fgnav.graph import FactorGraph, VarKind, velocity
 from fgnav.lie import Pose2, embed_se3
 from fgnav.pipeline import Pipeline, PipelineConfig, select_local_goal
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
@@ -85,21 +88,90 @@ def test_tracked_agent_commands_are_usable_and_repeatable(mode):
     assert_repeatable(outputs, again)
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
-    # the chain's first pose is the Pose3 estimate, the rest are Pose2; the
-    # planar view puts all of its motion factors in one kernel call
+def record_step_graphs(monkeypatch):
+    """(step, graph) of every stage the pipeline solves from now on."""
     graphs = []
     solve = Pipeline._solve
 
     def recording(self, *args, **kw):
         res, graph = solve(self, *args, **kw)
-        graphs.append(graph)
+        graphs.append((self._step, graph))
         return res, graph
 
     monkeypatch.setattr(Pipeline, "_solve", recording)
+    return graphs
+
+
+def owner(k, key):
+    """The component that owns ``key`` at step ``k``: what it creates, or estimation."""
+    if key.kind is VarKind.OBJECT_MOTION and key.time_step > k:
+        return Component.PREDICTION
+    planned_from = {VarKind.ROBOT_POSE: k + 1, VarKind.VELOCITY: k,
+                    VarKind.ACCELERATION: k - 1}
+    if key.kind in planned_from and key.time_step >= planned_from[key.kind]:
+        return Component.PLANNING
+    return Component.ESTIMATION
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_step_graph_masks_follow_ownership(mode, monkeypatch):
+    graphs = record_step_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    assert len(graphs) == 3 * (2 if mode is Mode.DECOUPLED else 1)
+    masked = mode in (Mode.DIRECTED, Mode.COOPERATIVE)
+    reads_later = 0
+    for k, graph in graphs:
+        for f in graph.factors:
+            owners = [owner(k, key) for key in f.keys]
+            want = tuple(masked and o != f.component for o in owners)
+            assert f.mask == want, (k, type(f).__name__, f.keys)
+            reads_later += max(owners) > f.component
+    # only cooperative mode keeps factors that read a later component's key,
+    # here the prediction side of each dynamic obstacle hinge
+    assert (reads_later > 0) == (mode is Mode.COOPERATIVE)
+
+
+@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE])
+def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
+    graphs = record_step_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    [graph] = [g for k, g in graphs if k == 2]      # the walker is tracked at step 2
+    values = graph.initial_values()
+    active = graph.active_keys()
+    est = [key for key in active if owner(2, key) is Component.ESTIMATION]
+    rest = [key for key in active if owner(2, key) is not Component.ESTIMATION]
+    assert {key.kind for key in rest} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
+    system = graph.linearize(values)
+    for e in est:
+        for o in rest:
+            assert np.all(system.cross_block(e, o) == 0.0)
+
+    # the estimation factors alone, over the same fixed keys and values
+    alone = FactorGraph()
+    est_factors = [f for f in graph.factors if f.component is Component.ESTIMATION]
+    keys = {key for f in est_factors for key in f.keys}
+    for key in sorted(keys):
+        alone.add_variable(key, values[key])
+    for key in keys - set(active):
+        alone.fix_variable(key)
+    for f in est_factors:
+        alone.add_factor(f)
+    assert sorted(alone.active_keys()) == sorted(est)
+    reference = alone.linearize(values)
+    step, want = system.solve(0.0), reference.solve(0.0)
+    for e in est:
+        got = step[system.offsets[e]:system.offsets[e] + system.dims[e]]
+        ref = want[reference.offsets[e]:reference.offsets[e] + reference.dims[e]]
+        assert np.max(np.abs(got - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
+    # the chain's first pose is the Pose3 estimate, the rest are Pose2; the
+    # planar view puts all of its motion factors in one kernel call
+    graphs = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=3, steps=1)
-    planning = [g for g in graphs
+    planning = [g for _, g in graphs
                 if any(isinstance(f, MotionModelFactor) for f in g.factors)]
     assert len(planning) == 1
     batches = [len(b.cols) for b in planning[0]._pattern.batches
@@ -117,3 +189,17 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
 def test_nan_settings_are_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("settings", [
+    dict(v_limits=(1.0, -0.3)), dict(w_limit=math.nan), dict(a_limit=-1.0),
+    dict(aw_limit=0.0), dict(limit_margin=2.0), dict(limit_margin=-1e-3),
+    dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
+    dict(object_radius=math.nan), dict(goal_lookahead=-1.0), dict(horizon=2.5),
+    dict(lag_window=math.nan),
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_config_rejects_settings_that_break_a_step(settings):
+    # each of these constructed before, and the first step then failed
+    # after it had advanced, so every retry failed as well
+    with pytest.raises(ValueError):
+        PipelineConfig(**settings)

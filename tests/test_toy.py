@@ -1,6 +1,7 @@
 """Worked example: 5-variable joint graph solved under each mode."""
 
 import numpy as np
+import pytest
 
 from fgnav.graph import VariableKey, robot_pose, static_point
 from fgnav.factors import Mode
@@ -22,6 +23,13 @@ def test_graph_shape():
     assert prob.estimation_keys == (robot_pose(0), robot_pose(1))
     assert prob.planned_keys == (robot_pose(2), robot_pose(3))
     assert prob.landmark_key == static_point(0)
+
+
+def test_decoupled_mode_has_no_single_toy_graph():
+    # decoupled solves estimation first and then holds it fixed; one joint
+    # graph with every mask clear would be the undirected problem
+    with pytest.raises(ValueError):
+        build_toy(Mode.DECOUPLED)
 
 
 def test_total_error_mode_invariant_at_same_values():
