@@ -36,13 +36,15 @@ modes a variable the factor's component does not own is a source, which
 feeds the residual but whose Jacobian block is masked out of the linear
 system, so it receives no update through this factor.
 
-Hinge-type factors (limits, obstacle clearance) return a zero residual and
-zero Jacobian on their inactive branch.
+The limit and static-clearance hinges return a zero residual and zero
+Jacobian on their inactive branch. The dynamic-clearance factor is a
+softplus of width ``margin`` instead: its residual and Jacobian fall off
+smoothly outside ``d_safe`` but never reach zero, so the solver sees a
+moving object before a step would cross it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -259,9 +261,27 @@ class Factor:
         mask = tuple(bool(b) for b in mask)
         if len(mask) != len(self.keys):
             raise ValueError("mask length must match keys")
-        out = copy.copy(self)
+        out = object.__new__(type(self))
+        for name in _slot_names(type(self)):
+            setattr(out, name, getattr(self, name))
+        if hasattr(self, "__dict__"):
+            out.__dict__.update(self.__dict__)
         out.mask = mask
         return out
+
+
+_SLOT_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _slot_names(cls) -> tuple[str, ...]:
+    """Every slot a factor class's instances carry, base classes included."""
+    names = _SLOT_NAMES.get(cls)
+    if names is None:
+        names = tuple(name for c in cls.__mro__
+                      for name in c.__dict__.get("__slots__", ())
+                      if name not in ("__dict__", "__weakref__"))
+        _SLOT_NAMES[cls] = names
+    return names
 
 
 def apply_mode_masks(factors, mode, owner) -> list[Factor]:
@@ -695,34 +715,43 @@ class StaticObstacleFactor(Factor):
 
 
 class DynamicObstacleFactor(Factor):
-    """Hinge on the planar range between a planned pose and a predicted centre.
+    """Softplus clearance on the planar range between a planned pose and an object centre.
 
-    r = max(0, d_safe - ||t_pose - t_centre||). A planning instance moves
-    the planned pose around the predicted motion; a prediction instance
-    (cooperative mode) moves the prediction to make room for the plan.
+    r = m log(1 + exp((d_safe - ||t_pose - t_centre||) / m)), with ``m`` the
+    ``margin``: within about ``m`` of ``d_safe`` this is the hinge
+    max(0, d_safe - range) with its corner rounded, and its Jacobian is the
+    hinge's active-branch Jacobian times sigmoid((d_safe - range) / m). A
+    planning instance moves the planned pose around the predicted motion; a
+    prediction instance (cooperative mode) moves the prediction to make
+    room for the plan.
     """
 
-    __slots__ = ("com_ref", "d_safe")
+    __slots__ = ("com_ref", "d_safe", "margin")
 
-    def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise, **kw):
+    def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise, *, margin,
+                 **kw):
+        if not margin > 0:
+            raise ValueError("margin must be > 0")
         kw.setdefault("component", Component.PLANNING)
         super().__init__((pose_key, motion_key), noise, 1, **kw)
         self.com_ref = com_ref
         self.d_safe = float(d_safe)
+        self.margin = float(margin)
 
     @classmethod
     def stack_params(cls, factors):
         return (np.array([f.com_ref.translation for f in factors]),
-                np.array([f.d_safe for f in factors]))
+                np.array([f.d_safe for f in factors]),
+                np.array([f.margin for f in factors]))
 
     @classmethod
     def evaluate(cls, params, args, jacobians):
-        com_t, d_safe = params
+        com_t, d_safe, margin = params
         pose, motion = args
         diff = _xy(pose) - _xy(motion, com_t)
         rng = np.hypot(diff[:, 0], diff[:, 1])
-        active = rng < d_safe
-        r = np.where(active, d_safe - rng, 0.0)[:, None]
+        z = (d_safe - rng) / margin
+        r = (margin * np.logaddexp(0.0, z))[:, None]
         if not jacobians:
             return r, None
         apart = rng > 1e-12
@@ -731,4 +760,5 @@ class DynamicObstacleFactor(Factor):
         j = np.concatenate([-np.einsum("ni,nij->nj", u, _xy_jacobian(pose)),
                             np.einsum("ni,nij->nj", u, _xy_jacobian(motion, com_t))],
                            axis=1)
-        return r, np.where(active[:, None], j, 0.0)[:, None, :]
+        slope = 0.5 * (1.0 + np.tanh(0.5 * z))
+        return r, (slope[:, None] * j)[:, None, :]

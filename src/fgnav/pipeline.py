@@ -6,6 +6,10 @@ constant-motion prediction chain per tracked object, and an N-step local
 plan. Prediction and planning own the variables they create, estimation
 the rest; this ownership sets each mode's masks, and ``STAGES`` each
 mode's solve order. The optimized first acceleration is the control command.
+
+A stage that plans warm-starts from the previous step's plan, shifted by
+one step. Only a cold plan, one the previous step left no start for (the
+first step's), is first walked into its basin by a relaxed pre-solve.
 """
 
 from __future__ import annotations
@@ -73,10 +77,13 @@ class NoiseTable:
 
 
 # the components each stage solves, in order; a stage evaluates the factors of
-# its own and earlier components and holds fixed every key an earlier stage solved
+# its own and earlier components and holds fixed every key an earlier stage solved.
+# Decoupled and cooperative modes solve estimation first, so planning cannot
+# move it even through the accept test; cooperative prediction then still
+# yields to the plan through its masks.
 STAGES = {mode: (tuple(Component),) for mode in Mode}
-STAGES[Mode.DECOUPLED] = ((Component.ESTIMATION,),
-                          (Component.PREDICTION, Component.PLANNING))
+STAGES[Mode.DECOUPLED] = STAGES[Mode.COOPERATIVE] = (
+    (Component.ESTIMATION,), (Component.PREDICTION, Component.PLANNING))
 
 
 def _default_optimizer() -> OptimizerConfig:
@@ -97,7 +104,8 @@ class PipelineConfig:
     a_limit: float = 1.0
     aw_limit: float = 2.0
     # hinges engage this far inside the hard requirement so the active set is
-    # stable at the optimum instead of flickering on the boundary
+    # stable at the optimum instead of flickering on the boundary; it is also
+    # the width of the dynamic-obstacle softplus
     hinge_margin: float = 0.05
     limit_margin: float = 5e-4
     goal_lookahead: float = 2.0
@@ -111,10 +119,10 @@ class PipelineConfig:
             raise ValueError("dt must be > 0")
         if not self.lag_window >= 1:
             raise ValueError("lag_window must be >= 1")
-        for name in ("robot_radius", "object_radius", "goal_lookahead"):
+        for name in ("robot_radius", "object_radius", "goal_lookahead", "hinge_margin"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("safety_offset", "hinge_margin", "limit_margin"):
+        for name in ("safety_offset", "limit_margin"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         v_lo, v_hi = self.v_limits
@@ -427,11 +435,13 @@ class Pipeline:
                 c_ref = self._com_ref[obj]
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
-                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle))
+                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
+                    margin=cfg.hinge_margin))
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
                     d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
-                    component=Component.PREDICTION, weight=cfg.mode.cooperation_weight))
+                    margin=cfg.hinge_margin, component=Component.PREDICTION,
+                    weight=cfg.mode.cooperation_weight))
         factors.append(GoalFactor(robot_pose(k + cfg.horizon), local_goal, noise.goal))
         return factors, new_vals, pinned
 
@@ -474,9 +484,11 @@ class Pipeline:
         """Copies with planning propagation rows down-weighted.
 
         The tight propagation sigma makes the quadratic model valid only in
-        a small step radius; a relaxed pre-solve walks the plan into the
+        a small step radius; a relaxed pre-solve walks a cold plan into the
         right basin cheaply, after which the exact graph converges in a
-        few iterations. The relaxed result is initialization only.
+        few iterations. The relaxed result is initialization only. A warm
+        plan is already in its basin, and re-rolling it from the relaxed
+        controls costs more exact iterations than it saves.
         """
         out = []
         for f in factors:
@@ -518,14 +530,16 @@ class Pipeline:
         return out
 
     def _solve(self, factors, fixed, plan_step=None):
-        """Solve one stage; a stage that plans step ``plan_step`` is pre-solved.
+        """Solve one stage; a stage that plans step ``plan_step`` cold is pre-solved.
 
-        The pre-solve relaxes the propagation rows and re-rolls the plan from
-        its controls, and its result is the warm start of the exact solve.
+        A plan is cold when the previous step left no plan for step
+        ``plan_step + 1``. The pre-solve relaxes the propagation rows and
+        re-rolls the plan from its controls, and its result is the warm start
+        of the exact solve. A warm plan goes to the exact solve as it is.
         """
         graph = self._build_graph(factors, self._values, fixed)
         warm = None
-        if plan_step is not None:
+        if plan_step is not None and plan_step + 1 not in self._plan:
             pre = self._build_graph(self._relaxed_motion(factors),
                                     self._values, fixed)
             coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
@@ -538,9 +552,10 @@ class Pipeline:
     def step(self, k: int, inp: StepInput, local_goal: Pose2) -> StepOutput:
         if k != self._step + 1:
             raise ValueError(f"steps must be consecutive, expected {self._step + 1}")
-        self._step = k
         cfg = self.config
         self._extend_estimation(k, inp)
+        # advanced only once the inputs are accepted, so a rejected step can be retried
+        self._step = k
         est_factors, fix_before = self._collect_estimation(k)
         objects = self._tracked_objects(k)
         pred_factors, pred_vals = self._build_prediction(k, objects)

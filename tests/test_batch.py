@@ -259,13 +259,13 @@ def build_dynamic_obstacle(rng):
         vals[robot_pose(i)] = embed_se3(x) if i == 0 else x
         for component in (Component.PLANNING, Component.PREDICTION):
             fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(1, i), com_ref,
-                                            1.0, 0.05, component=component))
+                                            1.0, 0.05, margin=0.05, component=component))
     fs.append(DynamicObstacleFactor(robot_pose(2), object_motion(1, 2), com_ref, 1.0,
-                                    sigmas(rng, 1)))
+                                    sigmas(rng, 1), margin=0.05))
     vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)
     vals[object_motion(1, 9)] = Pose3.identity()
     masked = DynamicObstacleFactor(robot_pose(9), object_motion(1, 9), com_ref, 1.0,
-                                   0.05).with_mask((False, True))
+                                   0.05, margin=0.05).with_mask((False, True))
     return vals, fs + [masked], masked, [object_motion(1, 3)]
 
 
@@ -283,7 +283,8 @@ BUILDERS = {
     "StaticObstacleFactor": build_static_obstacle,
     "DynamicObstacleFactor": build_dynamic_obstacle,
 }
-HINGES = {"LimitFactor", "StaticObstacleFactor", "DynamicObstacleFactor"}
+# classes with an exact-zero inactive branch; the dynamic-obstacle softplus has none
+HINGES = {"LimitFactor", "StaticObstacleFactor"}
 
 
 def make_graph(vals, factors, fixed):
@@ -349,6 +350,29 @@ def test_batched_system_matches_per_factor_stack(name):
         for b in kept:
             assert np.all(system.cross_block(a, b) == 0.0)
             assert np.all(system.cross_block(b, a) == 0.0)
+
+
+class _Tagged(PriorFactor):
+    """A factor class without slots of its own, so its instances carry a dict."""
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_with_mask_copies_every_slot(name):
+    vals, factors, _, _ = BUILDERS[name](np.random.default_rng(0))
+    tagged = _Tagged(velocity(0), np.zeros(2), 0.1)
+    tagged.note = "kept"
+    for f in factors + [tagged]:
+        flipped = tuple(not m for m in f.mask)
+        g = f.with_mask(flipped)
+        assert type(g) is type(f) and g is not f
+        assert g.mask == flipped and f.mask != flipped
+        slots = {s for c in type(f).__mro__ for s in getattr(c, "__slots__", ())}
+        assert {"keys", "dim", "sqrt_info", "component"} < slots
+        for slot in slots - {"mask", "__dict__", "__weakref__"}:
+            assert getattr(g, slot) is getattr(f, slot), slot
+        assert getattr(g, "__dict__", None) == getattr(f, "__dict__", None)
+        if f is not tagged:
+            assert f.residual(vals).tobytes() == g.residual(vals).tobytes()
 
 
 def test_pattern_is_rebuilt_after_the_graph_changes():

@@ -522,11 +522,11 @@ def test_static_obstacle_jacobians(variant):
 def test_dynamic_obstacle_residual_and_direction():
     com_ref = Pose3.identity()
     f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
-                              d_safe=1.0, noise=0.05)
+                              d_safe=1.0, noise=0.05, margin=0.05)
     assert f.component is Component.PLANNING
 
     g = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
-                              d_safe=1.0, noise=0.05,
+                              d_safe=1.0, noise=0.05, margin=0.05,
                               component=Component.PREDICTION)
     assert g.component is Component.PREDICTION
 
@@ -534,12 +534,18 @@ def test_dynamic_obstacle_residual_and_direction():
         robot_pose(0): Pose2(0.6, 0.0, 0.0),
         object_motion(1, 0): Pose3.identity(),
     }
-    assert np.allclose(f.residual(vals), [0.4])
+    # the softplus m log(1 + exp((d_safe - range) / m)) lies above the hinge
+    # max(0, d_safe - range) everywhere and meets it far from d_safe
+    near = f.residual(vals)[0]
+    assert near == pytest.approx(0.05 * math.log1p(math.exp(0.4 / 0.05)), rel=1e-12)
+    assert near > 0.4
     far = {
         robot_pose(0): Pose2(3.0, 0.0, 0.0),
         object_motion(1, 0): Pose3.identity(),
     }
-    assert np.all(f.residual(far) == 0.0)
+    r_far = f.residual(far)[0]
+    assert r_far == pytest.approx(0.05 * math.log1p(math.exp(-2.0 / 0.05)), rel=1e-12)
+    assert 0.0 < r_far < 1e-12
 
 
 @pytest.mark.parametrize("pose3", [False, True])
@@ -548,7 +554,7 @@ def test_dynamic_obstacle_jacobians(pose3):
     d_safe = 1.0
     com_ref = rand_pose3(rng, 0.1, 0.2)
     f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
-                              d_safe=d_safe, noise=0.05)
+                              d_safe=d_safe, noise=0.05, margin=0.05)
     checked = 0
     while checked < 20:
         pose = rand_pose2(rng, 0.6)

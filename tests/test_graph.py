@@ -303,7 +303,8 @@ def wide_graph(steps=10):
             owner[object_motion(obj, k)] = Component.PREDICTION
             for component in (Component.PLANNING, Component.PREDICTION):
                 hinges.append(DynamicObstacleFactor(robot_pose(k), object_motion(obj, k),
-                                                    com_ref, 10.0, 0.05, component=component))
+                                                    com_ref, 10.0, 0.05, margin=0.05,
+                                                    component=component))
     hinges = apply_mode_masks(hinges, Mode.COOPERATIVE, owner)
     assert [f.mask for f in hinges] == [(False, True), (True, False)] * (len(hinges) // 2)
     factors += hinges

@@ -15,10 +15,10 @@ import pytest
 
 from fgnav.factors import Component, Mode, ModeConfig, MotionModelFactor, PriorFactor
 from fgnav.graph import FactorGraph, VarKind, velocity
-from fgnav.lie import Pose2, embed_se3
-from fgnav.pipeline import Pipeline, PipelineConfig, select_local_goal
+from fgnav.lie import Pose2, Pose3, embed_se3
+from fgnav.pipeline import Pipeline, PipelineConfig, StepInput, select_local_goal
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
-from fgnav.worldmap import OccupancyGrid
+from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 HORIZON = 3
 STEPS = 2
@@ -27,6 +27,11 @@ STEPS = 2
 def walker():
     """A scripted agent 2 m ahead of the ego, walking head-on toward it."""
     return AgentSpec(1, 0.3, [(2.5, 1.5, math.pi), (0.0, 1.5, math.pi)], 0.5)
+
+
+def crosser():
+    """A scripted agent crossing the ego's path 1 m ahead of it."""
+    return AgentSpec(2, 0.3, [(1.5, 0.3, math.pi / 2), (1.5, 2.8, math.pi / 2)], 0.4)
 
 
 def run_closed_loop(mode: Mode, seed: int, agents=(), steps=STEPS):
@@ -102,6 +107,91 @@ def record_step_graphs(monkeypatch):
     return graphs
 
 
+def record_stage_results(monkeypatch):
+    """(step, OptimizeResult) of every stage the pipeline solves from now on."""
+    results = []
+    solve = Pipeline._solve
+
+    def recording(self, *args, **kw):
+        res, graph = solve(self, *args, **kw)
+        results.append((self._step, res))
+        return res, graph
+
+    monkeypatch.setattr(Pipeline, "_solve", recording)
+    return results
+
+
+def record_presolves(monkeypatch):
+    """The step of every optimize call the pipeline makes with a config of its own."""
+    steps = []
+    state = {}
+    solve = Pipeline._solve
+    optimize = FactorGraph.optimize
+
+    def solving(self, *args, **kw):
+        state.update(step=self._step, exact=self.config.optimizer)
+        return solve(self, *args, **kw)
+
+    def optimizing(graph, values=None, config=None):
+        if config is not state["exact"]:
+            steps.append(state["step"])
+        return optimize(graph, values=values, config=config)
+
+    monkeypatch.setattr(Pipeline, "_solve", solving)
+    monkeypatch.setattr(FactorGraph, "optimize", optimizing)
+    return steps
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_cooperative_step_with_a_crossing_agent_converges(seed, monkeypatch):
+    # a head-on walker and a crossing agent that both enter the plan's
+    # clearance: every stage of every step must end at a tolerance
+    results = record_stage_results(monkeypatch)
+    cfg, outputs = run_closed_loop(Mode.COOPERATIVE, seed, agents=[walker(), crosser()],
+                                   steps=4)
+    assert sorted(outputs[-1].object_motions) == [1, 2]
+    for k, out in enumerate(outputs):
+        assert not out.diverged
+        assert_usable(cfg, k, out)
+    for k, res in results:
+        assert res.converged and res.reason in ("abs_tol", "rel_tol"), (k, res.reason)
+    assert [k for k, _ in results] == [k for k in range(4) for _ in range(2)]
+
+
+def test_modes_agree_without_agents_and_only_a_cold_plan_is_presolved(monkeypatch):
+    _, decoupled = run_closed_loop(Mode.DECOUPLED, seed=3, steps=3)
+    presolved = record_presolves(monkeypatch)
+    _, cooperative = run_closed_loop(Mode.COOPERATIVE, seed=3, steps=3)
+    # cooperative mode stages like decoupled mode; with nothing to predict,
+    # its masks change nothing the fixed estimation keys do not
+    assert_repeatable(decoupled, cooperative)
+    # the first plan is cold; every later one starts from the shifted plan
+    assert presolved == [0]
+    _, directed = run_closed_loop(Mode.DIRECTED, seed=3, steps=3)
+    for a, b in zip(decoupled, directed):
+        assert np.max(np.abs(a.command - b.command)) <= 1e-7
+
+
+def test_a_rejected_step_can_be_retried():
+    grid = OccupancyGrid.empty(20, 20, 0.1)
+    pipe = Pipeline(PipelineConfig(horizon=HORIZON), EsdfGrid.from_occupancy(grid),
+                    Pose3.identity())
+    goal = Pose2(1.0, 0.0, 0.0)
+    pipe.step(0, StepInput(), goal)
+    with pytest.raises(ValueError, match="odometry required"):
+        pipe.step(1, StepInput(), goal)
+    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    assert out.step == 1 and sorted(out.trajectory) == [0, 1]
+    with pytest.raises(ValueError, match="expected 2"):
+        pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
+
+
+def test_config_rejects_a_zero_hinge_margin():
+    # the margin is the width of the dynamic-obstacle softplus
+    with pytest.raises(ValueError):
+        PipelineConfig(hinge_margin=0.0)
+
+
 def owner(k, key):
     """The component that owns ``key`` at step ``k``: what it creates, or estimation."""
     if key.kind is VarKind.OBJECT_MOTION and key.time_step > k:
@@ -117,7 +207,8 @@ def owner(k, key):
 def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
-    assert len(graphs) == 3 * (2 if mode is Mode.DECOUPLED else 1)
+    staged = mode in (Mode.DECOUPLED, Mode.COOPERATIVE)   # estimation solved first
+    assert len(graphs) == 3 * (2 if staged else 1)
     masked = mode in (Mode.DIRECTED, Mode.COOPERATIVE)
     reads_later = 0
     for k, graph in graphs:
@@ -135,7 +226,19 @@ def test_step_graph_masks_follow_ownership(mode, monkeypatch):
 def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
-    [graph] = [g for k, g in graphs if k == 2]      # the walker is tracked at step 2
+    step_graphs = [g for k, g in graphs if k == 2]  # the walker is tracked at step 2
+    if mode is Mode.COOPERATIVE:
+        # estimation is solved first on its own factors, and the second stage
+        # holds every estimation key fixed, so nothing else can move it
+        est_stage, rest_stage = step_graphs
+        assert {f.component for f in est_stage.factors} == {Component.ESTIMATION}
+        assert all(owner(2, key) is Component.ESTIMATION for key in est_stage.keys())
+        active = rest_stage.active_keys()
+        assert {key.kind for key in active} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
+        assert all(owner(2, key) is not Component.ESTIMATION for key in active)
+        assert set(est_stage.active_keys()) <= set(rest_stage.keys())
+        return
+    [graph] = step_graphs
     values = graph.initial_values()
     active = graph.active_keys()
     est = [key for key in active if owner(2, key) is Component.ESTIMATION]
