@@ -144,6 +144,34 @@ class StepInput:
     global_pose: Pose3 | None = None
 
 
+class InputError(ValueError):
+    """An input a step cannot use; raised before the step changes any state."""
+
+
+def check_input(k: int, inp: StepInput, local_goal) -> None:
+    """Raise InputError unless step ``k`` can use ``local_goal`` and all of ``inp``."""
+    if not isinstance(local_goal, Pose2):
+        raise InputError(f"local_goal must be a Pose2, got {type(local_goal).__name__}")
+    if k > 0 and inp.odometry is None:
+        raise InputError("odometry required for every step after the first")
+    for name in ("odometry", "global_pose"):
+        pose = getattr(inp, name)
+        if pose is not None and not isinstance(pose, Pose3):
+            raise InputError(f"{name} must be a Pose3, got {type(pose).__name__}")
+    for kind, points, n_ids in (("static", inp.static_points, 1),
+                                ("dynamic", inp.dynamic_points, 2)):
+        for entry in points:
+            try:
+                *ids, z = entry
+                z = np.asarray(z, dtype=float)
+            except (TypeError, ValueError):
+                raise InputError(f"unreadable {kind} point {entry!r}") from None
+            if len(ids) != n_ids or not all(isinstance(i, numbers.Integral) for i in ids):
+                raise InputError(f"{kind} point ids must be {n_ids} int(s), got {ids!r}")
+            if z.shape != (3,) or not np.all(np.isfinite(z)):
+                raise InputError(f"{kind} point must be a finite 3-vector, got {z!r}")
+
+
 @dataclass
 class StepOutput:
     step: int
@@ -224,7 +252,6 @@ class Pipeline:
         self._always_fixed: set[VariableKey] = set()
         self._vel = np.zeros(2)
         self._last_acc = np.zeros(2)
-        self._plan: dict[int, tuple] = {}
         self._pred: dict[int, dict[int, Pose3]] = {}
         self._values[robot_pose(0)] = initial_pose
         self._est_factors.append(
@@ -235,8 +262,6 @@ class Pipeline:
     def _extend_estimation(self, k: int, inp: StepInput) -> None:
         noise = self.config.noise
         if k > 0:
-            if inp.odometry is None:
-                raise ValueError("odometry required for every step after the first")
             prev = self._values[robot_pose(k - 1)]
             self._values[robot_pose(k)] = prev.compose(inp.odometry)
             self._est_factors.append(
@@ -400,9 +425,10 @@ class Pipeline:
         seed_pose = se2_view(self._values[robot_pose(k)])
         seed_vel = self._vel
         for j in range(1, cfg.horizon + 1):
-            warm = self._plan.get(k + j)
-            if warm is not None:
-                pose_j, vel_j, acc_j = warm
+            if robot_pose(k + j) in self._values:   # the previous step's plan
+                pose_j = self._values[robot_pose(k + j)]
+                vel_j = self._values[velocity(k + j)]
+                acc_j = self._values[acceleration(k + j - 1)]
             else:
                 pose_j, vel_j, acc_j = self._seed_plan_step(
                     seed_pose, seed_vel, local_goal)
@@ -529,21 +555,20 @@ class Pipeline:
             out[acceleration(k + j - 1)] = acc
         return out
 
-    def _solve(self, factors, fixed, plan_step=None):
-        """Solve one stage; a stage that plans step ``plan_step`` cold is pre-solved.
+    def _solve(self, factors, fixed, presolve_step=None):
+        """Solve one stage; pre-solve it first when it plans step ``presolve_step`` cold.
 
-        A plan is cold when the previous step left no plan for step
-        ``plan_step + 1``. The pre-solve relaxes the propagation rows and
-        re-rolls the plan from its controls, and its result is the warm start
-        of the exact solve. A warm plan goes to the exact solve as it is.
+        The pre-solve relaxes the propagation rows and re-rolls the plan
+        from its controls, and its result is the warm start of the exact
+        solve. A warm plan goes to the exact solve as it is.
         """
         graph = self._build_graph(factors, self._values, fixed)
         warm = None
-        if plan_step is not None and plan_step + 1 not in self._plan:
+        if presolve_step is not None:
             pre = self._build_graph(self._relaxed_motion(factors),
                                     self._values, fixed)
             coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
-            warm = self._reroll_plan(pre.optimize(config=coarse).values, plan_step)
+            warm = self._reroll_plan(pre.optimize(config=coarse).values, presolve_step)
         res = graph.optimize(values=warm, config=self.config.optimizer)
         for key in graph.keys():
             self._values[key] = res.values[key]
@@ -553,11 +578,13 @@ class Pipeline:
         if k != self._step + 1:
             raise ValueError(f"steps must be consecutive, expected {self._step + 1}")
         cfg = self.config
+        check_input(k, inp, local_goal)
         self._extend_estimation(k, inp)
-        # advanced only once the inputs are accepted, so a rejected step can be retried
         self._step = k
         est_factors, fix_before = self._collect_estimation(k)
         objects = self._tracked_objects(k)
+        # cold: the previous step left no plan for step k + 1 to start from
+        cold = robot_pose(k + 1) not in self._values
         pred_factors, pred_vals = self._build_prediction(k, objects)
         plan_factors, plan_vals, pinned = self._build_planning(k, local_goal, objects)
         self._values.update(pred_vals)
@@ -576,15 +603,17 @@ class Pipeline:
                 factors = [f for f in joint if f.component <= max(components)]
                 keys = {key for f in factors for key in f.keys}
                 fixed = self._fixed_keys(keys, fix_before) | held
-                plan_step = k if Component.PLANNING in components else None
-                res, graph = self._solve(factors, fixed, plan_step)
+                presolve = cold and Component.PLANNING in components
+                res, graph = self._solve(factors, fixed, k if presolve else None)
                 results.append(res)
                 held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),
                          final_error=res.final_error,
                          converged=all(r.converged for r in results),
-                         reason=res.reason,
+                         # the first stage that stopped short, else the last
+                         reason=next((r.reason for r in results if not r.converged),
+                                     res.reason),
                          num_factors=graph.num_factors(),
                          num_variables=graph.num_variables())
         except SingularSystemError as exc:
@@ -604,7 +633,6 @@ class Pipeline:
             command = np.asarray(self._values[acceleration(k)], dtype=float).copy()
 
         planned_poses, planned_vels, planned_accs = [], [], []
-        self._plan = {}
         for j in range(1, cfg.horizon + 1):
             pose = self._values[robot_pose(k + j)]
             vel = np.asarray(self._values[velocity(k + j)], dtype=float)
@@ -612,7 +640,6 @@ class Pipeline:
             planned_poses.append(pose)
             planned_vels.append(vel.copy())
             planned_accs.append(acc.copy())
-            self._plan[k + j] = (pose, vel.copy(), acc.copy())
 
         predicted = {}
         for obj in self._motion_steps:

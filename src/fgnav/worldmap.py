@@ -1,9 +1,12 @@
 """Occupancy grids and Euclidean distance fields for clearance costs.
 
-The distance transform is computed exactly: both passes of the
-lower-envelope algorithm operate on integer squared cell distances, which
-float64 represents without rounding for any realistic grid size, so the
-result matches a brute-force nearest-occupied-cell scan bit for bit.
+The squared distance transform is separable: a pass down the columns and
+then one along the rows, each the exact 1-d minimum over every sample,
+min_j (i - j)**2 + f[j], taken as whole-array numpy operations. Occupied
+cells start at 0 and free ones at inf, so every finite value is an integer
+sum that float64 holds without rounding, and the result matches a
+brute-force nearest-occupied-cell scan bit for bit. An h x w grid costs
+(h + w) * h * w element operations.
 
 Grid geometry: cell (ix, iy) covers a ``resolution`` sized square whose
 centre is at ``origin + (ix + 0.5, iy + 0.5) * resolution``. Row iy = 0 is
@@ -12,8 +15,6 @@ like a map.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -116,48 +117,23 @@ class OccupancyGrid:
         return cls(cells, resolution, origin)
 
 
+# the distance an all-free grid reads everywhere; no real grid reaches it
 _FREE_SENTINEL = 1.0e6
 _OFFSETS = np.arange(-1, 3)
 
 
 def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """Exact 1-d squared distance transform (lower envelope of parabolas)."""
-    n = f.shape[0]
-    d = np.empty(n)
-    v = np.zeros(n, dtype=np.intp)
-    z = np.empty(n + 1)
-    z[0] = -math.inf
-    z[1] = math.inf
-    k = 0
-    for q in range(1, n):
-        fq = f[q] + q * q
-        s = (fq - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = (fq - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = math.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
+    """Exact squared distance transform along axis 0: min_j (i - j)**2 + f[j]."""
+    i = np.arange(f.shape[0], dtype=float)[:, None]
+    d = f[0] + i * i
+    for j in range(1, f.shape[0]):
+        np.minimum(d, f[j] + (i - j) ** 2, out=d)
     return d
 
 
 def squared_distance_cells(occ: OccupancyGrid) -> np.ndarray:
-    """Integer squared cell distance to the nearest occupied cell."""
-    h, w = occ.cells.shape
-    # finite stand-in for infinity keeps the envelope arithmetic exact
-    large = float(4 * (w * w + h * h) + 16)
-    g = np.where(occ.cells, 0.0, large)
-    for ix in range(w):
-        g[:, ix] = _edt_1d(g[:, ix])
-    for iy in range(h):
-        g[iy, :] = _edt_1d(g[iy, :])
-    return g
+    """Integer squared cell distance to the nearest occupied cell (inf if none)."""
+    return _edt_1d(_edt_1d(np.where(occ.cells, 0.0, np.inf)).T).T
 
 
 # Keys' cubic convolution kernel (a = -1/2) at the sample offsets -1..2:
@@ -196,11 +172,8 @@ class EsdfGrid:
 
     @classmethod
     def from_occupancy(cls, occ: OccupancyGrid) -> "EsdfGrid":
-        if not occ.cells.any():
-            dist = np.full(occ.cells.shape, _FREE_SENTINEL)
-        else:
-            dist = occ.resolution * np.sqrt(squared_distance_cells(occ))
-        return cls(dist, occ.resolution, occ.origin)
+        dist = occ.resolution * np.sqrt(squared_distance_cells(occ))
+        return cls(np.minimum(dist, _FREE_SENTINEL), occ.resolution, occ.origin)
 
     def _interpolate(self, xy: np.ndarray):
         """Interpolation state at the n points of ``xy`` (n, 2).

@@ -8,15 +8,29 @@ ownership rule, and the directed guarantee: planning and prediction leave
 the estimation step unchanged.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fgnav.factors import Component, Mode, ModeConfig, MotionModelFactor, PriorFactor
+from fgnav.factors import (
+    BetweenFactor,
+    Component,
+    Mode,
+    ModeConfig,
+    MotionModelFactor,
+    PriorFactor,
+)
 from fgnav.graph import FactorGraph, VarKind, velocity
 from fgnav.lie import Pose2, Pose3, embed_se3
-from fgnav.pipeline import Pipeline, PipelineConfig, StepInput, select_local_goal
+from fgnav.pipeline import (
+    InputError,
+    Pipeline,
+    PipelineConfig,
+    StepInput,
+    select_local_goal,
+)
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
@@ -184,6 +198,79 @@ def test_a_rejected_step_can_be_retried():
     assert out.step == 1 and sorted(out.trajectory) == [0, 1]
     with pytest.raises(ValueError, match="expected 2"):
         pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
+
+
+def empty_grid_pipeline(mode=Mode.DIRECTED):
+    cfg = PipelineConfig(horizon=HORIZON, mode=ModeConfig(mode))
+    grid = OccupancyGrid.empty(20, 20, 0.1)
+    return Pipeline(cfg, EsdfGrid.from_occupancy(grid), Pose3.identity())
+
+
+def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
+    # the bad point must be rejected before the odometry factor is added,
+    # or the retry solves with that factor twice
+    graphs = record_step_graphs(monkeypatch)
+    pipe = empty_grid_pipeline()
+    goal = Pose2(1.0, 0.0, 0.0)
+    pipe.step(0, StepInput(), goal)
+    with pytest.raises(InputError):
+        pipe.step(1, StepInput(odometry=Pose3.identity(), static_points=[(0, [1.0, 2.0])]),
+                  goal)
+    pipe.step(1, StepInput(odometry=Pose3.identity(), static_points=[(0, [1.0, 2.0, 0.5])]),
+              goal)
+    [(k, graph)] = graphs[1:]
+    assert k == 1 and sum(isinstance(f, BetweenFactor) for f in graph.factors) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    dict(static_points=[(0, [1.0, math.nan, 0.5])]),
+    dict(static_points=[(0, [1.0, 2.0, math.inf])]),
+    dict(static_points=[(0, [1.0, 2.0])]),
+    dict(static_points=[(0.5, [1.0, 2.0, 0.5])]),
+    dict(static_points=[(0, "abc")]),
+    dict(dynamic_points=[(1, 0, [1.0, math.nan, 0.5])]),
+    dict(dynamic_points=[(1, "a", [1.0, 2.0, 0.5])]),
+    dict(dynamic_points=[(1, [1.0, 2.0, 0.5])]),
+    dict(odometry=None),
+    dict(odometry=Pose2(0.1, 0.0, 0.0)),
+    dict(global_pose=Pose2(0.0, 0.0, 0.0)),
+    dict(local_goal=(1.0, 0.0)),
+], ids=["nan-point", "inf-point", "2-vector", "float-id", "text-point", "nan-dynamic",
+        "text-id", "one-id", "no-odometry", "pose2-odometry", "pose2-global", "tuple-goal"])
+def test_bad_input_is_rejected_before_any_state_changes(bad):
+    pipe = empty_grid_pipeline()
+    goal = Pose2(1.0, 0.0, 0.0)
+    pipe.step(0, StepInput(), goal)
+    before = (dict(pipe._values), list(pipe._est_factors), pipe._step)
+    fields = {key: value for key, value in bad.items() if key != "local_goal"}
+    with pytest.raises(InputError):
+        pipe.step(1, StepInput(**{"odometry": Pose3.identity(), **fields}),
+                  bad.get("local_goal", goal))
+    assert (dict(pipe._values), list(pipe._est_factors), pipe._step) == before
+    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    assert not out.diverged and np.all(np.isfinite(out.command))
+
+
+def test_reason_names_the_first_stage_that_stopped_short(monkeypatch):
+    results = []
+    optimize = FactorGraph.optimize
+
+    def optimizing(graph, values=None, config=None):
+        res = optimize(graph, values=values, config=config)
+        results.append(res)
+        if len(results) == 1:   # step 0's estimation stage
+            res = dataclasses.replace(res, converged=False, reason="max_iters")
+        return res
+
+    monkeypatch.setattr(FactorGraph, "optimize", optimizing)
+    pipe = empty_grid_pipeline(Mode.DECOUPLED)
+    goal = Pose2(1.0, 0.0, 0.0)
+    out = pipe.step(0, StepInput(), goal)
+    assert results[-1].converged   # the planning stage
+    assert out.stats["reason"] == "max_iters" and not out.stats["converged"]
+    # every stage converged: the last stage's reason
+    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    assert out.stats["converged"] and out.stats["reason"] == results[-1].reason
 
 
 def test_config_rejects_a_zero_hinge_margin():

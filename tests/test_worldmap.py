@@ -40,6 +40,60 @@ def test_edt_matches_brute_force_exactly():
         assert np.array_equal(got, want), f"trial {trial} mismatch"
 
 
+def assert_esdf_exact(cells, want, resolution=0.05):
+    grid = OccupancyGrid(cells, resolution)
+    got = squared_distance_cells(grid)
+    assert got.tobytes() == want.tobytes()
+    distances = EsdfGrid.from_occupancy(grid).distances
+    assert distances.tobytes() == (resolution * np.sqrt(want)).tobytes()
+
+
+def single_column(h, w, ix):
+    cells = np.zeros((h, w), dtype=bool)
+    cells[::3, ix] = True
+    return cells
+
+
+def corner(h, w, iy, ix):
+    cells = np.zeros((h, w), dtype=bool)
+    cells[iy, ix] = True
+    return cells
+
+
+@pytest.mark.parametrize("cells", [
+    np.arange(17)[None, :] % 5 == 2,                  # 1 x N
+    np.arange(17)[:, None] % 6 == 0,                  # N x 1
+    corner(9, 13, 0, 0), corner(9, 13, 0, 12), corner(9, 13, 8, 0), corner(9, 13, 8, 12),
+    # every other column is all-inf after the column pass
+    single_column(11, 14, 0), single_column(11, 14, 6), single_column(11, 14, 13),
+], ids=["1xN", "Nx1", "corner-00", "corner-0w", "corner-h0", "corner-hw",
+        "column-first", "column-mid", "column-last"])
+def test_edt_edge_cases_match_brute_force_bitwise(cells):
+    assert_esdf_exact(cells, brute_force_squared(cells))
+
+
+def test_all_free_grid_has_no_finite_squared_distance():
+    assert np.all(squared_distance_cells(OccupancyGrid.empty(5, 3, 0.1)) == np.inf)
+
+
+def nearest_occupied_squared(cells: np.ndarray) -> np.ndarray:
+    """The brute-force scan turned around: a minimum over the occupied cells."""
+    h, w = cells.shape
+    rows, cols = np.arange(h, dtype=float)[:, None], np.arange(w, dtype=float)
+    out = np.full(cells.shape, np.inf)
+    for oy, ox in np.argwhere(cells):
+        np.minimum(out, (rows - oy) ** 2 + (cols - ox) ** 2, out=out)
+    return out
+
+
+def test_edt_on_a_clutter_sized_grid_matches_brute_force_bitwise():
+    # 20 x 12 m at 5 cm with thirteen 0.2 m disks lining a path
+    grid = OccupancyGrid.empty(400, 240, 0.05)
+    for i in range(13):
+        grid.mark_disk(2.2 + 1.3 * i, 6.0 + (0.6 if i % 2 else -0.6), 0.2)
+    assert_esdf_exact(grid.cells, nearest_occupied_squared(grid.cells))
+
+
 def test_esdf_distances_scale_with_resolution():
     cells = np.zeros((5, 7), dtype=bool)
     cells[2, 3] = True
