@@ -45,6 +45,7 @@ moving object before a step would cross it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -113,7 +114,17 @@ class NoiseSpec:
         return 1.0 / s
 
 
+@functools.lru_cache(maxsize=256)
+def _shared_sqrt_info(sigmas, dim: int) -> np.ndarray:
+    w = NoiseSpec(sigmas).sqrt_info(dim)
+    w.flags.writeable = False
+    return w
+
+
 def _sqrt_info(noise, dim: int) -> np.ndarray:
+    """Inverse sigmas: one shared, read-only array per float or tuple entry."""
+    if isinstance(noise, (float, int, tuple)):
+        return _shared_sqrt_info(noise, dim)
     if isinstance(noise, NoiseSpec):
         return noise.sqrt_info(dim)
     return NoiseSpec(noise).sqrt_info(dim)
@@ -478,39 +489,38 @@ class ObjectSmoothingFactor(Factor):
 
     With C_i = H_i * C_ref, r = log((C_1^-1 C_2)^-1 (C_2^-1 C_3)).
     Zero whenever the centre chain repeats the same relative transform.
+
+    That transform is C_ref^-1 X C_ref with X = (H_2^-1 H_1) B and
+    B = H_2^-1 H_3, so r = Ad(C_ref^-1) log X (Barfoot, State Estimation
+    for Robotics, 2017): J_3 = Ad(C_ref^-1) J_r^-1(log X),
+    J_1 = J_3 Ad(B^-1) and J_2 = -J_3 (Ad(X^-1) + Ad(B^-1)).
     """
 
-    __slots__ = ("com_ref", "_ad_ref_inv")
+    __slots__ = ("_ad_ref_inv",)
 
     def __init__(self, motion_keys, com_ref: Pose3, noise, **kw):
         if len(motion_keys) != 3:
             raise ValueError("smoothing factor needs exactly three motion keys")
         super().__init__(tuple(motion_keys), noise, 6, **kw)
-        self.com_ref = com_ref
         self._ad_ref_inv = com_ref.inverse().adjoint()
 
     @classmethod
     def stack_params(cls, factors):
-        return (stack([f.com_ref for f in factors]),
-                np.array([f._ad_ref_inv for f in factors]))
+        return np.array([f._ad_ref_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
-        ref, ad_ref_inv = params
-        c1, c2, c3 = (compose_batch(h, ref) for h in args)
-        a = between_batch(c1, c2)
-        b = between_batch(c2, c3)
-        m = between_batch(a, b)
-        r = log_batch(m)
+    def evaluate(cls, ad_ref_inv, args, jacobians):
+        h1, h2, h3 = args
+        b = between_batch(h2, h3)
+        x = compose_batch(between_batch(h2, h1), b)
+        xi = log_batch(x)
+        r = np.einsum("nij,nj->ni", ad_ref_inv, xi)
         if not jacobians:
             return r, None
-        jr_inv = right_jacobian_inverse_batch(r)
-        jl_inv = jr_inv @ adjoint_batch(inverse_batch(m))
-        ad_a_inv = adjoint_batch(inverse_batch(a))
+        j3 = ad_ref_inv @ right_jacobian_inverse_batch(xi)
         ad_b_inv = adjoint_batch(inverse_batch(b))
-        j1 = jr_inv @ ad_b_inv @ ad_ref_inv
-        j2 = -(jl_inv @ (np.eye(6) + ad_a_inv)) @ ad_ref_inv
-        j3 = jr_inv @ ad_ref_inv
+        j1 = j3 @ ad_b_inv
+        j2 = -(j3 @ (adjoint_batch(inverse_batch(x)) + ad_b_inv))
         return r, np.concatenate([j1, j2, j3], axis=2)
 
 

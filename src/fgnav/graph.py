@@ -22,9 +22,10 @@ Pose3 estimate is one batch. Every later :meth:`FactorGraph.linearize` and
 :meth:`FactorGraph.total_error` stacks the point into the tables, calls one
 kernel per batch, and :class:`LinearSystem` keeps the stacked whitened
 blocks; the band of ``J^T J`` and ``J^T r`` are then one ``np.bincount``
-each over the fixed index arrays. The pattern is the same at every
-linearization point because hinge factors return zero blocks rather than
-dropping them.
+each over the fixed index arrays, which list only the local products that
+land in the lower band (``i >= j`` of kept columns) and the kept
+``J^T r`` terms. The pattern is the same at every linearization point
+because hinge factors return zero blocks rather than dropping them.
 
 One-way information flow is implemented at linearization: a factor may
 mask any of its variables, in which case the Jacobian block for that
@@ -49,9 +50,11 @@ is fixed is constant: its block is evaluated once per ``optimize`` call,
 and every later error and linearization of that call reuses it at its own
 place in the sum, so the error is bitwise the one a fresh evaluation
 gives; its products never enter the scatter. The first error is the one
-the first linearization already holds, and the dict the solve returns is
-built once, on return; fixed keys keep their objects. The pattern numbers
-the columns in reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the
+the first linearization already holds. A trial's error only meets the
+accept test, so its sum stops once it passes the current error; an
+accepted trial is summed in full. The dict the solve returns is built
+once, on return; fixed keys keep their objects. The pattern numbers the
+columns in reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the
 variables that unmasked factors couple, which keeps every nonzero of
 ``J^T J`` within ``bw`` subdiagonals, the widest column span of any
 factor. ``J^T J`` is assembled straight into that lower band storage,
@@ -167,21 +170,30 @@ def _value_kind(value, planar: bool = False):
     return np.ndarray, tangent_dim(value)
 
 
-def _scatter_index(cols: np.ndarray, ncols: int, bw: int):
-    """Lower band and J^T r positions of a batch's local products.
+class _Kept(NamedTuple):
+    """The local products and ``J^T r`` terms of a batch that enter the system."""
+
+    products: np.ndarray   # flat positions in the batch's (n, D, D) products
+    band: np.ndarray       # and in the (bw + 1, ncols) lower band storage
+    terms: np.ndarray      # flat positions in its (n, D) J^T r terms
+    columns: np.ndarray    # and their columns
+
+
+def _kept(cols: np.ndarray, ncols: int) -> _Kept | None:
+    """The products and terms of a batch that enter the system; None if none does.
 
     ``cols`` is (n, D): the global column of each local Jacobian column, or
-    -1 for a masked or fixed one. The product of columns ``i >= j`` lands at
-    ``(i - j) * ncols + j`` of the ``(bw + 1, ncols)`` lower band storage;
-    upper-triangle products and those of masked or fixed columns go to a
-    discarded last bin.
+    -1 for a masked or fixed one. Only the product of kept columns
+    ``i >= j`` counts; it lands at ``(i - j) * ncols + j`` of the band.
     """
     valid = cols >= 0
+    if not valid.any():
+        return None
     i, j = cols[:, :, None], cols[:, None, :]
-    keep = valid[:, :, None] & valid[:, None, :] & (i >= j)
-    h = np.where(keep, (i - j) * ncols + j, (bw + 1) * ncols)
-    g = np.where(valid, cols, ncols)
-    return h.ravel(), g.ravel()
+    products = np.flatnonzero(valid[:, :, None] & valid[:, None, :] & (i >= j))
+    terms = np.flatnonzero(valid)
+    return _Kept(products, ((i - j) * ncols + j).ravel()[products],
+                 terms, cols.ravel()[terms])
 
 
 def _reverse_cuthill_mckee(neighbours: list[set[int]]) -> list[int]:
@@ -242,17 +254,15 @@ def _concat(parts) -> np.ndarray:
 class _Batch:
     """Factors of one class that share a kernel call, and where they land."""
 
-    __slots__ = ("cls", "params", "slots", "sqrt_info", "cols", "scatters",
-                 "constant")
+    __slots__ = ("cls", "params", "slots", "sqrt_info", "cols", "kept", "constant")
 
-    def __init__(self, factors, slots, cols, fixed):
+    def __init__(self, factors, slots, cols, fixed, ncols):
         self.cls = type(factors[0])
         self.params = self.cls.stack_params(factors)
         self.slots = slots               # (table, rows) per key
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
         self.cols = cols                 # (n, D) global columns, -1 if dropped
-        # some Jacobian column lands in J^T J
-        self.scatters = bool((cols >= 0).any())
+        self.kept = _kept(cols, ncols)   # None when nothing lands in J^T J
         # every key of every instance is fixed: the block never changes
         self.constant = all(k in fixed for f in factors for k in f.keys)
 
@@ -265,7 +275,7 @@ class _Batch:
         """Whitened residuals and Jacobians at the stacked value ``tables``."""
         r, jac = self.cls.evaluate(self.params, self._arguments(tables), True)
         rw, jw = whiten(self.sqrt_info, r, jac)
-        return _Block(rw, jw, self.cols, self.scatters)
+        return _Block(rw, jw, self.cols, self.kept)
 
     def _arguments(self, tables) -> list:
         return [take(tables[t], rows) for t, rows in self.slots]
@@ -359,16 +369,11 @@ class _Pattern:
                 rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
             cols = np.array([self.columns(f) for f in factors], dtype=np.intp)
-            self.batches.append(_Batch(factors, slots, cols, self.fixed))
+            self.batches.append(_Batch(factors, slots, cols, self.fixed, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
-        h_parts, g_parts = [], []
-        for b in self.batches:
-            if b.scatters:
-                h, g = _scatter_index(b.cols, self.ncols, self.bw)
-                h_parts.append(h)
-                g_parts.append(g)
-        self.h_index = _concat(h_parts).astype(np.intp)
-        self.g_index = _concat(g_parts).astype(np.intp)
+        kept = [b.kept for b in self.batches if b.kept is not None]
+        self.h_index = _concat([k.band for k in kept]).astype(np.intp)
+        self.g_index = _concat([k.columns for k in kept]).astype(np.intp)
         # scratch for the damped band of every solve
         self.work = np.empty((self.bw + 1, self.ncols))
 
@@ -462,14 +467,16 @@ class _Block(NamedTuple):
     residual: np.ndarray
     jacobian: np.ndarray
     cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
-    scatters: bool        # its products enter J^T J and J^T r
+    kept: _Kept | None    # what enters J^T J and J^T r; None for nothing
 
 
-def _sum_of_squares(residuals) -> float:
-    """Sum of squared entries, accumulated array by array in order."""
+def _sum_of_squares(residuals, bound: float = math.inf) -> float:
+    """Sum of squared entries, array by array in order, until it passes ``bound``."""
     total = 0.0
     for r in residuals:
         total += float(np.vdot(r, r))
+        if total > bound:
+            break
     return total
 
 
@@ -504,15 +511,14 @@ class LinearSystem:
         if self._band is not None:
             return
         n = self.ncols
-        scattered = [b for b in self.blocks if b.scatters]
-        h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()
-                          for b in scattered])
-        g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()
-                          for b in scattered])
-        size = (self.bw + 1) * n
-        self._band = np.bincount(self._h_index, h_vals, size + 1)[:-1].reshape(
+        scattered = [b for b in self.blocks if b.kept is not None]
+        h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()[
+            b.kept.products] for b in scattered])
+        g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()[
+            b.kept.terms] for b in scattered])
+        self._band = np.bincount(self._h_index, h_vals, (self.bw + 1) * n).reshape(
             self.bw + 1, n)
-        self._grad = np.bincount(self._g_index, g_vals, n + 1)[:-1]
+        self._grad = np.bincount(self._g_index, g_vals, n)
 
     def jtj(self) -> np.ndarray:
         """Dense ``J^T J``, built from the band on every call."""
@@ -661,19 +667,19 @@ class FactorGraph:
             return values
         return self._get_pattern().state(values)
 
-    def total_error(self, values) -> float:
+    def total_error(self, values, bound: float = math.inf) -> float:
         """Sum of squared whitened residuals at ``values``.
 
         ``values`` is a dict or, inside :meth:`optimize`, the stacked state
-        of the solve; :meth:`linearize` takes either too.
+        of the solve; :meth:`linearize` takes either too. The batches are
+        summed in the pattern's order, up to the first partial sum that
+        passes ``bound``.
         """
         state = self._state(values)
-        residuals = []
-        for i, b in enumerate(state.pattern.batches):
-            block = state.constant.get(i)
-            residuals.append(b.residual(state.tables) if block is None
-                             else block.residual)
-        return _sum_of_squares(residuals)
+        constant = state.constant
+        return _sum_of_squares(
+            (constant[i].residual if i in constant else b.residual(state.tables)
+             for i, b in enumerate(state.pattern.batches)), bound)
 
     def linearize(self, values) -> LinearSystem:
         """Whitened block linearization at ``values``.
@@ -717,7 +723,7 @@ class FactorGraph:
                                               "lambda_cap", history)
                     continue
                 cand = state.retract(delta)
-                cand_err = self.total_error(cand)
+                cand_err = self.total_error(cand, err)
                 if cand_err <= err and math.isfinite(cand_err):
                     break
                 if float(np.linalg.norm(delta)) < cfg.abs_tol:

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+# constant terms of the kernels below; they only ever enter new arrays
+_I3 = np.eye(3)
+_I3_SCHULZ = 1.5 * _I3
 
 
 class SingularLogError(ValueError):
@@ -53,7 +56,7 @@ def _orthonormalize(r: np.ndarray) -> np.ndarray:
     # One Newton-Schulz polar step on a rotation or a stack of them; input
     # must already be close to orthonormal, which holds for products of
     # rotations.
-    return r @ (1.5 * np.eye(3) - 0.5 * (np.swapaxes(r, -1, -2) @ r))
+    return r @ (_I3_SCHULZ - 0.5 * (np.swapaxes(r, -1, -2) @ r))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ class Pose3:
                 raise ValueError(f"rotation must be 3x3, got {r.shape}")
             if t.shape != (3,):
                 raise ValueError(f"translation must be a 3-vector, got {t.shape}")
-            err = float(np.abs(r.T @ r - np.eye(3)).max())
+            err = float(np.abs(r.T @ r - _I3).max())
             if err > 1e-6:
                 raise ValueError(f"rotation is not orthonormal (|R^T R - I| = {err:.2e})")
             if err > 1e-12:
@@ -433,7 +436,7 @@ def _so3_exp(phi):
         a[large] = np.sin(t) / t
         b[large] = (1.0 - np.cos(t)) / t2[large]
     k = skew_batch(phi)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _I3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _so3_left_jacobian(phi):
@@ -451,7 +454,7 @@ def _so3_left_jacobian(phi):
         coef[large] = columns(0.5 * sc * sc, (t - np.sin(t)) / (t * t * t))
     a, b = coef[:, 0], coef[:, 1]
     k = skew_batch(phi)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _I3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _se3_exp(v):
@@ -487,7 +490,7 @@ def _so3_left_jacobian_inv(phi):
         half = 0.5 * np.sqrt(t2[large])
         c[large] = (1.0 - half / np.tan(half)) / t2[large]
     k = skew_batch(phi)
-    return np.eye(3) - 0.5 * k + c[:, None, None] * (k @ k)
+    return _I3 - 0.5 * k + c[:, None, None] * (k @ k)
 
 
 def _se3_log(p):

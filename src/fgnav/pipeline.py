@@ -313,7 +313,7 @@ class Pipeline:
         h_key = object_motion(obj, k)
         h_init = self._pred.get(obj, {}).get(k)
         if h_init is None:
-            h_init = self._extrapolate_motion(obj, steps[-1], k - steps[-1])
+            h_init = self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1]
         self._values[h_key] = h_init
         steps.append(k)
         for pid, z in obs:
@@ -330,20 +330,21 @@ class Pipeline:
                     (object_motion(obj, k - 2), object_motion(obj, k - 1), h_key),
                     self._com_ref[obj], noise.smoothing)))
 
-    def _extrapolate_motion(self, obj: int, last: int, ahead: int) -> Pose3:
-        """Constant relative centre motion continued `ahead` steps past `last`."""
+    def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose3]:
+        """Constant relative centre motion 1..`ahead` steps past `last`, one compose each."""
         steps = self._motion_steps[obj]
-        h_last = self._values[object_motion(obj, last)]
+        h = self._values[object_motion(obj, last)]
         if len(steps) < 2 or steps[-1] != last or steps[-2] != last - 1:
-            return h_last
+            return [h] * ahead
         c_ref = self._com_ref[obj]
         c_prev = com_pose(self._values[object_motion(obj, last - 1)], c_ref)
-        c_last = com_pose(h_last, c_ref)
+        c_last = com_pose(h, c_ref)
         step_in_ref = c_ref.compose(c_prev.between(c_last)).compose(c_ref.inverse())
-        h = h_last
+        chain = []
         for _ in range(ahead):
             h = h.compose(step_in_ref)
-        return h
+            chain.append(h)
+        return chain
 
     # -- prediction fragment ---------------------------------------------
 
@@ -363,12 +364,10 @@ class Pipeline:
         for obj in objects:
             c_ref = self._com_ref[obj]
             warm = self._pred.get(obj, {})
+            chain = self._extrapolate_motions(obj, k, cfg.horizon)   # seeds the cold steps
             for j in range(1, cfg.horizon + 1):
-                key = object_motion(obj, k + j)
                 init = warm.get(k + j)
-                if init is None:
-                    init = self._extrapolate_motion(obj, k, j)
-                new_vals[key] = init
+                new_vals[object_motion(obj, k + j)] = chain[j - 1] if init is None else init
             for j in range(1, cfg.horizon + 1):
                 keys = (object_motion(obj, k + j - 2),
                         object_motion(obj, k + j - 1),

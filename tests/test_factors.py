@@ -41,7 +41,8 @@ from fgnav.factors import (
     com_pose,
     propagate_unicycle,
 )
-from fgnav.lie import Pose2, Pose3, embed_se3
+from fgnav.lie import Pose2, Pose3, embed_se3, stack
+from fgnav.pipeline import NoiseTable, Pipeline, PipelineConfig
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 
@@ -181,6 +182,40 @@ def test_factor_weight_scales_information():
     assert np.all(zero.whitened_residual(vals) == 0.0)
     _, blocks = zero.whitened_linearization(vals)
     assert np.all(blocks[0][1] == 0.0)
+
+
+def test_factors_of_one_noise_entry_share_read_only_whitening():
+    noise = NoiseTable()
+    a = MotionModelFactor(robot_pose(0), robot_pose(1), velocity(0), velocity(1),
+                          acceleration(0), 0.1, noise.motion_model)
+    b = MotionModelFactor(robot_pose(1), robot_pose(2), velocity(1), velocity(2),
+                          acceleration(1), 0.1, noise.motion_model)
+    want = 1.0 / np.array(noise.motion_model)
+    assert np.array_equal(a.sqrt_info, want) and a.sqrt_info is b.sqrt_info
+    assert not a.sqrt_info.flags.writeable
+    with pytest.raises(ValueError):
+        a.sqrt_info[0] = 1.0
+    # a scalar entry is spread over the factor's dimension
+    hinge = LimitFactor(velocity(1), [-1.0, -1.0], [1.0, 1.0], noise.limit)
+    assert np.array_equal(hinge.sqrt_info, np.full(2, 1.0 / noise.limit))
+    assert not hinge.sqrt_info.flags.writeable
+
+
+def test_weighted_and_relaxed_whitening_are_fresh_arrays():
+    noise = NoiseTable()
+    shared = CostFactor(acceleration(0), 2, noise.effort).sqrt_info
+    weighted = CostFactor(acceleration(1), 2, noise.effort, weight=0.5).sqrt_info
+    assert weighted is not shared and weighted.flags.writeable
+    assert np.array_equal(weighted, 0.5 / np.full(2, noise.effort))
+    motion = MotionModelFactor(robot_pose(0), robot_pose(1), velocity(0), velocity(1),
+                               acceleration(0), 0.1, noise.motion_model)
+    pipe = Pipeline(PipelineConfig(horizon=1), None, Pose3.identity())
+    [relaxed] = pipe._relaxed_motion([motion])
+    assert relaxed.sqrt_info is not motion.sqrt_info
+    assert np.array_equal(relaxed.sqrt_info, motion.sqrt_info / 1000.0)
+    # the shared entry is untouched by either
+    assert np.array_equal(shared, np.full(2, 1.0 / noise.effort))
+    assert np.array_equal(motion.sqrt_info, 1.0 / np.array(noise.motion_model))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +360,30 @@ def test_object_smoothing_jacobians():
         f = ObjectSmoothingFactor(keys, rand_pose3(rng), 0.05)
         vals = {k: rand_pose3(rng, 0.8, 0.3) for k in keys}
         check_jacobians(f, vals)
+
+
+def reference_smoothing_residual(motions, c_ref):
+    """r = log((C_1^-1 C_2)^-1 (C_2^-1 C_3)) with C_i = H_i C_ref, on single poses."""
+    c1, c2, c3 = (h.compose(c_ref) for h in motions)
+    return c1.between(c2).between(c2.between(c3)).log()
+
+
+def test_object_smoothing_conjugation_matches_the_centre_chain():
+    # non-planar motions and reference centres, several instances in one batch
+    rng = np.random.default_rng(18)
+    n = 12
+    refs = [rand_pose3(rng, 1.0, 0.6) for _ in range(n)]
+    motions = [[rand_pose3(rng, 0.8, 0.5) for _ in range(3)] for _ in range(n)]
+    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
+    factors = [ObjectSmoothingFactor(keys, c_ref, 0.05) for c_ref in refs]
+    args = [stack([m[i] for m in motions]) for i in range(3)]
+    params = ObjectSmoothingFactor.stack_params(factors)
+    r, _ = ObjectSmoothingFactor.evaluate(params, args, False)
+    r_lin, _ = ObjectSmoothingFactor.evaluate(params, args, True)
+    assert np.array_equal(r, r_lin)
+    for i in range(n):
+        want = reference_smoothing_residual(motions[i], refs[i])
+        np.testing.assert_allclose(r[i], want, rtol=0, atol=1e-12)
 
 
 def test_object_smoothing_needs_three_keys():

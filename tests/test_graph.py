@@ -16,9 +16,11 @@ from dense_oracle import dense_jacobian, stacked_residual
 from fgnav.factors import (
     BetweenFactor,
     Component,
+    ConstantAccelerationFactor,
     DynamicObstacleFactor,
     Factor,
     HybridMotionFactor,
+    LimitFactor,
     Mode,
     PointMeasurementFactor,
     PriorFactor,
@@ -30,6 +32,7 @@ from fgnav.graph import (
     LAMBDA_SCALE,
     DuplicateVariableError,
     FactorGraph,
+    LinearSystem,
     NumericalSingularityError,
     OptimizerConfig,
     SingularSystemError,
@@ -43,6 +46,7 @@ from fgnav.graph import (
     static_point,
     velocity,
 )
+from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, compose_batch, exp_batch, stack, unstack
 
 
@@ -622,6 +626,71 @@ def test_optimize_matches_a_values_based_reference_exactly(config):
     assert (got.reason, got.iterations) == (reason, iterations)
     assert got.accepted_errors == history
     assert_same_values(got.values, vals)
+
+
+def hinge_chain(n=12):
+    """Velocity and pose chains that the limit and clearance hinges keep pushing back.
+
+    Velocity priors pull outside tight box hinges and every pose sits
+    inside the clearance of a fixed object, so about half of the trial
+    steps are rejected. The hinge batches come first in the pattern's order.
+    """
+    rng = np.random.default_rng(41)
+    g = FactorGraph()
+    for k in range(n):
+        g.add_variable(velocity(k), rng.normal(0, 0.3, 2))
+        g.add_variable(robot_pose(k), Pose2(0.3 * k, 0.05 * rng.normal(), 0.0))
+        g.add_variable(object_motion(1, k), Pose3(np.eye(3), np.array([0.3 * k + 0.1, 0.25, 0])))
+        g.fix_variable(object_motion(1, k))
+    for k in range(n):
+        g.add_factor(LimitFactor(velocity(k), [-0.5, -0.5], [0.5, 0.5], 1e-3))
+        g.add_factor(DynamicObstacleFactor(robot_pose(k), object_motion(1, k), Pose3.identity(),
+                                           0.6, 5e-3, margin=0.05))
+    g.add_factor(PriorFactor(robot_pose(0), Pose2.identity(), [0.05, 0.05, 0.05]))
+    for k in range(n - 1):
+        g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1), Pose2(0.3, 0.0, 0.0),
+                                   [0.05, 0.05, 0.05]))
+        g.add_factor(ConstantAccelerationFactor(velocity(k), velocity(k + 1), 2, 0.05))
+    for k in range(n):
+        g.add_factor(PriorFactor(velocity(k), np.array([1.0, -0.8]) * (1 + 0.1 * k), 0.1))
+    return g
+
+
+def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
+    counts = {"solve": 0, "batch": 0}
+    solve, residual = LinearSystem.solve, _Batch.residual
+
+    def solving(system, lam):
+        counts["solve"] += 1
+        return solve(system, lam)
+
+    def evaluating(batch, tables):
+        counts["batch"] += 1
+        return residual(batch, tables)
+
+    monkeypatch.setattr(LinearSystem, "solve", solving)
+    monkeypatch.setattr(_Batch, "residual", evaluating)
+    g = hinge_chain()
+    got = g.optimize()
+    nbatches = len(g._pattern.batches)
+    rejected = counts["solve"] - (len(got.accepted_errors) - 1)
+    assert rejected >= 20
+    # every trial would evaluate every batch; the lost ones stop early
+    assert counts["batch"] < counts["solve"] * nbatches
+    # the reference sums every batch of every trial
+    vals, iterations, reason, history = reference_optimize(hinge_chain(), OptimizerConfig())
+    assert (got.reason, got.iterations) == (reason, iterations)
+    assert got.accepted_errors == history
+    assert_same_values(got.values, vals)
+
+
+def test_a_bounded_total_error_is_the_full_one_or_passes_the_bound():
+    g = hinge_chain()
+    vals = g.initial_values()
+    full = g.total_error(vals)
+    assert g.total_error(vals, full) == full
+    partial = g.total_error(vals, 0.5 * full)
+    assert 0.5 * full < partial <= full
 
 
 def test_optimize_returns_values_that_share_no_memory():

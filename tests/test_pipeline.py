@@ -21,8 +21,9 @@ from fgnav.factors import (
     ModeConfig,
     MotionModelFactor,
     PriorFactor,
+    com_pose,
 )
-from fgnav.graph import FactorGraph, VarKind, velocity
+from fgnav.graph import FactorGraph, VarKind, object_motion, velocity
 from fgnav.lie import Pose2, Pose3, embed_se3
 from fgnav.pipeline import (
     InputError,
@@ -200,8 +201,8 @@ def test_a_rejected_step_can_be_retried():
         pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
 
 
-def empty_grid_pipeline(mode=Mode.DIRECTED):
-    cfg = PipelineConfig(horizon=HORIZON, mode=ModeConfig(mode))
+def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON):
+    cfg = PipelineConfig(horizon=horizon, mode=ModeConfig(mode))
     grid = OccupancyGrid.empty(20, 20, 0.1)
     return Pipeline(cfg, EsdfGrid.from_occupancy(grid), Pose3.identity())
 
@@ -367,6 +368,136 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
     batches = [len(b.cols) for b in planning[0]._pattern.batches
                if b.cls is MotionModelFactor]
     assert batches == [HORIZON]
+
+
+# ---------------------------------------------------------------------------
+# prediction seeds
+
+# per-step world motions of two objects, out of the plane, and their points
+OBJECT_STEPS = {7: np.array([0.06, -0.02, 0.01, 0.02, -0.03, 0.08]),
+                8: np.array([-0.04, 0.05, -0.01, -0.02, 0.01, -0.05])}
+OBJECT_POINTS = {7: [np.array([1.2, 1.2, 0.3]), np.array([1.5, 1.0, 0.1]),
+                     np.array([1.1, 1.5, 0.6])],
+                 8: [np.array([0.4, -1.3, 0.2]), np.array([0.7, -1.1, 0.4]),
+                     np.array([0.5, -1.6, 0.0])]}
+
+
+def drive_objects(pipe, seen_at):
+    """Step a pipeline at rest; object ``obj`` is seen at the steps ``seen_at[obj]`` lists."""
+    goal = Pose2(1.0, 0.0, 0.0)
+    last = max(k for steps in seen_at.values() for k in steps)
+    for k in range(last + 1):
+        dynamic = [(obj, pid, Pose3.exp(k * OBJECT_STEPS[obj]).act(p))
+                   for obj, steps in seen_at.items() if k in steps
+                   for pid, p in enumerate(OBJECT_POINTS[obj])]
+        pipe.step(k, StepInput(odometry=None if k == 0 else Pose3.identity(),
+                               dynamic_points=dynamic), goal)
+
+
+def reference_motion(pipe, obj, last, ahead):
+    """The constant-motion seed ``ahead`` steps past ``last``, composed from scratch."""
+    steps = pipe._motion_steps[obj]
+    h = pipe._values[object_motion(obj, last)]
+    if len(steps) < 2 or steps[-1] != last or steps[-2] != last - 1:
+        return h
+    c_ref = pipe._com_ref[obj]
+    c_prev = com_pose(pipe._values[object_motion(obj, last - 1)], c_ref)
+    c_last = com_pose(h, c_ref)
+    step = c_ref.compose(c_prev.between(c_last)).compose(c_ref.inverse())
+    for _ in range(ahead):
+        h = h.compose(step)
+    return h
+
+
+def assert_same_pose(got, want):
+    assert np.array_equal(got.rotation, want.rotation)
+    assert np.array_equal(got.translation, want.translation)
+
+
+def record_seeds(monkeypatch):
+    """(step, cold steps, seeds, reference seeds) of every prediction and track extension.
+
+    The references are the per-step from-scratch seeds, taken before the
+    pipeline builds its own.
+    """
+    seeds = []
+    build, extend = Pipeline._build_prediction, Pipeline._extend_track
+
+    def building(self, k, objects):
+        cold, want = 0, {}
+        for obj in objects:
+            warm = self._pred.get(obj, {})
+            for j in range(1, self.config.horizon + 1):
+                cold += k + j not in warm
+                want[object_motion(obj, k + j)] = (warm[k + j] if k + j in warm
+                                                   else reference_motion(self, obj, k, j))
+        factors, vals = build(self, k, objects)
+        seeds.append((k, cold, vals, want))
+        return factors, vals
+
+    def extending(self, obj, k, obs, x_hat):
+        last = self._motion_steps[obj][-1]
+        warm = self._pred.get(obj, {})
+        key = object_motion(obj, k)
+        want = warm[k] if k in warm else reference_motion(self, obj, last, k - last)
+        extend(self, obj, k, obs, x_hat)
+        seeds.append((k, int(k not in warm), {key: self._values[key]}, {key: want}))
+
+    monkeypatch.setattr(Pipeline, "_build_prediction", building)
+    monkeypatch.setattr(Pipeline, "_extend_track", extending)
+    return seeds
+
+
+def test_prediction_seeds_equal_the_from_scratch_chain_bitwise(monkeypatch):
+    seeds = record_seeds(monkeypatch)
+    pipe = empty_grid_pipeline(horizon=6)
+    cfg = pipe.config
+    # step 1: a fresh track; step 2: warm; step 3 unseen, so step 4
+    # extends over a gap and step 5 predicts cold again
+    drive_objects(pipe, {7: [0, 1, 2, 4, 5]})
+    # a cold prediction in the loop starts from a repeated motion; from the
+    # solved step-5 state its chain steps by a motion that is not the identity
+    pipe._pred.clear()
+    _, last = pipe._build_prediction(5, [7])
+    first, final = last[object_motion(7, 6)], last[object_motion(7, 11)]
+    assert not np.allclose(first.translation, final.translation)
+    predictions = [(k, cold) for k, cold, vals, _ in seeds if len(vals) > 1]
+    assert predictions == [(1, cfg.horizon), (2, 1), (5, cfg.horizon), (5, cfg.horizon)]
+    extensions = [(k, cold) for k, cold, vals, _ in seeds if len(vals) == 1]
+    assert extensions == [(1, 1), (2, 0), (4, 1), (5, 1)]
+    for _, _, vals, want in seeds:
+        assert vals.keys() == want.keys()
+        for key, pose in want.items():
+            assert_same_pose(vals[key], pose)
+
+
+def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
+    compose, build = Pose3.compose, Pipeline._build_prediction
+    tally = {"on": False, "calls": 0}
+    per_step = {}
+
+    def counting(a, b):
+        tally["calls"] += tally["on"]
+        return compose(a, b)
+
+    def building(self, k, objects):
+        tally.update(on=True, calls=0)
+        try:
+            return build(self, k, objects)
+        finally:
+            tally["on"] = False
+            per_step[k] = (len(objects), tally["calls"])
+
+    monkeypatch.setattr(Pose3, "compose", counting)
+    monkeypatch.setattr(Pipeline, "_build_prediction", building)
+    pipe = empty_grid_pipeline(horizon=30)
+    cfg = pipe.config
+    drive_objects(pipe, {7: [0, 1], 8: [0, 1]})
+    objects, calls = per_step[1]
+    # two centre poses and the step in the reference frame, then one
+    # compose per predicted step; from scratch it is horizon^2 / 2 per object
+    assert objects == 2
+    assert calls <= objects * (cfg.horizon + 4)
 
 
 @pytest.mark.parametrize("make", [
