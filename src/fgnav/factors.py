@@ -92,8 +92,8 @@ class ModeConfig:
     def __post_init__(self):
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
-        if not self.cooperation_weight >= 0:
-            raise ValueError("cooperation_weight must be >= 0")
+        if not 0 <= self.cooperation_weight < math.inf:
+            raise ValueError("cooperation_weight must be finite and >= 0")
 
 
 class NoiseSpec:
@@ -198,8 +198,8 @@ class Factor:
         self.dim = int(dim)
         w = _sqrt_info(noise, self.dim)
         if weight != 1.0:
-            if not weight >= 0:
-                raise ValueError("factor weight must be >= 0")
+            if not 0 <= weight < math.inf:
+                raise ValueError("factor weight must be finite and >= 0")
             w = w * weight
         self.sqrt_info = w
         self.mask = (False,) * len(self.keys)

@@ -45,14 +45,13 @@ is the pattern's stacked tables (:class:`_State`), not a dict: a trial
 step is one ``exp_batch`` and ``compose_batch`` per pose table and one add
 per vector table, written into fresh arrays so a rejected trial never
 touches the accepted point; the planar view rows are refreshed from the
-Pose3 table only when one of their keys is free. A batch whose every key
-is fixed is constant: its block is evaluated once per ``optimize`` call,
-and every later error and linearization of that call reuses it at its own
-place in the sum, so the error is bitwise the one a fresh evaluation
-gives; its products never enter the scatter. The first error is the one
-the first linearization already holds. A trial's error only meets the
-accept test, so its sum stops once it passes the current error; an
-accepted trial is summed in full. The dict the solve returns is built
+Pose3 table only when one of their keys is free. Every batch is evaluated
+on every pass, also one whose keys are all fixed; the pipeline builds no
+such batch, since each of its stages holds only the factors of the
+components it solves. The first error is the one the first linearization
+already holds. A trial's error only meets the accept test, so its sum
+stops once it passes the current error; an accepted trial is summed in
+full. The dict the solve returns is built
 once, on return; fixed keys keep their objects. The pattern numbers the
 columns in reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the
 variables that unmasked factors couple, which keeps every nonzero of
@@ -70,6 +69,7 @@ read), which is how the pipeline implements its fixed-lag window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -254,17 +254,15 @@ def _concat(parts) -> np.ndarray:
 class _Batch:
     """Factors of one class that share a kernel call, and where they land."""
 
-    __slots__ = ("cls", "params", "slots", "sqrt_info", "cols", "kept", "constant")
+    __slots__ = ("cls", "params", "slots", "sqrt_info", "cols", "kept")
 
-    def __init__(self, factors, slots, cols, fixed, ncols):
+    def __init__(self, factors, slots, cols, ncols):
         self.cls = type(factors[0])
         self.params = self.cls.stack_params(factors)
         self.slots = slots               # (table, rows) per key
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
         self.cols = cols                 # (n, D) global columns, -1 if dropped
         self.kept = _kept(cols, ncols)   # None when nothing lands in J^T J
-        # every key of every instance is fixed: the block never changes
-        self.constant = all(k in fixed for f in factors for k in f.keys)
 
     def residual(self, tables) -> np.ndarray:
         """Whitened (n, m) residuals at the stacked value ``tables``."""
@@ -369,7 +367,7 @@ class _Pattern:
                 rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
             cols = np.array([self.columns(f) for f in factors], dtype=np.intp)
-            self.batches.append(_Batch(factors, slots, cols, self.fixed, self.ncols))
+            self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
         kept = [b.kept for b in self.batches if b.kept is not None]
         self.h_index = _concat([k.band for k in kept]).astype(np.intp)
@@ -388,13 +386,8 @@ class _Pattern:
                 out.extend((self.offsets[key] + local).tolist())
         return out
 
-    def state(self, values, hold_constant: bool = False) -> "_State":
-        """``values`` stacked into the tables.
-
-        With ``hold_constant`` the blocks of the constant batches are
-        evaluated here, once, and every state retracted from this one
-        reuses them.
-        """
+    def state(self, values) -> "_State":
+        """``values`` stacked into the tables."""
         # only the Pose2 table can be empty, when it holds views alone
         tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
                   for keys in self.tables]
@@ -403,11 +396,7 @@ class _Pattern:
             tables[view.table] = np.concatenate(
                 [tables[view.table], planar_view(take(tables[view.source],
                                                       view.source_rows))])
-        constant = {}
-        if hold_constant:
-            constant = {i: b.block(tables) for i, b in enumerate(self.batches)
-                        if b.constant}
-        return _State(self, tables, values, constant, values)
+        return _State(self, tables, values, values)
 
 
 def _put(batch, rows, moved):
@@ -423,19 +412,15 @@ class _State:
     """One point of a graph as its pattern's stacked value tables.
 
     ``base`` maps every key to the value the first tables were stacked
-    from; fixed keys keep those objects. ``constant`` maps a batch's
-    position to its block when the batch is constant and the state belongs
-    to one ``optimize`` call; it is empty otherwise.
+    from; fixed keys keep those objects.
     """
 
-    __slots__ = ("pattern", "tables", "base", "constant", "_values")
+    __slots__ = ("pattern", "tables", "base", "_values")
 
-    def __init__(self, pattern: _Pattern, tables: list, base, constant: dict,
-                 values=None):
+    def __init__(self, pattern: _Pattern, tables: list, base, values=None):
         self.pattern = pattern
         self.tables = tables
         self.base = base
-        self.constant = constant
         self._values = values
 
     def retract(self, delta: np.ndarray) -> "_State":
@@ -449,7 +434,7 @@ class _State:
         if view is not None and view.moves:
             tables[view.table] = _put(tables[view.table], view.rows, planar_view(
                 take(tables[view.source], view.source_rows)))
-        return _State(self.pattern, tables, self.base, self.constant)
+        return _State(self.pattern, tables, self.base)
 
     def values(self) -> dict:
         """The state as a dict from key to value, built on first use."""
@@ -579,10 +564,10 @@ class OptimizerConfig:
     rel_tol: float = 1e-10      # on the relative error decrease
 
     def __post_init__(self):
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.abs_tol >= 0 and self.rel_tol >= 0):
-            raise ValueError("tolerances must be >= 0")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an int >= 1")
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and >= 0")
 
 
 @dataclass
@@ -676,10 +661,8 @@ class FactorGraph:
         passes ``bound``.
         """
         state = self._state(values)
-        constant = state.constant
-        return _sum_of_squares(
-            (constant[i].residual if i in constant else b.residual(state.tables)
-             for i, b in enumerate(state.pattern.batches)), bound)
+        return _sum_of_squares((b.residual(state.tables) for b in state.pattern.batches),
+                               bound)
 
     def linearize(self, values) -> LinearSystem:
         """Whitened block linearization at ``values``.
@@ -688,8 +671,7 @@ class FactorGraph:
         values still enter every residual.
         """
         state = self._state(values)
-        blocks = [state.constant.get(i) or b.block(state.tables)
-                  for i, b in enumerate(state.pattern.batches)]
+        blocks = [b.block(state.tables) for b in state.pattern.batches]
         return LinearSystem(state.pattern, blocks)
 
     # -- solving ---------------------------------------------------------
@@ -698,7 +680,7 @@ class FactorGraph:
                  config: OptimizerConfig | None = None) -> OptimizeResult:
         cfg = config or OptimizerConfig()
         vals = dict(values) if values is not None else self.initial_values()
-        state = self._get_pattern().state(vals, hold_constant=True)
+        state = self._get_pattern().state(vals)
         system = self.linearize(state)
         err = system.total_error()
         history = [err]

@@ -76,8 +76,8 @@ class NoiseTable:
     dynamic_obstacle: float = 5e-3
 
 
-# the components each stage solves, in order; a stage evaluates the factors of
-# its own and earlier components and holds fixed every key an earlier stage solved.
+# the components each stage solves, in order; a stage evaluates only the factors
+# of its own components and holds fixed every key an earlier stage solved.
 # Decoupled and cooperative modes solve estimation first, so planning cannot
 # move it even through the accept test; cooperative prediction then still
 # yields to the plan through its masks.
@@ -599,7 +599,7 @@ class Pipeline:
             results = []
             held = set(pinned)   # and then every key an earlier stage solved
             for components in STAGES[cfg.mode.mode]:
-                factors = [f for f in joint if f.component <= max(components)]
+                factors = [f for f in joint if f.component in components]
                 keys = {key for f in factors for key in f.keys}
                 fixed = self._fixed_keys(keys, fix_before) | held
                 presolve = cold and Component.PLANNING in components

@@ -10,8 +10,7 @@ brute-force nearest-occupied-cell scan bit for bit. An h x w grid costs
 
 Grid geometry: cell (ix, iy) covers a ``resolution`` sized square whose
 centre is at ``origin + (ix + 0.5, iy + 0.5) * resolution``. Row iy = 0 is
-the bottom of the world; text files store the top row first so they read
-like a map.
+the bottom of the world.
 """
 
 from __future__ import annotations
@@ -70,51 +69,6 @@ class OccupancyGrid:
         inside_x = (xs >= min(x0, x1)) & (xs <= max(x0, x1))
         inside_y = (ys >= min(y0, y1)) & (ys <= max(y0, y1))
         self.cells |= inside_y[:, None] & inside_x[None, :]
-
-    # -- text format: header then rows, top row first ----------------------
-
-    def to_text(self) -> str:
-        header = (f"{self.width} {self.height} {self.resolution!r} "
-                  f"{self.origin[0]!r} {self.origin[1]!r}")
-        rows = [
-            "".join("#" if c else "." for c in self.cells[iy])
-            for iy in range(self.height - 1, -1, -1)
-        ]
-        return "\n".join([header] + rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "OccupancyGrid":
-        lines = [ln for ln in text.splitlines()]
-        if not lines or not lines[0].strip():
-            raise GridFormatError("missing grid header line")
-        parts = lines[0].split()
-        if len(parts) != 5:
-            raise GridFormatError(
-                "header must be: width height resolution origin_x origin_y")
-        try:
-            width, height = int(parts[0]), int(parts[1])
-            resolution = float(parts[2])
-            origin = (float(parts[3]), float(parts[4]))
-        except ValueError as exc:
-            raise GridFormatError(f"bad header value: {exc}") from None
-        rows = [ln for ln in lines[1:] if ln.strip()]
-        if len(rows) != height:
-            raise GridFormatError(
-                f"expected {height} rows, found {len(rows)}")
-        cells = np.zeros((height, width), dtype=bool)
-        for i, row in enumerate(rows):
-            row = row.strip()
-            if len(row) != width:
-                raise GridFormatError(
-                    f"row {i + 2}: expected {width} cells, found {len(row)}")
-            bad = set(row) - {"#", "."}
-            if bad:
-                raise GridFormatError(
-                    f"row {i + 2}: unknown cell characters {sorted(bad)}")
-            # first text row is the top of the world
-            iy = height - 1 - i
-            cells[iy] = np.frombuffer(row.encode(), dtype=np.uint8) == ord("#")
-        return cls(cells, resolution, origin)
 
 
 # the distance an all-free grid reads everywhere; no real grid reaches it

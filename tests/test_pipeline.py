@@ -316,15 +316,16 @@ def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     step_graphs = [g for k, g in graphs if k == 2]  # the walker is tracked at step 2
     if mode is Mode.COOPERATIVE:
-        # estimation is solved first on its own factors, and the second stage
-        # holds every estimation key fixed, so nothing else can move it
+        # estimation is solved first on its own factors; the second stage
+        # holds none of them and fixes every estimation key it reads, so
+        # nothing else can move estimation
         est_stage, rest_stage = step_graphs
         assert {f.component for f in est_stage.factors} == {Component.ESTIMATION}
         assert all(owner(2, key) is Component.ESTIMATION for key in est_stage.keys())
         active = rest_stage.active_keys()
         assert {key.kind for key in active} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
         assert all(owner(2, key) is not Component.ESTIMATION for key in active)
-        assert set(est_stage.active_keys()) <= set(rest_stage.keys())
+        assert Component.ESTIMATION not in {f.component for f in rest_stage.factors}
         return
     [graph] = step_graphs
     values = graph.initial_values()
@@ -354,6 +355,44 @@ def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
         got = step[system.offsets[e]:system.offsets[e] + system.dims[e]]
         ref = want[reference.offsets[e]:reference.offsets[e] + reference.dims[e]]
         assert np.max(np.abs(got - ref)) <= 1e-9
+
+
+def record_built_graphs(monkeypatch):
+    """(step, graph) of every graph the pipeline builds, pre-solve graphs included."""
+    graphs = []
+    build = Pipeline._build_graph
+
+    def building(self, *args, **kw):
+        graph = build(self, *args, **kw)
+        graphs.append((self._step, graph))
+        return graph
+
+    monkeypatch.setattr(Pipeline, "_build_graph", building)
+    return graphs
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
+    # a stage holds only the factors of the components it solves, so every
+    # batch of every graph, exact or pre-solve, has a column in the system
+    built = record_built_graphs(monkeypatch)
+    solved = record_step_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    staged = mode in (Mode.DECOUPLED, Mode.COOPERATIVE)
+    # step 0 plans cold: its planning stage is pre-solved
+    assert len(built) == len(solved) + 1
+    for k, graph in built:
+        assert all(b.kept is not None for b in graph._get_pattern().batches), k
+    for i, (k, graph) in enumerate(solved):
+        components = {f.component for f in graph.factors}
+        if staged and i % 2:
+            assert Component.ESTIMATION not in components
+            assert all(owner(k, key) is not Component.ESTIMATION
+                       for key in graph.active_keys())
+        elif staged:
+            assert components == {Component.ESTIMATION}
+        elif k == 2:   # the walker is tracked at step 2
+            assert components == set(Component)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -506,7 +545,11 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     lambda: PipelineConfig(dt=math.nan),
     lambda: SensorSpec(noise_sigma=math.nan),
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], math.nan),
-], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed"])
+    # an infinite weight zeroed the commands of a cooperative run
+    lambda: ModeConfig(Mode.COOPERATIVE, cooperation_weight=math.inf),
+    lambda: PriorFactor(velocity(0), np.zeros(2), 0.1, weight=math.inf),
+], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed",
+        "inf-cooperation_weight", "inf-factor_weight"])
 def test_nan_settings_are_rejected(make):
     with pytest.raises(ValueError):
         make()

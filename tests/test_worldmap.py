@@ -242,37 +242,6 @@ def test_mark_disk_and_rect():
     assert grid2.cells.sum() == 3 * 2
 
 
-def test_text_round_trip():
-    rng = np.random.default_rng(5)
-    cells = rng.random((6, 11)) < 0.3
-    grid = OccupancyGrid(cells, 0.05, origin=(-1.25, 0.5))
-    text = grid.to_text()
-    back = OccupancyGrid.from_text(text)
-    assert np.array_equal(back.cells, grid.cells)
-    assert back.resolution == grid.resolution
-    assert back.origin == grid.origin
-
-
-def test_text_first_row_is_top():
-    text = "3 2 1.0 0.0 0.0\n#..\n...\n"
-    grid = OccupancyGrid.from_text(text)
-    assert grid.cells[1, 0]          # top text row lands on the highest iy
-    assert not grid.cells[0, 0]
-
-
-@pytest.mark.parametrize("text", [
-    "",
-    "3 2 1.0 0.0\n...\n...\n",          # short header
-    "3 2 1.0 0.0 0.0\n...\n",            # missing row
-    "3 2 1.0 0.0 0.0\n....\n...\n",      # wrong row length
-    "3 2 1.0 0.0 0.0\n..x\n...\n",       # unknown character
-    "3 2 abc 0.0 0.0\n...\n...\n",       # bad number
-])
-def test_text_format_errors(text):
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text(text)
-
-
 def test_constructor_rejects_bad_input():
     with pytest.raises(GridFormatError):
         OccupancyGrid(np.zeros((0, 3), dtype=bool), 0.1)
