@@ -34,10 +34,6 @@ class SingularLogError(ValueError):
     """Raised when log() is evaluated at a rotation of angle pi."""
 
 
-class NonPlanarPoseError(ValueError):
-    """Raised when project_se2() receives a pose that is not planar."""
-
-
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     t = math.remainder(theta, _TWO_PI)
@@ -108,9 +104,6 @@ class Pose2:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])
 
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def act(self, p) -> np.ndarray:
         """Transform a 2D point from the local frame to the parent frame."""
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -135,10 +128,10 @@ class Pose3:
         if not _skip_check:
             if r.shape != (3, 3):
                 raise ValueError(f"rotation must be 3x3, got {r.shape}")
-            if t.shape != (3,):
-                raise ValueError(f"translation must be a 3-vector, got {t.shape}")
+            if t.shape != (3,) or not np.all(np.isfinite(t)):
+                raise ValueError(f"translation must be a finite 3-vector, got {t!r}")
             err = float(np.abs(r.T @ r - _I3).max())
-            if err > 1e-6:
+            if not err <= 1e-6:   # a NaN fails this too
                 raise ValueError(f"rotation is not orthonormal (|R^T R - I| = {err:.2e})")
             if err > 1e-12:
                 r = _orthonormalize(r)
@@ -196,27 +189,11 @@ class Pose3:
         return f"Pose3(t={self.translation}, R={self.rotation.tolist()})"
 
 
-def project_se2(p: Pose3, tol: float = 1e-6) -> Pose2:
-    """Drop a planar Pose3 to Pose2. Rejects non-planar input beyond tol."""
-    r, t = p.rotation, p.translation
-    off = max(
-        abs(float(t[2])),
-        abs(float(r[2, 0])),
-        abs(float(r[2, 1])),
-        abs(float(r[0, 2])),
-        abs(float(r[1, 2])),
-        abs(float(r[2, 2]) - 1.0),
-    )
-    if off > tol:
-        raise NonPlanarPoseError(f"pose is not planar (deviation {off:.2e} > tol {tol:.0e})")
-    return Pose2(float(t[0]), float(t[1]), math.atan2(float(r[1, 0]), float(r[0, 0])))
-
-
 def se2_view(p) -> Pose2:
     """Planar reading (x, y, yaw) of a pose, without a planarity check.
 
     Factor residuals use this to interpret nearly planar Pose3 estimates in
-    SE(2); the strict contract lives in project_se2.
+    SE(2); whatever leaves the plane (z, roll, pitch) is ignored.
     """
     if isinstance(p, Pose2):
         return p

@@ -7,9 +7,11 @@ plan. Prediction and planning own the variables they create, estimation
 the rest; this ownership sets each mode's masks, and ``STAGES`` each
 mode's solve order. The optimized first acceleration is the control command.
 
-A stage that plans warm-starts from the previous step's plan, shifted by
-one step. Only a cold plan, one the previous step left no start for (the
-first step's), is first walked into its basin by a relaxed pre-solve.
+The previous step's solution stays in the one value store, and a step
+warm-starts from it: its plan, shifted by one step, and the motions it
+predicted for an object still tracked. Only a cold plan, one the previous
+step left no start for (the first step's), is first walked into its basin
+by a relaxed pre-solve.
 """
 
 from __future__ import annotations
@@ -152,12 +154,19 @@ def check_input(k: int, inp: StepInput, local_goal) -> None:
     """Raise InputError unless step ``k`` can use ``local_goal`` and all of ``inp``."""
     if not isinstance(local_goal, Pose2):
         raise InputError(f"local_goal must be a Pose2, got {type(local_goal).__name__}")
+    if not np.all(np.isfinite([local_goal.x, local_goal.y, local_goal.theta])):
+        raise InputError(f"local_goal must be finite, got {local_goal!r}")
     if k > 0 and inp.odometry is None:
         raise InputError("odometry required for every step after the first")
     for name in ("odometry", "global_pose"):
         pose = getattr(inp, name)
-        if pose is not None and not isinstance(pose, Pose3):
+        if pose is None:
+            continue
+        if not isinstance(pose, Pose3):
             raise InputError(f"{name} must be a Pose3, got {type(pose).__name__}")
+        # a pose built unchecked, as embed_se3 builds one, may still hold a NaN
+        if not (np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))):
+            raise InputError(f"{name} must be finite, got {pose!r}")
     for kind, points, n_ids in (("static", inp.static_points, 1),
                                 ("dynamic", inp.dynamic_points, 2)):
         for entry in points:
@@ -176,15 +185,9 @@ def check_input(k: int, inp: StepInput, local_goal) -> None:
 class StepOutput:
     step: int
     estimate: Pose3
-    trajectory: dict
     object_motions: dict
-    object_coms: dict
-    predicted_coms: dict
     planned_poses: list
-    planned_velocities: list
-    planned_accelerations: list
     command: np.ndarray
-    local_goal: Pose2
     diverged: bool
     stats: dict
 
@@ -252,7 +255,6 @@ class Pipeline:
         self._always_fixed: set[VariableKey] = set()
         self._vel = np.zeros(2)
         self._last_acc = np.zeros(2)
-        self._pred: dict[int, dict[int, Pose3]] = {}
         self._values[robot_pose(0)] = initial_pose
         self._est_factors.append(
             (0, PriorFactor(robot_pose(0), initial_pose, config.noise.prior_pose)))
@@ -307,14 +309,19 @@ class Pipeline:
         self._always_fixed.add(h0)
         self._motion_steps[obj] = [k]
 
+    def _tracked(self, obj: int, k: int) -> bool:
+        """Whether ``obj`` was seen at steps k - 1 and k, so that step k predicted it."""
+        recent = self._motion_steps[obj][-3:]   # sorted, and nothing past k + 1
+        return k - 1 in recent and k in recent
+
     def _extend_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
         noise = self.config.noise
         steps = self._motion_steps[obj]
         h_key = object_motion(obj, k)
-        h_init = self._pred.get(obj, {}).get(k)
-        if h_init is None:
-            h_init = self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1]
-        self._values[h_key] = h_init
+        warm = self._tracked(obj, k - 1)   # step k - 1 predicted and solved H_k
+        if not warm:
+            self._values[h_key] = self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1]
+        h_init = self._values[h_key]
         steps.append(k)
         for pid, z in obs:
             p_key = dynamic_point(obj, pid)
@@ -324,7 +331,7 @@ class Pipeline:
                 (k, HybridMotionFactor(robot_pose(k), h_key, p_key, z, noise.point)))
         self._est_factors.append(
             (k, PriorFactor(h_key, h_init, noise.motion_reg)))
-        if len(steps) >= 3 and steps[-3] == k - 2 and steps[-2] == k - 1:
+        if warm:
             self._est_factors.append(
                 (k, ObjectSmoothingFactor(
                     (object_motion(obj, k - 2), object_motion(obj, k - 1), h_key),
@@ -332,9 +339,8 @@ class Pipeline:
 
     def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose3]:
         """Constant relative centre motion 1..`ahead` steps past `last`, one compose each."""
-        steps = self._motion_steps[obj]
         h = self._values[object_motion(obj, last)]
-        if len(steps) < 2 or steps[-1] != last or steps[-2] != last - 1:
+        if not self._tracked(obj, last):
             return [h] * ahead
         c_ref = self._com_ref[obj]
         c_prev = com_pose(self._values[object_motion(obj, last - 1)], c_ref)
@@ -349,11 +355,7 @@ class Pipeline:
     # -- prediction fragment ---------------------------------------------
 
     def _tracked_objects(self, k: int) -> list[int]:
-        out = []
-        for obj, steps in self._motion_steps.items():
-            if len(steps) >= 2 and steps[-1] == k and steps[-2] == k - 1:
-                out.append(obj)
-        return sorted(out)
+        return sorted(obj for obj in self._motion_steps if self._tracked(obj, k))
 
     def _build_prediction(self, k: int, objects) -> tuple[list, dict]:
         cfg = self.config
@@ -363,11 +365,12 @@ class Pipeline:
         new_vals: dict[VariableKey, object] = {}
         for obj in objects:
             c_ref = self._com_ref[obj]
-            warm = self._pred.get(obj, {})
+            # the previous step's prediction reaches all but the last step
+            warm = cfg.horizon - 1 if self._tracked(obj, k - 1) else 0
             chain = self._extrapolate_motions(obj, k, cfg.horizon)   # seeds the cold steps
             for j in range(1, cfg.horizon + 1):
-                init = warm.get(k + j)
-                new_vals[object_motion(obj, k + j)] = chain[j - 1] if init is None else init
+                key = object_motion(obj, k + j)
+                new_vals[key] = self._values[key] if j <= warm else chain[j - 1]
             for j in range(1, cfg.horizon + 1):
                 keys = (object_motion(obj, k + j - 2),
                         object_motion(obj, k + j - 1),
@@ -529,10 +532,12 @@ class Pipeline:
         """Integrate the solved control profile into fresh plan states.
 
         Zeroes every propagation residual before the exact solve. This
-        matters in the masked modes: the boundary factor reads the current
-        pose estimate through a dropped Jacobian column, so any residual
-        left on it turns estimation-side moves into unmodeled error jumps
-        that stall the accept test.
+        matters in directed mode, whose one joint stage solves estimation
+        too: the boundary factor reads the current pose estimate through a
+        dropped Jacobian column, so any residual left on it turns
+        estimation-side moves into unmodeled error jumps that stall the
+        accept test. Decoupled and cooperative modes hold the estimate
+        fixed by the time they plan.
         """
         cfg = self.config
         out = dict(values)
@@ -597,6 +602,7 @@ class Pipeline:
         stats = {"mode": cfg.mode.mode.value}
         try:
             results = []
+            num_factors = 0
             held = set(pinned)   # and then every key an earlier stage solved
             for components in STAGES[cfg.mode.mode]:
                 factors = [f for f in joint if f.component in components]
@@ -605,6 +611,7 @@ class Pipeline:
                 presolve = cold and Component.PLANNING in components
                 res, graph = self._solve(factors, fixed, k if presolve else None)
                 results.append(res)
+                num_factors += graph.num_factors()
                 held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),
@@ -613,63 +620,25 @@ class Pipeline:
                          # the first stage that stopped short, else the last
                          reason=next((r.reason for r in results if not r.converged),
                                      res.reason),
-                         num_factors=graph.num_factors(),
-                         num_variables=graph.num_variables())
+                         num_factors=num_factors,   # each factor is in one stage
+                         num_variables=len(held))   # the pinned keys are planning keys
         except SingularSystemError as exc:
             diverged = True
             stats.update(converged=False, reason=f"singular: {exc}",
                          iterations=0, final_error=float("nan"))
 
-        return self._emit(k, objects, diverged, local_goal, stats)
+        return self._emit(k, diverged, stats)
 
     # -- outputs -----------------------------------------------------------
 
-    def _emit(self, k, objects, diverged, local_goal, stats) -> StepOutput:
+    def _emit(self, k, diverged, stats) -> StepOutput:
         cfg = self.config
         if diverged:
             command = np.zeros(2)
         else:
             command = np.asarray(self._values[acceleration(k)], dtype=float).copy()
-
-        planned_poses, planned_vels, planned_accs = [], [], []
-        for j in range(1, cfg.horizon + 1):
-            pose = self._values[robot_pose(k + j)]
-            vel = np.asarray(self._values[velocity(k + j)], dtype=float)
-            acc = np.asarray(self._values[acceleration(k + j - 1)], dtype=float)
-            planned_poses.append(pose)
-            planned_vels.append(vel.copy())
-            planned_accs.append(acc.copy())
-
-        predicted = {}
-        for obj in self._motion_steps:
-            c_ref = self._com_ref[obj]
-            if obj in objects:
-                chain = []
-                warm = {}
-                for j in range(1, cfg.horizon + 1):
-                    h = self._values[object_motion(obj, k + j)]
-                    warm[k + j] = h
-                    chain.append((k + j, com_pose(h, c_ref)))
-                self._pred[obj] = warm
-            else:
-                last = self._motion_steps[obj][-1]
-                com = com_pose(self._values[object_motion(obj, last)], c_ref)
-                chain = [(k + j, com) for j in range(1, cfg.horizon + 1)]
-                self._pred.pop(obj, None)
-            predicted[obj] = chain
-
-        motions = {}
-        coms = {}
-        for obj, steps in self._motion_steps.items():
-            c_ref = self._com_ref[obj]
-            motions[obj] = {s: self._values[object_motion(obj, s)] for s in steps}
-            coms[obj] = {s: com_pose(m, c_ref) for s, m in motions[obj].items()}
-
-        trajectory = {}
-        s = 0
-        while robot_pose(s) in self._values and s <= k:
-            trajectory[s] = self._values[robot_pose(s)]
-            s += 1
+        motions = {obj: {s: self._values[object_motion(obj, s)] for s in steps}
+                   for obj, steps in self._motion_steps.items()}
 
         # feed-forward execution bookkeeping, mirrors the simulator's clamp
         self._vel = np.array([
@@ -681,15 +650,10 @@ class Pipeline:
         return StepOutput(
             step=k,
             estimate=self._values[robot_pose(k)],
-            trajectory=trajectory,
             object_motions=motions,
-            object_coms=coms,
-            predicted_coms=predicted,
-            planned_poses=planned_poses,
-            planned_velocities=planned_vels,
-            planned_accelerations=planned_accs,
+            planned_poses=[self._values[robot_pose(k + j)]
+                           for j in range(1, cfg.horizon + 1)],
             command=command,
-            local_goal=local_goal,
             diverged=diverged,
             stats=stats,
         )

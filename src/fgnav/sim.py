@@ -9,6 +9,7 @@ run a pure function of (scenario, seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class AgentSpec:
     def __post_init__(self):
         if not self.speed > 0:
             raise ValueError("agent speed must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("agent radius must be finite and > 0")
         if self.behavior not in ("scripted", "reactive"):
             raise ValueError(f"unknown behavior {self.behavior!r}")
         if not self.waypoints:
@@ -65,8 +68,16 @@ class SensorSpec:
     global_period: int = 10
 
     def __post_init__(self):
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
+        for name in ("noise_sigma", "odometry_sigma", "global_sigma"):
+            sigma = np.asarray(getattr(self, name), dtype=float)
+            if not np.all((sigma >= 0) & (sigma < math.inf)):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.max_range < math.inf:
+            raise ValueError("max_range must be finite and > 0")
+        if not 0 < self.fov <= math.tau:
+            raise ValueError("fov must be in (0, 2 pi]")
+        if not isinstance(self.global_period, numbers.Integral) or self.global_period < 1:
+            raise ValueError("global_period must be an int >= 1")
 
 
 @dataclass
@@ -84,6 +95,8 @@ class Simulator:
     def __init__(self, grid: OccupancyGrid, landmarks: dict, agents: list,
                  sensor: SensorSpec, ego_start: Pose2, seed: int,
                  dt: float = 0.1, v_limits=(-0.3, 1.0), w_limit: float = 1.5):
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         self.grid = grid
         self.esdf = EsdfGrid.from_occupancy(grid)
         self.landmarks = dict(landmarks)

@@ -15,6 +15,8 @@ the bottom of the world.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -31,8 +33,8 @@ class OccupancyGrid:
         cells = np.asarray(cells, dtype=bool)
         if cells.ndim != 2 or cells.size == 0:
             raise GridFormatError("grid must be a non-empty 2-d array")
-        if resolution <= 0:
-            raise GridFormatError("resolution must be positive")
+        if not 0 < resolution < math.inf:
+            raise GridFormatError("resolution must be finite and > 0")
         self.cells = cells
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
@@ -120,6 +122,8 @@ class EsdfGrid:
         distances = np.asarray(distances, dtype=float)
         if distances.ndim != 2 or distances.size == 0:
             raise GridFormatError("distance field must be a non-empty 2-d array")
+        if not 0 < resolution < math.inf:
+            raise GridFormatError("resolution must be finite and > 0")
         self.distances = distances
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))

@@ -199,6 +199,15 @@ class TestSE3:
         with pytest.raises(ValueError):
             Pose3(np.eye(3) * 1.5, np.zeros(3))
 
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.eye(3), [math.nan, 0.0, 0.0]),
+        (np.eye(3), [0.0, math.inf, 0.0]),
+        (np.full((3, 3), math.nan), np.zeros(3)),
+    ], ids=["nan-translation", "inf-translation", "nan-rotation"])
+    def test_constructor_rejects_non_finite_input(self, rotation, translation):
+        with pytest.raises(ValueError):
+            Pose3(rotation, translation)
+
     def test_adjoint_property(self):
         # T exp(xi) T^-1 == exp(Ad(T) xi)
         rng = np.random.default_rng(10)
@@ -211,21 +220,6 @@ class TestSE3:
 
 
 class TestPlanar:
-    def test_embed_project_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            p = random_pose2(rng)
-            q = lie.project_se2(lie.embed_se3(p))
-            assert np.allclose([q.x, q.y, q.theta], [p.x, p.y, p.theta], atol=1e-12)
-
-    def test_project_rejects_non_planar(self):
-        p = Pose3.exp([0, 0, 0.1, 0, 0, 0])
-        with pytest.raises(lie.NonPlanarPoseError):
-            lie.project_se2(p)
-        p2 = Pose3.exp([0, 0, 0, 0.1, 0, 0])
-        with pytest.raises(lie.NonPlanarPoseError):
-            lie.project_se2(p2)
-
     def test_se2_embedding_commutes_with_compose(self):
         rng = np.random.default_rng(12)
         a, b = random_pose2(rng), random_pose2(rng)

@@ -196,9 +196,15 @@ def test_a_rejected_step_can_be_retried():
     with pytest.raises(ValueError, match="odometry required"):
         pipe.step(1, StepInput(), goal)
     out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
-    assert out.step == 1 and sorted(out.trajectory) == [0, 1]
+    assert out.step == 1
+    assert sum(isinstance(f, BetweenFactor) for _, f in pipe._est_factors) == 1
     with pytest.raises(ValueError, match="expected 2"):
         pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
+
+
+def empty_simulator(dt):
+    return Simulator(OccupancyGrid.empty(20, 20, 0.1), {}, [], SensorSpec(), Pose2(), 0,
+                     dt=dt)
 
 
 def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON):
@@ -236,8 +242,15 @@ def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
     dict(odometry=Pose2(0.1, 0.0, 0.0)),
     dict(global_pose=Pose2(0.0, 0.0, 0.0)),
     dict(local_goal=(1.0, 0.0)),
+    # poses built unchecked, as embed_se3 builds them, may hold a NaN; one
+    # used to end this step and the next in lambda_cap with zeroed commands
+    dict(odometry=embed_se3(Pose2(math.nan, 0.0, 0.0))),
+    dict(odometry=embed_se3(Pose2(0.0, 0.0, math.nan))),
+    dict(global_pose=embed_se3(Pose2(math.nan, 0.0, 0.0))),
+    dict(local_goal=Pose2(math.nan, 0.0, 0.0)),
 ], ids=["nan-point", "inf-point", "2-vector", "float-id", "text-point", "nan-dynamic",
-        "text-id", "one-id", "no-odometry", "pose2-odometry", "pose2-global", "tuple-goal"])
+        "text-id", "one-id", "no-odometry", "pose2-odometry", "pose2-global", "tuple-goal",
+        "nan-odometry", "nan-heading-odometry", "nan-global", "nan-goal"])
 def test_bad_input_is_rejected_before_any_state_changes(bad):
     pipe = empty_grid_pipeline()
     goal = Pose2(1.0, 0.0, 0.0)
@@ -278,6 +291,16 @@ def test_config_rejects_a_zero_hinge_margin():
     # the margin is the width of the dynamic-obstacle softplus
     with pytest.raises(ValueError):
         PipelineConfig(hinge_margin=0.0)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_stats_count_the_graphs_of_every_stage(mode, monkeypatch):
+    graphs = record_step_graphs(monkeypatch)
+    _, outputs = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    for out in outputs:
+        stages = [graph for k, graph in graphs if k == out.step]
+        assert out.stats["num_factors"] == sum(g.num_factors() for g in stages)
+        assert out.stats["num_variables"] == len({key for g in stages for key in g.keys()})
 
 
 def owner(k, key):
@@ -456,34 +479,50 @@ def assert_same_pose(got, want):
 def record_seeds(monkeypatch):
     """(step, cold steps, seeds, reference seeds) of every prediction and track extension.
 
-    The references are the per-step from-scratch seeds, taken before the
-    pipeline builds its own.
+    A warm reference is the motion the previous step predicted and solved,
+    from a snapshot taken when that step returned; a cold one is the
+    from-scratch seed, taken before the pipeline builds its own.
     """
     seeds = []
-    build, extend = Pipeline._build_prediction, Pipeline._extend_track
+    # the step a snapshot was taken at, the objects it predicted and its motions
+    last = {"step": None, "objects": [], "solved": {}}
+    build, extend, step = (Pipeline._build_prediction, Pipeline._extend_track,
+                           Pipeline.step)
+
+    def warm(k):
+        return last["solved"] if last["step"] == k - 1 else {}
 
     def building(self, k, objects):
-        cold, want = 0, {}
+        cold, want, solved = 0, {}, warm(k)
+        last["objects"] = objects
         for obj in objects:
-            warm = self._pred.get(obj, {})
             for j in range(1, self.config.horizon + 1):
-                cold += k + j not in warm
-                want[object_motion(obj, k + j)] = (warm[k + j] if k + j in warm
-                                                   else reference_motion(self, obj, k, j))
+                key = object_motion(obj, k + j)
+                cold += key not in solved
+                want[key] = (solved[key] if key in solved
+                             else reference_motion(self, obj, k, j))
         factors, vals = build(self, k, objects)
         seeds.append((k, cold, vals, want))
         return factors, vals
 
     def extending(self, obj, k, obs, x_hat):
-        last = self._motion_steps[obj][-1]
-        warm = self._pred.get(obj, {})
-        key = object_motion(obj, k)
-        want = warm[k] if k in warm else reference_motion(self, obj, last, k - last)
+        prev = self._motion_steps[obj][-1]
+        key, solved = object_motion(obj, k), warm(k)
+        want = solved[key] if key in solved else reference_motion(self, obj, prev, k - prev)
         extend(self, obj, k, obs, x_hat)
-        seeds.append((k, int(k not in warm), {key: self._values[key]}, {key: want}))
+        seeds.append((k, int(key not in solved), {key: self._values[key]}, {key: want}))
+
+    def stepping(self, k, *args):
+        last["objects"] = []
+        out = step(self, k, *args)
+        keys = [object_motion(obj, k + j) for obj in last["objects"]
+                for j in range(1, self.config.horizon + 1)]
+        last.update(step=k, solved={key: self._values[key] for key in keys})
+        return out
 
     monkeypatch.setattr(Pipeline, "_build_prediction", building)
     monkeypatch.setattr(Pipeline, "_extend_track", extending)
+    monkeypatch.setattr(Pipeline, "step", stepping)
     return seeds
 
 
@@ -496,7 +535,6 @@ def test_prediction_seeds_equal_the_from_scratch_chain_bitwise(monkeypatch):
     drive_objects(pipe, {7: [0, 1, 2, 4, 5]})
     # a cold prediction in the loop starts from a repeated motion; from the
     # solved step-5 state its chain steps by a motion that is not the identity
-    pipe._pred.clear()
     _, last = pipe._build_prediction(5, [7])
     first, final = last[object_motion(7, 6)], last[object_motion(7, 11)]
     assert not np.allclose(first.translation, final.translation)
@@ -548,8 +586,23 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     # an infinite weight zeroed the commands of a cooperative run
     lambda: ModeConfig(Mode.COOPERATIVE, cooperation_weight=math.inf),
     lambda: PriorFactor(velocity(0), np.zeros(2), 0.1, weight=math.inf),
+    # each of these constructed before; the first failed at the first
+    # sense(), the others sensed, moved or measured wrongly without a word
+    lambda: SensorSpec(global_period=0),
+    lambda: SensorSpec(global_period=2.5),
+    lambda: SensorSpec(max_range=-1.0),
+    lambda: SensorSpec(fov=math.nan),
+    lambda: SensorSpec(odometry_sigma=(math.nan, 0.01, 0.005)),
+    lambda: empty_simulator(dt=0.0),
+    lambda: empty_simulator(dt=-0.1),
+    lambda: empty_simulator(dt=math.nan),
+    lambda: AgentSpec(1, -0.3, [(0.0, 0.0, 0.0)], 0.5),
+    lambda: EsdfGrid(np.ones((4, 4)), resolution=0.0),
 ], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed",
-        "inf-cooperation_weight", "inf-factor_weight"])
+        "inf-cooperation_weight", "inf-factor_weight", "zero-global_period",
+        "float-global_period", "negative-max_range", "nan-fov", "nan-odometry_sigma",
+        "zero-sim_dt", "negative-sim_dt", "nan-sim_dt", "negative-agent_radius",
+        "zero-esdf_resolution"])
 def test_nan_settings_are_rejected(make):
     with pytest.raises(ValueError):
         make()
