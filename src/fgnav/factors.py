@@ -400,8 +400,7 @@ class PriorFactor(Factor):
 class BetweenFactor(Factor):
     """Relative-pose measurement: r = log(z^-1 * a^-1 * b).
 
-    This is the odometry factor when z is an odometry reading, and the
-    constant-step planning link in the small built-in example.
+    This is the odometry factor when z is an odometry reading.
     """
 
     __slots__ = ("measured", "_meas_inv")

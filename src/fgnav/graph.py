@@ -729,21 +729,3 @@ class FactorGraph:
                 converged, reason = True, "rel_tol"
                 break
         return OptimizeResult(state.values(), iterations, err, converged, reason, history)
-
-    def marginal_covariance(self, values: dict, key: VariableKey) -> np.ndarray:
-        """Covariance block of one variable from the full (J^T J)^-1.
-
-        Evaluated at the supplied linearization point; call this with
-        converged values.
-        """
-        if key in self._fixed or key not in self._initial:
-            raise UnknownVariableError(f"{key} is not an active variable")
-        system = self.linearize(values)
-        h = system.jtj()
-        try:
-            cov = np.linalg.inv(h)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("information matrix is singular") from exc
-        o = system.offsets[key]
-        d = system.dims[key]
-        return cov[o:o + d, o:o + d]

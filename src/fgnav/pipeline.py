@@ -119,8 +119,8 @@ class PipelineConfig:
             raise ValueError("horizon must be an int >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not self.lag_window >= 1:
-            raise ValueError("lag_window must be >= 1")
+        if not isinstance(self.lag_window, numbers.Integral) or self.lag_window < 1:
+            raise ValueError("lag_window must be an int >= 1")
         for name in ("robot_radius", "object_radius", "goal_lookahead", "hinge_margin"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -147,7 +147,16 @@ class StepInput:
 
 
 class InputError(ValueError):
-    """An input a step cannot use; raised before the step changes any state."""
+    """An input the pipeline cannot use; raised before it changes any state."""
+
+
+def check_pose(name: str, pose) -> None:
+    """Raise InputError unless ``pose`` is a finite Pose3."""
+    if not isinstance(pose, Pose3):
+        raise InputError(f"{name} must be a Pose3, got {type(pose).__name__}")
+    # a pose built unchecked, as embed_se3 builds one, may still hold a NaN
+    if not (np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))):
+        raise InputError(f"{name} must be finite, got {pose!r}")
 
 
 def check_input(k: int, inp: StepInput, local_goal) -> None:
@@ -158,15 +167,9 @@ def check_input(k: int, inp: StepInput, local_goal) -> None:
         raise InputError(f"local_goal must be finite, got {local_goal!r}")
     if k > 0 and inp.odometry is None:
         raise InputError("odometry required for every step after the first")
-    for name in ("odometry", "global_pose"):
-        pose = getattr(inp, name)
-        if pose is None:
-            continue
-        if not isinstance(pose, Pose3):
-            raise InputError(f"{name} must be a Pose3, got {type(pose).__name__}")
-        # a pose built unchecked, as embed_se3 builds one, may still hold a NaN
-        if not (np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))):
-            raise InputError(f"{name} must be finite, got {pose!r}")
+    for name, pose in (("odometry", inp.odometry), ("global_pose", inp.global_pose)):
+        if pose is not None:
+            check_pose(name, pose)
     for kind, points, n_ids in (("static", inp.static_points, 1),
                                 ("dynamic", inp.dynamic_points, 2)):
         for entry in points:
@@ -244,11 +247,14 @@ class Pipeline:
     """
 
     def __init__(self, config: PipelineConfig, esdf, initial_pose: Pose3):
+        check_pose("initial_pose", initial_pose)
         self.config = config
         self.esdf = esdf
         self._step = -1
         self._values: dict[VariableKey, object] = {}
-        # (retain_step, factor); retain_step None = kept while object tracked
+        # (retain_step, factor); a factor is dropped once its step leaves the
+        # lag window, and one with retain_step None, a track's reference-step
+        # anchor, is kept for the life of the pipeline
         self._est_factors: list = []
         self._com_ref: dict[int, Pose3] = {}
         self._motion_steps: dict[int, list[int]] = {}

@@ -44,10 +44,11 @@ class AgentSpec:
     turn_rate: float = 2.0
 
     def __post_init__(self):
-        if not self.speed > 0:
-            raise ValueError("agent speed must be > 0")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("agent radius must be finite and > 0")
+        for name in ("speed", "radius", "avoid_radius", "turn_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"agent {name} must be finite and > 0")
+        if not 0 <= self.gain < math.inf:
+            raise ValueError("agent gain must be finite and >= 0")
         if self.behavior not in ("scripted", "reactive"):
             raise ValueError(f"unknown behavior {self.behavior!r}")
         if not self.waypoints:

@@ -5,17 +5,23 @@ owners and reads a few fields of what they return; ``perfbench/closedloop.py``
 reads fields of every ``StepOutput``. A renamed or deleted entry point or
 field would only fail under ``pytest perfbench``, so this imports those
 modules by path, checks every patch target here, traces a short closed
-loop and runs a short benchmark episode through to its metrics.
+loop and runs a short benchmark episode through to its metrics. Loaded in
+a fresh interpreter, those modules must load every module of the package.
 """
 
 import importlib.util
+import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import fgnav
 from fgnav.factors import Mode
 from test_pipeline import run_closed_loop
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(fgnav.__file__).resolve().parent
 
 
 def load(name):
@@ -25,6 +31,26 @@ def load(name):
     sys.modules[spec.name] = module   # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_benchmark_loads_every_module_of_the_package():
+    # src/ holds only what the control loop and its tracer run: code that
+    # only tests call belongs under tests/
+    script = "\n".join([
+        "import importlib.util, sys",
+        "from pathlib import Path",
+        inspect.getsource(load),
+        f"PERFBENCH = Path({str(PERFBENCH)!r})",
+        "for name in ('scenarios', 'closedloop', 'tracing'):",
+        "    load(name)",
+        "print(*sorted(m for m in sys.modules if m.startswith('fgnav.')))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    modules = {f"fgnav.{path.stem}" for path in PACKAGE.glob("*.py")
+               if path.stem != "__init__"}
+    assert modules - set(run.stdout.split()) == set()
 
 
 def test_every_traced_entry_point_exists():

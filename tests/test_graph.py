@@ -24,6 +24,7 @@ from fgnav.factors import (
     Mode,
     PointMeasurementFactor,
     PriorFactor,
+    StaticObstacleFactor,
     apply_mode_masks,
 )
 from fgnav.graph import (
@@ -48,6 +49,7 @@ from fgnav.graph import (
 )
 from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, compose_batch, exp_batch, stack, unstack
+from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 
 def rand_pose2(rng, t_scale=1.0):
@@ -729,42 +731,28 @@ def test_optimizer_config_rejects_settings_whose_damping_never_ends(bad):
         OptimizerConfig(**bad)
 
 
-# ---------------------------------------------------------------------------
-# marginals
-
-
-def test_marginal_of_single_prior_is_noise_covariance():
+def test_obstacle_hinges_push_a_chain_clear_of_a_disk():
+    # a chain of 0.5 m links runs into a disk; the hinges hold a margin
+    # beyond the required clearance, so every solved pose keeps that clearance
+    grid = OccupancyGrid.empty(30, 20, 0.1, origin=(-0.5, -0.9))
+    grid.mark_disk(1.3, -0.1, 0.15)
+    esdf = EsdfGrid.from_occupancy(grid)
+    d_safe = 0.35
     g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2(0.3, -0.1, 0.2))
-    g.add_factor(PriorFactor(robot_pose(0), Pose2(0.3, -0.1, 0.2),
-                             [0.1, 0.2, 0.05]))
-    cov = g.marginal_covariance(g.initial_values(), robot_pose(0))
-    assert np.allclose(cov, np.diag([0.01, 0.04, 0.0025]), atol=1e-15)
-
-
-def test_marginal_matches_dense_inverse():
-    rng = np.random.default_rng(5)
-    g = chain_graph(rng, n=4)
-    res = g.optimize()
-    sys = g.linearize(res.values)
-    full = np.linalg.inv(sys.jtj())
-    for k in range(4):
-        key = robot_pose(k)
-        o = sys.offsets[key]
-        want = full[o:o + 3, o:o + 3]
-        got = g.marginal_covariance(res.values, key)
-        assert np.allclose(got, want, atol=1e-12)
-
-
-def test_marginal_rejects_fixed_and_unknown():
-    rng = np.random.default_rng(6)
-    g = chain_graph(rng, n=3)
+    g.add_variable(robot_pose(0), Pose2(0.0, 0.0, 0.0))
     g.fix_variable(robot_pose(0))
-    vals = g.initial_values()
-    with pytest.raises(UnknownVariableError):
-        g.marginal_covariance(vals, robot_pose(0))
-    with pytest.raises(UnknownVariableError):
-        g.marginal_covariance(vals, robot_pose(9))
+    for k in range(1, 4):
+        g.add_variable(robot_pose(k), Pose2(0.5 * k, 0.0, 0.0))
+        g.add_factor(BetweenFactor(robot_pose(k - 1), robot_pose(k), Pose2(0.5, 0.0, 0.0),
+                                   [0.05, 0.05, 0.025]))
+        g.add_factor(StaticObstacleFactor(robot_pose(k), esdf, d_safe + 0.05, 2e-3))
+    start = [esdf.query(0.5 * k, 0.0) for k in range(1, 4)]
+    assert min(start) < d_safe   # the last two poses start inside the clearance
+    res = g.optimize()
+    assert res.converged
+    for k in range(1, 4):
+        pose = res.values[robot_pose(k)]
+        assert esdf.query(pose.x, pose.y) >= d_safe - 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ A small map with one block and a few landmarks, a short horizon and a few
 control steps of ``Simulator`` + ``Pipeline``; every step's command must
 be usable and a run must be a pure function of its seed. The step graphs
 the pipeline solves are captured to check each mode's masks against the
-ownership rule, and the directed guarantee: planning and prediction leave
-the estimation step unchanged.
+ownership rule, and the directed guarantee both ways: in directed and
+cooperative mode planning and prediction leave the estimation step, its
+information and its optimum unchanged, while in undirected mode they move
+them.
 """
 
 import dataclasses
@@ -207,10 +209,10 @@ def empty_simulator(dt):
                      dt=dt)
 
 
-def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON):
+def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON, initial_pose=Pose3.identity()):
     cfg = PipelineConfig(horizon=horizon, mode=ModeConfig(mode))
     grid = OccupancyGrid.empty(20, 20, 0.1)
-    return Pipeline(cfg, EsdfGrid.from_occupancy(grid), Pose3.identity())
+    return Pipeline(cfg, EsdfGrid.from_occupancy(grid), initial_pose)
 
 
 def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
@@ -333,10 +335,17 @@ def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     assert (reads_later > 0) == (mode is Mode.COOPERATIVE)
 
 
-@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE])
-def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
+def gap(a, b):
+    """The largest coordinate of the step from value ``a`` to value ``b``."""
+    if isinstance(a, np.ndarray):
+        return float(np.max(np.abs(b - a)))
+    return float(np.max(np.abs(a.between(b).log())))
+
+
+@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE, Mode.UNDIRECTED])
+def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
-    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    cfg, _ = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     step_graphs = [g for k, g in graphs if k == 2]  # the walker is tracked at step 2
     if mode is Mode.COOPERATIVE:
         # estimation is solved first on its own factors; the second stage
@@ -357,9 +366,8 @@ def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
     rest = [key for key in active if owner(2, key) is not Component.ESTIMATION]
     assert {key.kind for key in rest} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
     system = graph.linearize(values)
-    for e in est:
-        for o in rest:
-            assert np.all(system.cross_block(e, o) == 0.0)
+    coupled = [(e, o) for e in est for o in rest
+               if np.any(system.cross_block(e, o) != 0.0)]
 
     # the estimation factors alone, over the same fixed keys and values
     alone = FactorGraph()
@@ -373,11 +381,32 @@ def test_planning_leaves_the_estimation_step_unchanged(mode, monkeypatch):
         alone.add_factor(f)
     assert sorted(alone.active_keys()) == sorted(est)
     reference = alone.linearize(values)
-    step, want = system.solve(0.0), reference.solve(0.0)
-    for e in est:
-        got = step[system.offsets[e]:system.offsets[e] + system.dims[e]]
-        ref = want[reference.offsets[e]:reference.offsets[e] + reference.dims[e]]
-        assert np.max(np.abs(got - ref)) <= 1e-9
+
+    def columns(linear):
+        return np.concatenate([linear.offsets[e] + np.arange(linear.dims[e]) for e in est])
+
+    cols, ref_cols = columns(system), columns(reference)
+    step_gap = np.max(np.abs(system.solve(0.0)[cols] - reference.solve(0.0)[ref_cols]))
+    info_gap = np.max(np.abs(system.jtj()[np.ix_(cols, cols)]
+                             - reference.jtj()[np.ix_(ref_cols, ref_cols)]))
+    solved = graph.optimize(config=cfg.optimizer)
+    solved_alone = alone.optimize(config=cfg.optimizer)
+    estimate_gap = max(gap(solved_alone.values[e], solved.values[e]) for e in est)
+    if mode is Mode.DIRECTED:
+        # no factor couples estimation to the rest, so the estimation block
+        # of the information matrix, its step and its optimum are those of
+        # the estimation factors alone
+        assert coupled == []
+        assert step_gap <= 1e-9
+        assert info_gap == 0.0
+        assert solved.converged and solved_alone.converged
+        assert estimate_gap <= 1e-6
+    else:
+        # the plan and the prediction reach back into estimation
+        assert coupled
+        assert info_gap > 0.0
+        assert step_gap > 0.1
+        assert estimate_gap > 0.1
 
 
 def record_built_graphs(monkeypatch):
@@ -598,11 +627,22 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     lambda: empty_simulator(dt=math.nan),
     lambda: AgentSpec(1, -0.3, [(0.0, 0.0, 0.0)], 0.5),
     lambda: EsdfGrid(np.ones((4, 4)), resolution=0.0),
+    # a NaN initial pose ended the first two steps in lambda_cap with zeroed
+    # commands; a Pose2 one failed on the prior's sigma count
+    lambda: empty_grid_pipeline(initial_pose=embed_se3(Pose2(math.nan, 0.0, 0.0))),
+    lambda: empty_grid_pipeline(initial_pose=Pose2(0.0, 0.0, 0.0)),
+    # an agent that never arrives, always turns one way or is pushed by a NaN
+    lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], math.inf),
+    lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, turn_rate=-1.0),
+    lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, avoid_radius=-1.0),
+    lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, gain=math.nan),
 ], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed",
         "inf-cooperation_weight", "inf-factor_weight", "zero-global_period",
         "float-global_period", "negative-max_range", "nan-fov", "nan-odometry_sigma",
         "zero-sim_dt", "negative-sim_dt", "nan-sim_dt", "negative-agent_radius",
-        "zero-esdf_resolution"])
+        "zero-esdf_resolution", "nan-initial_pose", "pose2-initial_pose",
+        "inf-agent_speed", "negative-agent_turn_rate", "negative-agent_avoid_radius",
+        "nan-agent_gain"])
 def test_nan_settings_are_rejected(make):
     with pytest.raises(ValueError):
         make()
@@ -613,7 +653,7 @@ def test_nan_settings_are_rejected(make):
     dict(aw_limit=0.0), dict(limit_margin=2.0), dict(limit_margin=-1e-3),
     dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
     dict(object_radius=math.nan), dict(goal_lookahead=-1.0), dict(horizon=2.5),
-    dict(lag_window=math.nan),
+    dict(lag_window=math.nan), dict(lag_window=2.5),
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_config_rejects_settings_that_break_a_step(settings):
     # each of these constructed before, and the first step then failed
