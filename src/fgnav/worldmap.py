@@ -1,12 +1,14 @@
 """Occupancy grids and Euclidean distance fields for clearance costs.
 
-The squared distance transform is separable: a pass down the columns and
-then one along the rows, each the exact 1-d minimum over every sample,
-min_j (i - j)**2 + f[j], taken as whole-array numpy operations. Occupied
-cells start at 0 and free ones at inf, so every finite value is an integer
-sum that float64 holds without rounding, and the result matches a
-brute-force nearest-occupied-cell scan bit for bit. An h x w grid costs
-(h + w) * h * w element operations.
+The squared distance transform is separable (Felzenszwalb & Huttenlocher,
+Distance Transforms of Sampled Functions, 2012), and only the k lines that
+hold an occupied cell take part, since an all-free line is inf throughout.
+A first pass gives each cell of those lines min(i - last_occupied,
+next_occupied - i)**2 from two running max / min scans; a second takes the
+exact min_j (i - j)**2 + f[j] over those k lines, across whichever axis has
+fewer of them. An h x w grid costs about k * h * w element operations.
+Every finite value is an integer that float64 holds exactly, so the result
+matches a brute-force nearest-occupied-cell scan bit for bit.
 
 Grid geometry: cell (ix, iy) covers a ``resolution`` sized square whose
 centre is at ``origin + (ix + 0.5, iy + 0.5) * resolution``. Row iy = 0 is
@@ -61,9 +63,13 @@ class OccupancyGrid:
     def mark_disk(self, cx: float, cy: float, radius: float) -> None:
         """Occupy every cell whose centre lies within the disk."""
         xs, ys = self.cell_centers()
-        dx = xs[None, :] - cx
-        dy = ys[:, None] - cy
-        self.cells |= dx * dx + dy * dy <= radius * radius
+        # only the disk's bounding box, padded by one cell so that rounding
+        # at its rim meets the same cells as a test of the whole grid
+        x0, x1 = _padded_span(xs, cx, abs(radius))
+        y0, y1 = _padded_span(ys, cy, abs(radius))
+        dx = xs[None, x0:x1] - cx
+        dy = ys[y0:y1, None] - cy
+        self.cells[y0:y1, x0:x1] |= dx * dx + dy * dy <= radius * radius
 
     def mark_rect(self, x0: float, y0: float, x1: float, y1: float) -> None:
         """Occupy every cell whose centre lies inside the rectangle."""
@@ -73,23 +79,38 @@ class OccupancyGrid:
         self.cells |= inside_y[:, None] & inside_x[None, :]
 
 
+def _padded_span(centers: np.ndarray, c: float, reach: float) -> tuple[int, int]:
+    """Slice bounds of the sorted ``centers`` in [c - reach, c + reach], plus one."""
+    lo = int(np.searchsorted(centers, c - reach)) - 1
+    hi = int(np.searchsorted(centers, c + reach, side="right")) + 1
+    return max(lo, 0), hi
+
+
 # the distance an all-free grid reads everywhere; no real grid reaches it
 _FREE_SENTINEL = 1.0e6
-_OFFSETS = np.arange(-1, 3)
 
 
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """Exact squared distance transform along axis 0: min_j (i - j)**2 + f[j]."""
-    i = np.arange(f.shape[0], dtype=float)[:, None]
-    d = f[0] + i * i
-    for j in range(1, f.shape[0]):
-        np.minimum(d, f[j] + (i - j) ** 2, out=d)
-    return d
+def _squared_along_rows(cells: np.ndarray) -> np.ndarray:
+    """Squared distance to the nearest occupied cell of the same row (inf if none)."""
+    ix = np.arange(cells.shape[1], dtype=float)
+    last = np.maximum.accumulate(np.where(cells, ix, -np.inf), axis=1)
+    following = np.minimum.accumulate(np.where(cells, ix, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(ix - last, following - ix) ** 2
 
 
 def squared_distance_cells(occ: OccupancyGrid) -> np.ndarray:
     """Integer squared cell distance to the nearest occupied cell (inf if none)."""
-    return _edt_1d(_edt_1d(np.where(occ.cells, 0.0, np.inf)).T).T
+    cells = occ.cells
+    # the second pass loops over occupied rows: make them the fewer lines
+    flip = np.count_nonzero(cells.any(axis=0)) < np.count_nonzero(cells.any(axis=1))
+    if flip:
+        cells = cells.T
+    rows = np.flatnonzero(cells.any(axis=1))
+    i = np.arange(cells.shape[0], dtype=float)[:, None]
+    d = np.full(cells.shape, np.inf)
+    for j, f in zip(rows, _squared_along_rows(cells[rows])):
+        np.minimum(d, f + (i - j) ** 2, out=d)
+    return d.T if flip else d
 
 
 # Keys' cubic convolution kernel (a = -1/2) at the sample offsets -1..2:
@@ -116,7 +137,7 @@ class EsdfGrid:
     maximally unsafe.
     """
 
-    __slots__ = ("distances", "resolution", "origin")
+    __slots__ = ("distances", "resolution", "origin", "_flat", "_patch")
 
     def __init__(self, distances, resolution: float, origin=(0.0, 0.0)):
         distances = np.asarray(distances, dtype=float)
@@ -124,14 +145,25 @@ class EsdfGrid:
             raise GridFormatError("distance field must be a non-empty 2-d array")
         if not 0 < resolution < math.inf:
             raise GridFormatError("resolution must be finite and > 0")
-        self.distances = distances
+        # border samples replicated 1 below and 2 above: the 4x4 patch of
+        # corner (ix, iy) is _flat[iy * row + ix + _patch], row being the
+        # padded width, with no clipping. ``distances`` views the interior,
+        # and the copy is read-only so the replicas cannot go stale.
+        padded = np.pad(distances, ((1, 2), (1, 2)), mode="edge")
+        padded.flags.writeable = False
+        self.distances = padded[1:-2, 1:-2]
+        self._flat = padded.ravel()
+        self._patch = padded.shape[1] * np.arange(4)[:, None] + np.arange(4)
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
 
     @classmethod
     def from_occupancy(cls, occ: OccupancyGrid) -> "EsdfGrid":
-        dist = occ.resolution * np.sqrt(squared_distance_cells(occ))
-        return cls(np.minimum(dist, _FREE_SENTINEL), occ.resolution, occ.origin)
+        # in place: set-up holds at most two grid-sized arrays at a time
+        dist = squared_distance_cells(occ)
+        np.sqrt(dist, out=dist)
+        dist *= occ.resolution
+        return cls(np.minimum(dist, _FREE_SENTINEL, out=dist), occ.resolution, occ.origin)
 
     def _interpolate(self, xy: np.ndarray):
         """Interpolation state at the n points of ``xy`` (n, 2).
@@ -145,10 +177,9 @@ class EsdfGrid:
         inside = np.all((uv >= 0.0) & (uv <= (w - 1, h - 1)), axis=1)
         uv = np.where(inside[:, None], uv, 0.0)
         corner = np.minimum(uv.astype(np.intp), (max(w - 2, 0), max(h - 2, 0)))
-        # 4x4 sample patch around the cell, border samples replicated
-        cols = np.clip(corner[:, 0:1] + _OFFSETS, 0, w - 1)
-        rows = np.clip(corner[:, 1:2] + _OFFSETS, 0, h - 1)
-        block = self.distances[rows[:, :, None], cols[:, None, :]]
+        # 4x4 sample patch at offsets -1..2 around the cell
+        row = self._patch[1, 0]               # length of a padded row
+        block = self._flat[(corner[:, 0] + corner[:, 1] * row)[:, None, None] + self._patch]
         powers = (uv - corner)[:, :, None] ** np.arange(4)
         wts = powers @ _KEYS                   # (n, 2, 4): x and y weights
         along_y = (wts[:, 1, None, :] @ block)[:, 0, :]

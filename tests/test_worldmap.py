@@ -1,11 +1,17 @@
 """Distance field tests against a brute-force oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fgnav
 from fgnav.worldmap import (
+    _KEYS,
+    _KEYS_DT,
     EsdfGrid,
     GridFormatError,
     OccupancyGrid,
@@ -69,6 +75,30 @@ def corner(h, w, iy, ix):
 ], ids=["1xN", "Nx1", "corner-00", "corner-0w", "corner-h0", "corner-hw",
         "column-first", "column-mid", "column-last"])
 def test_edt_edge_cases_match_brute_force_bitwise(cells):
+    assert_esdf_exact(cells, brute_force_squared(cells))
+
+
+def few_rows(h, w, rows):
+    cells = np.zeros((h, w), dtype=bool)
+    cells[rows, 1::4] = True
+    return cells
+
+
+@pytest.mark.parametrize("cells", [
+    few_rows(23, 31, [4]), few_rows(23, 31, [0, 11, 22]),          # rows first
+    few_rows(31, 23, [4]).T, few_rows(31, 23, [0, 11, 22]).T,       # columns first
+    np.eye(19, 26, k=3, dtype=bool) | np.eye(19, 26, k=-9, dtype=bool),
+], ids=["one-row", "three-rows", "one-column", "three-columns", "diagonals"])
+def test_edt_runs_across_either_axis_bitwise(cells):
+    assert_esdf_exact(cells, brute_force_squared(cells))
+
+
+def test_edt_on_a_dense_grid_matches_brute_force_bitwise():
+    rng = np.random.default_rng(29)
+    cells = rng.random((37, 44)) < 0.5
+    cells[np.arange(37), rng.integers(0, 44, 37)] = True
+    cells[rng.integers(0, 37, 44), np.arange(44)] = True
+    assert cells.any(axis=0).all() and cells.any(axis=1).all()
     assert_esdf_exact(cells, brute_force_squared(cells))
 
 
@@ -171,6 +201,56 @@ def test_distance_only_lookup_equals_lookup_bitwise():
     assert np.all(esdf.lookup_distance(outside) == 0.0)
 
 
+def clip_lookup(esdf, xy):
+    """:meth:`EsdfGrid.lookup` with its 4x4 patch gathered by clipped indices."""
+    h, w = esdf.distances.shape
+    uv = (xy - esdf.origin) / esdf.resolution - 0.5
+    inside = np.all((uv >= 0.0) & (uv <= (w - 1, h - 1)), axis=1)
+    uv = np.where(inside[:, None], uv, 0.0)
+    corner = np.minimum(uv.astype(np.intp), (max(w - 2, 0), max(h - 2, 0)))
+    offsets = np.arange(-1, 3)
+    cols = np.clip(corner[:, 0:1] + offsets, 0, w - 1)
+    rows = np.clip(corner[:, 1:2] + offsets, 0, h - 1)
+    block = esdf.distances[rows[:, :, None], cols[:, None, :]]
+    powers = (uv - corner)[:, :, None] ** np.arange(4)
+    wts = powers @ _KEYS
+    along_y = (wts[:, 1, None, :] @ block)[:, 0, :]
+    d = np.einsum("nj,nj->n", along_y, wts[:, 0])
+    dwts = powers[:, :, 0:3] @ _KEYS_DT
+    grad = np.empty((xy.shape[0], 2))
+    grad[:, 0] = np.einsum("nj,nj->n", along_y, dwts[:, 0])
+    grad[:, 1] = np.einsum("ni,nij,nj->n", dwts[:, 1], block, wts[:, 0])
+    grad /= esdf.resolution
+    return np.where(inside, d, 0.0), np.where(inside[:, None], grad, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (1, 7), (7, 1), (1, 1), (2, 2)],
+                         ids=["12x9", "1xN", "Nx1", "1x1", "2x2"])
+def test_padded_gather_equals_clipped_indices_bitwise(shape):
+    rng = np.random.default_rng(31)
+    esdf = EsdfGrid(rng.random(shape), 0.25, origin=(-1.0, 0.5))
+    h, w = shape
+    lo = np.array([-0.875, 0.625])                       # first sample centre
+    hi = lo + 0.25 * np.array([w - 1, h - 1])            # last sample centre
+    inside = lo + rng.random((40, 2)) * (hi - lo)
+    border = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]],
+                       [lo[0], (lo[1] + hi[1]) / 2], [hi[0], (lo[1] + hi[1]) / 2]])
+    outside = np.array([lo - 1e-9, hi + 1e-9, [lo[0] - 1.0, hi[1]], [-5.0, 9.0]])
+    for xy in (inside, border, outside):
+        want_d, want_g = clip_lookup(esdf, xy)
+        got_d, got_g = esdf.lookup(xy)
+        assert got_d.tobytes() == want_d.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+        assert esdf.lookup_distance(xy).tobytes() == want_d.tobytes()
+
+
+def test_distances_are_read_only():
+    # a write would miss the replicated border the lookups gather from
+    esdf = EsdfGrid(np.ones((3, 4)), 0.1)
+    with pytest.raises(ValueError):
+        esdf.distances[0, 0] = 2.0
+
+
 def test_query_and_gradient_continuous_across_cells():
     rng = np.random.default_rng(11)
     cells = rng.random((20, 20)) < 0.15
@@ -242,8 +322,67 @@ def test_mark_disk_and_rect():
     assert grid2.cells.sum() == 3 * 2
 
 
+def full_grid_disk(grid, cx, cy, radius):
+    """The disk predicate tested on every cell of the grid."""
+    xs, ys = grid.cell_centers()
+    dx = xs[None, :] - cx
+    dy = ys[:, None] - cy
+    return dx * dx + dy * dy <= radius * radius
+
+
+def test_mark_disk_keeps_a_rim_cell_past_the_rounded_bounding_box():
+    # cell 3's centre is 2.65 and the rounded 0.55 + 3 * 0.7 is 2.6499999999999995,
+    # yet the predicate holds there
+    grid = OccupancyGrid.empty(11, 1, 0.7, origin=(0.2, 0.0))
+    grid.mark_disk(0.55, 0.35, 3 * 0.7)
+    assert np.array_equal(grid.cells, full_grid_disk(grid, 0.55, 0.35, 3 * 0.7))
+    assert np.flatnonzero(grid.cells[0]).tolist() == [0, 1, 2, 3]
+
+
+def test_mark_disk_equals_the_full_grid_predicate():
+    rng = np.random.default_rng(37)
+    for trial in range(400):
+        w, h = (int(n) for n in rng.integers(1, 30, 2))
+        res = float(rng.choice([0.05, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.7]))
+        origin = rng.uniform(-2.0, 2.0, 2)
+        size = res * np.array([w, h])
+        # centres inside, near and wholly off the grid; some on cell centres
+        cx, cy = origin + rng.uniform(-0.5, 1.5, 2) * size
+        if trial % 3 == 0:
+            cx, cy = origin + (rng.integers(-3, (w + 3, h + 3)) + 0.5) * res
+        k = int(rng.integers(0, 6))
+        # the predicate squares the radius, so a negative one marks |radius|
+        radius = float(rng.choice([0.0, k * res, (k + 0.5) * res, rng.uniform(0.0, 2.0),
+                                   -k * res]))
+        grid = OccupancyGrid.empty(w, h, res, origin)
+        grid.cells[:] = rng.random((h, w)) < 0.1
+        want = grid.cells | full_grid_disk(grid, cx, cy, radius)
+        grid.mark_disk(cx, cy, radius)
+        assert np.array_equal(grid.cells, want), f"trial {trial}"
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(GridFormatError):
         OccupancyGrid(np.zeros((0, 3), dtype=bool), 0.1)
     with pytest.raises(GridFormatError):
         OccupancyGrid(np.zeros((3, 3), dtype=bool), -1.0)
+
+
+def test_building_an_esdf_loads_no_scipy_ndimage_or_spatial():
+    # their import would count in the benchmark's peak RSS
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import fgnav.pipeline, fgnav.sim",
+        "from fgnav.worldmap import EsdfGrid, OccupancyGrid",
+        "grid = OccupancyGrid.empty(40, 30, 0.1)",
+        "grid.mark_disk(2.0, 1.5, 0.3)",
+        "EsdfGrid.from_occupancy(grid).lookup(np.zeros((1, 2)))",
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fgnav.__file__))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded = run.stdout.split()
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.split(".")[1] in ("ndimage", "spatial")]
