@@ -30,11 +30,10 @@ against.
 Each factor also carries its whitening, the inverse of its per-dimension
 standard deviations (``sqrt_info``, times the factor's ``weight``), and
 its ``component``: the part of the pipeline it belongs to. That is its
-only direction metadata. :func:`apply_mode_masks` compares it with the
-component that owns each variable the factor reads: in the directed
-modes a variable the factor's component does not own is a source, which
-feeds the residual but whose Jacobian block is masked out of the linear
-system, so it receives no update through this factor.
+only direction metadata; a factor holds no mask. The pipeline's
+:func:`fgnav.pipeline.mode_masks` compares it with the component that owns
+each key the factor reads, and the keys the factor may not move become its
+mask in the stage graph (:meth:`fgnav.graph.FactorGraph.add_factor`).
 
 The limit and static-clearance hinges return a zero residual and zero
 Jacobian on their inactive branch. The dynamic-clearance factor is a
@@ -186,9 +185,9 @@ def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
 
 
 class Factor:
-    """Base class: keys, whitening, mask and component."""
+    """Base class: keys, whitening and component."""
 
-    __slots__ = ("keys", "dim", "sqrt_info", "mask", "component")
+    __slots__ = ("keys", "dim", "sqrt_info", "component")
 
     # positions in ``keys`` that the kernel reads through planar_view
     planar_slots: tuple[int, ...] = ()
@@ -202,7 +201,6 @@ class Factor:
                 raise ValueError("factor weight must be finite and >= 0")
             w = w * weight
         self.sqrt_info = w
-        self.mask = (False,) * len(self.keys)
         self.component = component
 
     # -- batch kernel: subclasses implement evaluate, and stack_params and
@@ -260,64 +258,10 @@ class Factor:
         return whiten(self.sqrt_info[None], r)[0][0]
 
     def whitened_linearization(self, values):
-        """Whitened residual plus per-key blocks; masked keys yield None."""
+        """Whitened residual plus one (key, block) per key."""
         r, jac, dims = self._evaluate_one(values, True)
         rw, jw = whiten(self.sqrt_info[None], r, jac)
-        blocks = np.split(jw[0], np.cumsum(dims)[:-1], axis=1)
-        return rw[0], [
-            (k, None if m else b) for k, b, m in zip(self.keys, blocks, self.mask)
-        ]
-
-    def with_mask(self, mask) -> "Factor":
-        mask = tuple(bool(b) for b in mask)
-        if len(mask) != len(self.keys):
-            raise ValueError("mask length must match keys")
-        out = object.__new__(type(self))
-        for name in _slot_names(type(self)):
-            setattr(out, name, getattr(self, name))
-        if hasattr(self, "__dict__"):
-            out.__dict__.update(self.__dict__)
-        out.mask = mask
-        return out
-
-
-_SLOT_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def _slot_names(cls) -> tuple[str, ...]:
-    """Every slot a factor class's instances carry, base classes included."""
-    names = _SLOT_NAMES.get(cls)
-    if names is None:
-        names = tuple(name for c in cls.__mro__
-                      for name in c.__dict__.get("__slots__", ())
-                      if name not in ("__dict__", "__weakref__"))
-        _SLOT_NAMES[cls] = names
-    return names
-
-
-def apply_mode_masks(factors, mode, owner) -> list[Factor]:
-    """Instantiate one operating mode over a factor set tagged by component.
-
-    ``owner`` maps a key to the component that owns it; a key it does not
-    list is owned by estimation. In directed and cooperative modes a
-    factor's key is masked exactly when the factor's component does not own
-    it; undirected and decoupled clear every mask (decoupled achieves its
-    one-way flow by solving in stages instead). Outside cooperative mode, a
-    factor that reads a key owned by a later component is dropped.
-    """
-    cfg = mode if isinstance(mode, ModeConfig) else ModeConfig(Mode(mode))
-    masked = cfg.mode in (Mode.DIRECTED, Mode.COOPERATIVE)
-    cooperative = cfg.mode is Mode.COOPERATIVE
-    est = Component.ESTIMATION
-    out = []
-    for f in factors:
-        owners = [owner.get(key, est) for key in f.keys]
-        if not cooperative and max(owners) > f.component:
-            continue
-        target = (tuple(map(f.component.__ne__, owners)) if masked
-                  else (False,) * len(owners))
-        out.append(f.with_mask(target) if f.mask != target else f)
-    return out
+        return rw[0], list(zip(self.keys, np.split(jw[0], np.cumsum(dims)[:-1], axis=1)))
 
 
 # ---------------------------------------------------------------------------

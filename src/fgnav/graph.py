@@ -27,14 +27,14 @@ land in the lower band (``i >= j`` of kept columns) and the kept
 ``J^T r`` terms. The pattern is the same at every linearization point
 because hinge factors return zero blocks rather than dropping them.
 
-One-way information flow is implemented at linearization: a factor may
-mask any of its variables, in which case the Jacobian block for that
-variable is left out of the linear system (structurally zero) while the
-residual still evaluates with the variable's current value. Masked
-variables therefore influence other updates through the residual but
-receive none from that factor, and the corresponding Gauss-Newton cross
-terms vanish. :func:`fgnav.factors.apply_mode_masks` sets the masks from
-each factor's component and the component that owns each variable.
+One-way information flow is implemented at linearization: the graph keeps
+a mask next to each factor (:meth:`FactorGraph.add_factor`), and the
+Jacobian block of a masked key is left out of the linear system
+(structurally zero) while the residual still evaluates with the key's
+current value. Masked keys therefore influence other updates through the
+residual but receive none from that factor, and the corresponding
+Gauss-Newton cross terms vanish. The pipeline sets each mask from the
+factor's component and the component that owns each key.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
@@ -59,8 +59,7 @@ variables that unmasked factors couple, which keeps every nonzero of
 factor. ``J^T J`` is assembled straight into that lower band storage,
 ``(bw + 1, ncols)``, and each damped system is solved by a banded Cholesky
 (``scipy.linalg.solveh_banded``), so neither the dense matrix nor its
-factor is ever formed on the solver path; the dense ``J^T J`` is built
-from the band only when :meth:`LinearSystem.jtj` asks for it.
+factor is ever formed.
 :meth:`FactorGraph.active_keys` stays in time order. Variables can be
 frozen with :meth:`FactorGraph.fix_variable` (no columns, values still
 read), which is how the pipeline implements its fixed-lag window.
@@ -231,8 +230,8 @@ def _band_ordering(graph: "FactorGraph") -> list[VariableKey]:
     active = graph.active_keys()
     node = {k: i for i, k in enumerate(active)}
     neighbours: list[set[int]] = [set() for _ in active]
-    for f in graph._factors:
-        kept = [node[k] for k, d in zip(f.keys, f.mask) if not d and k in node]
+    for f, mask in zip(graph._factors, graph._masks):
+        kept = [node[k] for k, d in zip(f.keys, mask) if not d and k in node]
         for a in kept:
             # each node also lands in its own set; that adds one to the
             # degree of every coupled node and leaves the order unchanged
@@ -354,19 +353,20 @@ class _Pattern:
                 self.moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
 
         groups: dict[object, list] = {}
-        for f in graph._factors:
+        for f, mask in zip(graph._factors, graph._masks):
             kinds = tuple(_value_kind(initial[k], j in f.planar_slots)
                           for j, k in enumerate(f.keys))
-            groups.setdefault((type(f), kinds, f.batch_key()), []).append(f)
+            groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
 
         self.batches: list[_Batch] = []
-        for factors in groups.values():
+        for members in groups.values():
+            factors = [f for f, _ in members]
             slots = []
             for j in range(len(factors[0].keys)):
                 read = planar_row if j in factors[0].planar_slots else {}
                 rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], np.array([r for _, r in rows])))
-            cols = np.array([self.columns(f) for f in factors], dtype=np.intp)
+            cols = np.array([self.columns(f, mask) for f, mask in members], dtype=np.intp)
             self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
         kept = [b.kept for b in self.batches if b.kept is not None]
@@ -375,10 +375,10 @@ class _Pattern:
         # scratch for the damped band of every solve
         self.work = np.empty((self.bw + 1, self.ncols))
 
-    def columns(self, factor: Factor) -> list[int]:
+    def columns(self, factor: Factor, mask) -> list[int]:
         """Global column per local Jacobian column; -1 where masked or fixed."""
         out = []
-        for j, (key, drop) in enumerate(zip(factor.keys, factor.mask)):
+        for j, (key, drop) in enumerate(zip(factor.keys, mask)):
             local = read_columns(self.tangent[key], j in factor.planar_slots)
             if drop or key in self.fixed:
                 out.extend([-1] * len(local))
@@ -471,8 +471,8 @@ class LinearSystem:
     ``J^T J`` is kept as its lower band: row ``d`` of the ``(bw + 1, ncols)``
     array holds the ``d``-th subdiagonal, ``band[d, j] = (J^T J)[j + d, j]``.
     Masked and fixed Jacobian columns never enter ``J``: their products go
-    to no ``J^T J`` entry, so ``cross_block`` returns an exact zero matrix
-    for variable pairs that no unmasked factor couples.
+    to no ``J^T J`` entry, so the block of two variables that no unmasked
+    factor couples is exactly zero.
     """
 
     def __init__(self, pattern: _Pattern, blocks: list[_Block]):
@@ -504,30 +504,6 @@ class LinearSystem:
         self._band = np.bincount(self._h_index, h_vals, (self.bw + 1) * n).reshape(
             self.bw + 1, n)
         self._grad = np.bincount(self._g_index, g_vals, n)
-
-    def jtj(self) -> np.ndarray:
-        """Dense ``J^T J``, built from the band on every call."""
-        self._accumulate()
-        n = self.ncols
-        d, j = np.divmod(np.arange(self._band.size), n)
-        inside = d + j < n
-        d, j, v = d[inside], j[inside], self._band.ravel()[inside]
-        h = np.zeros((n, n))
-        h[j + d, j] = v
-        h[j, j + d] = v
-        return h
-
-    def jtr(self) -> np.ndarray:
-        self._accumulate()
-        return self._grad
-
-    def cross_block(self, key_a: VariableKey, key_b: VariableKey) -> np.ndarray:
-        """J^T J block coupling two variables (exact zeros when uncoupled)."""
-        for key in (key_a, key_b):
-            if key not in self.offsets:
-                raise UnknownVariableError(f"{key} is not an active variable")
-        oa, ob = self.offsets[key_a], self.offsets[key_b]
-        return self.jtj()[oa:oa + self.dims[key_a], ob:ob + self.dims[key_b]]
 
     def solve(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
@@ -591,6 +567,7 @@ class FactorGraph:
         self._initial: dict[VariableKey, object] = {}
         self._fixed: set[VariableKey] = set()
         self._factors: list = []
+        self._masks: list[tuple[bool, ...]] = []   # one per factor
         self._pattern: _Pattern | None = None
 
     # -- construction -------------------------------------------------
@@ -601,13 +578,18 @@ class FactorGraph:
         self._initial[key] = initial
         self._pattern = None
 
-    def add_factor(self, factor: Factor) -> int:
+    def add_factor(self, factor: Factor, mask=None) -> int:
+        """Add ``factor``; ``mask``, one flag per key, marks those it may not move."""
         if not isinstance(factor, Factor):
             raise TypeError(f"{type(factor).__name__} is not a Factor")
         for key in factor.keys:
             if key not in self._initial:
                 raise UnknownVariableError(f"factor references unknown variable {key}")
+        mask = (False,) * len(factor.keys) if mask is None else tuple(map(bool, mask))
+        if len(mask) != len(factor.keys):
+            raise ValueError("mask length must match keys")
         self._factors.append(factor)
+        self._masks.append(mask)
         self._pattern = None
         return len(self._factors) - 1
 

@@ -4,8 +4,10 @@ Every control step rebuilds one factor graph out of three fragments: a
 fixed-lag estimation window (robot poses, landmarks, object motions), a
 constant-motion prediction chain per tracked object, and an N-step local
 plan. Prediction and planning own the variables they create, estimation
-the rest; this ownership sets each mode's masks, and ``STAGES`` each
-mode's solve order. The optimized first acceleration is the control command.
+the rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
+order, :func:`mode_masks` the keys each factor reads but may not move, and
+only cooperative mode builds a prediction-side copy of each dynamic
+obstacle hinge. The optimized first acceleration is the control command.
 
 The previous step's solution stays in the one value store, and a step
 warm-starts from it: its plan, shifted by one step, and the motions it
@@ -39,7 +41,6 @@ from .factors import (
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    apply_mode_masks,
     com_pose,
     propagate_unicycle,
 )
@@ -81,11 +82,23 @@ class NoiseTable:
 # the components each stage solves, in order; a stage evaluates only the factors
 # of its own components and holds fixed every key an earlier stage solved.
 # Decoupled and cooperative modes solve estimation first, so planning cannot
-# move it even through the accept test; cooperative prediction then still
-# yields to the plan through its masks.
+# move it even through the accept test; in cooperative mode the prediction
+# then still yields to the plan, through the hinge copies only it builds.
 STAGES = {mode: (tuple(Component),) for mode in Mode}
 STAGES[Mode.DECOUPLED] = STAGES[Mode.COOPERATIVE] = (
     (Component.ESTIMATION,), (Component.PREDICTION, Component.PLANNING))
+
+
+def mode_masks(mode: Mode, factors, owner) -> list:
+    """Each factor's mask in ``mode``: None, or a flag per key it may not move.
+
+    In directed and cooperative modes a factor moves only the keys its own
+    component owns; ``owner`` lists the keys estimation does not own.
+    """
+    if mode not in (Mode.DIRECTED, Mode.COOPERATIVE):
+        return [None] * len(factors)
+    est = Component.ESTIMATION
+    return [tuple(owner.get(key, est) != f.component for key in f.keys) for f in factors]
 
 
 def _default_optimizer() -> OptimizerConfig:
@@ -471,11 +484,12 @@ class Pipeline:
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
                     d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
                     margin=cfg.hinge_margin))
-                factors.append(DynamicObstacleFactor(
-                    robot_pose(k + j), object_motion(obj, k + j), c_ref,
-                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
-                    margin=cfg.hinge_margin, component=Component.PREDICTION,
-                    weight=cfg.mode.cooperation_weight))
+                if cfg.mode.mode is Mode.COOPERATIVE:   # the prediction yields
+                    factors.append(DynamicObstacleFactor(
+                        robot_pose(k + j), object_motion(obj, k + j), c_ref,
+                        d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
+                        margin=cfg.hinge_margin, component=Component.PREDICTION,
+                        weight=cfg.mode.cooperation_weight))
         factors.append(GoalFactor(robot_pose(k + cfg.horizon), local_goal, noise.goal))
         return factors, new_vals, pinned
 
@@ -501,7 +515,7 @@ class Pipeline:
                 fixed.add(key)
         return fixed
 
-    def _build_graph(self, factors, values, fixed):
+    def _build_graph(self, factors, masks, values, fixed):
         graph = FactorGraph()
         keys = set()
         for f in factors:
@@ -510,8 +524,8 @@ class Pipeline:
             graph.add_variable(key, values[key])
         for key in fixed & keys:
             graph.fix_variable(key)
-        for f in factors:
-            graph.add_factor(f)
+        for f, mask in zip(factors, masks):
+            graph.add_factor(f, mask)
         return graph
 
     def _relaxed_motion(self, factors, scale=1000.0):
@@ -565,17 +579,17 @@ class Pipeline:
             out[acceleration(k + j - 1)] = acc
         return out
 
-    def _solve(self, factors, fixed, presolve_step=None):
+    def _solve(self, factors, masks, fixed, presolve_step=None):
         """Solve one stage; pre-solve it first when it plans step ``presolve_step`` cold.
 
         The pre-solve relaxes the propagation rows and re-rolls the plan
         from its controls, and its result is the warm start of the exact
         solve. A warm plan goes to the exact solve as it is.
         """
-        graph = self._build_graph(factors, self._values, fixed)
+        graph = self._build_graph(factors, masks, self._values, fixed)
         warm = None
         if presolve_step is not None:
-            pre = self._build_graph(self._relaxed_motion(factors),
+            pre = self._build_graph(self._relaxed_motion(factors), masks,
                                     self._values, fixed)
             coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
             warm = self._reroll_plan(pre.optimize(config=coarse).values, presolve_step)
@@ -601,21 +615,22 @@ class Pipeline:
         self._values.update(plan_vals)
         owner = dict.fromkeys(pred_vals, Component.PREDICTION)
         owner.update(dict.fromkeys(plan_vals, Component.PLANNING))
-        joint = apply_mode_masks(est_factors + pred_factors + plan_factors, cfg.mode,
-                                 owner)
+        joint = est_factors + pred_factors + plan_factors
 
+        mode = cfg.mode.mode
         diverged = False
-        stats = {"mode": cfg.mode.mode.value}
+        stats = {"mode": mode.value}
         try:
             results = []
             num_factors = 0
             held = set(pinned)   # and then every key an earlier stage solved
-            for components in STAGES[cfg.mode.mode]:
+            for components in STAGES[mode]:
                 factors = [f for f in joint if f.component in components]
                 keys = {key for f in factors for key in f.keys}
                 fixed = self._fixed_keys(keys, fix_before) | held
                 presolve = cold and Component.PLANNING in components
-                res, graph = self._solve(factors, fixed, k if presolve else None)
+                res, graph = self._solve(factors, mode_masks(mode, factors, owner), fixed,
+                                         k if presolve else None)
                 results.append(res)
                 num_factors += graph.num_factors()
                 held |= keys
@@ -643,7 +658,9 @@ class Pipeline:
             command = np.zeros(2)
         else:
             command = np.asarray(self._values[acceleration(k)], dtype=float).copy()
-        motions = {obj: {s: self._values[object_motion(obj, s)] for s in steps}
+        # each object's reference motion and its newest one
+        motions = {obj: {s: self._values[object_motion(obj, s)]
+                         for s in (steps[0], steps[-1])}
                    for obj, steps in self._motion_steps.items()}
 
         # feed-forward execution bookkeeping, mirrors the simulator's clamp

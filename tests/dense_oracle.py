@@ -1,10 +1,14 @@
 """Dense J and r of a linear system, the oracle its banded J^T J is tested against.
 
 Rows are stacked batch by batch. The row order differs from the graph's
-factor order, which changes neither ``J^T J`` nor ``J^T r``.
+factor order, which changes neither ``J^T J`` nor ``J^T r``. The system's
+own ``J^T J`` band and ``J^T r`` are read out densely by ``jtj``, ``jtr``
+and ``cross_block``.
 """
 
 import numpy as np
+
+from fgnav.graph import UnknownVariableError
 
 
 def _rows(system):
@@ -34,3 +38,30 @@ def stacked_residual(system) -> np.ndarray:
     for b, rows in _rows(system):
         r[rows] = b.residual
     return r
+
+
+def jtj(system) -> np.ndarray:
+    """Dense ``J^T J``, unfolded from the system's lower band."""
+    system._accumulate()
+    band, n = system._band, system.ncols
+    d, j = np.divmod(np.arange(band.size), n)
+    inside = d + j < n
+    d, j, v = d[inside], j[inside], band.ravel()[inside]
+    h = np.zeros((n, n))
+    h[j + d, j] = v
+    h[j, j + d] = v
+    return h
+
+
+def jtr(system) -> np.ndarray:
+    system._accumulate()
+    return system._grad
+
+
+def cross_block(system, key_a, key_b) -> np.ndarray:
+    """``J^T J`` block coupling two active variables (exact zeros when uncoupled)."""
+    for key in (key_a, key_b):
+        if key not in system.offsets:
+            raise UnknownVariableError(f"{key} is not an active variable")
+    oa, ob = system.offsets[key_a], system.offsets[key_b]
+    return jtj(system)[oa:oa + system.dims[key_a], ob:ob + system.dims[key_b]]

@@ -1,16 +1,18 @@
 """Batched graph evaluation against the per-factor reference.
 
 For every factor class a graph holds several instances, with Pose3 keys
-where the class accepts them, both branches of every hinge, one masked
-instance on keys of its own, one instance with per-dimension sigmas of
-its own and one fixed variable. The graph's ``jtj()``, ``jtr()`` and ``total_error()``,
-which come from one kernel call per batch and one scatter, must match the
-dense system stacked from each factor's own ``whitened_linearization``.
-Factors that read poses in SE(2) form one batch whatever the kind of pose.
+where the class accepts them, both branches of every hinge, one instance
+added with a mask on keys of its own, one instance with per-dimension
+sigmas of its own and one fixed variable. The graph's ``J^T J``, ``J^T r``
+and ``total_error()``, which come from one kernel call per batch and one
+scatter, must match the dense system stacked from each factor's own
+``whitened_linearization`` with the graph's masks applied. Factors that
+read poses in SE(2) form one batch whatever the kind of pose.
 """
 
 import numpy as np
 import pytest
+from dense_oracle import cross_block, jtj, jtr
 
 from fgnav.factors import (
     BetweenFactor,
@@ -61,8 +63,8 @@ def disk_esdf():
     return EsdfGrid.from_occupancy(grid)
 
 
-# Each builder returns (values, factors, masked, fixed): ``masked`` is the
-# one masked instance, whose keys no other factor touches.
+# Each builder returns (values, factors, masked, fixed): ``masked`` is one
+# more instance and the mask it is added with; no other factor touches its keys.
 
 
 def build_prior(rng):
@@ -76,8 +78,8 @@ def build_prior(rng):
         fs.append(PriorFactor(velocity(i), rng.normal(size=2), [0.5, 0.3]))
     fs.append(PriorFactor(robot_pose(0), pose2(rng), sigmas(rng, 3)))
     vals[robot_pose(9)] = pose2(rng)
-    masked = PriorFactor(robot_pose(9), pose2(rng), 0.1).with_mask((True,))
-    return vals, fs + [masked], masked, [object_motion(1, 2)]
+    masked = PriorFactor(robot_pose(9), pose2(rng), 0.1), (True,)
+    return vals, fs, masked, [object_motion(1, 2)]
 
 
 def build_between(rng):
@@ -93,8 +95,8 @@ def build_between(rng):
                             sigmas(rng, 3)))
     vals[robot_pose(8)], vals[robot_pose(9)] = pose2(rng), pose2(rng)
     masked = BetweenFactor(robot_pose(8), robot_pose(9), pose2(rng, 0.3),
-                           0.1).with_mask((True, False))
-    return vals, fs + [masked], masked, [robot_pose(3)]
+                           0.1), (True, False)
+    return vals, fs, masked, [robot_pose(3)]
 
 
 def build_point(rng):
@@ -110,8 +112,8 @@ def build_point(rng):
                                      rng.normal(size=3), sigmas(rng, 3)))
     vals[robot_pose(9)], vals[static_point(9)] = pose3(rng), rng.normal(size=3)
     masked = PointMeasurementFactor(robot_pose(9), static_point(9), rng.normal(size=3),
-                                    0.1).with_mask((False, True))
-    return vals, fs + [masked], masked, [robot_pose(0)]
+                                    0.1), (False, True)
+    return vals, fs, masked, [robot_pose(0)]
 
 
 def build_hybrid(rng):
@@ -130,8 +132,8 @@ def build_hybrid(rng):
         vals[k] = pose3(rng)
     vals[dynamic_point(2, 9)] = rng.normal(size=3)
     masked = HybridMotionFactor(robot_pose(9), object_motion(2, 9), dynamic_point(2, 9),
-                                rng.normal(size=3), 0.1).with_mask((True, False, True))
-    return vals, fs + [masked], masked, [robot_pose(2)]
+                                rng.normal(size=3), 0.1), (True, False, True)
+    return vals, fs, masked, [robot_pose(2)]
 
 
 def build_smoothing(rng):
@@ -146,8 +148,8 @@ def build_smoothing(rng):
     keys = tuple(object_motion(3, j) for j in range(3))
     for k in keys:
         vals[k] = pose3(rng, 0.8, 0.3)
-    masked = ObjectSmoothingFactor(keys, pose3(rng), 0.05).with_mask((True, True, False))
-    return vals, fs + [masked], masked, [object_motion(1, 0)]
+    masked = ObjectSmoothingFactor(keys, pose3(rng), 0.05), (True, True, False)
+    return vals, fs, masked, [object_motion(1, 0)]
 
 
 def _motion_chain(rng, vals, fs, start, n, first_pose3):
@@ -171,8 +173,8 @@ def build_motion_model(rng):
     m_vals, m_fs = {}, []
     _motion_chain(rng, m_vals, m_fs, 20, 1, first_pose3=True)
     vals.update(m_vals)
-    masked = m_fs[0].with_mask((True, False, False, False, False))
-    return vals, fs + [masked], masked, [velocity(0)]
+    masked = m_fs[0], (True, False, False, False, False)
+    return vals, fs, masked, [velocity(0)]
 
 
 def build_limit(rng):
@@ -183,8 +185,8 @@ def build_limit(rng):
         fs.append(LimitFactor(velocity(i), lo, hi, 1e-2))
     fs.append(LimitFactor(velocity(1), lo, hi, sigmas(rng, 2)))
     vals[velocity(9)] = np.array([5.0, 5.0])
-    masked = LimitFactor(velocity(9), lo, hi, 1e-2).with_mask((True,))
-    return vals, fs + [masked], masked, [velocity(3)]
+    masked = LimitFactor(velocity(9), lo, hi, 1e-2), (True,)
+    return vals, fs, masked, [velocity(3)]
 
 
 def build_cost(rng):
@@ -194,8 +196,8 @@ def build_cost(rng):
         fs.append(CostFactor(acceleration(i), 2, 0.5))
     fs.append(CostFactor(acceleration(0), 2, sigmas(rng, 2)))
     vals[acceleration(9)] = rng.normal(size=2)
-    masked = CostFactor(acceleration(9), 2, 0.5).with_mask((True,))
-    return vals, fs + [masked], masked, [acceleration(3)]
+    masked = CostFactor(acceleration(9), 2, 0.5), (True,)
+    return vals, fs, masked, [acceleration(3)]
 
 
 def build_constant_acceleration(rng):
@@ -208,8 +210,8 @@ def build_constant_acceleration(rng):
                                          sigmas(rng, 2)))
     vals[acceleration(8)], vals[acceleration(9)] = rng.normal(size=2), rng.normal(size=2)
     masked = ConstantAccelerationFactor(acceleration(8), acceleration(9), 2,
-                                        0.5).with_mask((False, True))
-    return vals, fs + [masked], masked, [acceleration(4)]
+                                        0.5), (False, True)
+    return vals, fs, masked, [acceleration(4)]
 
 
 def build_goal(rng):
@@ -221,8 +223,8 @@ def build_goal(rng):
     fs.append(GoalFactor(robot_pose(3), pose2(rng), [0.1, 0.1, 0.3]))
     fs.append(GoalFactor(robot_pose(1), pose2(rng), sigmas(rng, 3)))
     vals[robot_pose(9)] = pose2(rng)
-    masked = GoalFactor(robot_pose(9), pose2(rng), 0.1).with_mask((True,))
-    return vals, fs + [masked], masked, [robot_pose(2)]
+    masked = GoalFactor(robot_pose(9), pose2(rng), 0.1), (True,)
+    return vals, fs, masked, [robot_pose(2)]
 
 
 def build_static_obstacle(rng):
@@ -244,8 +246,8 @@ def build_static_obstacle(rng):
                                        com_ref=com_ref))
     fs.append(StaticObstacleFactor(robot_pose(0), esdf, 0.6, sigmas(rng, 1)))
     vals[robot_pose(9)] = Pose2(0.35, 0.0, 0.0)
-    masked = StaticObstacleFactor(robot_pose(9), esdf, 0.6, 0.05).with_mask((True,))
-    return vals, fs + [masked], masked, [robot_pose(4)]
+    masked = StaticObstacleFactor(robot_pose(9), esdf, 0.6, 0.05), (True,)
+    return vals, fs, masked, [robot_pose(4)]
 
 
 def build_dynamic_obstacle(rng):
@@ -265,8 +267,8 @@ def build_dynamic_obstacle(rng):
     vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)
     vals[object_motion(1, 9)] = Pose3.identity()
     masked = DynamicObstacleFactor(robot_pose(9), object_motion(1, 9), com_ref, 1.0,
-                                   0.05, margin=0.05).with_mask((False, True))
-    return vals, fs + [masked], masked, [object_motion(1, 3)]
+                                   0.05, margin=0.05), (False, True)
+    return vals, fs, masked, [object_motion(1, 3)]
 
 
 BUILDERS = {
@@ -287,12 +289,14 @@ BUILDERS = {
 HINGES = {"LimitFactor", "StaticObstacleFactor"}
 
 
-def make_graph(vals, factors, fixed):
+def make_graph(vals, factors, fixed, masked=None):
     g = FactorGraph()
     for key, value in vals.items():
         g.add_variable(key, value)
     for f in factors:
         g.add_factor(f)
+    if masked is not None:
+        g.add_factor(*masked)
     for key in fixed:
         g.fix_variable(key)
     return g
@@ -301,11 +305,11 @@ def make_graph(vals, factors, fixed):
 def per_factor_reference(graph, system, vals):
     """J^T J, J^T r and the error stacked from each factor's own linearization."""
     rows, res = [], []
-    for f in graph.factors:
+    for f, mask in zip(graph.factors, graph._masks):
         rw, blocks = f.whitened_linearization(vals)
         j = np.zeros((rw.shape[0], system.ncols))
-        for key, b in blocks:
-            if b is not None and key in system.offsets:
+        for (key, b), dropped in zip(blocks, mask):
+            if not dropped and key in system.offsets:
                 o = system.offsets[key]
                 j[:, o:o + b.shape[1]] += b
         rows.append(j)
@@ -324,68 +328,47 @@ def assert_close(got, want):
 def test_batched_system_matches_per_factor_stack(name):
     rng = np.random.default_rng(sorted(BUILDERS).index(name))
     vals, factors, masked, fixed = BUILDERS[name](rng)
-    assert {type(f).__name__ for f in factors} == {name}
+    factor, mask = masked
+    instances = factors + [factor]
+    assert {type(f).__name__ for f in instances} == {name}
     if name in HINGES:
-        active = {bool(np.any(f.residual(vals) != 0.0)) for f in factors}
+        active = {bool(np.any(f.residual(vals) != 0.0)) for f in instances}
         assert active == {True, False}
-        for f in factors:
+        for f in instances:
             r, jacs = f.linearize_raw(vals)
             for i in np.flatnonzero(r == 0.0):
                 # an inactive hinge row has a zero Jacobian row
                 assert all(np.all(j[i] == 0.0) for j in jacs)
 
-    graph = make_graph(vals, factors, fixed)
+    graph = make_graph(vals, factors, fixed, masked)
     system = graph.linearize(graph.initial_values())
     h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
-    assert_close(system.jtj(), h_ref)
-    assert_close(system.jtr(), g_ref)
+    assert_close(jtj(system), h_ref)
+    assert_close(jtr(system), g_ref)
     assert graph.total_error(graph.initial_values()) == pytest.approx(e_ref, rel=RTOL)
     assert system.total_error() == pytest.approx(e_ref, rel=RTOL)
 
-    dropped = [k for k, m in zip(masked.keys, masked.mask) if m]
-    kept = [k for k, m in zip(masked.keys, masked.mask) if not m]
+    dropped = [k for k, m in zip(factor.keys, mask) if m]
+    kept = [k for k, m in zip(factor.keys, mask) if not m]
     for a in dropped:
         # the masked instance is the only factor on its keys
-        assert np.all(system.cross_block(a, a) == 0.0)
+        assert np.all(cross_block(system, a, a) == 0.0)
         for b in kept:
-            assert np.all(system.cross_block(a, b) == 0.0)
-            assert np.all(system.cross_block(b, a) == 0.0)
-
-
-class _Tagged(PriorFactor):
-    """A factor class without slots of its own, so its instances carry a dict."""
-
-
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_with_mask_copies_every_slot(name):
-    vals, factors, _, _ = BUILDERS[name](np.random.default_rng(0))
-    tagged = _Tagged(velocity(0), np.zeros(2), 0.1)
-    tagged.note = "kept"
-    for f in factors + [tagged]:
-        flipped = tuple(not m for m in f.mask)
-        g = f.with_mask(flipped)
-        assert type(g) is type(f) and g is not f
-        assert g.mask == flipped and f.mask != flipped
-        slots = {s for c in type(f).__mro__ for s in getattr(c, "__slots__", ())}
-        assert {"keys", "dim", "sqrt_info", "component"} < slots
-        for slot in slots - {"mask", "__dict__", "__weakref__"}:
-            assert getattr(g, slot) is getattr(f, slot), slot
-        assert getattr(g, "__dict__", None) == getattr(f, "__dict__", None)
-        if f is not tagged:
-            assert f.residual(vals).tobytes() == g.residual(vals).tobytes()
+            assert np.all(cross_block(system, a, b) == 0.0)
+            assert np.all(cross_block(system, b, a) == 0.0)
 
 
 def test_pattern_is_rebuilt_after_the_graph_changes():
     rng = np.random.default_rng(41)
-    vals, factors, _, fixed = build_prior(rng)
-    graph = make_graph(vals, factors, fixed)
+    vals, factors, masked, fixed = build_prior(rng)
+    graph = make_graph(vals, factors, fixed, masked)
     before = graph.linearize(graph.initial_values()).ncols
     graph.fix_variable(robot_pose(0))
     after = graph.linearize(graph.initial_values())
     assert after.ncols == before - 3
     assert robot_pose(0) not in after.offsets
     h_ref, _, _ = per_factor_reference(graph, after, vals)
-    assert_close(after.jtj(), h_ref)
+    assert_close(jtj(after), h_ref)
 
 
 def test_planar_families_are_one_batch_each():
@@ -410,8 +393,8 @@ def test_planar_families_are_one_batch_each():
     listing = sorted((b.cls.__name__, len(b.cols)) for b in graph._pattern.batches)
     assert listing == [("GoalFactor", 4), ("MotionModelFactor", 9), ("PriorFactor", 1)]
     h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
-    assert_close(system.jtj(), h_ref)
-    assert_close(system.jtr(), g_ref)
+    assert_close(jtj(system), h_ref)
+    assert_close(jtr(system), g_ref)
     assert graph.total_error(graph.initial_values()) == pytest.approx(e_ref, rel=RTOL)
 
     # the solver's view rows follow the Pose3 it moves: its last error is

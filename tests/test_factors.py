@@ -37,7 +37,6 @@ from fgnav.factors import (
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    apply_mode_masks,
     com_pose,
     propagate_unicycle,
 )
@@ -93,7 +92,7 @@ def check_jacobians(factor, values, atol=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# whitening and masks
+# whitening and modes
 
 
 def test_noise_spec_vector_and_scalar():
@@ -112,54 +111,6 @@ def test_noise_spec_rejects_bad_sigmas():
         NoiseSpec(0.0)
     with pytest.raises(ValueError):
         PriorFactor(velocity(0), np.zeros(2), [0.1, 0.2, 0.3])
-
-
-def test_mask_produces_none_blocks():
-    f = BetweenFactor(robot_pose(0), robot_pose(1), Pose2(1, 0, 0),
-                      [0.1, 0.1, 0.1])
-    vals = {robot_pose(0): Pose2(0, 0, 0), robot_pose(1): Pose2(2, 1, 0.3)}
-    masked = f.with_mask((True, False))
-    _, blocks = masked.whitened_linearization(vals)
-    assert blocks[0][1] is None
-    assert blocks[1][1] is not None
-    # the original factor is untouched
-    _, orig = f.whitened_linearization(vals)
-    assert orig[0][1] is not None
-    # residuals are identical either way
-    assert np.array_equal(masked.whitened_residual(vals),
-                          f.whitened_residual(vals))
-
-
-def test_apply_mode_masks():
-    plain = BetweenFactor(robot_pose(0), robot_pose(1), Pose2(1, 0, 0), 0.1)
-    spanning = BetweenFactor(robot_pose(1), robot_pose(2), Pose2(1, 0, 0), 0.1,
-                             component=Component.PLANNING)
-    # reads a planning-owned key: kept only in cooperative mode
-    coop = BetweenFactor(robot_pose(2), robot_pose(3), Pose2(1, 0, 0), 0.1,
-                         component=Component.PREDICTION)
-    tagged = [plain, spanning, coop]
-    owner = {robot_pose(2): Component.PLANNING, robot_pose(3): Component.PREDICTION}
-
-    undirected = apply_mode_masks(tagged, Mode.UNDIRECTED, owner)
-    assert len(undirected) == 2
-    assert all(f.mask == (False, False) for f in undirected)
-
-    directed = apply_mode_masks(tagged, Mode.DIRECTED, owner)
-    assert len(directed) == 2
-    assert directed[0].mask == (False, False)
-    assert directed[1].mask == (True, False)
-
-    decoupled = apply_mode_masks(tagged, Mode.DECOUPLED, owner)
-    assert len(decoupled) == 2
-    assert all(f.mask == (False, False) for f in decoupled)
-
-    coop_mode = apply_mode_masks(tagged, ModeConfig(Mode.COOPERATIVE, 0.5), owner)
-    assert len(coop_mode) == 3
-    assert coop_mode[2].mask == (True, False)
-
-    # masks from a previous application are cleared, not accumulated
-    again = apply_mode_masks(directed, Mode.UNDIRECTED, owner)
-    assert all(f.mask == (False, False) for f in again)
 
 
 def test_mode_config_accepts_strings():
@@ -639,8 +590,5 @@ def test_com_pose_composition():
 def test_factor_base_rejects_bad_metadata():
     with pytest.raises(ValueError):
         PriorFactor(robot_pose(0), Pose2.identity(), 0.1, weight=-2.0)
-    f = PriorFactor(robot_pose(0), Pose2.identity(), 0.1)
-    with pytest.raises(ValueError):
-        f.with_mask((True, True))
     with pytest.raises(NotImplementedError):
         Factor((robot_pose(0),), 0.1, 1).residual({})

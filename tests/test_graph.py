@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
-from dense_oracle import dense_jacobian, stacked_residual
+from dense_oracle import cross_block, dense_jacobian, jtj, jtr, stacked_residual
 
 from fgnav.factors import (
     BetweenFactor,
@@ -25,7 +25,6 @@ from fgnav.factors import (
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    apply_mode_masks,
 )
 from fgnav.graph import (
     LAMBDA_CAP,
@@ -49,6 +48,7 @@ from fgnav.graph import (
 )
 from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, compose_batch, exp_batch, stack, unstack
+from fgnav.pipeline import mode_masks
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 
@@ -192,7 +192,21 @@ def test_fixed_variable_has_no_columns():
     assert robot_pose(0) not in sys.offsets
     assert sys.ncols == 6
     with pytest.raises(UnknownVariableError):
-        sys.cross_block(robot_pose(0), robot_pose(1))
+        cross_block(sys, robot_pose(0), robot_pose(1))
+
+
+def test_add_factor_rejects_a_mask_of_the_wrong_length():
+    g = FactorGraph()
+    a, b = robot_pose(0), robot_pose(1)
+    g.add_variable(a, Pose2(0, 0, 0))
+    g.add_variable(b, Pose2(2, 1, 0.4))
+    link = BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
+    for mask in ((True,), (True, False, False), ()):
+        with pytest.raises(ValueError):
+            g.add_factor(link, mask=mask)
+    assert g.num_factors() == 0
+    g.add_factor(link, mask=(True, False))
+    assert g._masks == [(True, False)]
 
 
 def test_cross_block_masked_is_exact_zero():
@@ -203,17 +217,17 @@ def test_cross_block_masked_is_exact_zero():
     g.add_factor(PriorFactor(a, Pose2.identity(), 0.1))
     g.add_factor(PriorFactor(b, Pose2(1, 0, 0), 0.1))
     link = BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
-    g.add_factor(link.with_mask((True, False)))
+    g.add_factor(link, mask=(True, False))
     sys = g.linearize(g.initial_values())
-    assert np.all(sys.cross_block(a, b) == 0.0)
-    assert np.all(sys.jtj()[0:3, 3:6] == 0.0)
+    assert np.all(cross_block(sys, a, b) == 0.0)
+    assert np.all(jtj(sys)[0:3, 3:6] == 0.0)
 
     g2 = FactorGraph()
     g2.add_variable(a, Pose2(0, 0, 0))
     g2.add_variable(b, Pose2(2, 1, 0.4))
     g2.add_factor(link)
     sys2 = g2.linearize(g2.initial_values())
-    assert np.any(sys2.cross_block(a, b) != 0.0)
+    assert np.any(cross_block(sys2, a, b) != 0.0)
 
 
 def test_jtj_matches_dense_jacobian():
@@ -230,8 +244,8 @@ def test_jtj_matches_dense_jacobian():
         sys = g.linearize(vals)
         j = dense_jacobian(sys)
         r = stacked_residual(sys)
-        assert np.allclose(sys.jtj(), j.T @ j, atol=1e-12)
-        assert np.allclose(sys.jtr(), j.T @ r, atol=1e-12)
+        assert np.allclose(jtj(sys), j.T @ j, atol=1e-12)
+        assert np.allclose(jtr(sys), j.T @ r, atol=1e-12)
 
 
 def test_gauss_newton_step_matches_dense_solve():
@@ -311,13 +325,14 @@ def wide_graph(steps=10):
                 hinges.append(DynamicObstacleFactor(robot_pose(k), object_motion(obj, k),
                                                     com_ref, 10.0, 0.05, margin=0.05,
                                                     component=component))
-    hinges = apply_mode_masks(hinges, Mode.COOPERATIVE, owner)
-    assert [f.mask for f in hinges] == [(False, True), (True, False)] * (len(hinges) // 2)
-    factors += hinges
-    factors.append(_Wrapped(robot_pose(steps - 1), static_point(steps + 30),
-                            rng.normal(0, 2, 3), 0.1))
+    masks = mode_masks(Mode.COOPERATIVE, hinges, owner)
+    assert masks == [(False, True), (True, False)] * (len(hinges) // 2)
     for f in factors:
         g.add_factor(f)
+    for f, mask in zip(hinges, masks):
+        g.add_factor(f, mask)
+    g.add_factor(_Wrapped(robot_pose(steps - 1), static_point(steps + 30),
+                          rng.normal(0, 2, 3), 0.1))
     g.fix_variable(object_motion(1, 0))
     return g
 
@@ -330,7 +345,7 @@ def time_sorted_bandwidth(g, system):
         o, d = system.offsets[key], system.dims[key]
         position[o:o + d] = np.arange(at, at + d)
         at += d
-    rows, cols = np.nonzero(system.jtj())
+    rows, cols = np.nonzero(jtj(system))
     return int(np.max(np.abs(position[rows] - position[cols])))
 
 
@@ -343,18 +358,18 @@ def test_banded_solve_matches_dense_oracle_on_a_wide_graph():
     system = g.linearize(g.initial_values())
     j = dense_jacobian(system)
     h = j.T @ j
-    assert_rel(system.jtj(), h, 1e-12)
-    assert_rel(system.jtr(), j.T @ stacked_residual(system), 1e-12)
+    assert_rel(jtj(system), h, 1e-12)
+    assert_rel(jtr(system), j.T @ stacked_residual(system), 1e-12)
     # every product lies inside the band, and the band is narrower than time order
-    rows, cols = np.nonzero(system.jtj())
+    rows, cols = np.nonzero(jtj(system))
     assert np.max(rows - cols) <= system.bw
     assert system.bw < time_sorted_bandwidth(g, system)
     # hinge pairs masked both ways never couple a planned pose to a motion
-    assert np.all(system.cross_block(robot_pose(6), object_motion(1, 6)) == 0.0)
-    assert np.any(system.cross_block(robot_pose(1), object_motion(1, 1)) != 0.0)
+    assert np.all(cross_block(system, robot_pose(6), object_motion(1, 6)) == 0.0)
+    assert np.any(cross_block(system, robot_pose(1), object_motion(1, 1)) != 0.0)
     for lam in (0.0, 1e-3, 10.0):
         damped = h + lam * np.diag(np.diag(h))
-        want = np.linalg.solve(damped, -system.jtr())
+        want = np.linalg.solve(damped, -jtr(system))
         assert_rel(system.solve(lam), want, 1e-9)
 
 
@@ -387,7 +402,7 @@ def test_rank_deficient_system_raises_numerical_singularity(dim):
     g.add_variable(velocity(0), np.zeros(dim))
     g.add_factor(_SumRow(velocity(0)))
     system = g.linearize(g.initial_values())
-    assert np.all(np.diag(system.jtj()) > 0.0)
+    assert np.all(np.diag(jtj(system)) > 0.0)
     with pytest.raises(NumericalSingularityError):
         system.solve(0.0)
 
@@ -532,8 +547,8 @@ def mixed_graph():
     for k in range(3):
         g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1),
                                    Pose2(1.0, 0.1, 0.0), [0.05, 0.05, 0.02]))
-    g.add_factor(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1),
-                               0.1).with_mask((True, False)))
+    g.add_factor(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1), 0.1),
+                 mask=(True, False))
     g.add_factor(PriorFactor(object_motion(1, 0), Pose3.identity(), 0.1))
     step = Pose3.exp(np.array([0.4, 0, 0, 0, 0, 0.05]))
     for k in range(2):
@@ -768,7 +783,7 @@ def test_masked_spanning_factor_leaves_upstream_solution_unchanged():
     q = robot_pose(50)
     joint.add_variable(q, Pose2(3.0, 1.0, 0.0))
     link = BetweenFactor(robot_pose(2), q, Pose2(1, 0, 0), 0.1)
-    joint.add_factor(link.with_mask((True, False)))
+    joint.add_factor(link, mask=(True, False))
 
     d_est = gauss_newton_step(est, est_vals)
     d_joint = gauss_newton_step(joint, joint.initial_values())

@@ -15,23 +15,26 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import cross_block, jtj
 
 from fgnav.factors import (
     BetweenFactor,
     Component,
+    DynamicObstacleFactor,
     Mode,
     ModeConfig,
     MotionModelFactor,
     PriorFactor,
     com_pose,
 )
-from fgnav.graph import FactorGraph, VarKind, object_motion, velocity
+from fgnav.graph import FactorGraph, VarKind, object_motion, robot_pose, velocity
 from fgnav.lie import Pose2, Pose3, embed_se3
 from fgnav.pipeline import (
     InputError,
     Pipeline,
     PipelineConfig,
     StepInput,
+    mode_masks,
     select_local_goal,
 )
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
@@ -103,7 +106,9 @@ def test_tracked_agent_commands_are_usable_and_repeatable(mode):
     # the agent is seen from step 0 and tracked from step 1, so the later
     # steps solve prediction chains, dynamic points and obstacle hinges
     cfg, outputs = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
-    assert sorted(outputs[-1].object_motions[1])[-2:] == [1, 2]   # tracked at step 2
+    # each step returns the reference motion and the newest: seen at steps
+    # 1 and 2, so tracked at step 2
+    assert [sorted(out.object_motions[1]) for out in outputs] == [[0], [0, 1], [0, 2]]
     for k, out in enumerate(outputs):
         assert_usable(cfg, k, out)
     _, again = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
@@ -316,6 +321,29 @@ def owner(k, key):
     return Component.ESTIMATION
 
 
+def test_mode_masks_mask_the_keys_a_component_does_not_own():
+    plain = BetweenFactor(robot_pose(0), robot_pose(1), Pose2(1, 0, 0), 0.1)
+    spanning = BetweenFactor(robot_pose(1), robot_pose(2), Pose2(1, 0, 0), 0.1,
+                             component=Component.PLANNING)
+    # reads a planning-owned key, as only cooperative mode's factors do
+    coop = BetweenFactor(robot_pose(2), robot_pose(3), Pose2(1, 0, 0), 0.1,
+                         component=Component.PREDICTION)
+    tagged = [plain, spanning, coop]
+    owned = {robot_pose(2): Component.PLANNING, robot_pose(3): Component.PREDICTION}
+
+    assert mode_masks(Mode.UNDIRECTED, tagged, owned) == [None] * 3
+    directed = mode_masks(Mode.DIRECTED, tagged, owned)
+    assert directed[0] == (False, False)
+    assert directed[1] == (True, False)
+    assert mode_masks(Mode.DECOUPLED, tagged, owned) == [None] * 3
+    cooperative = mode_masks(Mode.COOPERATIVE, tagged, owned)
+    assert cooperative[:2] == directed[:2]
+    assert cooperative[2] == (True, False)
+    # the factors carry no mask, so one mode's masks never leak into another's
+    assert mode_masks(Mode.UNDIRECTED, tagged, owned) == [None] * 3
+    assert not any(hasattr(f, "mask") for f in tagged)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
@@ -325,14 +353,67 @@ def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     masked = mode in (Mode.DIRECTED, Mode.COOPERATIVE)
     reads_later = 0
     for k, graph in graphs:
-        for f in graph.factors:
+        assert len(graph._masks) == graph.num_factors()
+        for f, mask in zip(graph.factors, graph._masks):
             owners = [owner(k, key) for key in f.keys]
             want = tuple(masked and o != f.component for o in owners)
-            assert f.mask == want, (k, type(f).__name__, f.keys)
+            assert mask == want, (k, type(f).__name__, f.keys)
             reads_later += max(owners) > f.component
     # only cooperative mode keeps factors that read a later component's key,
     # here the prediction side of each dynamic obstacle hinge
     assert (reads_later > 0) == (mode is Mode.COOPERATIVE)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_only_cooperative_planning_builds_prediction_factors(mode, monkeypatch):
+    # the prediction-side copy of a dynamic obstacle hinge moves the motion
+    # away from a planned pose it may not move; only cooperative mode solves it
+    built = []
+    plan = Pipeline._build_planning
+
+    def planning(self, k, local_goal, objects):
+        factors, vals, pinned = plan(self, k, local_goal, objects)
+        built.append((k, objects, factors))
+        return factors, vals, pinned
+
+    monkeypatch.setattr(Pipeline, "_build_planning", planning)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    k, objects, factors = built[-1]
+    assert (k, objects) == (2, [1])   # the walker is tracked at step 2
+    yields = [f for f in factors if f.component is Component.PREDICTION]
+    if mode is Mode.COOPERATIVE:
+        assert len(yields) == HORIZON
+        assert all(isinstance(f, DynamicObstacleFactor) for f in yields)
+    else:
+        assert yields == []
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_stage_graphs_hold_the_pipelines_own_factors(mode, monkeypatch):
+    # a mask lives in the stage graph, not on a copy of the factor: each
+    # step's stages hold exactly the factors the pipeline built, once each
+    built = {}
+    predict, plan = Pipeline._build_prediction, Pipeline._build_planning
+
+    def predicting(self, k, objects):
+        factors, vals = predict(self, k, objects)
+        built[k] = [f for _, f in self._est_factors] + factors
+        return factors, vals
+
+    def planning(self, k, *args):
+        factors, vals, pinned = plan(self, k, *args)
+        built[k] += factors
+        return factors, vals, pinned
+
+    monkeypatch.setattr(Pipeline, "_build_prediction", predicting)
+    monkeypatch.setattr(Pipeline, "_build_planning", planning)
+    graphs = record_step_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    assert sorted(built) == [0, 1, 2]
+    for k, factors in built.items():
+        held = [f for step, g in graphs if step == k for f in g.factors]
+        assert len(held) == len(factors) == len({id(f) for f in factors})
+        assert {id(f) for f in held} == {id(f) for f in factors}, k
 
 
 def gap(a, b):
@@ -342,12 +423,12 @@ def gap(a, b):
     return float(np.max(np.abs(a.between(b).log())))
 
 
-@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE, Mode.UNDIRECTED])
+@pytest.mark.parametrize("mode", list(Mode))
 def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
-    cfg, _ = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    cfg, outputs = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     step_graphs = [g for k, g in graphs if k == 2]  # the walker is tracked at step 2
-    if mode is Mode.COOPERATIVE:
+    if mode in (Mode.DECOUPLED, Mode.COOPERATIVE):
         # estimation is solved first on its own factors; the second stage
         # holds none of them and fixes every estimation key it reads, so
         # nothing else can move estimation
@@ -358,6 +439,11 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
         assert {key.kind for key in active} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
         assert all(owner(2, key) is not Component.ESTIMATION for key in active)
         assert Component.ESTIMATION not in {f.component for f in rest_stage.factors}
+        # so the estimate the step returns is the estimation-only solution,
+        # bit for bit: the estimation shift is exactly zero
+        alone = est_stage.optimize(config=cfg.optimizer).values
+        assert_same_pose(outputs[2].estimate, alone[robot_pose(2)])
+        assert_same_pose(outputs[2].object_motions[1][2], alone[object_motion(1, 2)])
         return
     [graph] = step_graphs
     values = graph.initial_values()
@@ -367,7 +453,7 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
     assert {key.kind for key in rest} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
     system = graph.linearize(values)
     coupled = [(e, o) for e in est for o in rest
-               if np.any(system.cross_block(e, o) != 0.0)]
+               if np.any(cross_block(system, e, o) != 0.0)]
 
     # the estimation factors alone, over the same fixed keys and values
     alone = FactorGraph()
@@ -387,8 +473,8 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
 
     cols, ref_cols = columns(system), columns(reference)
     step_gap = np.max(np.abs(system.solve(0.0)[cols] - reference.solve(0.0)[ref_cols]))
-    info_gap = np.max(np.abs(system.jtj()[np.ix_(cols, cols)]
-                             - reference.jtj()[np.ix_(ref_cols, ref_cols)]))
+    info_gap = np.max(np.abs(jtj(system)[np.ix_(cols, cols)]
+                             - jtj(reference)[np.ix_(ref_cols, ref_cols)]))
     solved = graph.optimize(config=cfg.optimizer)
     solved_alone = alone.optimize(config=cfg.optimizer)
     estimate_gap = max(gap(solved_alone.values[e], solved.values[e]) for e in est)
