@@ -33,7 +33,8 @@ its ``component``: the part of the pipeline it belongs to. That is its
 only direction metadata; a factor holds no mask. The pipeline's
 :func:`fgnav.pipeline.mode_masks` compares it with the component that owns
 each key the factor reads, and the keys the factor may not move become its
-mask in the stage graph (:meth:`fgnav.graph.FactorGraph.add_factor`).
+mask in the stage graph (the ``masks`` argument of
+:class:`fgnav.graph.FactorGraph`).
 
 The limit and static-clearance hinges return a zero residual and zero
 Jacobian on their inactive branch. The dynamic-clearance factor is a

@@ -1,47 +1,49 @@
 """Factor graph, linearization and nonlinear least-squares solving.
 
-A graph holds typed variables addressed by :class:`VariableKey` and a list
-of :class:`~fgnav.factors.Factor` instances. Each factor produces a
-residual vector ``r`` and one Jacobian block per connected variable, both
-whitened by its per-dimension sigmas; the MAP objective is the sum of
-squared whitened residuals. A point of the graph is a plain ``dict`` from
-key to value.
+A graph is built whole, in one call: ``FactorGraph(values, factors, masks,
+fixed)``. ``values`` maps each typed :class:`VariableKey` to its initial
+value, and each :class:`~fgnav.factors.Factor` produces a residual vector
+``r`` and one Jacobian block per connected variable, both whitened by its
+per-dimension sigmas; the MAP objective is the sum of squared whitened
+residuals. A point of the graph is a plain ``dict`` from key to value.
+Nothing edits a graph once it is built.
 
-Evaluation is batched. The first evaluation of a graph builds its scatter
-pattern (:class:`_Pattern`) once: it sorts the variables into one table per
-value kind (Pose2, Pose3, vectors of each length), groups the factors into
-batches that share one kernel call (same class, same value kinds per key
-and same ``batch_key``, see :mod:`fgnav.factors`), and records for every
-batch the table rows its keys read and the ``J^T J`` and ``J^T r`` entries
-its Jacobian columns land in. A key that a factor reads in SE(2) (its
+Evaluation is batched. The constructor lays the solve out once: it sorts
+the variables into one table per value kind (Pose2, Pose3, vectors of each
+length) in the order of ``values``, groups the factors into batches that
+share one kernel call (same class, same value kinds per key and same
+``batch_key``, see :mod:`fgnav.factors`), and records for every batch the
+table rows its keys read and the ``J^T J`` and ``J^T r`` entries its
+Jacobian columns land in. A key that a factor reads in SE(2) (its
 class's ``planar_slots``) counts as a Pose2 there: the Pose2 table is
 followed by the planar view of every Pose3 key some planar slot reads, the
 slot reads that row, and the view's three Jacobian columns land on the
 Pose3's tangent columns 0, 1 and 5. So a planning chain that starts at a
-Pose3 estimate is one batch. Every later :meth:`FactorGraph.linearize` and
+Pose3 estimate is one batch. Every :meth:`FactorGraph.linearize` and
 :meth:`FactorGraph.total_error` stacks the point into the tables, calls one
 kernel per batch, and :class:`LinearSystem` keeps the stacked whitened
 blocks; the band of ``J^T J`` and ``J^T r`` are then one ``np.bincount``
 each over the fixed index arrays, which list only the local products that
 land in the lower band (``i >= j`` of kept columns) and the kept
-``J^T r`` terms. The pattern is the same at every linearization point
-because hinge factors return zero blocks rather than dropping them.
+``J^T r`` terms. The layout holds at every linearization point because
+hinge factors return zero blocks rather than dropping them.
 
-One-way information flow is implemented at linearization: the graph keeps
-a mask next to each factor (:meth:`FactorGraph.add_factor`), and the
-Jacobian block of a masked key is left out of the linear system
-(structurally zero) while the residual still evaluates with the key's
-current value. Masked keys therefore influence other updates through the
-residual but receive none from that factor, and the corresponding
-Gauss-Newton cross terms vanish. The pipeline sets each mask from the
-factor's component and the component that owns each key.
+One-way information flow is implemented at linearization: ``masks`` holds
+one mask per factor, and the Jacobian block of a masked key is left out of
+the linear system (structurally zero) while the residual still evaluates
+with the key's current value. Masked keys therefore influence other
+updates through the residual but receive none from that factor, and the
+corresponding Gauss-Newton cross terms vanish. The pipeline sets each mask
+from the factor's component and the component that owns each key. A key
+in ``fixed`` gets no columns and its value is still read, which is how the
+pipeline implements its fixed-lag window and its stages.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
 damping updates (``LAMBDA_INIT``, ``LAMBDA_SCALE``, ``LAMBDA_CAP``).
 :meth:`FactorGraph.optimize` redoes only the work whose inputs change
 (Kaess et al., *iSAM2*, IJRR 2012, applied within one solve). Its iterate
-is the pattern's stacked tables (:class:`_State`), not a dict: a trial
+is the graph's stacked tables (:class:`_State`), not a dict: a trial
 step is one ``exp_batch`` and ``compose_batch`` per pose table and one add
 per vector table, written into fresh arrays so a rejected trial never
 touches the accepted point; the planar view rows are refreshed from the
@@ -51,18 +53,15 @@ such batch, since each of its stages holds only the factors of the
 components it solves. The first error is the one the first linearization
 already holds. A trial's error only meets the accept test, so its sum
 stops once it passes the current error; an accepted trial is summed in
-full. The dict the solve returns is built
-once, on return; fixed keys keep their objects. The pattern numbers the
-columns in reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the
-variables that unmasked factors couple, which keeps every nonzero of
-``J^T J`` within ``bw`` subdiagonals, the widest column span of any
-factor. ``J^T J`` is assembled straight into that lower band storage,
+full. The dict the solve returns is built once, on return; fixed keys
+keep their objects. The columns follow the reverse Cuthill-McKee order
+(Cuthill & McKee, 1969) of the free variables, numbered in time order,
+that unmasked factors couple, which keeps every nonzero of ``J^T J``
+within ``bw`` subdiagonals, the widest column span of any factor.
+``J^T J`` is assembled straight into that lower band storage,
 ``(bw + 1, ncols)``, and each damped system is solved by a banded Cholesky
 (``scipy.linalg.solveh_banded``), so neither the dense matrix nor its
 factor is ever formed.
-:meth:`FactorGraph.active_keys` stays in time order. Variables can be
-frozen with :meth:`FactorGraph.fix_variable` (no columns, values still
-read), which is how the pipeline implements its fixed-lag window.
 """
 
 from __future__ import annotations
@@ -81,10 +80,6 @@ from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
 
 
 class GraphError(Exception):
-    pass
-
-
-class DuplicateVariableError(GraphError):
     pass
 
 
@@ -221,16 +216,15 @@ def _reverse_cuthill_mckee(neighbours: list[set[int]]) -> list[int]:
     return order[::-1]
 
 
-def _band_ordering(graph: "FactorGraph") -> list[VariableKey]:
-    """Active keys in reverse Cuthill-McKee order of their coupling.
+def _band_ordering(active: list[VariableKey], factors, masks) -> list[VariableKey]:
+    """The ``active`` keys in reverse Cuthill-McKee order of their coupling.
 
     Two variables are coupled when one factor reads both and neither is
     masked there or fixed.
     """
-    active = graph.active_keys()
     node = {k: i for i, k in enumerate(active)}
     neighbours: list[set[int]] = [set() for _ in active]
-    for f, mask in zip(graph._factors, graph._masks):
+    for f, mask in zip(factors, masks):
         kept = [node[k] for k, d in zip(f.keys, mask) if not d and k in node]
         for a in kept:
             # each node also lands in its own set; that adds one to the
@@ -288,117 +282,6 @@ class _View(NamedTuple):
     moves: bool               # some viewed key is free
 
 
-class _Pattern:
-    """Value tables, factor batches and scatter indices of one graph.
-
-    Built from the graph's initial values: every point the graph is later
-    evaluated at must hold values of the same kinds. The columns follow a
-    reverse Cuthill-McKee order of the variables that factors couple, and
-    ``bw`` is the widest column span of any factor, so every ``J^T J``
-    product falls inside a band of ``bw`` subdiagonals. ``view`` is None
-    when no planar slot reads a Pose3 key.
-    """
-
-    def __init__(self, graph: "FactorGraph"):
-        initial = graph._initial
-        self.fixed = frozenset(graph._fixed)
-        self.tangent = {k: tangent_dim(v) for k, v in initial.items()}
-        self.ordering = _band_ordering(graph)
-        self.dims = {k: self.tangent[k] for k in self.ordering}
-        self.offsets: dict[VariableKey, int] = {}
-        off = 0
-        for key in self.ordering:
-            self.offsets[key] = off
-            off += self.dims[key]
-        self.ncols = off
-
-        # one table of keys per value kind; row_of[key] = (table, row)
-        table_of: dict[object, int] = {}
-        self.tables: list[list[VariableKey]] = []
-        row_of: dict[VariableKey, tuple[int, int]] = {}
-        for key, value in initial.items():
-            t = table_of.setdefault(_value_kind(value), len(table_of))
-            if t == len(self.tables):
-                self.tables.append([])
-            row_of[key] = (t, len(self.tables[t]))
-            self.tables[t].append(key)
-
-        # the Pose3 keys that planar slots read get a row of their planar
-        # view after the Pose2 keys' rows; those slots read that row
-        viewed = list(dict.fromkeys(
-            f.keys[j] for f in graph._factors
-            for j in f.planar_slots if isinstance(initial[f.keys[j]], Pose3)))
-        planar_row: dict[VariableKey, tuple[int, int]] = {}
-        self.view = None
-        if viewed:
-            t2 = table_of.setdefault(Pose2, len(table_of))
-            if t2 == len(self.tables):
-                self.tables.append([])
-            n2 = len(self.tables[t2])
-            planar_row = {k: (t2, n2 + i) for i, k in enumerate(viewed)}
-            self.view = _View(t2, np.arange(n2, n2 + len(viewed)), row_of[viewed[0]][0],
-                              np.array([row_of[k][1] for k in viewed]),
-                              any(k in self.offsets for k in viewed))
-
-        # per table with active keys: those keys in column order, their
-        # rows, their (n, dim) delta columns and whether the table holds poses
-        self.moves = []
-        for kind, t in table_of.items():
-            keys = sorted((k for k in self.tables[t] if k in self.offsets),
-                          key=self.offsets.__getitem__)
-            if keys:
-                rows = np.array([row_of[k][1] for k in keys], dtype=np.intp)
-                cols = np.array([range(self.offsets[k], self.offsets[k] + self.dims[k])
-                                 for k in keys], dtype=np.intp)
-                self.moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
-
-        groups: dict[object, list] = {}
-        for f, mask in zip(graph._factors, graph._masks):
-            kinds = tuple(_value_kind(initial[k], j in f.planar_slots)
-                          for j, k in enumerate(f.keys))
-            groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
-
-        self.batches: list[_Batch] = []
-        for members in groups.values():
-            factors = [f for f, _ in members]
-            slots = []
-            for j in range(len(factors[0].keys)):
-                read = planar_row if j in factors[0].planar_slots else {}
-                rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
-                slots.append((rows[0][0], np.array([r for _, r in rows])))
-            cols = np.array([self.columns(f, mask) for f, mask in members], dtype=np.intp)
-            self.batches.append(_Batch(factors, slots, cols, self.ncols))
-        self.bw = max((_span(b.cols) for b in self.batches), default=0)
-        kept = [b.kept for b in self.batches if b.kept is not None]
-        self.h_index = _concat([k.band for k in kept]).astype(np.intp)
-        self.g_index = _concat([k.columns for k in kept]).astype(np.intp)
-        # scratch for the damped band of every solve
-        self.work = np.empty((self.bw + 1, self.ncols))
-
-    def columns(self, factor: Factor, mask) -> list[int]:
-        """Global column per local Jacobian column; -1 where masked or fixed."""
-        out = []
-        for j, (key, drop) in enumerate(zip(factor.keys, mask)):
-            local = read_columns(self.tangent[key], j in factor.planar_slots)
-            if drop or key in self.fixed:
-                out.extend([-1] * len(local))
-            else:
-                out.extend((self.offsets[key] + local).tolist())
-        return out
-
-    def state(self, values) -> "_State":
-        """``values`` stacked into the tables."""
-        # only the Pose2 table can be empty, when it holds views alone
-        tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
-                  for keys in self.tables]
-        view = self.view
-        if view is not None:
-            tables[view.table] = np.concatenate(
-                [tables[view.table], planar_view(take(tables[view.source],
-                                                      view.source_rows))])
-        return _State(self, tables, values, values)
-
-
 def _put(batch, rows, moved):
     """Copy of ``batch`` with its elements at ``rows`` replaced by ``moved``."""
     if isinstance(batch, tuple):
@@ -409,16 +292,16 @@ def _put(batch, rows, moved):
 
 
 class _State:
-    """One point of a graph as its pattern's stacked value tables.
+    """One point of a graph as its stacked value tables.
 
     ``base`` maps every key to the value the first tables were stacked
     from; fixed keys keep those objects.
     """
 
-    __slots__ = ("pattern", "tables", "base", "_values")
+    __slots__ = ("graph", "tables", "base", "_values")
 
-    def __init__(self, pattern: _Pattern, tables: list, base, values=None):
-        self.pattern = pattern
+    def __init__(self, graph: "FactorGraph", tables: list, base, values=None):
+        self.graph = graph
         self.tables = tables
         self.base = base
         self._values = values
@@ -426,21 +309,21 @@ class _State:
     def retract(self, delta: np.ndarray) -> "_State":
         """``p * exp(d)`` and ``v + d`` for every active key, in fresh tables."""
         tables = list(self.tables)
-        for t, _, rows, cols, pose in self.pattern.moves:
+        for t, _, rows, cols, pose in self.graph._moves:
             old, d = take(tables[t], rows), delta[cols]
             moved = compose_batch(old, exp_batch(d)) if pose else old + d
             tables[t] = _put(tables[t], rows, moved)
-        view = self.pattern.view
+        view = self.graph._view
         if view is not None and view.moves:
             tables[view.table] = _put(tables[view.table], view.rows, planar_view(
                 take(tables[view.source], view.source_rows)))
-        return _State(self.pattern, tables, self.base)
+        return _State(self.graph, tables, self.base)
 
     def values(self) -> dict:
         """The state as a dict from key to value, built on first use."""
         if self._values is None:
             self._values = dict(self.base)
-            for t, keys, rows, _, pose in self.pattern.moves:
+            for t, keys, rows, _, pose in self.graph._moves:
                 moved = take(self.tables[t], rows)
                 self._values.update(zip(keys, unstack(moved) if pose else moved))
         return self._values
@@ -475,16 +358,10 @@ class LinearSystem:
     factor couples is exactly zero.
     """
 
-    def __init__(self, pattern: _Pattern, blocks: list[_Block]):
-        self.ordering: list[VariableKey] = pattern.ordering
-        self.dims: dict[VariableKey, int] = pattern.dims
-        self.offsets: dict[VariableKey, int] = pattern.offsets
-        self.ncols = pattern.ncols
-        self.bw = pattern.bw
-        self._work = pattern.work
+    def __init__(self, graph: "FactorGraph", blocks: list[_Block]):
+        self.graph = graph
+        self.ncols = graph.ncols
         self.blocks = blocks
-        self._h_index = pattern.h_index
-        self._g_index = pattern.g_index
         self._band: np.ndarray | None = None
         self._grad: np.ndarray | None = None
 
@@ -495,15 +372,14 @@ class LinearSystem:
     def _accumulate(self):
         if self._band is not None:
             return
-        n = self.ncols
+        n, bw = self.ncols, self.graph.bw
         scattered = [b for b in self.blocks if b.kept is not None]
         h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()[
             b.kept.products] for b in scattered])
         g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()[
             b.kept.terms] for b in scattered])
-        self._band = np.bincount(self._h_index, h_vals, (self.bw + 1) * n).reshape(
-            self.bw + 1, n)
-        self._grad = np.bincount(self._g_index, g_vals, n)
+        self._band = np.bincount(self.graph._h_index, h_vals, (bw + 1) * n).reshape(bw + 1, n)
+        self._grad = np.bincount(self.graph._g_index, g_vals, n)
 
     def solve(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
@@ -511,12 +387,11 @@ class LinearSystem:
         d = self._band[0]
         if np.any(d <= 0.0):
             col = int(np.argmin(d))
-            bad = next(
-                k for k in self.ordering
-                if self.offsets[k] <= col < self.offsets[k] + self.dims[k])
+            g = self.graph
+            bad = next(k for k in g.ordering if g.offsets[k] <= col < g.offsets[k] + g.dims[k])
             raise StructuralSingularityError(
                 f"variable {bad} has no unmasked factor support")
-        ab = self._work
+        ab = self.graph._work
         np.copyto(ab, self._band)
         ab[0] += lam * d
         try:
@@ -551,9 +426,12 @@ class OptimizeResult:
     values: dict
     iterations: int
     final_error: float
-    converged: bool
     reason: str
     accepted_errors: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("abs_tol", "rel_tol")
 
     @property
     def diverged(self) -> bool:
@@ -561,90 +439,152 @@ class OptimizeResult:
 
 
 class FactorGraph:
-    """Container of variables (with initial values) and factors."""
+    """The variables, factors, masks and fixed keys of one solve, laid out once.
 
-    def __init__(self):
-        self._initial: dict[VariableKey, object] = {}
-        self._fixed: set[VariableKey] = set()
-        self._factors: list = []
-        self._masks: list[tuple[bool, ...]] = []   # one per factor
-        self._pattern: _Pattern | None = None
+    ``values`` maps every key to its initial value, and every point the
+    graph is later evaluated at must hold values of the same kinds.
+    ``masks`` holds one mask per factor: None, or a flag per key the factor
+    may not move. A ``fixed`` key gets no columns; its value is still read.
+    The constructor builds the layout: the value tables, the columns in
+    reverse Cuthill-McKee order of the free keys that unmasked factors
+    couple, the batches, and ``bw``, the widest column span of any factor,
+    so every ``J^T J`` product falls inside a band of ``bw`` subdiagonals.
+    ``_view`` is None when no planar slot reads a Pose3 key.
+    """
 
-    # -- construction -------------------------------------------------
+    def __init__(self, values: dict, factors, masks=None, fixed=()):
+        self.values = dict(values)
+        self.factors = list(factors)
+        if masks is None:
+            masks = [None] * len(self.factors)
+        if len(masks) != len(self.factors):
+            raise ValueError(f"{len(masks)} masks for {len(self.factors)} factors")
+        self.masks: list[tuple[bool, ...]] = []
+        for f, mask in zip(self.factors, masks):
+            if not isinstance(f, Factor):
+                raise TypeError(f"{type(f).__name__} is not a Factor")
+            for key in f.keys:
+                if key not in self.values:
+                    raise UnknownVariableError(f"factor references unknown variable {key}")
+            mask = (False,) * len(f.keys) if mask is None else tuple(map(bool, mask))
+            if len(mask) != len(f.keys):
+                raise ValueError("mask length must match keys")
+            self.masks.append(mask)
+        self.fixed = frozenset(fixed)
+        for key in self.fixed:
+            if key not in self.values:
+                raise UnknownVariableError(f"cannot fix unknown variable {key}")
 
-    def add_variable(self, key: VariableKey, initial) -> None:
-        if key in self._initial:
-            raise DuplicateVariableError(f"variable {key} already added")
-        self._initial[key] = initial
-        self._pattern = None
+        self._tangent = {k: tangent_dim(v) for k, v in self.values.items()}
+        active = sorted((k for k in self.values if k not in self.fixed), key=_ordering_rank)
+        self.ordering = _band_ordering(active, self.factors, self.masks)
+        self.dims = {k: self._tangent[k] for k in self.ordering}
+        self.offsets: dict[VariableKey, int] = {}
+        off = 0
+        for key in self.ordering:
+            self.offsets[key] = off
+            off += self.dims[key]
+        self.ncols = off
 
-    def add_factor(self, factor: Factor, mask=None) -> int:
-        """Add ``factor``; ``mask``, one flag per key, marks those it may not move."""
-        if not isinstance(factor, Factor):
-            raise TypeError(f"{type(factor).__name__} is not a Factor")
-        for key in factor.keys:
-            if key not in self._initial:
-                raise UnknownVariableError(f"factor references unknown variable {key}")
-        mask = (False,) * len(factor.keys) if mask is None else tuple(map(bool, mask))
-        if len(mask) != len(factor.keys):
-            raise ValueError("mask length must match keys")
-        self._factors.append(factor)
-        self._masks.append(mask)
-        self._pattern = None
-        return len(self._factors) - 1
+        # one table of keys per value kind; row_of[key] = (table, row)
+        table_of: dict[object, int] = {}
+        self._tables: list[list[VariableKey]] = []
+        row_of: dict[VariableKey, tuple[int, int]] = {}
+        for key, value in self.values.items():
+            t = table_of.setdefault(_value_kind(value), len(table_of))
+            if t == len(self._tables):
+                self._tables.append([])
+            row_of[key] = (t, len(self._tables[t]))
+            self._tables[t].append(key)
 
-    def fix_variable(self, key: VariableKey) -> None:
-        if key not in self._initial:
-            raise UnknownVariableError(f"cannot fix unknown variable {key}")
-        self._fixed.add(key)
-        self._pattern = None
+        # the Pose3 keys that planar slots read get a row of their planar
+        # view after the Pose2 keys' rows; those slots read that row
+        viewed = list(dict.fromkeys(
+            f.keys[j] for f in self.factors
+            for j in f.planar_slots if isinstance(self.values[f.keys[j]], Pose3)))
+        planar_row: dict[VariableKey, tuple[int, int]] = {}
+        self._view = None
+        if viewed:
+            t2 = table_of.setdefault(Pose2, len(table_of))
+            if t2 == len(self._tables):
+                self._tables.append([])
+            n2 = len(self._tables[t2])
+            planar_row = {k: (t2, n2 + i) for i, k in enumerate(viewed)}
+            self._view = _View(t2, np.arange(n2, n2 + len(viewed)), row_of[viewed[0]][0],
+                               np.array([row_of[k][1] for k in viewed]),
+                               any(k in self.offsets for k in viewed))
 
-    # -- introspection -------------------------------------------------
+        # per table with active keys: those keys in column order, their
+        # rows, their (n, dim) delta columns and whether the table holds poses
+        self._moves = []
+        for kind, t in table_of.items():
+            keys = sorted((k for k in self._tables[t] if k in self.offsets),
+                          key=self.offsets.__getitem__)
+            if keys:
+                rows = np.array([row_of[k][1] for k in keys], dtype=np.intp)
+                cols = np.array([range(self.offsets[k], self.offsets[k] + self.dims[k])
+                                 for k in keys], dtype=np.intp)
+                self._moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
 
-    @property
-    def factors(self) -> list:
-        return self._factors
+        groups: dict[object, list] = {}
+        for f, mask in zip(self.factors, self.masks):
+            kinds = tuple(_value_kind(self.values[k], j in f.planar_slots)
+                          for j, k in enumerate(f.keys))
+            groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
 
-    def num_variables(self) -> int:
-        return len(self._initial)
+        self.batches: list[_Batch] = []
+        for members in groups.values():
+            factors = [f for f, _ in members]
+            slots = []
+            for j in range(len(factors[0].keys)):
+                read = planar_row if j in factors[0].planar_slots else {}
+                rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
+                slots.append((rows[0][0], np.array([r for _, r in rows])))
+            cols = np.array([self._columns(f, mask) for f, mask in members], dtype=np.intp)
+            self.batches.append(_Batch(factors, slots, cols, self.ncols))
+        self.bw = max((_span(b.cols) for b in self.batches), default=0)
+        kept = [b.kept for b in self.batches if b.kept is not None]
+        self._h_index = _concat([k.band for k in kept]).astype(np.intp)
+        self._g_index = _concat([k.columns for k in kept]).astype(np.intp)
+        # scratch for the damped band of every solve
+        self._work = np.empty((self.bw + 1, self.ncols))
 
-    def num_factors(self) -> int:
-        return len(self._factors)
-
-    def keys(self) -> list[VariableKey]:
-        return list(self._initial.keys())
-
-    def active_keys(self) -> list[VariableKey]:
-        return sorted(
-            (k for k in self._initial if k not in self._fixed), key=_ordering_rank
-        )
-
-    def initial_values(self) -> dict:
-        return dict(self._initial)
+    def _columns(self, factor: Factor, mask) -> list[int]:
+        """Global column per local Jacobian column; -1 where masked or fixed."""
+        out = []
+        for j, (key, drop) in enumerate(zip(factor.keys, mask)):
+            local = read_columns(self._tangent[key], j in factor.planar_slots)
+            if drop or key in self.fixed:
+                out.extend([-1] * len(local))
+            else:
+                out.extend((self.offsets[key] + local).tolist())
+        return out
 
     # -- evaluation ----------------------------------------------------
 
-    def _get_pattern(self) -> _Pattern:
-        if self._pattern is None:
-            self._pattern = _Pattern(self)
-        return self._pattern
-
     def _state(self, values) -> _State:
+        """``values`` stacked into the tables; a state of the solve as it is."""
         if isinstance(values, _State):
             return values
-        return self._get_pattern().state(values)
+        # only the Pose2 table can be empty, when it holds views alone
+        tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
+                  for keys in self._tables]
+        view = self._view
+        if view is not None:
+            tables[view.table] = np.concatenate(
+                [tables[view.table], planar_view(take(tables[view.source],
+                                                      view.source_rows))])
+        return _State(self, tables, values, values)
 
     def total_error(self, values, bound: float = math.inf) -> float:
         """Sum of squared whitened residuals at ``values``.
 
         ``values`` is a dict or, inside :meth:`optimize`, the stacked state
         of the solve; :meth:`linearize` takes either too. The batches are
-        summed in the pattern's order, up to the first partial sum that
-        passes ``bound``.
+        summed in order, up to the first partial sum that passes ``bound``.
         """
-        state = self._state(values)
-        return _sum_of_squares((b.residual(state.tables) for b in state.pattern.batches),
-                               bound)
+        tables = self._state(values).tables
+        return _sum_of_squares((b.residual(tables) for b in self.batches), bound)
 
     def linearize(self, values) -> LinearSystem:
         """Whitened block linearization at ``values``.
@@ -652,23 +592,20 @@ class FactorGraph:
         Masked and fixed variables get no Jacobian columns; their current
         values still enter every residual.
         """
-        state = self._state(values)
-        blocks = [b.block(state.tables) for b in state.pattern.batches]
-        return LinearSystem(state.pattern, blocks)
+        tables = self._state(values).tables
+        return LinearSystem(self, [b.block(tables) for b in self.batches])
 
     # -- solving ---------------------------------------------------------
 
     def optimize(self, values: dict | None = None,
                  config: OptimizerConfig | None = None) -> OptimizeResult:
         cfg = config or OptimizerConfig()
-        vals = dict(values) if values is not None else self.initial_values()
-        state = self._get_pattern().state(vals)
+        state = self._state(dict(self.values if values is None else values))
         system = self.linearize(state)
         err = system.total_error()
         history = [err]
         lam = LAMBDA_INIT
         reason = "max_iters"
-        converged = False
         iterations = 0
         for it in range(1, cfg.max_iters + 1):
             iterations = it
@@ -683,8 +620,7 @@ class FactorGraph:
                 except NumericalSingularityError:
                     lam *= LAMBDA_SCALE
                     if lam > LAMBDA_CAP:
-                        return OptimizeResult(state.values(), it, err, False,
-                                              "lambda_cap", history)
+                        return OptimizeResult(state.values(), it, err, "lambda_cap", history)
                     continue
                 cand = state.retract(delta)
                 cand_err = self.total_error(cand, err)
@@ -693,21 +629,19 @@ class FactorGraph:
                 if float(np.linalg.norm(delta)) < cfg.abs_tol:
                     # the damped step is below the step tolerance and still
                     # not accepted: stationary up to floating-point noise
-                    return OptimizeResult(state.values(), it, err, True, "abs_tol",
-                                          history)
+                    return OptimizeResult(state.values(), it, err, "abs_tol", history)
                 lam *= LAMBDA_SCALE
                 if lam > LAMBDA_CAP:
-                    return OptimizeResult(state.values(), it, err, False,
-                                          "lambda_cap", history)
+                    return OptimizeResult(state.values(), it, err, "lambda_cap", history)
             prev_err = err
             state, err = cand, cand_err
             history.append(err)
             lam = max(lam / LAMBDA_SCALE, 1e-12)
             step_norm = float(np.linalg.norm(delta))
             if step_norm < cfg.abs_tol:
-                converged, reason = True, "abs_tol"
+                reason = "abs_tol"
                 break
             if prev_err - err < cfg.rel_tol * max(prev_err, 1e-300):
-                converged, reason = True, "rel_tol"
+                reason = "rel_tol"
                 break
-        return OptimizeResult(state.values(), iterations, err, converged, reason, history)
+        return OptimizeResult(state.values(), iterations, err, reason, history)

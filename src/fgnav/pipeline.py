@@ -1,13 +1,16 @@
 """Per-step assembly and solution of the joint navigation graph.
 
-Every control step rebuilds one factor graph out of three fragments: a
-fixed-lag estimation window (robot poses, landmarks, object motions), a
-constant-motion prediction chain per tracked object, and an N-step local
-plan. Prediction and planning own the variables they create, estimation
-the rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
-order, :func:`mode_masks` the keys each factor reads but may not move, and
-only cooperative mode builds a prediction-side copy of each dynamic
-obstacle hinge. The optimized first acceleration is the control command.
+Every control step assembles three fragments: a fixed-lag estimation
+window (robot poses, landmarks, object motions), a constant-motion
+prediction chain per tracked object, and an N-step local plan. Prediction
+and planning own the variables they create, estimation the rest. All that
+sets a mode apart lives here: ``STAGES`` sets its solve order,
+:func:`mode_masks` the keys each factor reads but may not move, and only
+cooperative mode builds a prediction-side copy of each dynamic obstacle
+hinge. Each stage is one factor graph, built whole in one constructor call
+from the stage's factors, their masks, the values of the keys they read
+and the keys held fixed. The optimized first acceleration is the control
+command.
 
 The previous step's solution stays in the one value store, and a step
 warm-starts from it: its plan, shifted by one step, and the motions it
@@ -130,16 +133,18 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
             raise ValueError("horizon must be an int >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
         if not isinstance(self.lag_window, numbers.Integral) or self.lag_window < 1:
             raise ValueError("lag_window must be an int >= 1")
-        for name in ("robot_radius", "object_radius", "goal_lookahead", "hinge_margin"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("safety_offset", "limit_margin"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+        # an infinite period, size or margin ends the first steps in lambda_cap
+        for name in ("dt", "robot_radius", "object_radius", "hinge_margin"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 <= self.safety_offset < math.inf:
+            raise ValueError("safety_offset must be finite and >= 0")
+        if not self.goal_lookahead > 0:
+            raise ValueError("goal_lookahead must be > 0")
+        if not self.limit_margin >= 0:
+            raise ValueError("limit_margin must be >= 0")
         v_lo, v_hi = self.v_limits
         for name, width in (("v_limits", v_hi - v_lo), ("w_limit", 2 * self.w_limit),
                             ("a_limit", 2 * self.a_limit), ("aw_limit", 2 * self.aw_limit)):
@@ -223,17 +228,8 @@ def select_local_goal(path, current: Pose2, lookahead: float) -> Pose2:
     return path[j]
 
 
-def _pose_error(gt, est):
-    e = gt.between(est)
-    if isinstance(e, Pose2):
-        return math.hypot(e.x, e.y), abs(e.theta)
-    t = float(np.linalg.norm(e.translation))
-    r = float(np.linalg.norm(e.log()[3:]))
-    return t, r
-
-
 def compute_motion_error(estimated, ground_truth):
-    """Mean per-step pose error of a centre trajectory: (ME_r deg, ME_t m)."""
+    """Mean per-step error of a planar (Pose2) centre trajectory: (ME_r deg, ME_t m)."""
     if len(estimated) != len(ground_truth):
         raise ValueError("sequence lengths differ")
     if not estimated:
@@ -241,9 +237,9 @@ def compute_motion_error(estimated, ground_truth):
     t_sum = 0.0
     r_sum = 0.0
     for gt, est in zip(ground_truth, estimated):
-        t, r = _pose_error(gt, est)
-        t_sum += t
-        r_sum += r
+        e = gt.between(est)
+        t_sum += math.hypot(e.x, e.y)
+        r_sum += abs(e.theta)
     n = len(estimated)
     return math.degrees(r_sum / n), t_sum / n
 
@@ -515,18 +511,10 @@ class Pipeline:
                 fixed.add(key)
         return fixed
 
-    def _build_graph(self, factors, masks, values, fixed):
-        graph = FactorGraph()
-        keys = set()
-        for f in factors:
-            keys.update(f.keys)
-        for key in sorted(keys):
-            graph.add_variable(key, values[key])
-        for key in fixed & keys:
-            graph.fix_variable(key)
-        for f, mask in zip(factors, masks):
-            graph.add_factor(f, mask)
-        return graph
+    def _build_graph(self, factors, masks, fixed):
+        keys = sorted({key for f in factors for key in f.keys})
+        return FactorGraph({key: self._values[key] for key in keys}, factors, masks,
+                           fixed.intersection(keys))
 
     def _relaxed_motion(self, factors, scale=1000.0):
         """Copies with planning propagation rows down-weighted.
@@ -586,16 +574,14 @@ class Pipeline:
         from its controls, and its result is the warm start of the exact
         solve. A warm plan goes to the exact solve as it is.
         """
-        graph = self._build_graph(factors, masks, self._values, fixed)
+        graph = self._build_graph(factors, masks, fixed)
         warm = None
         if presolve_step is not None:
-            pre = self._build_graph(self._relaxed_motion(factors), masks,
-                                    self._values, fixed)
+            pre = self._build_graph(self._relaxed_motion(factors), masks, fixed)
             coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
             warm = self._reroll_plan(pre.optimize(config=coarse).values, presolve_step)
         res = graph.optimize(values=warm, config=self.config.optimizer)
-        for key in graph.keys():
-            self._values[key] = res.values[key]
+        self._values.update(res.values)
         return res, graph
 
     def step(self, k: int, inp: StepInput, local_goal: Pose2) -> StepOutput:
@@ -632,7 +618,7 @@ class Pipeline:
                 res, graph = self._solve(factors, mode_masks(mode, factors, owner), fixed,
                                          k if presolve else None)
                 results.append(res)
-                num_factors += graph.num_factors()
+                num_factors += len(graph.factors)
                 held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),

@@ -60,8 +60,9 @@ def jtr(system) -> np.ndarray:
 
 def cross_block(system, key_a, key_b) -> np.ndarray:
     """``J^T J`` block coupling two active variables (exact zeros when uncoupled)."""
+    g = system.graph
     for key in (key_a, key_b):
-        if key not in system.offsets:
+        if key not in g.offsets:
             raise UnknownVariableError(f"{key} is not an active variable")
-    oa, ob = system.offsets[key_a], system.offsets[key_b]
-    return jtj(system)[oa:oa + system.dims[key_a], ob:ob + system.dims[key_b]]
+    oa, ob = g.offsets[key_a], g.offsets[key_b]
+    return jtj(system)[oa:oa + g.dims[key_a], ob:ob + g.dims[key_b]]

@@ -1,0 +1,68 @@
+"""Per-step solver digests of the benchmark scenes, for bitwise comparisons.
+
+Runs seeds 11-20 x episodes 0-1 of the three ``perfbench/scenarios.py``
+scenes in their own modes, and the crossing scene in the other three modes
+on seeds 11-12, and prints one JSON line per step: the command digest, the
+iteration count, the stop reason and the diverged flag. Two checkouts that
+run the same steps print the same lines, so comparing them is one ``cmp``:
+
+    python3 tests/step_digests.py > new.jsonl   # in each checkout
+    cmp old.jsonl new.jsonl
+
+The package is imported from this checkout's ``src/``. The perfbench
+modules are loaded by path and only read. The name does not start with
+``test_``, so pytest does not collect this file.
+"""
+
+import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from fgnav.factors import Mode  # noqa: E402
+
+SEEDS = range(11, 21)
+EPISODES = (0, 1)
+OTHER_MODE_SEEDS = (11, 12)
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def scenes(scenarios):
+    for make in scenarios.WORKLOADS.values():
+        for seed in SEEDS:
+            for episode in EPISODES:
+                yield make(seed, episode)
+    for mode in Mode:
+        for seed in OTHER_MODE_SEEDS:
+            for episode in EPISODES:
+                scene = scenarios.crossing_cooperative(seed, episode)
+                if mode is not scene.mode:
+                    yield dataclasses.replace(scene, mode=mode)
+
+
+def main():
+    scenarios, closedloop = load("scenarios"), load("closedloop")
+    for scene in scenes(scenarios):
+        rec = closedloop.run_loop(scene, *scenarios.set_up(scene))
+        for k in range(rec.steps):
+            print(json.dumps({
+                "workload": scene.workload, "mode": scene.mode.value, "seed": scene.seed,
+                "episode": scene.episode, "step": k,
+                "command": rec.command_digests[k], "iterations": rec.iterations[k],
+                "reason": rec.reasons[k], "diverged": rec.diverged[k]}), flush=True)
+
+
+if __name__ == "__main__":
+    main()

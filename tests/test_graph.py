@@ -30,7 +30,6 @@ from fgnav.graph import (
     LAMBDA_CAP,
     LAMBDA_INIT,
     LAMBDA_SCALE,
-    DuplicateVariableError,
     FactorGraph,
     LinearSystem,
     NumericalSingularityError,
@@ -65,9 +64,10 @@ def retract(vals, system, delta):
     """
     out = dict(vals)
     poses = {Pose2: [], Pose3: []}
-    for key in system.ordering:
-        o = system.offsets[key]
-        d = delta[o:o + system.dims[key]]
+    g = system.graph
+    for key in g.ordering:
+        o = g.offsets[key]
+        d = delta[o:o + g.dims[key]]
         if type(out[key]) in poses:
             poses[type(out[key])].append((key, d))
         else:
@@ -84,66 +84,63 @@ def gauss_newton_step(graph, vals):
     """The undamped step at ``vals``, per active key."""
     system = graph.linearize(vals)
     delta = system.solve(0.0)
-    return {k: delta[system.offsets[k]:system.offsets[k] + system.dims[k]]
-            for k in system.ordering}
+    return {k: delta[graph.offsets[k]:graph.offsets[k] + graph.dims[k]]
+            for k in graph.ordering}
 
 
-def chain_graph(rng, n=4, noise_scale=0.05):
-    """Pose2 chain: prior on the first pose, noisy between factors."""
-    g = FactorGraph()
+def chain(rng, n=4, noise_scale=0.05):
+    """Pose2 chain: prior on the first pose, noisy between factors; (values, factors)."""
     truth = [Pose2(0, 0, 0)]
     for k in range(1, n):
         truth.append(truth[-1].compose(Pose2(1.0, 0.1, 0.2)))
-    for k in range(n):
-        init = truth[k].compose(Pose2.exp(rng.normal(0, 0.3, 3)))
-        g.add_variable(robot_pose(k), init)
-    g.add_factor(PriorFactor(robot_pose(0), truth[0], [0.1, 0.1, 0.05]))
+    values = {robot_pose(k): truth[k].compose(Pose2.exp(rng.normal(0, 0.3, 3)))
+              for k in range(n)}
+    factors = [PriorFactor(robot_pose(0), truth[0], [0.1, 0.1, 0.05])]
     for k in range(n - 1):
         meas = truth[k].between(truth[k + 1]).compose(
             Pose2.exp(rng.normal(0, noise_scale, 3)))
-        g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1), meas,
-                                   [0.05, 0.05, 0.02]))
-    return g
+        factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), meas,
+                                     [0.05, 0.05, 0.02]))
+    return values, factors
+
+
+def chain_graph(rng, n=4, noise_scale=0.05, fixed=()):
+    return FactorGraph(*chain(rng, n, noise_scale), fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
 # construction and bookkeeping
 
 
-def test_duplicate_variable_rejected():
-    g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2.identity())
-    with pytest.raises(DuplicateVariableError):
-        g.add_variable(robot_pose(0), Pose2.identity())
-
-
 def test_factor_with_unknown_key_rejected():
-    g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2.identity())
     with pytest.raises(UnknownVariableError):
-        g.add_factor(BetweenFactor(robot_pose(0), robot_pose(1),
-                                   Pose2.identity(), 0.1))
+        FactorGraph({robot_pose(0): Pose2.identity()},
+                    [BetweenFactor(robot_pose(0), robot_pose(1), Pose2.identity(), 0.1)])
+
+
+def test_a_fixed_key_needs_a_value():
+    values = {robot_pose(0): Pose2.identity(), velocity(0): np.zeros(2)}
+    prior = PriorFactor(robot_pose(0), Pose2.identity(), 0.1)
     with pytest.raises(UnknownVariableError):
-        g.fix_variable(robot_pose(5))
+        FactorGraph(values, [prior], fixed=[robot_pose(5)])
+    # a fixed key need not be read by any factor
+    g = FactorGraph(values, [prior], fixed=[velocity(0)])
+    assert g.ordering == [robot_pose(0)]
 
 
 def test_add_factor_rejects_objects_that_are_not_factors():
-    g = FactorGraph()
-    g.add_variable(velocity(0), np.zeros(2))
     duck = SimpleNamespace(keys=(velocity(0),), dim=2)
     with pytest.raises(TypeError):
-        g.add_factor(duck)
-    assert g.num_factors() == 0
+        FactorGraph({velocity(0): np.zeros(2)}, [duck])
 
 
 def test_active_keys_sorted_by_time_then_kind():
-    g = FactorGraph()
-    g.add_variable(velocity(2), np.zeros(2))
-    g.add_variable(robot_pose(2), Pose2.identity())
-    g.add_variable(object_motion(3, 1), Pose3.identity())
-    g.add_variable(robot_pose(1), Pose2.identity())
-    g.add_variable(static_point(0), np.zeros(3))
-    keys = g.active_keys()
+    g = FactorGraph({velocity(2): np.zeros(2), robot_pose(2): Pose2.identity(),
+                     object_motion(3, 1): Pose3.identity(), robot_pose(1): Pose2.identity(),
+                     static_point(0): np.zeros(3)}, [])
+    # no factor couples them, so the reverse Cuthill-McKee columns are the
+    # free keys in time order, reversed
+    keys = g.ordering[::-1]
     assert keys[0] == static_point(0)          # point ids sort as step 0
     assert keys[1] == robot_pose(1)
     assert keys[2] == object_motion(3, 1)
@@ -163,11 +160,9 @@ def test_variable_key_repr_is_compact():
 
 
 def test_single_prior_linearization():
-    g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2(0.1, 0.2, 0.0))
-    g.add_factor(PriorFactor(robot_pose(0), Pose2(0.1, 0.2, 0.0),
-                             [0.1, 0.2, 0.05]))
-    sys = g.linearize(g.initial_values())
+    g = FactorGraph({robot_pose(0): Pose2(0.1, 0.2, 0.0)},
+                    [PriorFactor(robot_pose(0), Pose2(0.1, 0.2, 0.0), [0.1, 0.2, 0.05])])
+    sys = g.linearize(g.values)
     # zero residual: J is exactly the whitening matrix
     assert np.allclose(stacked_residual(sys), 0.0)
     assert np.allclose(dense_jacobian(sys), np.diag([10.0, 5.0, 20.0]))
@@ -175,10 +170,8 @@ def test_single_prior_linearization():
 
 
 def test_total_error_is_sum_of_squared_whitened_residuals():
-    g = FactorGraph()
-    g.add_variable(velocity(0), np.array([1.0, 2.0]))
-    g.add_factor(PriorFactor(velocity(0), np.zeros(2), [0.5, 1.0]))
-    vals = g.initial_values()
+    vals = {velocity(0): np.array([1.0, 2.0])}
+    g = FactorGraph(vals, [PriorFactor(velocity(0), np.zeros(2), [0.5, 1.0])])
     # whitened residual is (2, 2): error 8
     assert g.total_error(vals) == pytest.approx(8.0)
     assert g.linearize(vals).total_error() == pytest.approx(8.0)
@@ -186,61 +179,64 @@ def test_total_error_is_sum_of_squared_whitened_residuals():
 
 def test_fixed_variable_has_no_columns():
     rng = np.random.default_rng(0)
-    g = chain_graph(rng, n=3)
-    g.fix_variable(robot_pose(0))
-    sys = g.linearize(g.initial_values())
-    assert robot_pose(0) not in sys.offsets
+    g = chain_graph(rng, n=3, fixed=[robot_pose(0)])
+    sys = g.linearize(g.values)
+    assert robot_pose(0) not in g.offsets
     assert sys.ncols == 6
     with pytest.raises(UnknownVariableError):
         cross_block(sys, robot_pose(0), robot_pose(1))
 
 
-def test_add_factor_rejects_a_mask_of_the_wrong_length():
-    g = FactorGraph()
+def two_poses():
     a, b = robot_pose(0), robot_pose(1)
-    g.add_variable(a, Pose2(0, 0, 0))
-    g.add_variable(b, Pose2(2, 1, 0.4))
-    link = BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
+    return {a: Pose2(0, 0, 0), b: Pose2(2, 1, 0.4)}, BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
+
+
+def test_add_factor_rejects_a_mask_of_the_wrong_length():
+    values, link = two_poses()
     for mask in ((True,), (True, False, False), ()):
         with pytest.raises(ValueError):
-            g.add_factor(link, mask=mask)
-    assert g.num_factors() == 0
-    g.add_factor(link, mask=(True, False))
-    assert g._masks == [(True, False)]
+            FactorGraph(values, [link], [mask])
+    g = FactorGraph(values, [link], [(True, False)])
+    assert g.masks == [(True, False)]
+
+
+def test_the_constructor_takes_one_mask_per_factor():
+    values, link = two_poses()
+    prior = PriorFactor(robot_pose(0), Pose2.identity(), 0.1)
+    for masks in ([], [(True, False)], [(True, False), None, None]):
+        with pytest.raises(ValueError):
+            FactorGraph(values, [link, prior], masks)
+    g = FactorGraph(values, [link, prior], [(True, False), None])
+    assert g.masks == [(True, False), (False,)]
 
 
 def test_cross_block_masked_is_exact_zero():
-    g = FactorGraph()
-    a, b = robot_pose(0), robot_pose(1)
-    g.add_variable(a, Pose2(0, 0, 0))
-    g.add_variable(b, Pose2(2, 1, 0.4))
-    g.add_factor(PriorFactor(a, Pose2.identity(), 0.1))
-    g.add_factor(PriorFactor(b, Pose2(1, 0, 0), 0.1))
-    link = BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
-    g.add_factor(link, mask=(True, False))
-    sys = g.linearize(g.initial_values())
+    values, link = two_poses()
+    a, b = link.keys
+    g = FactorGraph(values, [PriorFactor(a, Pose2.identity(), 0.1),
+                             PriorFactor(b, Pose2(1, 0, 0), 0.1), link],
+                    [None, None, (True, False)])
+    sys = g.linearize(g.values)
     assert np.all(cross_block(sys, a, b) == 0.0)
     assert np.all(jtj(sys)[0:3, 3:6] == 0.0)
 
-    g2 = FactorGraph()
-    g2.add_variable(a, Pose2(0, 0, 0))
-    g2.add_variable(b, Pose2(2, 1, 0.4))
-    g2.add_factor(link)
-    sys2 = g2.linearize(g2.initial_values())
+    g2 = FactorGraph(values, [link])
+    sys2 = g2.linearize(g2.values)
     assert np.any(cross_block(sys2, a, b) != 0.0)
 
 
 def test_jtj_matches_dense_jacobian():
     rng = np.random.default_rng(1)
     for seed in range(5):
-        g = chain_graph(np.random.default_rng(seed), n=5)
+        vals, factors = chain(np.random.default_rng(seed), n=5)
         # add a landmark-style branch with mixed dimensions
-        g.add_variable(static_point(0), rng.normal(0, 1, 3))
-        g.add_variable(robot_pose(10), Pose3.exp(rng.normal(0, 0.4, 6)))
-        g.add_factor(PointMeasurementFactor(
+        vals[static_point(0)] = rng.normal(0, 1, 3)
+        vals[robot_pose(10)] = Pose3.exp(rng.normal(0, 0.4, 6))
+        factors.append(PointMeasurementFactor(
             robot_pose(10), static_point(0), rng.normal(0, 1, 3), 0.1))
-        g.add_factor(PriorFactor(robot_pose(10), Pose3.identity(), 0.2))
-        vals = g.initial_values()
+        factors.append(PriorFactor(robot_pose(10), Pose3.identity(), 0.2))
+        g = FactorGraph(vals, factors)
         sys = g.linearize(vals)
         j = dense_jacobian(sys)
         r = stacked_residual(sys)
@@ -252,7 +248,7 @@ def test_gauss_newton_step_matches_dense_solve():
     for seed in range(5):
         rng = np.random.default_rng(seed + 10)
         g = chain_graph(rng, n=4)
-        vals = g.initial_values()
+        vals = g.values
         sys = g.linearize(vals)
         j = dense_jacobian(sys)
         r = stacked_residual(sys)
@@ -281,17 +277,17 @@ def wide_graph(steps=10):
     One more point measurement is a batch of its own class.
     """
     rng = np.random.default_rng(23)
-    g = FactorGraph()
+    values = {}
     factors = []
 
     def noisy(pose, scale):
         return pose.compose(Pose3.exp(rng.normal(0, scale, 6)))
 
     for k in range(steps):
-        g.add_variable(robot_pose(k), Pose3.exp(np.array([0.5 * k, 0, 0, 0, 0, 0])))
+        values[robot_pose(k)] = Pose3.exp(np.array([0.5 * k, 0, 0, 0, 0, 0]))
         for obj in (1, 2):
-            g.add_variable(object_motion(obj, k), Pose3.exp(
-                np.array([0.05 * k, 0.02 * obj, 0, 0, 0, 0.01 * k])))
+            values[object_motion(obj, k)] = Pose3.exp(
+                np.array([0.05 * k, 0.02 * obj, 0, 0, 0, 0.01 * k]))
     factors.append(PriorFactor(robot_pose(0), Pose3.identity(), 0.05))
     for k in range(steps - 1):
         step = Pose3.exp(np.array([0.5, 0, 0, 0, 0, 0]))
@@ -302,13 +298,13 @@ def wide_graph(steps=10):
     factors.append(PriorFactor(object_motion(2, 0), Pose3.identity(), 0.1))
     for p in range(6):
         key = static_point(steps + 30 + p)
-        g.add_variable(key, rng.normal(0, 2, 3))
+        values[key] = rng.normal(0, 2, 3)
         for k in (p % 3, p % 3 + 1):
             factors.append(PointMeasurementFactor(robot_pose(k), key, rng.normal(0, 2, 3), 0.1))
     for obj in (1, 2):
         for p in range(3):
             key = dynamic_point(obj, steps + 20 + p)
-            g.add_variable(key, rng.normal(0, 1, 3))
+            values[key] = rng.normal(0, 1, 3)
             for k in range(3):
                 factors.append(HybridMotionFactor(robot_pose(k), object_motion(obj, k), key,
                                                   rng.normal(0, 1, 3), 0.1))
@@ -327,22 +323,18 @@ def wide_graph(steps=10):
                                                     component=component))
     masks = mode_masks(Mode.COOPERATIVE, hinges, owner)
     assert masks == [(False, True), (True, False)] * (len(hinges) // 2)
-    for f in factors:
-        g.add_factor(f)
-    for f, mask in zip(hinges, masks):
-        g.add_factor(f, mask)
-    g.add_factor(_Wrapped(robot_pose(steps - 1), static_point(steps + 30),
-                          rng.normal(0, 2, 3), 0.1))
-    g.fix_variable(object_motion(1, 0))
-    return g
+    wrapped = _Wrapped(robot_pose(steps - 1), static_point(steps + 30),
+                       rng.normal(0, 2, 3), 0.1)
+    return FactorGraph(values, factors + hinges + [wrapped],
+                       [None] * len(factors) + masks + [None], [object_motion(1, 0)])
 
 
 def time_sorted_bandwidth(g, system):
-    """Bandwidth of the system's J^T J with its columns in active_keys() order."""
+    """Bandwidth of the system's J^T J with its columns in time order."""
     position = np.zeros(system.ncols, dtype=int)
     at = 0
-    for key in g.active_keys():
-        o, d = system.offsets[key], system.dims[key]
+    for key in sorted(g.ordering, key=lambda k: (k.time_step, k.kind, k.object_id)):
+        o, d = g.offsets[key], g.dims[key]
         position[o:o + d] = np.arange(at, at + d)
         at += d
     rows, cols = np.nonzero(jtj(system))
@@ -355,15 +347,15 @@ def assert_rel(got, want, rtol):
 
 def test_banded_solve_matches_dense_oracle_on_a_wide_graph():
     g = wide_graph()
-    system = g.linearize(g.initial_values())
+    system = g.linearize(g.values)
     j = dense_jacobian(system)
     h = j.T @ j
     assert_rel(jtj(system), h, 1e-12)
     assert_rel(jtr(system), j.T @ stacked_residual(system), 1e-12)
     # every product lies inside the band, and the band is narrower than time order
     rows, cols = np.nonzero(jtj(system))
-    assert np.max(rows - cols) <= system.bw
-    assert system.bw < time_sorted_bandwidth(g, system)
+    assert np.max(rows - cols) <= g.bw
+    assert g.bw < time_sorted_bandwidth(g, system)
     # hinge pairs masked both ways never couple a planned pose to a motion
     assert np.all(cross_block(system, robot_pose(6), object_motion(1, 6)) == 0.0)
     assert np.any(cross_block(system, robot_pose(1), object_motion(1, 1)) != 0.0)
@@ -375,9 +367,8 @@ def test_banded_solve_matches_dense_oracle_on_a_wide_graph():
 
 def test_column_order_is_deterministic():
     a, b = wide_graph(), wide_graph()
-    order = a.linearize(a.initial_values()).ordering
-    assert order == b.linearize(b.initial_values()).ordering
-    assert sorted(order) == sorted(a.active_keys())
+    assert a.ordering == b.ordering
+    assert sorted(a.ordering) == sorted(k for k in a.values if k not in a.fixed)
 
 
 class _SumRow(Factor):
@@ -398,10 +389,8 @@ class _SumRow(Factor):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_rank_deficient_system_raises_numerical_singularity(dim):
     # dim 2 is a one-subdiagonal band, dim 3 a wider one
-    g = FactorGraph()
-    g.add_variable(velocity(0), np.zeros(dim))
-    g.add_factor(_SumRow(velocity(0)))
-    system = g.linearize(g.initial_values())
+    g = FactorGraph({velocity(0): np.zeros(dim)}, [_SumRow(velocity(0))])
+    system = g.linearize(g.values)
     assert np.all(np.diag(jtj(system)) > 0.0)
     with pytest.raises(NumericalSingularityError):
         system.solve(0.0)
@@ -426,7 +415,7 @@ def test_optimize_matches_scipy_least_squares():
     for seed in range(4):
         rng = np.random.default_rng(seed + 20)
         g = chain_graph(rng, n=4, noise_scale=0.05)
-        vals0 = g.initial_values()
+        vals0 = g.values
         sys0 = g.linearize(vals0)
 
         def fun(xi):
@@ -444,9 +433,8 @@ def test_optimize_matches_scipy_least_squares():
 
 def test_optimize_respects_fixed_variables():
     rng = np.random.default_rng(3)
-    g = chain_graph(rng, n=4)
-    anchor = g.initial_values()[robot_pose(2)]
-    g.fix_variable(robot_pose(2))
+    g = chain_graph(rng, n=4, fixed=[robot_pose(2)])
+    anchor = g.values[robot_pose(2)]
     res = g.optimize()
     after = res.values[robot_pose(2)]
     assert after.x == anchor.x and after.theta == anchor.theta
@@ -454,10 +442,9 @@ def test_optimize_respects_fixed_variables():
 
 
 def test_optimize_raises_for_unconstrained_variable():
-    g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2.identity())
-    g.add_variable(velocity(0), np.zeros(2))   # no factor touches it
-    g.add_factor(PriorFactor(robot_pose(0), Pose2.identity(), 0.1))
+    g = FactorGraph({robot_pose(0): Pose2.identity(),
+                     velocity(0): np.zeros(2)},   # no factor touches it
+                    [PriorFactor(robot_pose(0), Pose2.identity(), 0.1)])
     with pytest.raises(SingularSystemError, match="VELOCITY"):
         g.optimize()
 
@@ -479,9 +466,7 @@ class _StubbornFactor(Factor):
 
 
 def test_optimize_reports_divergence_at_lambda_cap():
-    g = FactorGraph()
-    g.add_variable(velocity(0), np.array([1.0]))
-    g.add_factor(_StubbornFactor(velocity(0)))
+    g = FactorGraph({velocity(0): np.array([1.0])}, [_StubbornFactor(velocity(0))])
     res = g.optimize()
     assert not res.converged
     assert res.diverged and res.reason == "lambda_cap"
@@ -498,14 +483,12 @@ def test_optimize_iteration_budget():
 
 
 def test_optimize_ends_at_once_without_active_columns():
-    empty = FactorGraph().optimize()
+    empty = FactorGraph({}, []).optimize()
     assert (empty.iterations, empty.reason, len(empty.values)) == (1, "abs_tol", 0)
 
-    g = FactorGraph()
     v0 = np.array([1.0, -2.0])
-    g.add_variable(velocity(0), v0)
-    g.add_factor(PriorFactor(velocity(0), np.zeros(2), 0.5))
-    g.fix_variable(velocity(0))
+    g = FactorGraph({velocity(0): v0}, [PriorFactor(velocity(0), np.zeros(2), 0.5)],
+                    fixed=[velocity(0)])
     res = g.optimize()
     assert (res.iterations, res.reason) == (1, "abs_tol")
     assert res.accepted_errors == [20.0, 20.0]
@@ -532,42 +515,41 @@ def mixed_graph():
     point measurement are batches of test-local classes.
     """
     rng = np.random.default_rng(31)
-    g = FactorGraph()
+    values = {}
     for k in range(4):
-        g.add_variable(robot_pose(k), Pose2(1.0 * k, 0.1 * k, 0.1).compose(
-            Pose2.exp(rng.normal(0, 0.2, 3))))
+        values[robot_pose(k)] = Pose2(1.0 * k, 0.1 * k, 0.1).compose(
+            Pose2.exp(rng.normal(0, 0.2, 3)))
     for k in range(3):
-        g.add_variable(object_motion(1, k), Pose3.exp(
-            np.array([0.4 * k, 0.1, 0.0, 0.0, 0.0, 0.05 * k]) + rng.normal(0, 0.1, 6)))
+        values[object_motion(1, k)] = Pose3.exp(
+            np.array([0.4 * k, 0.1, 0.0, 0.0, 0.0, 0.05 * k]) + rng.normal(0, 0.1, 6))
     for p in range(3):
-        g.add_variable(static_point(p), rng.normal(0, 1, 3))
-    g.add_variable(velocity(0), rng.normal(0, 1, 2))
+        values[static_point(p)] = rng.normal(0, 1, 3)
+    values[velocity(0)] = rng.normal(0, 1, 2)
 
-    g.add_factor(PriorFactor(robot_pose(0), Pose2.identity(), [0.1, 0.1, 0.05]))
+    factors = [PriorFactor(robot_pose(0), Pose2.identity(), [0.1, 0.1, 0.05])]
     for k in range(3):
-        g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1),
-                                   Pose2(1.0, 0.1, 0.0), [0.05, 0.05, 0.02]))
-    g.add_factor(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1), 0.1),
-                 mask=(True, False))
-    g.add_factor(PriorFactor(object_motion(1, 0), Pose3.identity(), 0.1))
+        factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1),
+                                     Pose2(1.0, 0.1, 0.0), [0.05, 0.05, 0.02]))
+    factors.append(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1), 0.1))
+    masks = [None] * (len(factors) - 1) + [(True, False)]
+    factors.append(PriorFactor(object_motion(1, 0), Pose3.identity(), 0.1))
     step = Pose3.exp(np.array([0.4, 0, 0, 0, 0, 0.05]))
     for k in range(2):
-        g.add_factor(BetweenFactor(object_motion(1, k), object_motion(1, k + 1), step, 0.05))
+        factors.append(BetweenFactor(object_motion(1, k), object_motion(1, k + 1), step, 0.05))
     for p in range(3):
         for k in (1, 2):
-            g.add_factor(PointMeasurementFactor(object_motion(1, k), static_point(p),
-                                                rng.normal(0, 1, 3), 0.1))
-    g.add_factor(PriorFactor(velocity(0), np.array([0.5, 0.0]), [0.2, 0.1]))
-    g.add_factor(_Overshooting(velocity(0), np.array([-0.5, 0.3]), 0.01))
-    g.add_factor(_Wrapped(object_motion(1, 2), static_point(0), rng.normal(0, 1, 3), 0.2))
-    g.fix_variable(object_motion(1, 0))
-    g.fix_variable(object_motion(1, 1))
-    return g
+            factors.append(PointMeasurementFactor(object_motion(1, k), static_point(p),
+                                                  rng.normal(0, 1, 3), 0.1))
+    factors.append(PriorFactor(velocity(0), np.array([0.5, 0.0]), [0.2, 0.1]))
+    factors.append(_Overshooting(velocity(0), np.array([-0.5, 0.3]), 0.01))
+    factors.append(_Wrapped(object_motion(1, 2), static_point(0), rng.normal(0, 1, 3), 0.2))
+    masks += [None] * (len(factors) - len(masks))
+    return FactorGraph(values, factors, masks, [object_motion(1, 0), object_motion(1, 1)])
 
 
 def reference_optimize(graph, config):
     """Levenberg-Marquardt over dicts, one retraction per trial step."""
-    vals = graph.initial_values()
+    vals = dict(graph.values)
     err = graph.total_error(vals)
     history = [err]
     lam = LAMBDA_INIT
@@ -618,19 +600,17 @@ def assert_same_values(got, want):
 
 def test_mixed_graph_has_constant_and_mixed_batches():
     g = mixed_graph()
-    g.linearize(g.initial_values())
-    between3 = [b for b in g._pattern.batches
+    between3 = [b for b in g.batches
                 if b.cls is BetweenFactor and isinstance(b.params, tuple)]
     assert len(between3) == 1 and len(between3[0].cols) == 2
-    own = [(b.cls, len(b.cols)) for b in g._pattern.batches
+    own = [(b.cls, len(b.cols)) for b in g.batches
            if b.cls in (_Overshooting, _Wrapped)]
     assert own == [(_Overshooting, 1), (_Wrapped, 1)]
 
 
 def test_first_error_of_a_linearization_equals_total_error_exactly():
     g = mixed_graph()
-    vals = g.initial_values()
-    assert g.linearize(vals).total_error() == g.total_error(vals)
+    assert g.linearize(g.values).total_error() == g.total_error(g.values)
 
 
 @pytest.mark.parametrize("config", [OptimizerConfig(), OptimizerConfig(max_iters=3)])
@@ -647,27 +627,27 @@ def hinge_chain(n=12):
 
     Velocity priors pull outside tight box hinges and every pose sits
     inside the clearance of a fixed object, so about half of the trial
-    steps are rejected. The hinge batches come first in the pattern's order.
+    steps are rejected. The hinge batches come first in the graph's order.
     """
     rng = np.random.default_rng(41)
-    g = FactorGraph()
+    values = {}
     for k in range(n):
-        g.add_variable(velocity(k), rng.normal(0, 0.3, 2))
-        g.add_variable(robot_pose(k), Pose2(0.3 * k, 0.05 * rng.normal(), 0.0))
-        g.add_variable(object_motion(1, k), Pose3(np.eye(3), np.array([0.3 * k + 0.1, 0.25, 0])))
-        g.fix_variable(object_motion(1, k))
+        values[velocity(k)] = rng.normal(0, 0.3, 2)
+        values[robot_pose(k)] = Pose2(0.3 * k, 0.05 * rng.normal(), 0.0)
+        values[object_motion(1, k)] = Pose3(np.eye(3), np.array([0.3 * k + 0.1, 0.25, 0]))
+    factors = []
     for k in range(n):
-        g.add_factor(LimitFactor(velocity(k), [-0.5, -0.5], [0.5, 0.5], 1e-3))
-        g.add_factor(DynamicObstacleFactor(robot_pose(k), object_motion(1, k), Pose3.identity(),
-                                           0.6, 5e-3, margin=0.05))
-    g.add_factor(PriorFactor(robot_pose(0), Pose2.identity(), [0.05, 0.05, 0.05]))
+        factors.append(LimitFactor(velocity(k), [-0.5, -0.5], [0.5, 0.5], 1e-3))
+        factors.append(DynamicObstacleFactor(robot_pose(k), object_motion(1, k),
+                                             Pose3.identity(), 0.6, 5e-3, margin=0.05))
+    factors.append(PriorFactor(robot_pose(0), Pose2.identity(), [0.05, 0.05, 0.05]))
     for k in range(n - 1):
-        g.add_factor(BetweenFactor(robot_pose(k), robot_pose(k + 1), Pose2(0.3, 0.0, 0.0),
-                                   [0.05, 0.05, 0.05]))
-        g.add_factor(ConstantAccelerationFactor(velocity(k), velocity(k + 1), 2, 0.05))
+        factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), Pose2(0.3, 0.0, 0.0),
+                                     [0.05, 0.05, 0.05]))
+        factors.append(ConstantAccelerationFactor(velocity(k), velocity(k + 1), 2, 0.05))
     for k in range(n):
-        g.add_factor(PriorFactor(velocity(k), np.array([1.0, -0.8]) * (1 + 0.1 * k), 0.1))
-    return g
+        factors.append(PriorFactor(velocity(k), np.array([1.0, -0.8]) * (1 + 0.1 * k), 0.1))
+    return FactorGraph(values, factors, fixed=[object_motion(1, k) for k in range(n)])
 
 
 def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
@@ -686,7 +666,7 @@ def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
     monkeypatch.setattr(_Batch, "residual", evaluating)
     g = hinge_chain()
     got = g.optimize()
-    nbatches = len(g._pattern.batches)
+    nbatches = len(g.batches)
     rejected = counts["solve"] - (len(got.accepted_errors) - 1)
     assert rejected >= 20
     # every trial would evaluate every batch; the lost ones stop early
@@ -700,7 +680,7 @@ def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
 
 def test_a_bounded_total_error_is_the_full_one_or_passes_the_bound():
     g = hinge_chain()
-    vals = g.initial_values()
+    vals = g.values
     full = g.total_error(vals)
     assert g.total_error(vals, full) == full
     partial = g.total_error(vals, 0.5 * full)
@@ -753,14 +733,13 @@ def test_obstacle_hinges_push_a_chain_clear_of_a_disk():
     grid.mark_disk(1.3, -0.1, 0.15)
     esdf = EsdfGrid.from_occupancy(grid)
     d_safe = 0.35
-    g = FactorGraph()
-    g.add_variable(robot_pose(0), Pose2(0.0, 0.0, 0.0))
-    g.fix_variable(robot_pose(0))
+    values = {robot_pose(k): Pose2(0.5 * k, 0.0, 0.0) for k in range(4)}
+    factors = []
     for k in range(1, 4):
-        g.add_variable(robot_pose(k), Pose2(0.5 * k, 0.0, 0.0))
-        g.add_factor(BetweenFactor(robot_pose(k - 1), robot_pose(k), Pose2(0.5, 0.0, 0.0),
-                                   [0.05, 0.05, 0.025]))
-        g.add_factor(StaticObstacleFactor(robot_pose(k), esdf, d_safe + 0.05, 2e-3))
+        factors.append(BetweenFactor(robot_pose(k - 1), robot_pose(k), Pose2(0.5, 0.0, 0.0),
+                                     [0.05, 0.05, 0.025]))
+        factors.append(StaticObstacleFactor(robot_pose(k), esdf, d_safe + 0.05, 2e-3))
+    g = FactorGraph(values, factors, fixed=[robot_pose(0)])
     start = [esdf.query(0.5 * k, 0.0) for k in range(1, 4)]
     assert min(start) < d_safe   # the last two poses start inside the clearance
     res = g.optimize()
@@ -777,16 +756,15 @@ def test_obstacle_hinges_push_a_chain_clear_of_a_disk():
 def test_masked_spanning_factor_leaves_upstream_solution_unchanged():
     rng = np.random.default_rng(7)
     est = chain_graph(rng, n=3)
-    est_vals = est.initial_values()
 
-    joint = chain_graph(np.random.default_rng(7), n=3)   # same construction
+    values, factors = chain(np.random.default_rng(7), n=3)   # same construction
     q = robot_pose(50)
-    joint.add_variable(q, Pose2(3.0, 1.0, 0.0))
+    values[q] = Pose2(3.0, 1.0, 0.0)
     link = BetweenFactor(robot_pose(2), q, Pose2(1, 0, 0), 0.1)
-    joint.add_factor(link, mask=(True, False))
+    joint = FactorGraph(values, factors + [link], [None] * len(factors) + [(True, False)])
 
-    d_est = gauss_newton_step(est, est_vals)
-    d_joint = gauss_newton_step(joint, joint.initial_values())
+    d_est = gauss_newton_step(est, est.values)
+    d_joint = gauss_newton_step(joint, joint.values)
     for k in range(3):
         assert np.allclose(d_joint[robot_pose(k)], d_est[robot_pose(k)],
                            atol=1e-12)

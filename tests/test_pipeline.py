@@ -34,6 +34,7 @@ from fgnav.pipeline import (
     Pipeline,
     PipelineConfig,
     StepInput,
+    compute_motion_error,
     mode_masks,
     select_local_goal,
 )
@@ -280,7 +281,7 @@ def test_reason_names_the_first_stage_that_stopped_short(monkeypatch):
         res = optimize(graph, values=values, config=config)
         results.append(res)
         if len(results) == 1:   # step 0's estimation stage
-            res = dataclasses.replace(res, converged=False, reason="max_iters")
+            res = dataclasses.replace(res, reason="max_iters")
         return res
 
     monkeypatch.setattr(FactorGraph, "optimize", optimizing)
@@ -306,8 +307,8 @@ def test_stats_count_the_graphs_of_every_stage(mode, monkeypatch):
     _, outputs = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     for out in outputs:
         stages = [graph for k, graph in graphs if k == out.step]
-        assert out.stats["num_factors"] == sum(g.num_factors() for g in stages)
-        assert out.stats["num_variables"] == len({key for g in stages for key in g.keys()})
+        assert out.stats["num_factors"] == sum(len(g.factors) for g in stages)
+        assert out.stats["num_variables"] == len({key for g in stages for key in g.values})
 
 
 def owner(k, key):
@@ -353,8 +354,8 @@ def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     masked = mode in (Mode.DIRECTED, Mode.COOPERATIVE)
     reads_later = 0
     for k, graph in graphs:
-        assert len(graph._masks) == graph.num_factors()
-        for f, mask in zip(graph.factors, graph._masks):
+        assert len(graph.masks) == len(graph.factors)
+        for f, mask in zip(graph.factors, graph.masks):
             owners = [owner(k, key) for key in f.keys]
             want = tuple(masked and o != f.component for o in owners)
             assert mask == want, (k, type(f).__name__, f.keys)
@@ -434,8 +435,8 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
         # nothing else can move estimation
         est_stage, rest_stage = step_graphs
         assert {f.component for f in est_stage.factors} == {Component.ESTIMATION}
-        assert all(owner(2, key) is Component.ESTIMATION for key in est_stage.keys())
-        active = rest_stage.active_keys()
+        assert all(owner(2, key) is Component.ESTIMATION for key in est_stage.values)
+        active = rest_stage.ordering
         assert {key.kind for key in active} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
         assert all(owner(2, key) is not Component.ESTIMATION for key in active)
         assert Component.ESTIMATION not in {f.component for f in rest_stage.factors}
@@ -446,8 +447,8 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
         assert_same_pose(outputs[2].object_motions[1][2], alone[object_motion(1, 2)])
         return
     [graph] = step_graphs
-    values = graph.initial_values()
-    active = graph.active_keys()
+    values = graph.values
+    active = graph.ordering
     est = [key for key in active if owner(2, key) is Component.ESTIMATION]
     rest = [key for key in active if owner(2, key) is not Component.ESTIMATION]
     assert {key.kind for key in rest} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
@@ -456,20 +457,16 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
                if np.any(cross_block(system, e, o) != 0.0)]
 
     # the estimation factors alone, over the same fixed keys and values
-    alone = FactorGraph()
     est_factors = [f for f in graph.factors if f.component is Component.ESTIMATION]
     keys = {key for f in est_factors for key in f.keys}
-    for key in sorted(keys):
-        alone.add_variable(key, values[key])
-    for key in keys - set(active):
-        alone.fix_variable(key)
-    for f in est_factors:
-        alone.add_factor(f)
-    assert sorted(alone.active_keys()) == sorted(est)
+    alone = FactorGraph({key: values[key] for key in sorted(keys)}, est_factors,
+                        fixed=keys - set(active))
+    assert sorted(alone.ordering) == sorted(est)
     reference = alone.linearize(values)
 
     def columns(linear):
-        return np.concatenate([linear.offsets[e] + np.arange(linear.dims[e]) for e in est])
+        g = linear.graph
+        return np.concatenate([g.offsets[e] + np.arange(g.dims[e]) for e in est])
 
     cols, ref_cols = columns(system), columns(reference)
     step_gap = np.max(np.abs(system.solve(0.0)[cols] - reference.solve(0.0)[ref_cols]))
@@ -520,13 +517,13 @@ def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
     # step 0 plans cold: its planning stage is pre-solved
     assert len(built) == len(solved) + 1
     for k, graph in built:
-        assert all(b.kept is not None for b in graph._get_pattern().batches), k
+        assert all(b.kept is not None for b in graph.batches), k
     for i, (k, graph) in enumerate(solved):
         components = {f.component for f in graph.factors}
         if staged and i % 2:
             assert Component.ESTIMATION not in components
             assert all(owner(k, key) is not Component.ESTIMATION
-                       for key in graph.active_keys())
+                       for key in graph.ordering)
         elif staged:
             assert components == {Component.ESTIMATION}
         elif k == 2:   # the walker is tracked at step 2
@@ -542,7 +539,7 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
     planning = [g for _, g in graphs
                 if any(isinstance(f, MotionModelFactor) for f in g.factors)]
     assert len(planning) == 1
-    batches = [len(b.cols) for b in planning[0]._pattern.batches
+    batches = [len(b.cols) for b in planning[0].batches
                if b.cls is MotionModelFactor]
     assert batches == [HORIZON]
 
@@ -740,9 +737,39 @@ def test_nan_settings_are_rejected(make):
     dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
     dict(object_radius=math.nan), dict(goal_lookahead=-1.0), dict(horizon=2.5),
     dict(lag_window=math.nan), dict(lag_window=2.5),
+    # each of these constructed and then ended the first steps in lambda_cap
+    # with zeroed commands
+    dict(dt=math.inf), dict(robot_radius=math.inf), dict(object_radius=math.inf),
+    dict(safety_offset=math.inf), dict(hinge_margin=math.inf),
 ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
 def test_config_rejects_settings_that_break_a_step(settings):
     # each of these constructed before, and the first step then failed
     # after it had advanced, so every retry failed as well
     with pytest.raises(ValueError):
         PipelineConfig(**settings)
+
+
+def test_motion_error_is_the_mean_planar_error_per_step():
+    truth = [Pose2(0.0, 0.0, 0.0), Pose2(1.0, 0.0, math.pi / 2), Pose2(2.0, 0.0, 0.0)]
+    # 0.5 m and 0.1 rad off; 2 m off along the heading; 0.2 rad off
+    estimate = [Pose2(0.3, 0.4, 0.1), Pose2(1.0, 2.0, math.pi / 2), Pose2(2.0, 0.0, -0.2)]
+    me_r_deg, me_t = compute_motion_error(estimate, truth)
+    assert me_r_deg == pytest.approx(math.degrees(0.1), abs=1e-12)
+    assert me_t == pytest.approx(2.5 / 3, abs=1e-12)
+    with pytest.raises(ValueError, match="empty"):
+        compute_motion_error([], [])
+    with pytest.raises(ValueError, match="lengths differ"):
+        compute_motion_error(estimate, truth[:2])
+
+
+def test_local_goal_is_the_farthest_path_point_within_the_lookahead():
+    path = [Pose2(0.5 * i, 0.0, 0.0) for i in range(7)]   # 0 to 3 m along x
+    near = Pose2(0.9, 0.2, 0.0)   # closest to the point at 1 m
+    assert select_local_goal(path, near, 1.2) is path[4]
+    assert select_local_goal(path, near, 1.0) is path[4]   # a point on the bound counts
+    assert select_local_goal(path, near, 0.4) is path[2]
+    # the path's end, however far the lookahead reaches or the robot has gone
+    assert select_local_goal(path, near, 10.0) is path[-1]
+    assert select_local_goal(path, Pose2(5.0, 1.0, 0.0), 1.0) is path[-1]
+    with pytest.raises(ValueError, match="empty"):
+        select_local_goal([], near, 1.0)
