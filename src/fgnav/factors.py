@@ -1,12 +1,15 @@
 """Residual catalog for estimation, prediction and planning.
 
-Every factor class writes its geometry once, as a batch kernel:
-``evaluate(params, args, jacobians)`` takes the stacked constants of n
+Every factor class writes its geometry once, as a two-phase batch
+kernel: ``evaluate(params, args)`` takes the stacked constants of n
 instances (``stack_params``) and one batch per key (see
-:func:`fgnav.lie.stack`), and returns the raw residuals as an (n, dim)
-array and, when asked, the Jacobians with respect to a right perturbation
-of every key as one (n, dim, D) array whose columns run over the keys'
-tangents in key order.
+:func:`fgnav.lie.stack`) and is a generator. It first yields the raw
+residuals as an (n, dim) array, then the Jacobians with respect to a right
+perturbation of every key as one (n, dim, D) array whose columns run over
+the keys' tangents in key order, computed from the same locals. A caller
+that needs only the error stops after the first yield; one that resumes
+the kernel later gets the Jacobians at the point the residuals were taken
+at, without evaluating them again.
 
 A class lists in ``planar_slots`` the keys it reads in SE(2). Those keys
 reach the kernel through :func:`planar_view`: a Pose2 as itself, a Pose3
@@ -174,17 +177,6 @@ def read_columns(dim: int, planar: bool) -> np.ndarray:
     return PLANAR_COLUMNS if planar and dim == 6 else np.arange(dim)
 
 
-def whiten(sqrt_info: np.ndarray, r: np.ndarray, jac: np.ndarray | None = None):
-    """Whitened residuals and Jacobians of a batch.
-
-    ``sqrt_info`` and ``r`` are (n, dim), the inverse sigmas and the raw
-    residuals; ``jac`` is (n, dim, D).
-    """
-    rw = sqrt_info * r
-    jw = None if jac is None else sqrt_info[:, :, None] * jac
-    return rw, jw
-
-
 class Factor:
     """Base class: keys, whitening and component."""
 
@@ -217,26 +209,33 @@ class Factor:
         return None
 
     @classmethod
-    def evaluate(cls, params, args, jacobians: bool):
-        """Raw residuals (n, dim) and Jacobians (n, dim, D) or None."""
+    def evaluate(cls, params, args):
+        """Yield the raw residuals (n, dim), then the Jacobians (n, dim, D)."""
         raise NotImplementedError
 
     # -- one instance
 
-    def _evaluate_one(self, values, jacobians: bool):
-        """Residual (1, dim), Jacobian (1, dim, D) or None, and each key's width.
-
-        The Jacobian runs over every key's whole tangent: columns of a key
-        read through ``planar_view`` that the view does not move are zero.
-        """
+    def _kernel(self, values):
+        """The kernel started on this instance alone, and each key's width."""
         if type(self).evaluate.__func__ is Factor.evaluate.__func__:
             raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
         args = [stack([values[k]]) for k in self.keys]
         dims = [batch_dim(a) for a in args]
         for j in self.planar_slots:
             args[j] = planar_view(args[j])
-        r, jac = self.evaluate(self.stack_params([self]), args, jacobians)
-        if jac is not None and jac.shape[2] != sum(dims):
+        return self.evaluate(self.stack_params([self]), args), dims
+
+    def residual(self, values) -> np.ndarray:
+        return next(self._kernel(values)[0])[0]
+
+    def linearize_raw(self, values):
+        """Return (residual, [jacobian per key]).
+
+        The blocks run over every key's whole tangent: columns of a key
+        read through ``planar_view`` that the view does not move are zero.
+        """
+        (r, jac), dims = self._kernel(values)
+        if jac.shape[2] != sum(dims):
             # a Pose3 read through its view: spread the view's columns out
             starts = np.cumsum(dims) - dims
             cols = np.concatenate([o + read_columns(d, j in self.planar_slots)
@@ -244,25 +243,16 @@ class Factor:
             full = np.zeros(jac.shape[:2] + (sum(dims),))
             full[:, :, cols] = jac
             jac = full
-        return r, jac, dims
-
-    def residual(self, values) -> np.ndarray:
-        return self._evaluate_one(values, False)[0][0]
-
-    def linearize_raw(self, values):
-        """Return (residual, [jacobian per key])."""
-        r, jac, dims = self._evaluate_one(values, True)
         return r[0], np.split(jac[0], np.cumsum(dims)[:-1], axis=1)
 
     def whitened_residual(self, values) -> np.ndarray:
-        r = self._evaluate_one(values, False)[0]
-        return whiten(self.sqrt_info[None], r)[0][0]
+        return self.sqrt_info * self.residual(values)
 
     def whitened_linearization(self, values):
         """Whitened residual plus one (key, block) per key."""
-        r, jac, dims = self._evaluate_one(values, True)
-        rw, jw = whiten(self.sqrt_info[None], r, jac)
-        return rw[0], list(zip(self.keys, np.split(jw[0], np.cumsum(dims)[:-1], axis=1)))
+        r, jacs = self.linearize_raw(values)
+        w = self.sqrt_info
+        return w * r, [(k, w[:, None] * j) for k, j in zip(self.keys, jacs)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +322,17 @@ class PriorFactor(Factor):
         return True, stack([f._prior_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         is_pose, prior = params
         x = args[0]
         if not is_pose:
             r = x - prior
-            return r, (_eye(*r.shape) if jacobians else None)
+            yield r
+            yield _eye(*r.shape)
+            return
         r = log_batch(compose_batch(prior, x))
-        return r, (right_jacobian_inverse_batch(r) if jacobians else None)
+        yield r
+        yield right_jacobian_inverse_batch(r)
 
 
 class BetweenFactor(Factor):
@@ -360,14 +353,13 @@ class BetweenFactor(Factor):
         return stack([f._meas_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, meas_inv, args, jacobians):
+    def evaluate(cls, meas_inv, args):
         rel = between_batch(args[0], args[1])
         r = log_batch(compose_batch(meas_inv, rel))
-        if not jacobians:
-            return r, None
+        yield r
         jr_inv = right_jacobian_inverse_batch(r)
         j_a = -jr_inv @ adjoint_batch(inverse_batch(rel))
-        return r, np.concatenate([j_a, jr_inv], axis=2)
+        yield np.concatenate([j_a, jr_inv], axis=2)
 
 
 class PointMeasurementFactor(Factor):
@@ -384,14 +376,12 @@ class PointMeasurementFactor(Factor):
         return stack([f.measured for f in factors])
 
     @classmethod
-    def evaluate(cls, measured, args, jacobians):
+    def evaluate(cls, measured, args):
         (rot, t), m = args
         rt = rot.transpose(0, 2, 1)
         p = np.einsum("nij,nj->ni", rt, m - t)
-        r = p - measured
-        if not jacobians:
-            return r, None
-        return r, np.concatenate([_point_jacobian(p), rt], axis=2)
+        yield p - measured
+        yield np.concatenate([_point_jacobian(p), rt], axis=2)
 
 
 class HybridMotionFactor(Factor):
@@ -415,17 +405,14 @@ class HybridMotionFactor(Factor):
         return stack([f.measured for f in factors])
 
     @classmethod
-    def evaluate(cls, measured, args, jacobians):
+    def evaluate(cls, measured, args):
         (rx, tx), (rh, th), m = args
         rt = rx.transpose(0, 2, 1)
         w = np.einsum("nij,nj->ni", rh, m) + th
         p = np.einsum("nij,nj->ni", rt, w - tx)
-        r = p - measured
-        if not jacobians:
-            return r, None
+        yield p - measured
         rot = rt @ rh
-        return r, np.concatenate(
-            [_point_jacobian(p), rot, rot @ -skew_batch(m), rot], axis=2)
+        yield np.concatenate([_point_jacobian(p), rot, rot @ -skew_batch(m), rot], axis=2)
 
 
 class ObjectSmoothingFactor(Factor):
@@ -453,19 +440,17 @@ class ObjectSmoothingFactor(Factor):
         return np.array([f._ad_ref_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, ad_ref_inv, args, jacobians):
+    def evaluate(cls, ad_ref_inv, args):
         h1, h2, h3 = args
         b = between_batch(h2, h3)
         x = compose_batch(between_batch(h2, h1), b)
         xi = log_batch(x)
-        r = np.einsum("nij,nj->ni", ad_ref_inv, xi)
-        if not jacobians:
-            return r, None
+        yield np.einsum("nij,nj->ni", ad_ref_inv, xi)
         j3 = ad_ref_inv @ right_jacobian_inverse_batch(xi)
         ad_b_inv = adjoint_batch(inverse_batch(b))
         j1 = j3 @ ad_b_inv
         j2 = -(j3 @ (adjoint_batch(inverse_batch(x)) + ad_b_inv))
-        return r, np.concatenate([j1, j2, j3], axis=2)
+        yield np.concatenate([j1, j2, j3], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +479,7 @@ class MotionModelFactor(Factor):
         return np.array([f.dt for f in factors])
 
     @classmethod
-    def evaluate(cls, dt, args, jacobians):
+    def evaluate(cls, dt, args):
         xa, xb, va, vb, aa = args
         v, om = vb[:, 0], vb[:, 1]
         # propagate_unicycle of xa with the next velocity
@@ -504,11 +489,9 @@ class MotionModelFactor(Factor):
                     wrap_angles(xa[:, 2] + om * dt))
         e = between_batch(xb, g)
         rp = log_batch(e)
-        r = np.concatenate([rp, vb - (va + aa * dt[:, None])], axis=1)
-        if not jacobians:
-            return r, None
+        yield np.concatenate([rp, vb - (va + aa * dt[:, None])], axis=1)
 
-        n = r.shape[0]
+        n = rp.shape[0]
         jr_inv = right_jacobian_inverse_batch(rp)
         jl_inv = jr_inv @ adjoint_batch(inverse_batch(e))
         rg_t = rot2_batch(g[:, 2]).transpose(0, 2, 1)
@@ -534,7 +517,7 @@ class MotionModelFactor(Factor):
         jac[:, 0:3, 8:10] = jr_inv @ t
         jac[:, 3:5, 8:10] = eye2
         jac[:, 3:5, 10:12] = -dt[:, None, None] * eye2
-        return r, jac
+        yield jac
 
 
 class LimitFactor(Factor):
@@ -557,14 +540,12 @@ class LimitFactor(Factor):
         return stack([f.lower for f in factors]), stack([f.upper for f in factors])
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         lower, upper = params
         v = args[0]
-        r = np.maximum(0.0, v - upper) + np.minimum(0.0, v - lower)
-        if not jacobians:
-            return r, None
+        yield np.maximum(0.0, v - upper) + np.minimum(0.0, v - lower)
         active = (v > upper) | (v < lower)
-        return r, active[:, :, None] * np.eye(v.shape[1])
+        yield active[:, :, None] * np.eye(v.shape[1])
 
 
 class CostFactor(Factor):
@@ -577,9 +558,10 @@ class CostFactor(Factor):
         super().__init__((key,), noise, dim, **kw)
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         r = args[0]
-        return r, (_eye(*r.shape) if jacobians else None)
+        yield r
+        yield _eye(*r.shape)
 
 
 class ConstantAccelerationFactor(Factor):
@@ -592,14 +574,13 @@ class ConstantAccelerationFactor(Factor):
         super().__init__((acc_prev, acc_next), noise, dim, **kw)
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         prev, nxt = args
         r = nxt - prev
-        if not jacobians:
-            return r, None
+        yield r
         eye = np.eye(r.shape[1])
-        return r, np.broadcast_to(np.concatenate([-eye, eye], axis=1),
-                                  (r.shape[0],) + (r.shape[1], 2 * r.shape[1]))
+        yield np.broadcast_to(np.concatenate([-eye, eye], axis=1),
+                              (r.shape[0],) + (r.shape[1], 2 * r.shape[1]))
 
 
 class GoalFactor(Factor):
@@ -619,9 +600,10 @@ class GoalFactor(Factor):
         return stack([f._goal_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, goal_inv, args, jacobians):
+    def evaluate(cls, goal_inv, args):
         r = log_batch(compose_batch(goal_inv, args[0]))
-        return r, (right_jacobian_inverse_batch(r) if jacobians else None)
+        yield r
+        yield right_jacobian_inverse_batch(r)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +638,14 @@ class StaticObstacleFactor(Factor):
         return factors[0].esdf, np.array([f.d_safe for f in factors]), com_t
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         esdf, d_safe, com_t = params
-        xy = _xy(args[0], com_t)
-        d, grad = esdf.lookup(xy) if jacobians else (esdf.lookup_distance(xy), None)
+        lookup = esdf.lookup(_xy(args[0], com_t))
+        d = next(lookup)
         active = d < d_safe
-        r = np.where(active, d_safe - d, 0.0)[:, None]
-        if not jacobians:
-            return r, None
-        j = -np.einsum("ni,nij->nj", grad, _xy_jacobian(args[0], com_t))
-        return r, np.where(active[:, None], j, 0.0)[:, None, :]
+        yield np.where(active, d_safe - d, 0.0)[:, None]
+        j = -np.einsum("ni,nij->nj", next(lookup), _xy_jacobian(args[0], com_t))
+        yield np.where(active[:, None], j, 0.0)[:, None, :]
 
 
 class DynamicObstacleFactor(Factor):
@@ -699,15 +679,13 @@ class DynamicObstacleFactor(Factor):
                 np.array([f.margin for f in factors]))
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         com_t, d_safe, margin = params
         pose, motion = args
         diff = _xy(pose) - _xy(motion, com_t)
         rng = np.hypot(diff[:, 0], diff[:, 1])
         z = (d_safe - rng) / margin
-        r = (margin * np.logaddexp(0.0, z))[:, None]
-        if not jacobians:
-            return r, None
+        yield (margin * np.logaddexp(0.0, z))[:, None]
         apart = rng > 1e-12
         u = np.where(apart[:, None], diff / np.where(apart, rng, 1.0)[:, None],
                      np.array([1.0, 0.0]))
@@ -715,4 +693,4 @@ class DynamicObstacleFactor(Factor):
                             np.einsum("ni,nij->nj", u, _xy_jacobian(motion, com_t))],
                            axis=1)
         slope = 0.5 * (1.0 + np.tanh(0.5 * z))
-        return r, (slope[:, None] * j)[:, None, :]
+        yield (slope[:, None] * j)[:, None, :]

@@ -19,14 +19,20 @@ class's ``planar_slots``) counts as a Pose2 there: the Pose2 table is
 followed by the planar view of every Pose3 key some planar slot reads, the
 slot reads that row, and the view's three Jacobian columns land on the
 Pose3's tangent columns 0, 1 and 5. So a planning chain that starts at a
-Pose3 estimate is one batch. Every :meth:`FactorGraph.linearize` and
-:meth:`FactorGraph.total_error` stacks the point into the tables, calls one
-kernel per batch, and :class:`LinearSystem` keeps the stacked whitened
-blocks; the band of ``J^T J`` and ``J^T r`` are then one ``np.bincount``
-each over the fixed index arrays, which list only the local products that
-land in the lower band (``i >= j`` of kept columns) and the kept
-``J^T r`` terms. The layout holds at every linearization point because
-hinge factors return zero blocks rather than dropping them.
+Pose3 estimate is one batch. A point is evaluated once per batch, in two
+phases (the kernels are generators, see :mod:`fgnav.factors`):
+:meth:`FactorGraph.total_error` stacks the point into the tables and starts
+one kernel per batch, which yields the residuals, and
+:meth:`FactorGraph.linearize` resumes each kernel for its Jacobians. When
+every batch of a point was summed, the point keeps its started kernels,
+so the linearization of an accepted trial finishes them instead of
+evaluating the residuals again; any other point is started afresh.
+:class:`LinearSystem` keeps the stacked whitened blocks; the band of
+``J^T J`` and ``J^T r`` are then one ``np.bincount`` each over the fixed
+index arrays, which list only the local products that land in the lower
+band (``i >= j`` of kept columns) and the kept ``J^T r`` terms. The layout
+holds at every linearization point because hinge factors return zero
+blocks rather than dropping them.
 
 One-way information flow is implemented at linearization: ``masks`` holds
 one mask per factor, and the Jacobian block of a masked key is left out of
@@ -53,15 +59,17 @@ such batch, since each of its stages holds only the factors of the
 components it solves. The first error is the one the first linearization
 already holds. A trial's error only meets the accept test, so its sum
 stops once it passes the current error; an accepted trial is summed in
-full. The dict the solve returns is built once, on return; fixed keys
+full, and the next iteration's linearization finishes its kernels (Madsen,
+Nielsen & Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004,
+likewise reuse f(x_new) of an accepted step). The dict the solve returns is built once, on return; fixed keys
 keep their objects. The columns follow the reverse Cuthill-McKee order
 (Cuthill & McKee, 1969) of the free variables, numbered in time order,
 that unmasked factors couple, which keeps every nonzero of ``J^T J``
 within ``bw`` subdiagonals, the widest column span of any factor.
 ``J^T J`` is assembled straight into that lower band storage,
-``(bw + 1, ncols)``, and each damped system is solved by a banded Cholesky
-(``scipy.linalg.solveh_banded``), so neither the dense matrix nor its
-factor is ever formed.
+``(bw + 1, ncols)``, and each damped system is solved by LAPACK's banded
+Cholesky ``dpbsv``, so neither the dense matrix nor its factor is ever
+formed.
 """
 
 from __future__ import annotations
@@ -73,10 +81,13 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
-from .factors import Factor, planar_view, read_columns, whiten
+from .factors import Factor, planar_view, read_columns
 from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
+
+# LAPACK's banded Cholesky solve, called without scipy's checks and copies
+_pbsv = scipy.linalg.lapack.dpbsv
 
 
 class GraphError(Exception):
@@ -257,19 +268,14 @@ class _Batch:
         self.cols = cols                 # (n, D) global columns, -1 if dropped
         self.kept = _kept(cols, ncols)   # None when nothing lands in J^T J
 
-    def residual(self, tables) -> np.ndarray:
-        """Whitened (n, m) residuals at the stacked value ``tables``."""
-        r, _ = self.cls.evaluate(self.params, self._arguments(tables), False)
-        return whiten(self.sqrt_info, r)[0]
+    def start(self, tables):
+        """The kernel started at the stacked value ``tables``, and its whitened (n, m) residuals."""
+        kernel = self.cls.evaluate(self.params, [take(tables[t], rows) for t, rows in self.slots])
+        return kernel, self.sqrt_info * next(kernel)
 
-    def block(self, tables) -> "_Block":
-        """Whitened residuals and Jacobians at the stacked value ``tables``."""
-        r, jac = self.cls.evaluate(self.params, self._arguments(tables), True)
-        rw, jw = whiten(self.sqrt_info, r, jac)
-        return _Block(rw, jw, self.cols, self.kept)
-
-    def _arguments(self, tables) -> list:
-        return [take(tables[t], rows) for t, rows in self.slots]
+    def finish(self, kernel, rw) -> "_Block":
+        """The block of a started kernel: its residuals ``rw`` and whitened Jacobians."""
+        return _Block(rw, self.sqrt_info[:, :, None] * next(kernel), self.cols, self.kept)
 
 
 class _View(NamedTuple):
@@ -295,15 +301,18 @@ class _State:
     """One point of a graph as its stacked value tables.
 
     ``base`` maps every key to the value the first tables were stacked
-    from; fixed keys keep those objects.
+    from; fixed keys keep those objects. ``started`` holds the point's
+    started kernel and residuals per batch once every batch was summed
+    here, until a linearization finishes them.
     """
 
-    __slots__ = ("graph", "tables", "base", "_values")
+    __slots__ = ("graph", "tables", "base", "started", "_values")
 
     def __init__(self, graph: "FactorGraph", tables: list, base, values=None):
         self.graph = graph
         self.tables = tables
         self.base = base
+        self.started = None
         self._values = values
 
     def retract(self, delta: np.ndarray) -> "_State":
@@ -394,11 +403,12 @@ class LinearSystem:
         ab = self.graph._work
         np.copyto(ab, self._band)
         ab[0] += lam * d
-        try:
-            return scipy.linalg.solveh_banded(ab, -self._grad, overwrite_ab=True,
-                                              lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalSingularityError(str(exc)) from exc
+        _, x, info = _pbsv(ab, -self._grad, lower=1, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise NumericalSingularityError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbsv")
+        return x
 
 
 # Levenberg-Marquardt damping: a rejected step multiplies lambda by
@@ -546,8 +556,8 @@ class FactorGraph:
         kept = [b.kept for b in self.batches if b.kept is not None]
         self._h_index = _concat([k.band for k in kept]).astype(np.intp)
         self._g_index = _concat([k.columns for k in kept]).astype(np.intp)
-        # scratch for the damped band of every solve
-        self._work = np.empty((self.bw + 1, self.ncols))
+        # scratch for the damped band of every solve, in LAPACK's layout
+        self._work = np.empty((self.bw + 1, self.ncols), order="F")
 
     def _columns(self, factor: Factor, mask) -> list[int]:
         """Global column per local Jacobian column; -1 where masked or fixed."""
@@ -582,18 +592,34 @@ class FactorGraph:
         ``values`` is a dict or, inside :meth:`optimize`, the stacked state
         of the solve; :meth:`linearize` takes either too. The batches are
         summed in order, up to the first partial sum that passes ``bound``.
+        A state whose batches were all summed keeps their started kernels
+        for its linearization.
         """
-        tables = self._state(values).tables
-        return _sum_of_squares((b.residual(tables) for b in self.batches), bound)
+        state = self._state(values)
+        started = []
+
+        def residuals():
+            for b in self.batches:
+                started.append(b.start(state.tables))
+                yield started[-1][1]
+
+        total = _sum_of_squares(residuals(), bound)
+        if len(started) == len(self.batches):
+            state.started = started
+        return total
 
     def linearize(self, values) -> LinearSystem:
         """Whitened block linearization at ``values``.
 
-        Masked and fixed variables get no Jacobian columns; their current
-        values still enter every residual.
+        Finishes the kernels a full :meth:`total_error` of the same state
+        started, and starts the batches afresh otherwise. Masked and fixed
+        variables get no Jacobian columns; their current values still enter
+        every residual.
         """
-        tables = self._state(values).tables
-        return LinearSystem(self, [b.block(tables) for b in self.batches])
+        state = self._state(values)
+        started = state.started or [b.start(state.tables) for b in self.batches]
+        state.started = None
+        return LinearSystem(self, [b.finish(*s) for b, s in zip(self.batches, started)])
 
     # -- solving ---------------------------------------------------------
 

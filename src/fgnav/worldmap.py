@@ -132,9 +132,11 @@ class EsdfGrid:
     """Sampled distance-to-nearest-obstacle field with smooth queries.
 
     Queries interpolate the samples with a C1 cubic kernel (border rows
-    and columns replicated). Queries outside the sampled area return
-    distance zero with a zero gradient: unknown space is treated as
-    maximally unsafe.
+    and columns replicated). :meth:`lookup` answers a batch of points in
+    two phases, the distances first and the gradients from the same
+    interpolation after them; ``query`` and ``gradient`` read one point.
+    Queries outside the sampled area return distance zero with a zero
+    gradient: unknown space is treated as maximally unsafe.
     """
 
     __slots__ = ("distances", "resolution", "origin", "_flat", "_patch")
@@ -165,12 +167,12 @@ class EsdfGrid:
         dist *= occ.resolution
         return cls(np.minimum(dist, _FREE_SENTINEL, out=dist), occ.resolution, occ.origin)
 
-    def _interpolate(self, xy: np.ndarray):
-        """Interpolation state at the n points of ``xy`` (n, 2).
+    def lookup(self, xy: np.ndarray):
+        """Yield the distances (n,), then the gradients (n, 2), at the n points of ``xy``.
 
-        Per point: the inside mask, the 4x4 sample patch, the powers of the
-        in-cell offset, the x and y kernel weights, the patch weighted along
-        y, and the distance before the outside rule.
+        A generator in two phases, like a factor kernel: a caller that needs
+        only the distances stops after the first yield, and one that
+        resumes it gets the gradients from the same interpolation.
         """
         h, w = self.distances.shape
         uv = (xy - self.origin) / self.resolution - 0.5
@@ -184,25 +186,17 @@ class EsdfGrid:
         wts = powers @ _KEYS                   # (n, 2, 4): x and y weights
         along_y = (wts[:, 1, None, :] @ block)[:, 0, :]
         d = np.einsum("nj,nj->n", along_y, wts[:, 0])
-        return inside, block, powers, wts, along_y, d
-
-    def lookup(self, xy: np.ndarray):
-        """Distances (n,) and gradients (n, 2) at the n points of ``xy`` (n, 2)."""
-        inside, block, powers, wts, along_y, d = self._interpolate(xy)
+        yield np.where(inside, d, 0.0)
         dwts = powers[:, :, 0:3] @ _KEYS_DT
         grad = np.empty((xy.shape[0], 2))
         grad[:, 0] = np.einsum("nj,nj->n", along_y, dwts[:, 0])
         grad[:, 1] = np.einsum("ni,nij,nj->n", dwts[:, 1], block, wts[:, 0])
         grad /= self.resolution
-        return np.where(inside, d, 0.0), np.where(inside[:, None], grad, 0.0)
-
-    def lookup_distance(self, xy: np.ndarray) -> np.ndarray:
-        """The distances of :meth:`lookup`, bit for bit, without the gradients."""
-        inside, *_, d = self._interpolate(xy)
-        return np.where(inside, d, 0.0)
+        yield np.where(inside[:, None], grad, 0.0)
 
     def query(self, x: float, y: float) -> float:
-        return float(self.lookup(np.array([[x, y]], dtype=float))[0][0])
+        return float(next(self.lookup(np.array([[x, y]], dtype=float)))[0])
 
     def gradient(self, x: float, y: float) -> np.ndarray:
-        return self.lookup(np.array([[x, y]], dtype=float))[1][0]
+        _, grad = self.lookup(np.array([[x, y]], dtype=float))
+        return grad[0]

@@ -31,6 +31,7 @@ from fgnav.factors import (
 )
 from fgnav.graph import (
     FactorGraph,
+    _value_kind,
     acceleration,
     dynamic_point,
     object_motion,
@@ -38,7 +39,7 @@ from fgnav.graph import (
     static_point,
     velocity,
 )
-from fgnav.lie import Pose2, Pose3, embed_se3
+from fgnav.lie import Pose2, Pose3, embed_se3, take
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 RTOL = 1e-12
@@ -351,6 +352,29 @@ def test_batched_system_matches_per_factor_stack(name):
         for b in kept:
             assert np.all(cross_block(system, a, b) == 0.0)
             assert np.all(cross_block(system, b, a) == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_kernel_yields_residuals_then_jacobians(name):
+    rng = np.random.default_rng(sorted(BUILDERS).index(name))
+    vals, factors, masked, fixed = BUILDERS[name](rng)
+    graph = make_graph(vals, factors, fixed, masked)
+    # the batches' instances, grouped as the graph groups them
+    members = {}
+    for f in graph.factors:
+        kinds = tuple(_value_kind(vals[k], j in f.planar_slots) for j, k in enumerate(f.keys))
+        members.setdefault((kinds, f.batch_key()), []).append(f)
+    tables = graph._state(graph.values).tables
+    assert len(graph.batches) == len(members)
+    for batch, instances in zip(graph.batches, members.values()):
+        args = [take(tables[t], rows) for t, rows in batch.slots]
+        out = list(batch.cls.evaluate(batch.params, args))
+        assert len(out) == 2
+        r, jac = out
+        n, dim = len(instances), instances[0].dim
+        assert r.shape == (n, dim) and jac.shape[:2] == (n, dim)
+        for row, f in zip(r, instances):
+            assert row.tobytes() == f.residual(vals).tobytes()
 
 
 def test_a_fixed_pose_has_no_columns_and_the_rest_match_the_reference():

@@ -45,10 +45,11 @@ from fgnav.graph import (
     static_point,
     velocity,
 )
-from fgnav.graph import _Batch
+from fgnav.graph import _Batch, _State
 from fgnav.lie import Pose2, Pose3, compose_batch, exp_batch, stack, unstack
 from fgnav.pipeline import mode_masks
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
+from test_pipeline import crosser, run_closed_loop, walker
 
 
 def rand_pose2(rng, t_scale=1.0):
@@ -380,10 +381,10 @@ class _SumRow(Factor):
         super().__init__((key,), 1.0, 1)
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         v = args[0]
-        r = v.sum(axis=1, keepdims=True) - 1.0
-        return r, (np.ones((v.shape[0], 1, v.shape[1])) if jacobians else None)
+        yield v.sum(axis=1, keepdims=True) - 1.0
+        yield np.ones((v.shape[0], 1, v.shape[1]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -459,10 +460,10 @@ class _StubbornFactor(Factor):
         super().__init__((key,), 1.0, 1)
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
+    def evaluate(cls, params, args):
         v = args[0]
-        r = 10.0 * (1.0 + (v - 1.0) ** 2)
-        return r, (np.full((v.shape[0], 1, 1), -5.0) if jacobians else None)
+        yield 10.0 * (1.0 + (v - 1.0) ** 2)
+        yield np.full((v.shape[0], 1, 1), -5.0)
 
 
 def test_optimize_reports_divergence_at_lambda_cap():
@@ -501,9 +502,10 @@ class _Overshooting(PriorFactor):
     __slots__ = ()
 
     @classmethod
-    def evaluate(cls, params, args, jacobians):
-        r, jac = super().evaluate(params, args, jacobians)
-        return r, (None if jac is None else 0.4 * jac)
+    def evaluate(cls, params, args):
+        kernel = super().evaluate(params, args)
+        yield next(kernel)
+        yield 0.4 * next(kernel)
 
 
 def mixed_graph():
@@ -652,7 +654,7 @@ def hinge_chain(n=12):
 
 def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
     counts = {"solve": 0, "batch": 0}
-    solve, residual = LinearSystem.solve, _Batch.residual
+    solve, start = LinearSystem.solve, _Batch.start
 
     def solving(system, lam):
         counts["solve"] += 1
@@ -660,22 +662,131 @@ def test_a_lost_trial_stops_summing_and_the_solve_is_unchanged(monkeypatch):
 
     def evaluating(batch, tables):
         counts["batch"] += 1
-        return residual(batch, tables)
+        return start(batch, tables)
 
     monkeypatch.setattr(LinearSystem, "solve", solving)
-    monkeypatch.setattr(_Batch, "residual", evaluating)
+    monkeypatch.setattr(_Batch, "start", evaluating)
     g = hinge_chain()
     got = g.optimize()
     nbatches = len(g.batches)
     rejected = counts["solve"] - (len(got.accepted_errors) - 1)
     assert rejected >= 20
-    # every trial would evaluate every batch; the lost ones stop early
-    assert counts["batch"] < counts["solve"] * nbatches
+    # past the first linearization's pass, every trial would evaluate every
+    # batch; the lost ones stop early
+    assert counts["batch"] - nbatches < counts["solve"] * nbatches
     # the reference sums every batch of every trial
     vals, iterations, reason, history = reference_optimize(hinge_chain(), OptimizerConfig())
     assert (got.reason, got.iterations) == (reason, iterations)
     assert got.accepted_errors == history
     assert_same_values(got.values, vals)
+
+
+def assert_same_system(got, want):
+    """Two linearizations of one graph: the same blocks, band and gradient, bit for bit."""
+    assert len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        assert a.residual.tobytes() == b.residual.tobytes()
+        assert a.jacobian.tobytes() == b.jacobian.tobytes()
+    got._accumulate()
+    want._accumulate()
+    assert got._band.tobytes() == want._band.tobytes()
+    assert got._grad.tobytes() == want._grad.tobytes()
+
+
+def check_reused_linearizations(monkeypatch):
+    """Check every linearization that finishes a trial's started kernels.
+
+    Each is compared with a fresh linearization of a state on the same
+    tables; returns the graph of each such linearization.
+    """
+    linearize = FactorGraph.linearize
+    reused = []
+
+    def linearizing(graph, values):
+        if isinstance(values, _State) and values.started is not None:
+            fresh = linearize(graph, _State(graph, list(values.tables), values.base))
+            got = linearize(graph, values)
+            assert_same_system(got, fresh)
+            reused.append(graph)
+            return got
+        return linearize(graph, values)
+
+    monkeypatch.setattr(FactorGraph, "linearize", linearizing)
+    return reused
+
+
+def test_an_accepted_trial_linearizes_bitwise_as_a_fresh_point(monkeypatch):
+    reused = check_reused_linearizations(monkeypatch)
+    got = hinge_chain().optimize()
+    # every iteration after the first linearizes the trial it accepted
+    assert got.iterations >= 3
+    assert len(reused) == got.iterations - 1
+    vals, iterations, reason, history = reference_optimize(hinge_chain(), OptimizerConfig())
+    assert (got.reason, got.iterations, got.accepted_errors) == (reason, iterations, history)
+
+
+def test_crossing_stage_graphs_linearize_accepted_trials_bitwise(monkeypatch):
+    # every stage graph of a cooperative step with two agents, the Pose3
+    # estimate read through its planar view by the plan
+    reused = check_reused_linearizations(monkeypatch)
+    run_closed_loop(Mode.COOPERATIVE, seed=3, agents=[walker(), crosser()], steps=3)
+    assert len(reused) >= 6
+    assert any(g._view is not None for g in reused)
+    classes = {b.cls.__name__ for g in reused for b in g.batches}
+    assert {"DynamicObstacleFactor", "StaticObstacleFactor", "MotionModelFactor",
+            "HybridMotionFactor", "BetweenFactor"} <= classes
+
+
+def record_starts(monkeypatch):
+    """[name, batches started, (error, bound)] of every linearize and total_error call."""
+    calls = []
+    start, linearize, total_error = _Batch.start, FactorGraph.linearize, FactorGraph.total_error
+
+    def starting(batch, tables):
+        calls[-1][1] += 1
+        return start(batch, tables)
+
+    def linearizing(graph, values):
+        calls.append(["linearize", 0, None])
+        return linearize(graph, values)
+
+    def summing(graph, values, bound=math.inf):
+        call = ["total_error", 0, None]
+        calls.append(call)
+        call[2] = (total_error(graph, values, bound), bound)
+        return call[2][0]
+
+    monkeypatch.setattr(_Batch, "start", starting)
+    monkeypatch.setattr(FactorGraph, "linearize", linearizing)
+    monkeypatch.setattr(FactorGraph, "total_error", summing)
+    return calls
+
+
+def test_only_a_trial_summed_in_full_hands_its_kernels_on(monkeypatch):
+    calls = record_starts(monkeypatch)
+    g = hinge_chain()
+    got = g.optimize()
+    n = len(g.batches)
+    linearized = [started for name, started, _ in calls if name == "linearize"]
+    trials = [(started, err <= bound) for name, started, (err, bound) in
+              (c for c in calls if c[0] == "total_error")]
+    # one pass for the first linearization, none for the later ones
+    assert len(linearized) == got.iterations
+    assert linearized == [n] + [0] * (got.iterations - 1)
+    # an accepted trial sums every batch; some lost ones stop early
+    assert sum(accepted for _, accepted in trials) == got.iterations
+    assert all(started == n for started, accepted in trials if accepted)
+    assert any(started < n for started, _ in trials)
+
+    # a trial cut short by its bound keeps nothing: its point is started afresh
+    calls.clear()
+    cut = g._state(dict(g.values))
+    full = g.total_error(_State(g, list(cut.tables), cut.base))
+    g.total_error(cut, 0.5 * full)
+    assert 0 < calls[-1][1] < n and cut.started is None
+    system = g.linearize(cut)
+    assert calls[-1][1] == n
+    assert_same_system(system, g.linearize(g.values))
 
 
 def test_a_bounded_total_error_is_the_full_one_or_passes_the_bound():

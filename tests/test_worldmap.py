@@ -194,11 +194,13 @@ def test_distance_only_lookup_equals_lookup_bitwise():
     step = np.array([1e-9, 0.0])
     outside = np.array([lo - step, hi + step, lo - step[::-1], hi + step[::-1],
                         [-5.0, -5.0], [3.0, 9.0]])
+    # a lookup stopped after its distances, against one run on to its gradients
     for xy in (inside, border, outside):
-        got = esdf.lookup_distance(xy)
-        assert got.tobytes() == esdf.lookup(xy)[0].tobytes()
-    assert np.all(esdf.lookup_distance(border) > 0.0)
-    assert np.all(esdf.lookup_distance(outside) == 0.0)
+        got = next(esdf.lookup(xy))
+        d, _ = esdf.lookup(xy)
+        assert got.tobytes() == d.tobytes()
+    assert np.all(next(esdf.lookup(border)) > 0.0)
+    assert np.all(next(esdf.lookup(outside)) == 0.0)
 
 
 def clip_lookup(esdf, xy):
@@ -241,7 +243,7 @@ def test_padded_gather_equals_clipped_indices_bitwise(shape):
         got_d, got_g = esdf.lookup(xy)
         assert got_d.tobytes() == want_d.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
-        assert esdf.lookup_distance(xy).tobytes() == want_d.tobytes()
+        assert next(esdf.lookup(xy)).tobytes() == want_d.tobytes()
 
 
 def test_distances_are_read_only():
