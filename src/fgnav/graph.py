@@ -6,7 +6,9 @@ value, and each :class:`~fgnav.factors.Factor` produces a residual vector
 ``r`` and one Jacobian block per connected variable, both whitened by its
 per-dimension sigmas; the MAP objective is the sum of squared whitened
 residuals. A point of the graph is a plain ``dict`` from key to value.
-Nothing edits a graph once it is built.
+Nothing edits a graph once it is built: the pipeline's pre-solve solves its
+stage graph with the propagation rows down-weighted on a copy from
+:meth:`FactorGraph.relaxed`, which shares the layout.
 
 Evaluation is batched. The constructor lays the solve out once: it sorts
 the variables into one table per value kind (Pose2, Pose3, vectors of each
@@ -61,11 +63,12 @@ already holds. A trial's error only meets the accept test, so its sum
 stops once it passes the current error; an accepted trial is summed in
 full, and the next iteration's linearization finishes its kernels (Madsen,
 Nielsen & Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004,
-likewise reuse f(x_new) of an accepted step). The dict the solve returns is built once, on return; fixed keys
-keep their objects. The columns follow the reverse Cuthill-McKee order
-(Cuthill & McKee, 1969) of the free variables, numbered in time order,
-that unmasked factors couple, which keeps every nonzero of ``J^T J``
-within ``bw`` subdiagonals, the widest column span of any factor.
+likewise reuse f(x_new) of an accepted step). The dict the solve returns
+is built once, on return; fixed keys keep their objects. The columns
+follow the reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the free
+variables, numbered in time order, that unmasked factors couple, which
+keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals, the widest
+column span of any factor.
 ``J^T J`` is assembled straight into that lower band storage,
 ``(bw + 1, ncols)``, and each damped system is solved by LAPACK's banded
 Cholesky ``dpbsv``, so neither the dense matrix nor its factor is ever
@@ -74,6 +77,7 @@ formed.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -558,6 +562,20 @@ class FactorGraph:
         self._g_index = _concat([k.columns for k in kept]).astype(np.intp)
         # scratch for the damped band of every solve, in LAPACK's layout
         self._work = np.empty((self.bw + 1, self.ncols), order="F")
+
+    def relaxed(self, cls: type, scale: float) -> "FactorGraph":
+        """A copy whose ``cls`` batches get their whitening divided by ``scale``.
+
+        It shares the layout and every other batch; ``factors`` stays unscaled.
+        """
+        out = copy.copy(self)
+        out.batches = []
+        for b in self.batches:
+            if issubclass(b.cls, cls):
+                b = copy.copy(b)
+                b.sqrt_info = b.sqrt_info / scale
+            out.batches.append(b)
+        return out
 
     def _columns(self, factor: Factor, mask) -> list[int]:
         """Global column per local Jacobian column; -1 where masked or fixed."""

@@ -16,12 +16,12 @@ The previous step's solution stays in the one value store, and a step
 warm-starts from it: its plan, shifted by one step, and the motions it
 predicted for an object still tracked. Only a cold plan, one the previous
 step left no start for (the first step's), is first walked into its basin
-by a relaxed pre-solve.
+by a pre-solve of the same stage graph with its propagation rows
+down-weighted.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -405,7 +405,7 @@ class Pipeline:
         """One ramp step toward the goal, used to initialize unplanned states.
 
         Proportional heading control plus saturated speed ramp. Rides the
-        bounds minus twice the hinge margin: when the goal is out of reach
+        bounds minus twice ``limit_margin``: when the goal is out of reach
         the constrained optimum saturates the limits, and a seed that is
         already there keeps the solve inside the quadratic trust region of
         the tightly weighted propagation rows.
@@ -511,31 +511,6 @@ class Pipeline:
                 fixed.add(key)
         return fixed
 
-    def _build_graph(self, factors, masks, fixed):
-        keys = sorted({key for f in factors for key in f.keys})
-        return FactorGraph({key: self._values[key] for key in keys}, factors, masks,
-                           fixed.intersection(keys))
-
-    def _relaxed_motion(self, factors, scale=1000.0):
-        """Copies with planning propagation rows down-weighted.
-
-        The tight propagation sigma makes the quadratic model valid only in
-        a small step radius; a relaxed pre-solve walks a cold plan into the
-        right basin cheaply, after which the exact graph converges in a
-        few iterations. The relaxed result is initialization only. A warm
-        plan is already in its basin, and re-rolling it from the relaxed
-        controls costs more exact iterations than it saves.
-        """
-        out = []
-        for f in factors:
-            if isinstance(f, MotionModelFactor):
-                g = copy.copy(f)
-                g.sqrt_info = f.sqrt_info / scale
-                out.append(g)
-            else:
-                out.append(f)
-        return out
-
     def _reroll_plan(self, values, k: int):
         """Integrate the solved control profile into fresh plan states.
 
@@ -567,19 +542,23 @@ class Pipeline:
             out[acceleration(k + j - 1)] = acc
         return out
 
-    def _solve(self, factors, masks, fixed, presolve_step=None):
+    def _solve(self, factors, masks, keys, fixed, presolve_step=None):
         """Solve one stage; pre-solve it first when it plans step ``presolve_step`` cold.
 
-        The pre-solve relaxes the propagation rows and re-rolls the plan
-        from its controls, and its result is the warm start of the exact
-        solve. A warm plan goes to the exact solve as it is.
+        The tight propagation sigma keeps the quadratic model valid only in a
+        small step radius, so a cold plan is first walked into its basin by a
+        pre-solve of the same stage graph with its propagation rows
+        down-weighted, then re-rolled from its controls to warm-start the
+        exact solve. A warm plan is already in its basin and goes to the exact
+        solve as it is: re-rolling it costs more exact iterations than it saves.
         """
-        graph = self._build_graph(factors, masks, fixed)
+        graph = FactorGraph({key: self._values[key] for key in sorted(keys)},
+                            factors, masks, fixed)
         warm = None
         if presolve_step is not None:
-            pre = self._build_graph(self._relaxed_motion(factors), masks, fixed)
             coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
-            warm = self._reroll_plan(pre.optimize(config=coarse).values, presolve_step)
+            pre = graph.relaxed(MotionModelFactor, 1000.0).optimize(config=coarse)
+            warm = self._reroll_plan(pre.values, presolve_step)
         res = graph.optimize(values=warm, config=self.config.optimizer)
         self._values.update(res.values)
         return res, graph
@@ -613,10 +592,10 @@ class Pipeline:
             for components in STAGES[mode]:
                 factors = [f for f in joint if f.component in components]
                 keys = {key for f in factors for key in f.keys}
-                fixed = self._fixed_keys(keys, fix_before) | held
+                fixed = self._fixed_keys(keys, fix_before) | (held & keys)
                 presolve = cold and Component.PLANNING in components
-                res, graph = self._solve(factors, mode_masks(mode, factors, owner), fixed,
-                                         k if presolve else None)
+                res, graph = self._solve(factors, mode_masks(mode, factors, owner), keys,
+                                         fixed, k if presolve else None)
                 results.append(res)
                 num_factors += len(graph.factors)
                 held |= keys

@@ -17,8 +17,14 @@ modules are loaded by path and only read. The name does not start with
 import dataclasses
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
+
+# The BLAS thread count changes floating-point rounding, so digests printed
+# on hosts with different core counts would differ; one thread unless the
+# caller says otherwise, as in perfbench/run.py. Set before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fgnav.graph import (
+    FactorGraph,
     acceleration,
     dynamic_point,
     object_motion,
@@ -41,7 +42,7 @@ from fgnav.factors import (
     propagate_unicycle,
 )
 from fgnav.lie import Pose2, Pose3, embed_se3, stack
-from fgnav.pipeline import NoiseTable, Pipeline, PipelineConfig
+from fgnav.pipeline import NoiseTable
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 
@@ -160,13 +161,24 @@ def test_weighted_and_relaxed_whitening_are_fresh_arrays():
     assert np.array_equal(weighted, 0.5 / np.full(2, noise.effort))
     motion = MotionModelFactor(robot_pose(0), robot_pose(1), velocity(0), velocity(1),
                                acceleration(0), 0.1, noise.motion_model)
-    pipe = Pipeline(PipelineConfig(horizon=1), None, Pose3.identity())
-    [relaxed] = pipe._relaxed_motion([motion])
-    assert relaxed.sqrt_info is not motion.sqrt_info
-    assert np.array_equal(relaxed.sqrt_info, motion.sqrt_info / 1000.0)
-    # the shared entry is untouched by either
+    # sigmas whose whitening divided by 1000 and times 1e-3 differ in the last bit
+    odd = MotionModelFactor(robot_pose(1), robot_pose(2), velocity(1), velocity(2),
+                            acceleration(1), 0.1, (0.3, 0.7, 1.1, 1.3, 0.9))
+    values = {robot_pose(j): Pose2(0.1 * j, 0.0, 0.0) for j in range(3)}
+    values.update({velocity(j): np.zeros(2) for j in range(3)})
+    values.update({acceleration(j): np.zeros(2) for j in range(2)})
+    graph = FactorGraph(values, [motion, odd])
+    [exact] = graph.batches
+    before = exact.sqrt_info.copy()
+    [relaxed] = graph.relaxed(MotionModelFactor, 1000.0).batches
+    assert relaxed.sqrt_info is not exact.sqrt_info
+    assert not np.shares_memory(relaxed.sqrt_info, exact.sqrt_info)
+    assert relaxed.sqrt_info.tobytes() == (exact.sqrt_info / 1000.0).tobytes()
+    # the stage graph's batch and the shared entries are untouched
+    assert graph.batches == [exact] and exact.sqrt_info.tobytes() == before.tobytes()
     assert np.array_equal(shared, np.full(2, 1.0 / noise.effort))
     assert np.array_equal(motion.sqrt_info, 1.0 / np.array(noise.motion_model))
+    assert not motion.sqrt_info.flags.writeable
 
 
 # ---------------------------------------------------------------------------

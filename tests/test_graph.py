@@ -5,6 +5,7 @@ scipy.optimize.least_squares run on the same retraction-parameterized
 objective.
 """
 
+import copy
 import math
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from fgnav.factors import (
     HybridMotionFactor,
     LimitFactor,
     Mode,
+    MotionModelFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -735,6 +737,67 @@ def test_crossing_stage_graphs_linearize_accepted_trials_bitwise(monkeypatch):
     classes = {b.cls.__name__ for g in reused for b in g.batches}
     assert {"DynamicObstacleFactor", "StaticObstacleFactor", "MotionModelFactor",
             "HybridMotionFactor", "BetweenFactor"} <= classes
+
+
+def scaled_copies(factors, cls, scale):
+    """The factors, each ``cls`` one replaced by a copy whose whitening is divided by ``scale``."""
+    out = []
+    for f in factors:
+        if isinstance(f, cls):
+            f = copy.copy(f)
+            f.sqrt_info = f.sqrt_info / scale
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE])
+def test_a_relaxed_stage_graph_solves_bitwise_as_one_built_from_scaled_copies(
+        mode, monkeypatch):
+    # the cold first step pre-solves its planning stage on a relaxed copy of
+    # the stage graph; a graph built anew from scaled factor copies is the
+    # reference that copy must match bit for bit
+    relaxed, solves = [], []
+    relax, optimize = FactorGraph.relaxed, FactorGraph.optimize
+
+    def relaxing(graph, cls, scale):
+        out = relax(graph, cls, scale)
+        relaxed.append((graph, out, cls, scale))
+        return out
+
+    def optimizing(graph, values=None, config=None):
+        res = optimize(graph, values, config)
+        solves.append((graph, config, res))
+        return res
+
+    monkeypatch.setattr(FactorGraph, "relaxed", relaxing)
+    monkeypatch.setattr(FactorGraph, "optimize", optimizing)
+    run_closed_loop(mode, seed=3, agents=[walker()], steps=2)
+    [(source, graph, cls, scale)] = relaxed
+    [(config, got)] = [(c, r) for g, c, r in solves if g is graph]
+    assert cls is MotionModelFactor
+
+    reference = FactorGraph(source.values, scaled_copies(source.factors, cls, scale),
+                            source.masks, source.fixed)
+    want = optimize(reference, config=config)
+    assert (got.reason, got.iterations) == (want.reason, want.iterations)
+    assert got.accepted_errors == want.accepted_errors
+    assert_same_values(got.values, want.values)
+    for a, b in zip(graph.batches, reference.batches):
+        assert a.sqrt_info.tobytes() == b.sqrt_info.tobytes()
+
+    # the copy shares the source's layout and every batch but the scaled one
+    for name in ("values", "factors", "masks", "fixed", "ordering", "offsets",
+                 "_h_index", "_g_index", "_moves", "_tables"):
+        assert getattr(graph, name) is getattr(source, name), name
+    assert graph.bw == source.bw
+    assert len(graph.batches) == len(source.batches)
+    for a, b in zip(graph.batches, source.batches):
+        if b.cls is cls:
+            assert a is not b and a.sqrt_info is not b.sqrt_info
+            assert all(getattr(a, n) is getattr(b, n) for n in ("params", "slots", "cols", "kept"))
+        else:
+            assert a is b
+    assert sum(b.cls is cls for b in source.batches) == 1
 
 
 def record_starts(monkeypatch):

@@ -493,31 +493,42 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
 
 
 def record_built_graphs(monkeypatch):
-    """(step, graph) of every graph the pipeline builds, pre-solve graphs included."""
-    graphs = []
-    build = Pipeline._build_graph
+    """Every graph built from now on, and (source, copy) of every relaxed copy.
 
-    def building(self, *args, **kw):
-        graph = build(self, *args, **kw)
-        graphs.append((self._step, graph))
-        return graph
+    Only the constructor builds a graph; a pre-solve solves a relaxed copy
+    of its stage graph, which shares that graph's layout.
+    """
+    built, relaxed = [], []
+    init, relax = FactorGraph.__init__, FactorGraph.relaxed
 
-    monkeypatch.setattr(Pipeline, "_build_graph", building)
-    return graphs
+    def building(graph, *args, **kw):
+        init(graph, *args, **kw)
+        built.append(graph)
+
+    def relaxing(graph, *args, **kw):
+        copy = relax(graph, *args, **kw)
+        relaxed.append((graph, copy))
+        return copy
+
+    monkeypatch.setattr(FactorGraph, "__init__", building)
+    monkeypatch.setattr(FactorGraph, "relaxed", relaxing)
+    return built, relaxed
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
     # a stage holds only the factors of the components it solves, so every
     # batch of every graph, exact or pre-solve, has a column in the system
-    built = record_built_graphs(monkeypatch)
+    built, relaxed = record_built_graphs(monkeypatch)
     solved = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     staged = mode in (Mode.DECOUPLED, Mode.COOPERATIVE)
-    # step 0 plans cold: its planning stage is pre-solved
-    assert len(built) == len(solved) + 1
-    for k, graph in built:
-        assert all(b.kept is not None for b in graph.batches), k
+    # one graph per stage; step 0 plans cold, so its planning stage, the
+    # last it solves, is pre-solved on a relaxed copy of that graph
+    assert [id(g) for g in built] == [id(g) for _, g in solved]
+    assert [id(source) for source, _ in relaxed] == [id([g for k, g in solved if k == 0][-1])]
+    for graph in built + [copy for _, copy in relaxed]:
+        assert all(b.kept is not None for b in graph.batches)
     for i, (k, graph) in enumerate(solved):
         components = {f.component for f in graph.factors}
         if staged and i % 2:
