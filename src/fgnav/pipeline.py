@@ -125,6 +125,8 @@ class PipelineConfig:
     # stable at the optimum instead of flickering on the boundary; it is also
     # the width of the dynamic-obstacle softplus
     hinge_margin: float = 0.05
+    # the limit hinges engage this far inside each control bound, and the
+    # seeded plan rides twice this far inside
     limit_margin: float = 5e-4
     goal_lookahead: float = 2.0
     noise: NoiseTable = field(default_factory=NoiseTable)
@@ -145,13 +147,24 @@ class PipelineConfig:
             raise ValueError("goal_lookahead must be > 0")
         if not self.limit_margin >= 0:
             raise ValueError("limit_margin must be >= 0")
-        v_lo, v_hi = self.v_limits
-        for name, width in (("v_limits", v_hi - v_lo), ("w_limit", 2 * self.w_limit),
-                            ("a_limit", 2 * self.a_limit), ("aw_limit", 2 * self.aw_limit)):
-            if not width > 2 * self.limit_margin:
-                raise ValueError(f"{name} leaves no range inside limit_margin")
+        # the seed's box, the narrowest one a step uses
+        v_lo, v_hi, a_lo, a_hi = self.control_bounds(2 * self.limit_margin)
+        for name, lo, hi in zip(("v_limits", "w_limit", "a_limit", "aw_limit"),
+                                (*v_lo, *a_lo), (*v_hi, *a_hi)):
+            if not lo < hi:
+                raise ValueError(f"{name} leaves no range inside 2 * limit_margin")
         if not isinstance(self.mode, ModeConfig):
             object.__setattr__(self, "mode", ModeConfig(Mode(self.mode)))
+
+    def control_bounds(self, margin: float = 0.0):
+        """(v_lo, v_hi, a_lo, a_hi): the (linear, angular) velocity and
+        acceleration bounds, each pulled ``margin`` inside its limit."""
+        v_min, v_max = self.v_limits
+        v_lo = np.array([v_min + margin, -self.w_limit + margin])
+        v_hi = np.array([v_max - margin, self.w_limit - margin])
+        a_lo = np.array([-self.a_limit + margin, -self.aw_limit + margin])
+        a_hi = np.array([self.a_limit - margin, self.aw_limit - margin])
+        return v_lo, v_hi, a_lo, a_hi
 
 
 @dataclass
@@ -242,10 +255,6 @@ def compute_motion_error(estimated, ground_truth):
         r_sum += abs(e.theta)
     n = len(estimated)
     return math.degrees(r_sum / n), t_sum / n
-
-
-def _clamp(v, lo, hi):
-    return min(max(v, lo), hi)
 
 
 class Pipeline:
@@ -411,22 +420,18 @@ class Pipeline:
         the tightly weighted propagation rows.
         """
         cfg = self.config
-        slack = 2.0 * cfg.limit_margin
+        v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(2.0 * cfg.limit_margin)
         bearing = math.atan2(goal.y - pose.y, goal.x - pose.x)
         dist = math.hypot(goal.x - pose.x, goal.y - pose.y)
         err = math.remainder(bearing - pose.theta, math.tau)
         if dist < 1e-6:
             w_des, v_des = 0.0, 0.0
         else:
-            w_des = _clamp(2.0 * err, -cfg.w_limit + slack, cfg.w_limit - slack)
-            v_des = _clamp(1.5 * dist, 0.0, cfg.v_limits[1] - slack)
-            v_des *= max(0.0, math.cos(err))
-        a_cap = (cfg.a_limit - slack) * cfg.dt
-        aw_cap = (cfg.aw_limit - slack) * cfg.dt
-        dv = _clamp(v_des - vel[0], -a_cap, a_cap)
-        dw = _clamp(w_des - vel[1], -aw_cap, aw_cap)
-        new_vel = np.array([vel[0] + dv, vel[1] + dw])
-        acc = np.array([dv, dw]) / cfg.dt
+            w_des = np.clip(2.0 * err, v_lo[1], v_hi[1])
+            v_des = np.clip(1.5 * dist, 0.0, v_hi[0]) * max(0.0, math.cos(err))
+        dv = np.clip(np.array([v_des, w_des]) - vel, a_lo * cfg.dt, a_hi * cfg.dt)
+        new_vel = vel + dv
+        acc = dv / cfg.dt
         pose = propagate_unicycle(pose, new_vel[0], new_vel[1], cfg.dt)
         return pose, new_vel, acc
 
@@ -454,11 +459,7 @@ class Pipeline:
             new_vals[velocity(k + j)] = seed_vel.copy()
             new_vals[acceleration(k + j - 1)] = np.asarray(acc_j, dtype=float).copy()
 
-        m = cfg.limit_margin
-        v_lo = np.array([cfg.v_limits[0] + m, -cfg.w_limit + m])
-        v_hi = np.array([cfg.v_limits[1] - m, cfg.w_limit - m])
-        a_lo = np.array([-cfg.a_limit + m, -cfg.aw_limit + m])
-        a_hi = np.array([cfg.a_limit - m, cfg.aw_limit - m])
+        v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(cfg.limit_margin)
         d_rs = cfg.robot_radius + cfg.safety_offset
         d_ros = cfg.robot_radius + cfg.object_radius + cfg.safety_offset
 
@@ -514,26 +515,19 @@ class Pipeline:
     def _reroll_plan(self, values, k: int):
         """Integrate the solved control profile into fresh plan states.
 
-        Zeroes every propagation residual before the exact solve. This
-        matters in directed mode, whose one joint stage solves estimation
-        too: the boundary factor reads the current pose estimate through a
-        dropped Jacobian column, so any residual left on it turns
-        estimation-side moves into unmodeled error jumps that stall the
-        accept test. Decoupled and cooperative modes hold the estimate
-        fixed by the time they plan.
+        The pre-solve's down-weighted propagation rows leave its plan states
+        off its controls. Integrating the controls, clipped to the box the
+        limit hinges engage at, zeroes every propagation residual, so the
+        cold exact solve starts from a dynamically consistent plan.
         """
         cfg = self.config
         out = dict(values)
         pose = se2_view(out[robot_pose(k)])
         vel = np.asarray(out[velocity(k)], dtype=float)
-        m = cfg.limit_margin
+        v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(cfg.limit_margin)
         for j in range(1, cfg.horizon + 1):
-            acc = np.asarray(out[acceleration(k + j - 1)], dtype=float)
-            acc = np.array([_clamp(acc[0], -cfg.a_limit + m, cfg.a_limit - m),
-                            _clamp(acc[1], -cfg.aw_limit + m, cfg.aw_limit - m)])
-            nxt = vel + acc * cfg.dt
-            nxt = np.array([_clamp(nxt[0], cfg.v_limits[0] + m, cfg.v_limits[1] - m),
-                            _clamp(nxt[1], -cfg.w_limit + m, cfg.w_limit - m)])
+            acc = np.clip(np.asarray(out[acceleration(k + j - 1)], dtype=float), a_lo, a_hi)
+            nxt = np.clip(vel + acc * cfg.dt, v_lo, v_hi)
             acc = (nxt - vel) / cfg.dt
             vel = nxt
             pose = propagate_unicycle(pose, vel[0], vel[1], cfg.dt)
@@ -565,7 +559,7 @@ class Pipeline:
 
     def step(self, k: int, inp: StepInput, local_goal: Pose2) -> StepOutput:
         if k != self._step + 1:
-            raise ValueError(f"steps must be consecutive, expected {self._step + 1}")
+            raise InputError(f"steps must be consecutive, expected {self._step + 1}")
         cfg = self.config
         check_input(k, inp, local_goal)
         self._extend_estimation(k, inp)
@@ -628,11 +622,9 @@ class Pipeline:
                          for s in (steps[0], steps[-1])}
                    for obj, steps in self._motion_steps.items()}
 
-        # feed-forward execution bookkeeping, mirrors the simulator's clamp
-        self._vel = np.array([
-            _clamp(self._vel[0] + command[0] * cfg.dt, cfg.v_limits[0], cfg.v_limits[1]),
-            _clamp(self._vel[1] + command[1] * cfg.dt, -cfg.w_limit, cfg.w_limit),
-        ])
+        # feed-forward execution bookkeeping, mirrors the simulator's clip
+        v_lo, v_hi, _, _ = cfg.control_bounds()
+        self._vel = np.clip(self._vel + command * cfg.dt, v_lo, v_hi)
         self._last_acc = command.copy()
 
         return StepOutput(

@@ -98,6 +98,11 @@ class Simulator:
                  dt: float = 0.1, v_limits=(-0.3, 1.0), w_limit: float = 1.5):
         if not 0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
+        v_lo, v_hi = v_limits
+        if not -math.inf < v_lo < v_hi < math.inf:
+            raise ValueError("v_limits must be finite and increasing")
+        if not 0 < w_limit < math.inf:
+            raise ValueError("w_limit must be finite and > 0")
         self.grid = grid
         self.esdf = EsdfGrid.from_occupancy(grid)
         self.landmarks = dict(landmarks)
@@ -204,10 +209,10 @@ class Simulator:
         """Execute the ego command and advance every agent by one step."""
         a = np.asarray(command, dtype=float)
         st = self.state
-        v = min(max(st.ego_vel[0] + a[0] * self.dt, self.v_limits[0]), self.v_limits[1])
-        w = min(max(st.ego_vel[1] + a[1] * self.dt, -self.w_limit), self.w_limit)
+        v_lo, v_hi = self.v_limits
+        vel = np.clip(st.ego_vel + a * self.dt, (v_lo, -self.w_limit), (v_hi, self.w_limit))
         self._prev_ego = st.ego_pose
-        new_ego = propagate_unicycle(st.ego_pose, v, w, self.dt)
+        new_ego = propagate_unicycle(st.ego_pose, vel[0], vel[1], self.dt)
         new_poses = {}
         new_targets = {}
         for obj in sorted(self.agents):
@@ -217,7 +222,7 @@ class Simulator:
             new_targets[obj] = tgt
         self.state = WorldState(
             ego_pose=new_ego,
-            ego_vel=np.array([v, w]),
+            ego_vel=vel,
             agent_poses=new_poses,
             agent_targets=new_targets,
             step=st.step + 1,

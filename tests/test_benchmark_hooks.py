@@ -86,3 +86,13 @@ def test_a_benchmark_episode_runs_to_its_metrics():
     values, _ = closedloop.end_to_end([(scene, rec)], setup_s=0.0)
     assert set(values) == set(closedloop.END_TO_END)
     assert values["realtime_factor"] > 0
+
+
+def test_the_step_digests_cover_every_workload_and_mode():
+    # tests/step_digests.py is how two checkouts are compared bitwise; this
+    # builds its scenes without solving any of them
+    import step_digests
+    scenarios = step_digests.load("scenarios")
+    scenes = list(step_digests.scenes(scenarios))
+    assert {scene.workload for scene in scenes} == set(scenarios.WORKLOADS)
+    assert {scene.mode for scene in scenes} == set(Mode)

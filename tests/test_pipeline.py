@@ -27,7 +27,14 @@ from fgnav.factors import (
     PriorFactor,
     com_pose,
 )
-from fgnav.graph import FactorGraph, VarKind, object_motion, robot_pose, velocity
+from fgnav.graph import (
+    FactorGraph,
+    VarKind,
+    acceleration,
+    object_motion,
+    robot_pose,
+    velocity,
+)
 from fgnav.lie import Pose2, Pose3, embed_se3
 from fgnav.pipeline import (
     InputError,
@@ -206,19 +213,99 @@ def test_a_rejected_step_can_be_retried():
     out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
     assert out.step == 1
     assert sum(isinstance(f, BetweenFactor) for _, f in pipe._est_factors) == 1
-    with pytest.raises(ValueError, match="expected 2"):
+    with pytest.raises(InputError, match="expected 2"):
         pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
 
 
-def empty_simulator(dt):
+def empty_simulator(dt, **limits):
     return Simulator(OccupancyGrid.empty(20, 20, 0.1), {}, [], SensorSpec(), Pose2(), 0,
-                     dt=dt)
+                     dt=dt, **limits)
 
 
 def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON, initial_pose=Pose3.identity()):
     cfg = PipelineConfig(horizon=horizon, mode=ModeConfig(mode))
     grid = OccupancyGrid.empty(20, 20, 0.1)
     return Pipeline(cfg, EsdfGrid.from_occupancy(grid), initial_pose)
+
+
+@pytest.mark.parametrize("vel, command", [
+    ((0.95, 1.45), (1.0, 2.0)),
+    ((-0.25, -1.45), (-1.0, -2.0)),
+    ((0.95, 0.3), (1.0, -1.0)),
+], ids=["upper", "lower", "linear-only"])
+def test_the_feed_forward_velocity_is_the_simulators(vel, command):
+    # the pipeline integrates the command it returns as the simulator
+    # executes it; a command that saturates the velocity limit must leave both
+    # at the same velocity, bitwise
+    pipe = empty_grid_pipeline()
+    cfg = pipe.config
+    pipe.step(0, StepInput(), Pose2(1.0, 0.0, 0.0))
+    pipe._vel = np.array(vel)
+    pipe._values[acceleration(0)] = np.array(command)
+    pipe._emit(0, False, {})
+    sim = empty_simulator(cfg.dt, v_limits=cfg.v_limits, w_limit=cfg.w_limit)
+    sim.state.ego_vel = np.array(vel)
+    sim.tick(command)
+    assert pipe._vel.tobytes() == sim.state.ego_vel.tobytes()
+    assert pipe._vel[0] in cfg.v_limits
+
+
+def plan_controls(values, k, horizon):
+    """The plan's velocities 1..horizon and accelerations 0..horizon - 1 past step k."""
+    return (np.array([values[velocity(k + j)] for j in range(1, horizon + 1)]),
+            np.array([values[acceleration(k + j)] for j in range(horizon)]))
+
+
+def assert_in_box(vels, accs, box):
+    """Every control within ``box``, up to the rounding of ``dv / dt``."""
+    v_lo, v_hi, a_lo, a_hi = box
+    assert np.all(vels >= v_lo - 1e-12) and np.all(vels <= v_hi + 1e-12)
+    assert np.all(accs >= a_lo - 1e-12) and np.all(accs <= a_hi + 1e-12)
+
+
+def test_a_cold_plan_is_seeded_inside_twice_the_limit_margin():
+    # a goal far ahead saturates the linear ramp, one behind to the left the
+    # angular one; both must stop at the box the seed rides
+    highest = []
+    for goal in (Pose2(20.0, 0.0, 0.0), Pose2(-5.0, 5.0, 0.0)):
+        pipe = empty_grid_pipeline(horizon=30)
+        cfg = pipe.config
+        _, seeded, _ = pipe._build_planning(0, goal, [])
+        vels, accs = plan_controls(seeded, 0, cfg.horizon)
+        box = cfg.control_bounds(2 * cfg.limit_margin)
+        assert_in_box(vels, accs, box)
+        highest.append((vels.max(axis=0), accs.max(axis=0)))
+    (v_ahead, a_ahead), (v_turn, a_turn) = highest
+    _, v_hi, _, a_hi = box
+    assert np.allclose([v_ahead[0], a_ahead[0], v_turn[1], a_turn[1]],
+                       [v_hi[0], a_hi[0], v_hi[1], a_hi[1]], rtol=0, atol=1e-9)
+
+
+def test_a_cold_plan_is_rerolled_inside_the_limit_margin(monkeypatch):
+    rerolls = []
+    reroll = Pipeline._reroll_plan
+
+    def recording(self, values, k):
+        rerolls.append((values, k))
+        return reroll(self, values, k)
+
+    monkeypatch.setattr(Pipeline, "_reroll_plan", recording)
+    pipe = empty_grid_pipeline(horizon=30)
+    cfg = pipe.config
+    pipe.step(0, StepInput(), Pose2(20.0, 0.0, 0.0))
+    [(presolved, k)] = rerolls
+    box = cfg.control_bounds(cfg.limit_margin)
+    assert_in_box(*plan_controls(reroll(pipe, presolved, k), k, cfg.horizon), box)
+    # a profile far past every limit is clipped to the box, the accelerations
+    # first and then the velocities they integrate to
+    past = dict(presolved)
+    for j in range(cfg.horizon):
+        past[acceleration(k + j)] = np.array([2.0 * cfg.a_limit, -2.0 * cfg.aw_limit])
+    vels, accs = plan_controls(reroll(pipe, past, k), k, cfg.horizon)
+    assert_in_box(vels, accs, box)
+    v_lo, v_hi, a_lo, a_hi = box
+    assert np.allclose([vels[-1], accs[0]], [(v_hi[0], v_lo[1]), (a_hi[0], a_lo[1])],
+                       rtol=0, atol=1e-12)
 
 
 def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
@@ -745,6 +832,9 @@ def test_nan_settings_are_rejected(make):
 @pytest.mark.parametrize("settings", [
     dict(v_limits=(1.0, -0.3)), dict(w_limit=math.nan), dict(a_limit=-1.0),
     dict(aw_limit=0.0), dict(limit_margin=2.0), dict(limit_margin=-1e-3),
+    # the limit hinges' box is open, but the seed's, twice as far inside, is
+    # inverted: a seeded ramp from rest toward a goal ahead reversed
+    dict(limit_margin=0.6),
     dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
     dict(object_radius=math.nan), dict(goal_lookahead=-1.0), dict(horizon=2.5),
     dict(lag_window=math.nan), dict(lag_window=2.5),

@@ -141,3 +141,16 @@ def test_agent_spec_rejects_bad_input(bad):
 def test_simulator_rejects_duplicate_agent_ids():
     with pytest.raises(ValueError):
         make_sim(0, agents=[walker(), walker()])
+
+
+@pytest.mark.parametrize("limits", [
+    {"w_limit": -1.5}, {"w_limit": 0.0}, {"w_limit": math.nan}, {"w_limit": math.inf},
+    {"v_limits": (1.0, -0.3)}, {"v_limits": (0.5, 0.5)}, {"v_limits": (-0.3, math.nan)},
+    {"v_limits": (-math.inf, 1.0)},
+], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_simulator_rejects_bad_limits(limits):
+    # a negative w_limit turned a zero command into w = -1.5 rad/s, inverted
+    # v_limits into v = -0.3 m/s
+    with pytest.raises(ValueError):
+        Simulator(OccupancyGrid.empty(20, 20, 0.1), {}, [], SensorSpec(), Pose2(), 0,
+                  **limits)
