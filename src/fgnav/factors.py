@@ -1,5 +1,17 @@
 """Residual catalog for estimation, prediction and planning.
 
+Estimation reads odometry (``BetweenFactor``), static and dynamic points
+(``PointMeasurementFactor``, ``HybridMotionFactor``), the smooth motion of
+an object (``ObjectSmoothingFactor``) and unary priors (``PriorFactor``).
+Prediction chains ``ObjectSmoothingFactor`` and keeps each predicted
+centre clear of the map (``StaticObstacleFactor``). Planning holds the
+unicycle propagation (``MotionModelFactor``), the control box
+(``LimitFactor``), control smoothness (``ConstantAccelerationFactor``) and
+the clearances (``StaticObstacleFactor``, ``DynamicObstacleFactor``). Its
+goal and effort terms are priors as well: a ``PriorFactor`` at the local
+goal on the last planned pose, and a zero ``PriorFactor`` on each
+acceleration.
+
 Every factor class writes its geometry once, as a two-phase batch
 kernel: ``evaluate(params, args)`` takes the stacked constants of n
 instances (``stack_params``) and one batch per key (see
@@ -30,14 +42,16 @@ through the same view and column map, so they return a 6-wide block for a
 Pose3 key; they serve as the reference the batched system is tested
 against.
 
-Each factor also carries its whitening, the inverse of its per-dimension
-standard deviations (``sqrt_info``, times the factor's ``weight``), and
-its ``component``: the part of the pipeline it belongs to. That is its
-only direction metadata; a factor holds no mask. The pipeline's
-:func:`fgnav.pipeline.mode_masks` compares it with the component that owns
-each key the factor reads, and the keys the factor may not move become its
-mask in the stage graph (the ``masks`` argument of
-:class:`fgnav.graph.FactorGraph`).
+Each factor also carries its whitening and its ``component``. The
+whitening ``sqrt_info`` is the inverse of the factor's standard deviations,
+given as one sigma for every dimension or one per dimension, all positive
+and finite. Factors given equal sigmas share one read-only array; a
+``weight`` other than 1 scales a fresh copy. The ``component`` is the part
+of the pipeline the factor belongs to and its only direction metadata; a
+factor holds no mask. The pipeline's :func:`fgnav.pipeline.mode_masks`
+compares it with the component that owns each key the factor reads, and
+the keys the factor may not move become its mask in the stage graph (the
+``masks`` argument of :class:`fgnav.graph.FactorGraph`).
 
 The limit and static-clearance hinges return a zero residual and zero
 Jacobian on their inactive branch. The dynamic-clearance factor is a
@@ -99,38 +113,33 @@ class ModeConfig:
             raise ValueError("cooperation_weight must be finite and >= 0")
 
 
-class NoiseSpec:
-    """Per-dimension standard deviations; positive."""
-
-    def __init__(self, sigmas):
-        arr = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("noise sigmas must be positive and finite")
-        self.sigmas = arr
-
-    def sqrt_info(self, dim: int) -> np.ndarray:
-        s = self.sigmas
-        if s.shape == (1,):
-            s = np.full(dim, s[0])
-        if s.shape != (dim,):
-            raise ValueError(f"expected {dim} sigmas, got {s.shape}")
-        return 1.0 / s
-
-
 @functools.lru_cache(maxsize=256)
 def _shared_sqrt_info(sigmas, dim: int) -> np.ndarray:
-    w = NoiseSpec(sigmas).sqrt_info(dim)
+    """Inverse of one sigma for every dimension, or of one sigma per dimension."""
+    s = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+        raise ValueError("noise sigmas must be positive and finite")
+    if s.shape == (1,):
+        s = np.full(dim, s[0])
+    if s.shape != (dim,):
+        raise ValueError(f"expected 1 or {dim} sigmas, got {s.shape}")
+    w = 1.0 / s
     w.flags.writeable = False
     return w
 
 
 def _sqrt_info(noise, dim: int) -> np.ndarray:
-    """Inverse sigmas: one shared, read-only array per float or tuple entry."""
-    if isinstance(noise, (float, int, tuple)):
-        return _shared_sqrt_info(noise, dim)
-    if isinstance(noise, NoiseSpec):
-        return noise.sqrt_info(dim)
-    return NoiseSpec(noise).sqrt_info(dim)
+    """Inverse sigmas: one shared, read-only array per distinct sigmas and ``dim``.
+
+    A float or a tuple is the cache key as it is; any other sigmas are
+    converted to a tuple first.
+    """
+    if not isinstance(noise, (float, int, tuple)):
+        arr = np.asarray(noise, dtype=float)
+        if arr.ndim > 1:
+            raise ValueError(f"expected 1 or {dim} sigmas, got shape {arr.shape}")
+        noise = tuple(np.atleast_1d(arr).tolist())
+    return _shared_sqrt_info(noise, dim)
 
 
 def propagate_unicycle(x: Pose2, v: float, omega: float, dt: float) -> Pose2:
@@ -297,7 +306,11 @@ def _point_jacobian(p: np.ndarray) -> np.ndarray:
 
 
 class PriorFactor(Factor):
-    """r = log(prior^-1 * x) for poses, r = x - prior for vectors."""
+    """r = log(prior^-1 * x) for poses, r = x - prior for vectors.
+
+    The one unary factor: an estimation prior, the plan's pull toward its
+    local goal (a Pose2 prior) and its effort penalty (a zero prior).
+    """
 
     __slots__ = ("prior", "_prior_inv")
 
@@ -548,22 +561,6 @@ class LimitFactor(Factor):
         yield active[:, :, None] * np.eye(v.shape[1])
 
 
-class CostFactor(Factor):
-    """Quadratic effort penalty: r = a."""
-
-    __slots__ = ()
-
-    def __init__(self, key, dim, noise, **kw):
-        kw.setdefault("component", Component.PLANNING)
-        super().__init__((key,), noise, dim, **kw)
-
-    @classmethod
-    def evaluate(cls, params, args):
-        r = args[0]
-        yield r
-        yield _eye(*r.shape)
-
-
 class ConstantAccelerationFactor(Factor):
     """Control smoothness: r = a_k - a_{k-1}."""
 
@@ -581,29 +578,6 @@ class ConstantAccelerationFactor(Factor):
         eye = np.eye(r.shape[1])
         yield np.broadcast_to(np.concatenate([-eye, eye], axis=1),
                               (r.shape[0],) + (r.shape[1], 2 * r.shape[1]))
-
-
-class GoalFactor(Factor):
-    """SE(2) pull toward the local goal: r = log(goal^-1 * x)."""
-
-    __slots__ = ("goal", "_goal_inv")
-    planar_slots = (0,)
-
-    def __init__(self, pose_key, goal: Pose2, noise, **kw):
-        kw.setdefault("component", Component.PLANNING)
-        super().__init__((pose_key,), noise, 3, **kw)
-        self.goal = goal
-        self._goal_inv = goal.inverse()
-
-    @classmethod
-    def stack_params(cls, factors):
-        return stack([f._goal_inv for f in factors])
-
-    @classmethod
-    def evaluate(cls, goal_inv, args):
-        r = log_batch(compose_batch(goal_inv, args[0]))
-        yield r
-        yield right_jacobian_inverse_batch(r)
 
 
 # ---------------------------------------------------------------------------

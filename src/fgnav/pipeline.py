@@ -10,7 +10,9 @@ cooperative mode builds a prediction-side copy of each dynamic obstacle
 hinge. Each stage is one factor graph, built whole in one constructor call
 from the stage's factors, their masks, the values of the keys they read
 and the keys held fixed. The optimized first acceleration is the control
-command.
+command. Every factor is whitened by the fixed sigma of its kind in
+``SIGMAS``; the plan's goal and effort terms are priors on plan variables,
+like the estimation priors.
 
 The previous step's solution stays in the one value store, and a step
 warm-starts from it: its plan, shifted by one step, and the motions it
@@ -32,9 +34,7 @@ from .factors import (
     BetweenFactor,
     Component,
     ConstantAccelerationFactor,
-    CostFactor,
     DynamicObstacleFactor,
-    GoalFactor,
     HybridMotionFactor,
     LimitFactor,
     Mode,
@@ -63,24 +63,28 @@ from .graph import (
 from .lie import Pose2, Pose3, se2_view
 
 
-@dataclass(frozen=True)
-class NoiseTable:
-    """Sigmas used when assembling the step graph, one entry per factor kind."""
+# the sigmas each kind of factor in the step graph is whitened by: one for
+# every dimension or one per dimension, as a float or a tuple, which the
+# factors' whitening cache takes as its key without a conversion
+SIGMAS = {
+    "prior_pose": (0.05, 0.05, 0.05, 0.02, 0.02, 0.02),
+    "odometry": (0.02, 0.02, 0.02, 0.01, 0.01, 0.01),
+    "point": 0.1,
+    "global_pose": (0.05, 0.05, 0.05, 0.02, 0.02, 0.02),
+    "smoothing": (0.02, 0.02, 0.02, 0.01, 0.01, 0.01),
+    "motion_reg": 10.0,
+    "motion_model": (1e-4,) * 5,
+    "limit": 1e-3,
+    "effort": 2.0,
+    "accel_smooth": 0.5,
+    "goal": (0.1, 0.1, 0.3),
+    "static_obstacle": 2e-3,
+    "dynamic_obstacle": 5e-3,
+}
 
-    prior_pose: tuple = (0.05, 0.05, 0.05, 0.02, 0.02, 0.02)
-    odometry: tuple = (0.02, 0.02, 0.02, 0.01, 0.01, 0.01)
-    point: float = 0.1
-    global_pose: tuple = (0.05, 0.05, 0.05, 0.02, 0.02, 0.02)
-    smoothing: tuple = (0.02, 0.02, 0.02, 0.01, 0.01, 0.01)
-    motion_reg: float = 10.0
-    motion_model: tuple = (1e-4,) * 5
-    limit: float = 1e-3
-    effort: float = 2.0
-    accel_smooth: float = 0.5
-    goal: tuple = (0.1, 0.1, 0.3)
-    static_obstacle: float = 2e-3
-    dynamic_obstacle: float = 5e-3
-
+# the effort terms' shared prior: each acceleration is pulled toward zero
+_ZERO_ACC = np.zeros(2)
+_ZERO_ACC.flags.writeable = False
 
 # the components each stage solves, in order; a stage evaluates only the factors
 # of its own components and holds fixed every key an earlier stage solved.
@@ -129,7 +133,6 @@ class PipelineConfig:
     # seeded plan rides twice this far inside
     limit_margin: float = 5e-4
     goal_lookahead: float = 2.0
-    noise: NoiseTable = field(default_factory=NoiseTable)
     optimizer: OptimizerConfig = field(default_factory=_default_optimizer)
 
     def __post_init__(self):
@@ -281,21 +284,20 @@ class Pipeline:
         self._last_acc = np.zeros(2)
         self._values[robot_pose(0)] = initial_pose
         self._est_factors.append(
-            (0, PriorFactor(robot_pose(0), initial_pose, config.noise.prior_pose)))
+            (0, PriorFactor(robot_pose(0), initial_pose, SIGMAS["prior_pose"])))
 
     # -- estimation fragment -------------------------------------------
 
     def _extend_estimation(self, k: int, inp: StepInput) -> None:
-        noise = self.config.noise
         if k > 0:
             prev = self._values[robot_pose(k - 1)]
             self._values[robot_pose(k)] = prev.compose(inp.odometry)
             self._est_factors.append(
                 (k, BetweenFactor(robot_pose(k - 1), robot_pose(k),
-                                  inp.odometry, noise.odometry)))
+                                  inp.odometry, SIGMAS["odometry"])))
         if inp.global_pose is not None:
             self._est_factors.append(
-                (k, PriorFactor(robot_pose(k), inp.global_pose, noise.global_pose)))
+                (k, PriorFactor(robot_pose(k), inp.global_pose, SIGMAS["global_pose"])))
 
         x_hat = self._values[robot_pose(k)]
         for pid, z in inp.static_points:
@@ -303,7 +305,7 @@ class Pipeline:
             if key not in self._values:
                 self._values[key] = x_hat.act(np.asarray(z, dtype=float))
             self._est_factors.append(
-                (k, PointMeasurementFactor(robot_pose(k), key, z, noise.point)))
+                (k, PointMeasurementFactor(robot_pose(k), key, z, SIGMAS["point"])))
 
         by_object: dict[int, list] = {}
         for obj, pid, z in inp.dynamic_points:
@@ -315,7 +317,6 @@ class Pipeline:
                 self._extend_track(obj, k, obs, x_hat)
 
     def _start_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
-        noise = self.config.noise
         world = []
         for pid, z in obs:
             key = dynamic_point(obj, pid)
@@ -324,7 +325,7 @@ class Pipeline:
             # reference-step anchors stay in the graph for the life of the
             # track: they pin the gauge shared by the motions and the points
             self._est_factors.append(
-                (None, PointMeasurementFactor(robot_pose(k), key, z, noise.point)))
+                (None, PointMeasurementFactor(robot_pose(k), key, z, SIGMAS["point"])))
         centroid = np.mean(np.asarray(world), axis=0)
         self._com_ref[obj] = Pose3(np.eye(3), centroid)
         # the motion at the reference step is the identity by definition
@@ -339,7 +340,6 @@ class Pipeline:
         return k - 1 in recent and k in recent
 
     def _extend_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
-        noise = self.config.noise
         steps = self._motion_steps[obj]
         h_key = object_motion(obj, k)
         warm = self._tracked(obj, k - 1)   # step k - 1 predicted and solved H_k
@@ -352,14 +352,14 @@ class Pipeline:
             if p_key not in self._values:
                 self._values[p_key] = h_init.inverse().act(x_hat.act(z))
             self._est_factors.append(
-                (k, HybridMotionFactor(robot_pose(k), h_key, p_key, z, noise.point)))
+                (k, HybridMotionFactor(robot_pose(k), h_key, p_key, z, SIGMAS["point"])))
         self._est_factors.append(
-            (k, PriorFactor(h_key, h_init, noise.motion_reg)))
+            (k, PriorFactor(h_key, h_init, SIGMAS["motion_reg"])))
         if warm:
             self._est_factors.append(
                 (k, ObjectSmoothingFactor(
                     (object_motion(obj, k - 2), object_motion(obj, k - 1), h_key),
-                    self._com_ref[obj], noise.smoothing)))
+                    self._com_ref[obj], SIGMAS["smoothing"])))
 
     def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose3]:
         """Constant relative centre motion 1..`ahead` steps past `last`, one compose each."""
@@ -383,7 +383,6 @@ class Pipeline:
 
     def _build_prediction(self, k: int, objects) -> tuple[list, dict]:
         cfg = self.config
-        noise = cfg.noise
         d_os = cfg.object_radius + cfg.safety_offset
         factors = []
         new_vals: dict[VariableKey, object] = {}
@@ -400,11 +399,11 @@ class Pipeline:
                         object_motion(obj, k + j - 1),
                         object_motion(obj, k + j))
                 factors.append(ObjectSmoothingFactor(
-                    keys, c_ref, noise.smoothing, component=Component.PREDICTION))
+                    keys, c_ref, SIGMAS["smoothing"], component=Component.PREDICTION))
             for j in range(1, cfg.horizon + 1):
                 factors.append(StaticObstacleFactor(
                     object_motion(obj, k + j), self.esdf,
-                    d_os + cfg.hinge_margin, noise.static_obstacle,
+                    d_os + cfg.hinge_margin, SIGMAS["static_obstacle"],
                     com_ref=c_ref, component=Component.PREDICTION))
         return factors, new_vals
 
@@ -437,7 +436,6 @@ class Pipeline:
 
     def _build_planning(self, k: int, local_goal: Pose2, objects):
         cfg = self.config
-        noise = cfg.noise
         factors = []
         new_vals: dict[VariableKey, object] = {}
         pinned = [velocity(k), acceleration(k - 1)]
@@ -466,28 +464,30 @@ class Pipeline:
         for j in range(1, cfg.horizon + 1):
             factors.append(MotionModelFactor(
                 robot_pose(k + j - 1), robot_pose(k + j), velocity(k + j - 1),
-                velocity(k + j), acceleration(k + j - 1), cfg.dt, noise.motion_model))
-            factors.append(LimitFactor(velocity(k + j), v_lo, v_hi, noise.limit))
-            factors.append(LimitFactor(acceleration(k + j - 1), a_lo, a_hi, noise.limit))
-            factors.append(CostFactor(acceleration(k + j - 1), 2, noise.effort))
+                velocity(k + j), acceleration(k + j - 1), cfg.dt, SIGMAS["motion_model"]))
+            factors.append(LimitFactor(velocity(k + j), v_lo, v_hi, SIGMAS["limit"]))
+            factors.append(LimitFactor(acceleration(k + j - 1), a_lo, a_hi, SIGMAS["limit"]))
+            factors.append(PriorFactor(acceleration(k + j - 1), _ZERO_ACC, SIGMAS["effort"],
+                                       component=Component.PLANNING))
             factors.append(ConstantAccelerationFactor(
-                acceleration(k + j - 2), acceleration(k + j - 1), 2, noise.accel_smooth))
+                acceleration(k + j - 2), acceleration(k + j - 1), 2, SIGMAS["accel_smooth"]))
             factors.append(StaticObstacleFactor(
                 robot_pose(k + j), self.esdf, d_rs + cfg.hinge_margin,
-                noise.static_obstacle, component=Component.PLANNING))
+                SIGMAS["static_obstacle"], component=Component.PLANNING))
             for obj in objects:
                 c_ref = self._com_ref[obj]
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
-                    d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
+                    d_ros + cfg.hinge_margin, SIGMAS["dynamic_obstacle"],
                     margin=cfg.hinge_margin))
                 if cfg.mode.mode is Mode.COOPERATIVE:   # the prediction yields
                     factors.append(DynamicObstacleFactor(
                         robot_pose(k + j), object_motion(obj, k + j), c_ref,
-                        d_ros + cfg.hinge_margin, noise.dynamic_obstacle,
+                        d_ros + cfg.hinge_margin, SIGMAS["dynamic_obstacle"],
                         margin=cfg.hinge_margin, component=Component.PREDICTION,
                         weight=cfg.mode.cooperation_weight))
-        factors.append(GoalFactor(robot_pose(k + cfg.horizon), local_goal, noise.goal))
+        factors.append(PriorFactor(robot_pose(k + cfg.horizon), local_goal, SIGMAS["goal"],
+                                   component=Component.PLANNING))
         return factors, new_vals, pinned
 
     # -- assembly and solving ----------------------------------------------

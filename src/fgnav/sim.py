@@ -73,6 +73,10 @@ class SensorSpec:
             sigma = np.asarray(getattr(self, name), dtype=float)
             if not np.all((sigma >= 0) & (sigma < math.inf)):
                 raise ValueError(f"{name} must be finite and >= 0")
+        # the odometry and global-pose noise is drawn in (x, y, theta)
+        for name in ("odometry_sigma", "global_sigma"):
+            if np.shape(getattr(self, name)) != (3,):
+                raise ValueError(f"{name} must hold 3 sigmas, got {getattr(self, name)!r}")
         if not 0 < self.max_range < math.inf:
             raise ValueError("max_range must be finite and > 0")
         if not 0 < self.fov <= math.tau:
@@ -206,8 +210,18 @@ class Simulator:
         return new, target_idx
 
     def tick(self, command) -> WorldState:
-        """Execute the ego command and advance every agent by one step."""
-        a = np.asarray(command, dtype=float)
+        """Execute the ego command and advance every agent by one step.
+
+        Raises ValueError, before any state changes, unless ``command`` is
+        two finite numbers.
+        """
+        try:
+            a = np.asarray(command, dtype=float)
+            ok = a.shape == (2,) and np.all(np.isfinite(a))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"command must be two finite numbers, got {command!r}")
         st = self.state
         v_lo, v_hi = self.v_limits
         vel = np.clip(st.ego_vel + a * self.dt, (v_lo, -self.w_limit), (v_hi, self.w_limit))

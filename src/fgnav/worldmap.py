@@ -26,6 +26,16 @@ class GridFormatError(ValueError):
     pass
 
 
+def _geometry(resolution, origin) -> tuple[float, tuple[float, float]]:
+    """The grid's resolution and origin as floats; GridFormatError unless finite."""
+    if not 0 < resolution < math.inf:
+        raise GridFormatError("resolution must be finite and > 0")
+    origin = (float(origin[0]), float(origin[1]))
+    if not all(map(math.isfinite, origin)):
+        raise GridFormatError(f"origin must be finite, got {origin!r}")
+    return float(resolution), origin
+
+
 class OccupancyGrid:
     """Boolean grid: True marks an occupied cell."""
 
@@ -35,11 +45,8 @@ class OccupancyGrid:
         cells = np.asarray(cells, dtype=bool)
         if cells.ndim != 2 or cells.size == 0:
             raise GridFormatError("grid must be a non-empty 2-d array")
-        if not 0 < resolution < math.inf:
-            raise GridFormatError("resolution must be finite and > 0")
+        self.resolution, self.origin = _geometry(resolution, origin)
         self.cells = cells
-        self.resolution = float(resolution)
-        self.origin = (float(origin[0]), float(origin[1]))
 
     @property
     def height(self) -> int:
@@ -145,8 +152,9 @@ class EsdfGrid:
         distances = np.asarray(distances, dtype=float)
         if distances.ndim != 2 or distances.size == 0:
             raise GridFormatError("distance field must be a non-empty 2-d array")
-        if not 0 < resolution < math.inf:
-            raise GridFormatError("resolution must be finite and > 0")
+        if not np.all(np.isfinite(distances)):
+            raise GridFormatError("distance field must be finite")
+        self.resolution, self.origin = _geometry(resolution, origin)
         # border samples replicated 1 below and 2 above: the 4x4 patch of
         # corner (ix, iy) is _flat[iy * row + ix + _patch], row being the
         # padded width, with no clipping. ``distances`` views the interior,
@@ -156,8 +164,6 @@ class EsdfGrid:
         self.distances = padded[1:-2, 1:-2]
         self._flat = padded.ravel()
         self._patch = padded.shape[1] * np.arange(4)[:, None] + np.arange(4)
-        self.resolution = float(resolution)
-        self.origin = (float(origin[0]), float(origin[1]))
 
     @classmethod
     def from_occupancy(cls, occ: OccupancyGrid) -> "EsdfGrid":

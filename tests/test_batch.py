@@ -3,7 +3,7 @@
 For every factor class a graph holds several instances, with Pose3 keys
 where the class accepts them, both branches of every hinge, one instance
 added with a mask on keys of its own, one instance with per-dimension
-sigmas of its own and one fixed variable. The graph's ``J^T J``, ``J^T r``
+sigmas of its own and a fixed variable. The graph's ``J^T J``, ``J^T r``
 and ``total_error()``, which come from one kernel call per batch and one
 scatter, must match the dense system stacked from each factor's own
 ``whitened_linearization`` with the graph's masks applied. Factors that
@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from dense_oracle import cross_block, jtj, jtr
 
+from fgnav import factors as factor_module
 from fgnav.factors import (
     BetweenFactor,
     ConstantAccelerationFactor,
     Component,
-    CostFactor,
     DynamicObstacleFactor,
-    GoalFactor,
+    Factor,
     HybridMotionFactor,
     LimitFactor,
     MotionModelFactor,
@@ -80,7 +80,19 @@ def build_prior(rng):
     fs.append(PriorFactor(robot_pose(0), pose2(rng), sigmas(rng, 3)))
     vals[robot_pose(9)] = pose2(rng)
     masked = PriorFactor(robot_pose(9), pose2(rng), 0.1), (True,)
-    return vals, fs, masked, [object_motion(1, 2)]
+    # the plan's effort terms, zero priors that share one read-only prior,
+    # and its goal terms, Pose2 priors with a tuple of sigmas
+    zero = np.zeros(2)
+    zero.flags.writeable = False
+    for i in range(4):
+        vals[acceleration(i)] = rng.normal(size=2)
+        fs.append(PriorFactor(acceleration(i), zero, 0.5, component=Component.PLANNING))
+    fs.append(PriorFactor(acceleration(0), zero, sigmas(rng, 2)))
+    for i in range(3, 6):
+        vals[robot_pose(i)] = pose2(rng)
+        fs.append(PriorFactor(robot_pose(i), pose2(rng), (0.1, 0.1, 0.3),
+                              component=Component.PLANNING))
+    return vals, fs, masked, [object_motion(1, 2), acceleration(3)]
 
 
 def build_between(rng):
@@ -190,17 +202,6 @@ def build_limit(rng):
     return vals, fs, masked, [velocity(3)]
 
 
-def build_cost(rng):
-    vals, fs = {}, []
-    for i in range(4):
-        vals[acceleration(i)] = rng.normal(size=2)
-        fs.append(CostFactor(acceleration(i), 2, 0.5))
-    fs.append(CostFactor(acceleration(0), 2, sigmas(rng, 2)))
-    vals[acceleration(9)] = rng.normal(size=2)
-    masked = CostFactor(acceleration(9), 2, 0.5), (True,)
-    return vals, fs, masked, [acceleration(3)]
-
-
 def build_constant_acceleration(rng):
     vals, fs = {}, []
     for i in range(5):
@@ -213,19 +214,6 @@ def build_constant_acceleration(rng):
     masked = ConstantAccelerationFactor(acceleration(8), acceleration(9), 2,
                                         0.5), (False, True)
     return vals, fs, masked, [acceleration(4)]
-
-
-def build_goal(rng):
-    vals, fs = {}, []
-    for i in range(3):
-        vals[robot_pose(i)] = pose2(rng)
-        fs.append(GoalFactor(robot_pose(i), pose2(rng), 0.1))
-    vals[robot_pose(3)] = embed_se3(pose2(rng))
-    fs.append(GoalFactor(robot_pose(3), pose2(rng), [0.1, 0.1, 0.3]))
-    fs.append(GoalFactor(robot_pose(1), pose2(rng), sigmas(rng, 3)))
-    vals[robot_pose(9)] = pose2(rng)
-    masked = GoalFactor(robot_pose(9), pose2(rng), 0.1), (True,)
-    return vals, fs, masked, [robot_pose(2)]
 
 
 def build_static_obstacle(rng):
@@ -272,22 +260,29 @@ def build_dynamic_obstacle(rng):
     return vals, fs, masked, [object_motion(1, 3)]
 
 
+# class name -> (seed, builder); each seed is fixed, so that removing a
+# class leaves every other builder's draws as they were
 BUILDERS = {
-    "PriorFactor": build_prior,
-    "BetweenFactor": build_between,
-    "PointMeasurementFactor": build_point,
-    "HybridMotionFactor": build_hybrid,
-    "ObjectSmoothingFactor": build_smoothing,
-    "MotionModelFactor": build_motion_model,
-    "LimitFactor": build_limit,
-    "CostFactor": build_cost,
-    "ConstantAccelerationFactor": build_constant_acceleration,
-    "GoalFactor": build_goal,
-    "StaticObstacleFactor": build_static_obstacle,
-    "DynamicObstacleFactor": build_dynamic_obstacle,
+    "PriorFactor": (10, build_prior),
+    "BetweenFactor": (0, build_between),
+    "PointMeasurementFactor": (9, build_point),
+    "HybridMotionFactor": (5, build_hybrid),
+    "ObjectSmoothingFactor": (8, build_smoothing),
+    "MotionModelFactor": (7, build_motion_model),
+    "LimitFactor": (6, build_limit),
+    "ConstantAccelerationFactor": (1, build_constant_acceleration),
+    "StaticObstacleFactor": (11, build_static_obstacle),
+    "DynamicObstacleFactor": (3, build_dynamic_obstacle),
 }
 # classes with an exact-zero inactive branch; the dynamic-obstacle softplus has none
 HINGES = {"LimitFactor", "StaticObstacleFactor"}
+
+
+def test_builders_cover_every_factor_class():
+    classes = {name for name, cls in vars(factor_module).items()
+               if isinstance(cls, type) and issubclass(cls, Factor) and cls is not Factor}
+    assert classes == set(BUILDERS)
+    assert len({seed for seed, _ in BUILDERS.values()}) == len(BUILDERS)
 
 
 def make_graph(vals, factors, fixed, masked=None):
@@ -322,8 +317,8 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_batched_system_matches_per_factor_stack(name):
-    rng = np.random.default_rng(sorted(BUILDERS).index(name))
-    vals, factors, masked, fixed = BUILDERS[name](rng)
+    seed, build = BUILDERS[name]
+    vals, factors, masked, fixed = build(np.random.default_rng(seed))
     factor, mask = masked
     instances = factors + [factor]
     assert {type(f).__name__ for f in instances} == {name}
@@ -356,8 +351,8 @@ def test_batched_system_matches_per_factor_stack(name):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_every_kernel_yields_residuals_then_jacobians(name):
-    rng = np.random.default_rng(sorted(BUILDERS).index(name))
-    vals, factors, masked, fixed = BUILDERS[name](rng)
+    seed, build = BUILDERS[name]
+    vals, factors, masked, fixed = build(np.random.default_rng(seed))
     graph = make_graph(vals, factors, fixed, masked)
     # the batches' instances, grouped as the graph groups them
     members = {}
@@ -399,8 +394,8 @@ def test_planar_families_are_one_batch_each():
         Pose3.exp(np.array([0.0, 0.0, 0.02, 0.01, -0.02, 0.0])))
     _motion_chain(rng, vals, factors, 10, 3, first_pose3=False)
     _motion_chain(rng, vals, factors, 20, 2, first_pose3=True)
-    for k in (robot_pose(0), robot_pose(4), robot_pose(13), robot_pose(20)):
-        factors.append(GoalFactor(k, pose2(rng), [0.1, 0.1, 0.3]))
+    for k in (robot_pose(4), robot_pose(13)):
+        factors.append(PriorFactor(k, pose2(rng), (0.1, 0.1, 0.3)))
     # the free Pose3 needs support off the plane for the solve below
     factors.append(PriorFactor(robot_pose(0), vals[robot_pose(0)], 0.1))
     used = {k for f in factors for k in f.keys}
@@ -409,7 +404,7 @@ def test_planar_families_are_one_batch_each():
     system = graph.linearize(graph.values)
 
     listing = sorted((b.cls.__name__, len(b.cols)) for b in graph.batches)
-    assert listing == [("GoalFactor", 4), ("MotionModelFactor", 9), ("PriorFactor", 1)]
+    assert listing == [("MotionModelFactor", 9), ("PriorFactor", 1), ("PriorFactor", 2)]
     h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
     assert_close(jtj(system), h_ref)
     assert_close(jtr(system), g_ref)

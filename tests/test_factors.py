@@ -24,16 +24,13 @@ from fgnav.factors import (
     BetweenFactor,
     Component,
     ConstantAccelerationFactor,
-    CostFactor,
     DynamicObstacleFactor,
     Factor,
-    GoalFactor,
     HybridMotionFactor,
     LimitFactor,
     Mode,
     ModeConfig,
     MotionModelFactor,
-    NoiseSpec,
     ObjectSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
@@ -42,7 +39,7 @@ from fgnav.factors import (
     propagate_unicycle,
 )
 from fgnav.lie import Pose2, Pose3, embed_se3, stack
-from fgnav.pipeline import NoiseTable
+from fgnav.pipeline import SIGMAS
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 
@@ -103,15 +100,25 @@ def test_noise_spec_vector_and_scalar():
     assert np.allclose(f2.sqrt_info, [10.0, 10.0])
     vals = {velocity(0): np.array([1.0, -1.0])}
     assert np.allclose(f.whitened_residual(vals), [2.0, -4.0])
+    # sigmas given as a list or an array share the entry of the equal tuple
+    same = [PriorFactor(velocity(1), np.zeros(2), s)
+            for s in ((0.5, 0.25), np.array([0.5, 0.25]))]
+    assert all(g.sqrt_info is f.sqrt_info for g in same)
+    assert not f.sqrt_info.flags.writeable
 
 
 def test_noise_spec_rejects_bad_sigmas():
-    with pytest.raises(ValueError):
-        NoiseSpec([0.1, -0.2])
-    with pytest.raises(ValueError):
-        NoiseSpec(0.0)
-    with pytest.raises(ValueError):
-        PriorFactor(velocity(0), np.zeros(2), [0.1, 0.2, 0.3])
+    # non-positive or non-finite sigmas, or neither one nor ``dim`` of them,
+    # given as cache keys (a float or a tuple) or as anything else
+    for sigmas in ([0.1, -0.2], (0.1, -0.2), 0.0, -1.0, math.nan, (0.1, math.inf),
+                   np.array([0.1, math.nan]), [0.1, 0.2, 0.3], (0.1, 0.2, 0.3), (),
+                   np.full((2, 1), 0.1), ((0.1,), (0.2,))):
+        with pytest.raises(ValueError):
+            PriorFactor(velocity(0), np.zeros(2), sigmas)
+        with pytest.raises(ValueError):
+            LimitFactor(velocity(0), [-1.0, -1.0], [1.0, 1.0], sigmas)
+        with pytest.raises(ValueError):
+            ConstantAccelerationFactor(acceleration(0), acceleration(1), 2, sigmas)
 
 
 def test_mode_config_accepts_strings():
@@ -137,30 +144,29 @@ def test_factor_weight_scales_information():
 
 
 def test_factors_of_one_noise_entry_share_read_only_whitening():
-    noise = NoiseTable()
     a = MotionModelFactor(robot_pose(0), robot_pose(1), velocity(0), velocity(1),
-                          acceleration(0), 0.1, noise.motion_model)
+                          acceleration(0), 0.1, SIGMAS["motion_model"])
     b = MotionModelFactor(robot_pose(1), robot_pose(2), velocity(1), velocity(2),
-                          acceleration(1), 0.1, noise.motion_model)
-    want = 1.0 / np.array(noise.motion_model)
+                          acceleration(1), 0.1, SIGMAS["motion_model"])
+    want = 1.0 / np.array(SIGMAS["motion_model"])
     assert np.array_equal(a.sqrt_info, want) and a.sqrt_info is b.sqrt_info
     assert not a.sqrt_info.flags.writeable
     with pytest.raises(ValueError):
         a.sqrt_info[0] = 1.0
     # a scalar entry is spread over the factor's dimension
-    hinge = LimitFactor(velocity(1), [-1.0, -1.0], [1.0, 1.0], noise.limit)
-    assert np.array_equal(hinge.sqrt_info, np.full(2, 1.0 / noise.limit))
+    hinge = LimitFactor(velocity(1), [-1.0, -1.0], [1.0, 1.0], SIGMAS["limit"])
+    assert np.array_equal(hinge.sqrt_info, np.full(2, 1.0 / SIGMAS["limit"]))
     assert not hinge.sqrt_info.flags.writeable
 
 
 def test_weighted_and_relaxed_whitening_are_fresh_arrays():
-    noise = NoiseTable()
-    shared = CostFactor(acceleration(0), 2, noise.effort).sqrt_info
-    weighted = CostFactor(acceleration(1), 2, noise.effort, weight=0.5).sqrt_info
+    zero = np.zeros(2)
+    shared = PriorFactor(acceleration(0), zero, SIGMAS["effort"]).sqrt_info
+    weighted = PriorFactor(acceleration(1), zero, SIGMAS["effort"], weight=0.5).sqrt_info
     assert weighted is not shared and weighted.flags.writeable
-    assert np.array_equal(weighted, 0.5 / np.full(2, noise.effort))
+    assert np.array_equal(weighted, 0.5 / np.full(2, SIGMAS["effort"]))
     motion = MotionModelFactor(robot_pose(0), robot_pose(1), velocity(0), velocity(1),
-                               acceleration(0), 0.1, noise.motion_model)
+                               acceleration(0), 0.1, SIGMAS["motion_model"])
     # sigmas whose whitening divided by 1000 and times 1e-3 differ in the last bit
     odd = MotionModelFactor(robot_pose(1), robot_pose(2), velocity(1), velocity(2),
                             acceleration(1), 0.1, (0.3, 0.7, 1.1, 1.3, 0.9))
@@ -176,8 +182,8 @@ def test_weighted_and_relaxed_whitening_are_fresh_arrays():
     assert relaxed.sqrt_info.tobytes() == (exact.sqrt_info / 1000.0).tobytes()
     # the stage graph's batch and the shared entries are untouched
     assert graph.batches == [exact] and exact.sqrt_info.tobytes() == before.tobytes()
-    assert np.array_equal(shared, np.full(2, 1.0 / noise.effort))
-    assert np.array_equal(motion.sqrt_info, 1.0 / np.array(noise.motion_model))
+    assert np.array_equal(shared, np.full(2, 1.0 / SIGMAS["effort"]))
+    assert np.array_equal(motion.sqrt_info, 1.0 / np.array(SIGMAS["motion_model"]))
     assert not motion.sqrt_info.flags.writeable
 
 
@@ -412,22 +418,20 @@ def test_pose3_boundary_keeps_its_six_wide_block():
     rng = np.random.default_rng(12)
     keys = (robot_pose(0), robot_pose(1), velocity(0), velocity(1),
             acceleration(0))
-    motion = MotionModelFactor(*keys, dt=0.1, noise=1e-3)
-    goal = GoalFactor(robot_pose(0), Pose2(1.0, -0.5, 0.4), 0.1)
+    f = MotionModelFactor(*keys, dt=0.1, noise=1e-3)
     xa = rand_pose2(rng)
     vals = {keys[0]: embed_se3(xa), keys[1]: rand_pose2(rng),
             keys[2]: rng.normal(0, 1, 2), keys[3]: rng.normal(0, 1, 2),
             keys[4]: rng.normal(0, 1, 2)}
     planar = {**vals, keys[0]: xa}
-    for f in (motion, goal):
-        r, jacs = f.linearize_raw(vals)
-        r2, jacs2 = f.linearize_raw(planar)
-        assert jacs[0].shape == (f.dim, 6)
-        assert np.all(jacs[0][:, 2:5] == 0.0)
-        np.testing.assert_allclose(jacs[0][:, [0, 1, 5]], jacs2[0], atol=1e-12)
-        np.testing.assert_allclose(r, r2, atol=1e-12)
-        _, blocks = f.whitened_linearization(vals)
-        assert blocks[0][1].shape == (f.dim, 6)
+    r, jacs = f.linearize_raw(vals)
+    r2, jacs2 = f.linearize_raw(planar)
+    assert jacs[0].shape == (f.dim, 6)
+    assert np.all(jacs[0][:, 2:5] == 0.0)
+    np.testing.assert_allclose(jacs[0][:, [0, 1, 5]], jacs2[0], atol=1e-12)
+    np.testing.assert_allclose(r, r2, atol=1e-12)
+    _, blocks = f.whitened_linearization(vals)
+    assert blocks[0][1].shape == (f.dim, 6)
 
 
 def test_limit_factor_branches():
@@ -452,7 +456,8 @@ def test_limit_factor_branches():
 
 
 def test_cost_and_constant_acceleration():
-    ca = CostFactor(acceleration(0), 2, 0.5)
+    # the effort cost is a zero prior: r = a
+    ca = PriorFactor(acceleration(0), np.zeros(2), 0.5)
     vals = {acceleration(0): np.array([0.3, -0.1])}
     assert np.allclose(ca.residual(vals), [0.3, -0.1])
     check_jacobians(ca, vals)
@@ -464,17 +469,14 @@ def test_cost_and_constant_acceleration():
     check_jacobians(sm, vals2)
 
 
-@pytest.mark.parametrize("boundary", [False, True])
-def test_goal_factor(boundary):
+def test_goal_prior():
+    # the plan's goal term: an SE(2) prior at the local goal, r = log(goal^-1 * x)
     rng = np.random.default_rng(11)
     goal = Pose2(2.0, 1.0, 0.3)
-    f = GoalFactor(robot_pose(9), goal, 0.1)
-    at_goal = {robot_pose(9): embed_se3(goal) if boundary else goal}
-    assert np.allclose(f.residual(at_goal), 0.0, atol=1e-14)
+    f = PriorFactor(robot_pose(9), goal, 0.1, component=Component.PLANNING)
+    assert np.allclose(f.residual({robot_pose(9): goal}), 0.0, atol=1e-14)
     for _ in range(20):
-        x = rand_pose2(rng)
-        vals = {robot_pose(9): embed_se3(x) if boundary else x}
-        check_jacobians(f, vals)
+        check_jacobians(f, {robot_pose(9): rand_pose2(rng)})
 
 
 # ---------------------------------------------------------------------------

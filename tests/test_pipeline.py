@@ -803,6 +803,11 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     lambda: SensorSpec(max_range=-1.0),
     lambda: SensorSpec(fov=math.nan),
     lambda: SensorSpec(odometry_sigma=(math.nan, 0.01, 0.005)),
+    # a 2-entry sigma constructed, then the second sense() failed on a
+    # broadcast after it had drawn from the random stream
+    lambda: SensorSpec(odometry_sigma=(0.01, 0.01)),
+    lambda: SensorSpec(odometry_sigma=(0.01,) * 4),
+    lambda: SensorSpec(global_sigma=(0.05, 0.05)),
     lambda: empty_simulator(dt=0.0),
     lambda: empty_simulator(dt=-0.1),
     lambda: empty_simulator(dt=math.nan),
@@ -820,6 +825,7 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
 ], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed",
         "inf-cooperation_weight", "inf-factor_weight", "zero-global_period",
         "float-global_period", "negative-max_range", "nan-fov", "nan-odometry_sigma",
+        "two-odometry_sigma", "four-odometry_sigma", "two-global_sigma",
         "zero-sim_dt", "negative-sim_dt", "nan-sim_dt", "negative-agent_radius",
         "zero-esdf_resolution", "nan-initial_pose", "pose2-initial_pose",
         "inf-agent_speed", "negative-agent_turn_rate", "negative-agent_avoid_radius",

@@ -48,6 +48,10 @@ def as_bytes(value):
     return repr(value).encode()
 
 
+def state_bytes(st):
+    return as_bytes([st.ego_pose, st.ego_vel, st.agent_poses, st.agent_targets, st.step])
+
+
 def run(sim, steps=STEPS):
     """(sense() output, tick() state) of every step, as bytes."""
     out = []
@@ -55,10 +59,7 @@ def run(sim, steps=STEPS):
         inp = sim.sense()
         sensed = as_bytes([inp.odometry, inp.static_points, inp.dynamic_points,
                            inp.global_pose])
-        st = sim.tick(COMMANDS[k])
-        ticked = as_bytes([st.ego_pose, st.ego_vel, st.agent_poses, st.agent_targets,
-                           st.step])
-        out.append((sensed, ticked))
+        out.append((sensed, state_bytes(sim.tick(COMMANDS[k]))))
     return out
 
 
@@ -154,3 +155,23 @@ def test_simulator_rejects_bad_limits(limits):
     with pytest.raises(ValueError):
         Simulator(OccupancyGrid.empty(20, 20, 0.1), {}, [], SensorSpec(), Pose2(), 0,
                   **limits)
+
+
+@pytest.mark.parametrize("command", [
+    [math.nan, 0.0], [0.1, math.inf], [0.1, 0.0, 0.0], [0.1], 0.1, "fast", None,
+    [[0.1, 0.0]], {"v": 0.1},
+], ids=["nan", "inf", "three", "one", "scalar", "text", "none", "nested", "dict"])
+def test_tick_rejects_bad_commands_before_any_change(command):
+    # a NaN command made the ego pose NaN for the rest of the run, and a
+    # 3-vector failed on a broadcast
+    sim, twin = make_sim(5), make_sim(5)
+    for s in (sim, twin):
+        s.sense()
+        s.tick(COMMANDS[0])
+    rng = sim.rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sim.tick(command)
+    assert state_bytes(sim.state) == state_bytes(twin.state)
+    assert sim.rng.bit_generator.state == rng
+    # the run goes on as one that never saw the bad command
+    assert state_bytes(sim.tick(COMMANDS[1])) == state_bytes(twin.tick(COMMANDS[1]))

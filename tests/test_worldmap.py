@@ -368,6 +368,18 @@ def test_constructor_rejects_bad_input():
         OccupancyGrid(np.zeros((0, 3), dtype=bool), 0.1)
     with pytest.raises(GridFormatError):
         OccupancyGrid(np.zeros((3, 3), dtype=bool), -1.0)
+    # a non-finite distance made queries return NaN, and a non-finite origin
+    # made every query read 0, i.e. maximally unsafe
+    for bad in (math.nan, math.inf, -math.inf):
+        distances = np.ones((4, 4))
+        distances[2, 1] = bad
+        with pytest.raises(GridFormatError):
+            EsdfGrid(distances, 0.1)
+        for origin in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(GridFormatError):
+                EsdfGrid(np.ones((4, 4)), 0.1, origin)
+            with pytest.raises(GridFormatError):
+                OccupancyGrid.empty(4, 4, 0.1, origin)
 
 
 def test_building_an_esdf_loads_no_scipy_ndimage_or_spatial():
