@@ -422,7 +422,7 @@ LAMBDA_SCALE = 10.0
 LAMBDA_CAP = 1e7
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 100
     abs_tol: float = 1e-8       # on the update norm

@@ -14,6 +14,10 @@ command. Every factor is whitened by the fixed sigma of its kind in
 ``SIGMAS``; the plan's goal and effort terms are priors on plan variables,
 like the estimation priors.
 
+A run sets only the horizon and the mode in :class:`PipelineConfig`; the
+robot, its limits, the margins and the solver's stopping rules
+(``OPTIMIZER``, ``PRESOLVE``) are constants, like the sigmas.
+
 The previous step's solution stays in the one value store, and a step
 warm-starts from it: its plan, shifted by one step, and the motions it
 predicted for an object still tracked. Only a cold plan, one the previous
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,54 +113,42 @@ def mode_masks(mode: Mode, factors, owner) -> list:
     return [tuple(owner.get(key, est) != f.component for key in f.keys) for f in factors]
 
 
-def _default_optimizer() -> OptimizerConfig:
-    return OptimizerConfig(max_iters=100, abs_tol=1e-9, rel_tol=1e-12)
+# the exact solve's stopping rule, shared by every config
+OPTIMIZER = OptimizerConfig(max_iters=100, abs_tol=1e-9, rel_tol=1e-12)
+# a cold plan's pre-solve only walks it into its basin, so it stops early
+PRESOLVE = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A run's settings: the plan's horizon, which the tests cut to a few steps,
+    and the mode, whose cooperation weight (how far a cooperative prediction
+    yields to the plan) is varied across runs. The rest are class constants."""
+
     horizon: int = 30
-    dt: float = 0.1
-    lag_window: int = 8
     mode: ModeConfig = field(default_factory=lambda: ModeConfig(Mode.DIRECTED))
-    robot_radius: float = 0.3
-    object_radius: float = 0.3
-    safety_offset: float = 0.1
-    v_limits: tuple = (-0.3, 1.0)
-    w_limit: float = 1.5
-    a_limit: float = 1.0
-    aw_limit: float = 2.0
+    dt: ClassVar[float] = 0.1
+    lag_window: ClassVar[int] = 8
+    robot_radius: ClassVar[float] = 0.3
+    object_radius: ClassVar[float] = 0.3
+    safety_offset: ClassVar[float] = 0.1
+    v_limits: ClassVar[tuple] = (-0.3, 1.0)
+    w_limit: ClassVar[float] = 1.5
+    a_limit: ClassVar[float] = 1.0
+    aw_limit: ClassVar[float] = 2.0
     # hinges engage this far inside the hard requirement so the active set is
     # stable at the optimum instead of flickering on the boundary; it is also
     # the width of the dynamic-obstacle softplus
-    hinge_margin: float = 0.05
+    hinge_margin: ClassVar[float] = 0.05
     # the limit hinges engage this far inside each control bound, and the
     # seeded plan rides twice this far inside
-    limit_margin: float = 5e-4
-    goal_lookahead: float = 2.0
-    optimizer: OptimizerConfig = field(default_factory=_default_optimizer)
+    limit_margin: ClassVar[float] = 5e-4
+    goal_lookahead: ClassVar[float] = 2.0
+    optimizer: ClassVar[OptimizerConfig] = OPTIMIZER
 
     def __post_init__(self):
         if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
             raise ValueError("horizon must be an int >= 1")
-        if not isinstance(self.lag_window, numbers.Integral) or self.lag_window < 1:
-            raise ValueError("lag_window must be an int >= 1")
-        # an infinite period, size or margin ends the first steps in lambda_cap
-        for name in ("dt", "robot_radius", "object_radius", "hinge_margin"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if not 0 <= self.safety_offset < math.inf:
-            raise ValueError("safety_offset must be finite and >= 0")
-        if not self.goal_lookahead > 0:
-            raise ValueError("goal_lookahead must be > 0")
-        if not self.limit_margin >= 0:
-            raise ValueError("limit_margin must be >= 0")
-        # the seed's box, the narrowest one a step uses
-        v_lo, v_hi, a_lo, a_hi = self.control_bounds(2 * self.limit_margin)
-        for name, lo, hi in zip(("v_limits", "w_limit", "a_limit", "aw_limit"),
-                                (*v_lo, *a_lo), (*v_hi, *a_hi)):
-            if not lo < hi:
-                raise ValueError(f"{name} leaves no range inside 2 * limit_margin")
         if not isinstance(self.mode, ModeConfig):
             object.__setattr__(self, "mode", ModeConfig(Mode(self.mode)))
 
@@ -550,8 +543,7 @@ class Pipeline:
                             factors, masks, fixed)
         warm = None
         if presolve_step is not None:
-            coarse = OptimizerConfig(max_iters=40, abs_tol=1e-4, rel_tol=1e-6)
-            pre = graph.relaxed(MotionModelFactor, 1000.0).optimize(config=coarse)
+            pre = graph.relaxed(MotionModelFactor, 1000.0).optimize(config=PRESOLVE)
             warm = self._reroll_plan(pre.values, presolve_step)
         res = graph.optimize(values=warm, config=self.config.optimizer)
         self._values.update(res.values)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .factors import propagate_unicycle
 from .lie import Pose2, embed_se3
-from .pipeline import StepInput
+from .pipeline import PipelineConfig, StepInput
 from .worldmap import EsdfGrid, OccupancyGrid
 
 
@@ -73,10 +73,13 @@ class SensorSpec:
             sigma = np.asarray(getattr(self, name), dtype=float)
             if not np.all((sigma >= 0) & (sigma < math.inf)):
                 raise ValueError(f"{name} must be finite and >= 0")
-        # the odometry and global-pose noise is drawn in (x, y, theta)
+        # the odometry and global-pose noise is drawn in (x, y, theta), the
+        # point noise in (x, y, z), with one sigma for all three or one each
         for name in ("odometry_sigma", "global_sigma"):
             if np.shape(getattr(self, name)) != (3,):
                 raise ValueError(f"{name} must hold 3 sigmas, got {getattr(self, name)!r}")
+        if np.shape(self.noise_sigma) not in ((), (3,)):
+            raise ValueError(f"noise_sigma must be one sigma or 3, got {self.noise_sigma!r}")
         if not 0 < self.max_range < math.inf:
             raise ValueError("max_range must be finite and > 0")
         if not 0 < self.fov <= math.tau:
@@ -99,7 +102,8 @@ class Simulator:
 
     def __init__(self, grid: OccupancyGrid, landmarks: dict, agents: list,
                  sensor: SensorSpec, ego_start: Pose2, seed: int,
-                 dt: float = 0.1, v_limits=(-0.3, 1.0), w_limit: float = 1.5):
+                 dt: float = PipelineConfig.dt, v_limits=PipelineConfig.v_limits,
+                 w_limit: float = PipelineConfig.w_limit):
         if not 0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         v_lo, v_hi = v_limits

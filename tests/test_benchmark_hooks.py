@@ -9,6 +9,7 @@ loop and runs a short benchmark episode through to its metrics. Loaded in
 a fresh interpreter, those modules must load every module of the package.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import fgnav
+from fgnav import pipeline
 from fgnav.factors import Mode
 from test_pipeline import run_closed_loop
 
@@ -59,6 +61,21 @@ def test_every_traced_entry_point_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in patches if attr not in vars(owner)]
     assert missing == []
+
+
+def test_a_run_sets_only_the_horizon_and_the_mode():
+    # every other setting is a constant: a new knob is a deliberate edit here
+    assert [f.name for f in dataclasses.fields(pipeline.PipelineConfig)] == ["horizon", "mode"]
+
+
+def test_the_benchmark_config_has_every_setting_the_benchmark_reads():
+    cfg = load("scenarios").crossing_cooperative(11).config
+    for name in ("horizon", "dt", "a_limit", "aw_limit", "v_limits", "w_limit",
+                 "robot_radius", "goal_lookahead", "optimizer"):
+        assert hasattr(cfg, name), name
+    # the tracer tells an exact solve from a pre-solve by this identity
+    assert cfg.optimizer is pipeline.OPTIMIZER
+    assert pipeline.PRESOLVE is not pipeline.OPTIMIZER
 
 
 def test_tracer_counts_a_closed_loop_and_its_layers_nest():

@@ -6,6 +6,7 @@ objective.
 """
 
 import copy
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -898,6 +899,13 @@ def test_optimizer_config_rejects_settings_whose_damping_never_ends(bad):
     # iteration budget and tolerances that a solve can meet
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)
+
+
+def test_optimizer_config_is_frozen():
+    # every pipeline shares one exact-solve config, and the benchmark's
+    # tracer tells it from the pre-solve's by identity
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        OptimizerConfig().max_iters = 5
 
 
 def test_obstacle_hinges_push_a_chain_clear_of_a_disk():

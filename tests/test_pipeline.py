@@ -12,6 +12,7 @@ them.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -380,12 +381,6 @@ def test_reason_names_the_first_stage_that_stopped_short(monkeypatch):
     # every stage converged: the last stage's reason
     out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
     assert out.stats["converged"] and out.stats["reason"] == results[-1].reason
-
-
-def test_config_rejects_a_zero_hinge_margin():
-    # the margin is the width of the dynamic-obstacle softplus
-    with pytest.raises(ValueError):
-        PipelineConfig(hinge_margin=0.0)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -790,7 +785,6 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
 @pytest.mark.parametrize("make", [
     lambda: ModeConfig(Mode.COOPERATIVE, cooperation_weight=math.nan),
     lambda: PriorFactor(velocity(0), np.zeros(2), 0.1, weight=math.nan),
-    lambda: PipelineConfig(dt=math.nan),
     lambda: SensorSpec(noise_sigma=math.nan),
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], math.nan),
     # an infinite weight zeroed the commands of a cooperative run
@@ -808,6 +802,9 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     lambda: SensorSpec(odometry_sigma=(0.01, 0.01)),
     lambda: SensorSpec(odometry_sigma=(0.01,) * 4),
     lambda: SensorSpec(global_sigma=(0.05, 0.05)),
+    lambda: SensorSpec(noise_sigma=(0.03, 0.03)),
+    lambda: SensorSpec(noise_sigma=(0.03,) * 4),
+    lambda: SensorSpec(noise_sigma=np.full((3, 3), 0.03)),
     lambda: empty_simulator(dt=0.0),
     lambda: empty_simulator(dt=-0.1),
     lambda: empty_simulator(dt=math.nan),
@@ -822,10 +819,11 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, turn_rate=-1.0),
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, avoid_radius=-1.0),
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, gain=math.nan),
-], ids=["cooperation_weight", "factor_weight", "dt", "noise_sigma", "agent_speed",
+], ids=["cooperation_weight", "factor_weight", "noise_sigma", "agent_speed",
         "inf-cooperation_weight", "inf-factor_weight", "zero-global_period",
         "float-global_period", "negative-max_range", "nan-fov", "nan-odometry_sigma",
         "two-odometry_sigma", "four-odometry_sigma", "two-global_sigma",
+        "two-noise_sigma", "four-noise_sigma", "matrix-noise_sigma",
         "zero-sim_dt", "negative-sim_dt", "nan-sim_dt", "negative-agent_radius",
         "zero-esdf_resolution", "nan-initial_pose", "pose2-initial_pose",
         "inf-agent_speed", "negative-agent_turn_rate", "negative-agent_avoid_radius",
@@ -835,24 +833,74 @@ def test_nan_settings_are_rejected(make):
         make()
 
 
-@pytest.mark.parametrize("settings", [
-    dict(v_limits=(1.0, -0.3)), dict(w_limit=math.nan), dict(a_limit=-1.0),
-    dict(aw_limit=0.0), dict(limit_margin=2.0), dict(limit_margin=-1e-3),
-    # the limit hinges' box is open, but the seed's, twice as far inside, is
-    # inverted: a seeded ramp from rest toward a goal ahead reversed
-    dict(limit_margin=0.6),
-    dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
-    dict(object_radius=math.nan), dict(goal_lookahead=-1.0), dict(horizon=2.5),
-    dict(lag_window=math.nan), dict(lag_window=2.5),
-    # each of these constructed and then ended the first steps in lambda_cap
-    # with zeroed commands
-    dict(dt=math.inf), dict(robot_radius=math.inf), dict(object_radius=math.inf),
-    dict(safety_offset=math.inf), dict(hinge_margin=math.inf),
-], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def settings_id(settings):
+    return "-".join(f"{k}={v}" for k, v in settings.items())
+
+
+@pytest.mark.parametrize("settings", [dict(horizon=2.5)], ids=settings_id)
 def test_config_rejects_settings_that_break_a_step(settings):
     # each of these constructed before, and the first step then failed
     # after it had advanced, so every retry failed as well
     with pytest.raises(ValueError):
+        PipelineConfig(**settings)
+
+
+def finite_positive(value):
+    return 0 < value < math.inf
+
+
+def finite_nonnegative(value):
+    return 0 <= value < math.inf
+
+
+def positive(value):
+    return value > 0
+
+
+def count(value):
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
+def box_open(value):
+    # the seed's box, the narrowest one a step uses, is open in all four limits
+    cfg = PipelineConfig()
+    v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(2 * cfg.limit_margin)
+    return bool(np.all(v_lo < v_hi) and np.all(a_lo < a_hi))
+
+
+def margin(value):
+    return value >= 0 and box_open(value)
+
+
+# the check that once rejected a setting, for each setting that is now a
+# constant: the constant must pass it
+CHECKS = {"dt": finite_positive, "robot_radius": finite_positive,
+          "object_radius": finite_positive, "hinge_margin": finite_positive,
+          "safety_offset": finite_nonnegative, "goal_lookahead": positive,
+          "lag_window": count, "limit_margin": margin, "v_limits": box_open,
+          "w_limit": box_open, "a_limit": box_open, "aw_limit": box_open}
+
+
+@pytest.mark.parametrize("settings", [
+    dict(v_limits=(1.0, -0.3)), dict(w_limit=math.nan), dict(a_limit=-1.0),
+    dict(aw_limit=0.0), dict(limit_margin=2.0), dict(limit_margin=-1e-3),
+    # the limit hinges' box was open, but the seed's, twice as far inside,
+    # inverted: a seeded ramp from rest toward a goal ahead reversed
+    dict(limit_margin=0.6),
+    dict(hinge_margin=math.nan), dict(safety_offset=-0.1), dict(robot_radius=0.0),
+    dict(object_radius=math.nan), dict(goal_lookahead=-1.0),
+    dict(lag_window=math.nan), dict(lag_window=2.5),
+    # each of these constructed and then ended the first steps in lambda_cap
+    # with zeroed commands
+    dict(dt=math.inf), dict(robot_radius=math.inf), dict(object_radius=math.inf),
+    dict(safety_offset=math.inf), dict(hinge_margin=math.inf), dict(dt=math.nan),
+    # the margin is the width of the dynamic-obstacle softplus
+    dict(hinge_margin=0.0),
+], ids=settings_id)
+def test_constants_pass_the_checks_they_replace(settings):
+    name, = settings
+    assert CHECKS[name](getattr(PipelineConfig, name))
+    with pytest.raises(TypeError):   # a constant is no keyword
         PipelineConfig(**settings)
 
 

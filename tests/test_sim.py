@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fgnav.lie import Pose2, Pose3
+from fgnav.pipeline import PipelineConfig
 from fgnav.sim import AgentSpec, SensorSpec, Simulator
 from fgnav.worldmap import OccupancyGrid
 
@@ -155,6 +156,13 @@ def test_simulator_rejects_bad_limits(limits):
     with pytest.raises(ValueError):
         Simulator(OccupancyGrid.empty(20, 20, 0.1), {}, [], SensorSpec(), Pose2(), 0,
                   **limits)
+
+
+def test_simulator_defaults_are_the_pipeline_constants():
+    sim = make_sim(0)
+    assert sim.dt == PipelineConfig.dt
+    assert sim.v_limits == PipelineConfig.v_limits
+    assert sim.w_limit == PipelineConfig.w_limit
 
 
 @pytest.mark.parametrize("command", [
