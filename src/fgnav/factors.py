@@ -6,11 +6,11 @@ an object (``ObjectSmoothingFactor``) and unary priors (``PriorFactor``).
 Prediction chains ``ObjectSmoothingFactor`` and keeps each predicted
 centre clear of the map (``StaticObstacleFactor``). Planning holds the
 unicycle propagation (``MotionModelFactor``), the control box
-(``LimitFactor``), control smoothness (``ConstantAccelerationFactor``) and
-the clearances (``StaticObstacleFactor``, ``DynamicObstacleFactor``). Its
-goal and effort terms are priors as well: a ``PriorFactor`` at the local
-goal on the last planned pose, and a zero ``PriorFactor`` on each
-acceleration.
+(``LimitFactor``) and the clearances (``StaticObstacleFactor``,
+``DynamicObstacleFactor``). Its goal and effort terms are priors as well:
+a ``PriorFactor`` at the local goal on the last planned pose and a zero
+``PriorFactor`` on each acceleration; its control smoothness is a zero
+``BetweenFactor`` between successive accelerations.
 
 Every factor class writes its geometry once, as a two-phase batch
 kernel: ``evaluate(params, args)`` takes the stacked constants of n
@@ -157,11 +157,6 @@ def propagate_unicycle(x: Pose2, v: float, omega: float, dt: float) -> Pose2:
     )
 
 
-def com_pose(motion: Pose3, com_ref: Pose3) -> Pose3:
-    """Object centre pose at step k from the motion since the reference step."""
-    return motion.compose(com_ref)
-
-
 # tangent columns of a Pose3 that its SE(2) view moves along: t_x, t_y, yaw
 PLANAR_COLUMNS = np.array([0, 1, 5])
 
@@ -296,6 +291,14 @@ def _xy_jacobian(arg, com_t=None) -> np.ndarray:
     return out
 
 
+def _measurement(z):
+    """(z, z^-1, tangent dim) of a pose; (z as a float array, None, length) of a vector."""
+    if isinstance(z, (Pose2, Pose3)):
+        return z, z.inverse(), z.tangent_dim()
+    z = np.asarray(z, dtype=float)
+    return z, None, z.shape[0]
+
+
 def _point_jacobian(p: np.ndarray) -> np.ndarray:
     """d(R^T (m - t))/d(pose) = [-I, skew(p)] at the body-frame point p."""
     return np.concatenate([_eye(p.shape[0], 3, -1.0), skew_batch(p)], axis=2)
@@ -315,14 +318,7 @@ class PriorFactor(Factor):
     __slots__ = ("prior", "_prior_inv")
 
     def __init__(self, key, prior, noise, **kw):
-        if isinstance(prior, (Pose2, Pose3)):
-            dim = prior.tangent_dim()
-            self._prior_inv = prior.inverse()
-        else:
-            prior = np.asarray(prior, dtype=float)
-            dim = prior.shape[0]
-            self._prior_inv = None
-        self.prior = prior
+        self.prior, self._prior_inv, dim = _measurement(prior)
         super().__init__((key,), noise, dim, **kw)
 
     def batch_key(self):
@@ -349,26 +345,35 @@ class PriorFactor(Factor):
 
 
 class BetweenFactor(Factor):
-    """Relative-pose measurement: r = log(z^-1 * a^-1 * b).
+    """r = log(z^-1 * a^-1 * b) for poses, r = b - a - z for vectors.
 
-    This is the odometry factor when z is an odometry reading.
+    The odometry factor when z is an odometry reading, and the plan's
+    control smoothness when z is a zero change between two accelerations.
     """
 
     __slots__ = ("measured", "_meas_inv")
 
     def __init__(self, key_a, key_b, measured, noise, **kw):
-        super().__init__((key_a, key_b), noise, measured.tangent_dim(), **kw)
-        self.measured = measured
-        self._meas_inv = measured.inverse()
+        self.measured, self._meas_inv, dim = _measurement(measured)
+        super().__init__((key_a, key_b), noise, dim, **kw)
 
     @classmethod
     def stack_params(cls, factors):
-        return stack([f._meas_inv for f in factors])
+        if factors[0]._meas_inv is None:
+            return False, stack([f.measured for f in factors])
+        return True, stack([f._meas_inv for f in factors])
 
     @classmethod
-    def evaluate(cls, meas_inv, args):
-        rel = between_batch(args[0], args[1])
-        r = log_batch(compose_batch(meas_inv, rel))
+    def evaluate(cls, params, args):
+        is_pose, meas = params
+        a, b = args
+        if not is_pose:
+            r = b - a - meas
+            yield r
+            yield np.concatenate([_eye(*r.shape, -1.0), _eye(*r.shape)], axis=2)
+            return
+        rel = between_batch(a, b)
+        r = log_batch(compose_batch(meas, rel))
         yield r
         jr_inv = right_jacobian_inverse_batch(r)
         j_a = -jr_inv @ adjoint_batch(inverse_batch(rel))
@@ -559,25 +564,6 @@ class LimitFactor(Factor):
         yield np.maximum(0.0, v - upper) + np.minimum(0.0, v - lower)
         active = (v > upper) | (v < lower)
         yield active[:, :, None] * np.eye(v.shape[1])
-
-
-class ConstantAccelerationFactor(Factor):
-    """Control smoothness: r = a_k - a_{k-1}."""
-
-    __slots__ = ()
-
-    def __init__(self, acc_prev, acc_next, dim, noise, **kw):
-        kw.setdefault("component", Component.PLANNING)
-        super().__init__((acc_prev, acc_next), noise, dim, **kw)
-
-    @classmethod
-    def evaluate(cls, params, args):
-        prev, nxt = args
-        r = nxt - prev
-        yield r
-        eye = np.eye(r.shape[1])
-        yield np.broadcast_to(np.concatenate([-eye, eye], axis=1),
-                              (r.shape[0],) + (r.shape[1], 2 * r.shape[1]))
 
 
 # ---------------------------------------------------------------------------

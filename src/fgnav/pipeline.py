@@ -38,7 +38,6 @@ import numpy as np
 from .factors import (
     BetweenFactor,
     Component,
-    ConstantAccelerationFactor,
     DynamicObstacleFactor,
     HybridMotionFactor,
     LimitFactor,
@@ -49,7 +48,6 @@ from .factors import (
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    com_pose,
     propagate_unicycle,
 )
 from .graph import (
@@ -87,7 +85,8 @@ SIGMAS = {
     "dynamic_obstacle": 5e-3,
 }
 
-# the effort terms' shared prior: each acceleration is pulled toward zero
+# the effort terms' shared prior, each acceleration pulled toward zero, and the
+# smoothness terms' measured change between successive accelerations
 _ZERO_ACC = np.zeros(2)
 _ZERO_ACC.flags.writeable = False
 
@@ -360,8 +359,8 @@ class Pipeline:
         if not self._tracked(obj, last):
             return [h] * ahead
         c_ref = self._com_ref[obj]
-        c_prev = com_pose(self._values[object_motion(obj, last - 1)], c_ref)
-        c_last = com_pose(h, c_ref)
+        c_prev = self._values[object_motion(obj, last - 1)].compose(c_ref)
+        c_last = h.compose(c_ref)
         step_in_ref = c_ref.compose(c_prev.between(c_last)).compose(c_ref.inverse())
         chain = []
         for _ in range(ahead):
@@ -462,8 +461,9 @@ class Pipeline:
             factors.append(LimitFactor(acceleration(k + j - 1), a_lo, a_hi, SIGMAS["limit"]))
             factors.append(PriorFactor(acceleration(k + j - 1), _ZERO_ACC, SIGMAS["effort"],
                                        component=Component.PLANNING))
-            factors.append(ConstantAccelerationFactor(
-                acceleration(k + j - 2), acceleration(k + j - 1), 2, SIGMAS["accel_smooth"]))
+            factors.append(BetweenFactor(acceleration(k + j - 2), acceleration(k + j - 1),
+                                         _ZERO_ACC, SIGMAS["accel_smooth"],
+                                         component=Component.PLANNING))
             factors.append(StaticObstacleFactor(
                 robot_pose(k + j), self.esdf, d_rs + cfg.hinge_margin,
                 SIGMAS["static_obstacle"], component=Component.PLANNING))

@@ -4,13 +4,19 @@ The simulator owns a single seeded random stream; per step it is consumed
 in a fixed order (static observations by landmark id, dynamic observations
 by (object, point) id, odometry noise, global-pose noise), which makes a
 run a pure function of (scenario, seed).
+
+A scene sets the map, the landmarks, where the ego starts, each agent's
+size, path, speed and behavior, and the sensing noise. The paper's
+comparison changes how information flows (the mode) in one world, so how
+agents turn and yield and how far, how wide and how often the robot senses
+are constants of that world.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,61 +37,69 @@ def body_points_on_circle(radius: float, count: int, z: float = 0.25) -> list:
     return pts
 
 
+def _finite(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as one float array; ValueError unless it is finite and of ``shape``."""
+    try:
+        a = np.asarray(value, dtype=float)
+        ok = a.shape == shape and np.isfinite(a).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be finite numbers of shape {shape}, got {value!r}")
+    return a
+
+
 @dataclass
 class AgentSpec:
+    """An agent as a scene sets it; how agents turn and yield are world constants.
+
+    Its observed points are always eight points on its circle.
+    """
+
     object_id: int
     radius: float
     waypoints: list
     speed: float
     behavior: str = "scripted"
-    avoid_radius: float = 1.2
-    gain: float = 1.5
-    body_points: list = field(default_factory=list)
-    turn_rate: float = 2.0
+    body_points: list = field(init=False)
+
+    avoid_radius: ClassVar[float] = 1.2
+    gain: ClassVar[float] = 1.5
+    turn_rate: ClassVar[float] = 2.0
 
     def __post_init__(self):
-        for name in ("speed", "radius", "avoid_radius", "turn_rate"):
+        for name in ("speed", "radius"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"agent {name} must be finite and > 0")
-        if not 0 <= self.gain < math.inf:
-            raise ValueError("agent gain must be finite and >= 0")
         if self.behavior not in ("scripted", "reactive"):
             raise ValueError(f"unknown behavior {self.behavior!r}")
         if not self.waypoints:
             raise ValueError("agent needs at least one waypoint")
-        if not self.body_points:
-            self.body_points = body_points_on_circle(self.radius, 8)
-        if len(self.body_points) < 3:
-            raise ValueError("need at least three body points")
+        _finite(self.waypoints, (len(self.waypoints), 3), "agent waypoints")
+        self.body_points = body_points_on_circle(self.radius, 8)
 
 
 @dataclass
 class SensorSpec:
-    fov: float = math.radians(100.0)
-    max_range: float = 4.0
+    """The sensing noise a scene sets; the sensor's reach and schedule are world constants.
+
+    One point sigma serves x, y and z; odometry and global-pose noise have
+    one sigma for each of x, y and theta.
+    """
+
     noise_sigma: float = 0.03
     odometry_sigma: tuple = (0.01, 0.01, 0.005)
     global_sigma: tuple = (0.05, 0.05, 0.02)
-    global_period: int = 10
+
+    fov: ClassVar[float] = math.radians(100.0)
+    max_range: ClassVar[float] = 4.0
+    global_period: ClassVar[int] = 10
 
     def __post_init__(self):
-        for name in ("noise_sigma", "odometry_sigma", "global_sigma"):
-            sigma = np.asarray(getattr(self, name), dtype=float)
-            if not np.all((sigma >= 0) & (sigma < math.inf)):
-                raise ValueError(f"{name} must be finite and >= 0")
-        # the odometry and global-pose noise is drawn in (x, y, theta), the
-        # point noise in (x, y, z), with one sigma for all three or one each
-        for name in ("odometry_sigma", "global_sigma"):
-            if np.shape(getattr(self, name)) != (3,):
-                raise ValueError(f"{name} must hold 3 sigmas, got {getattr(self, name)!r}")
-        if np.shape(self.noise_sigma) not in ((), (3,)):
-            raise ValueError(f"noise_sigma must be one sigma or 3, got {self.noise_sigma!r}")
-        if not 0 < self.max_range < math.inf:
-            raise ValueError("max_range must be finite and > 0")
-        if not 0 < self.fov <= math.tau:
-            raise ValueError("fov must be in (0, 2 pi]")
-        if not isinstance(self.global_period, numbers.Integral) or self.global_period < 1:
-            raise ValueError("global_period must be an int >= 1")
+        for name, shape in (("noise_sigma", ()), ("odometry_sigma", (3,)),
+                            ("global_sigma", (3,))):
+            if np.any(_finite(getattr(self, name), shape, name) < 0):
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -111,6 +125,9 @@ class Simulator:
             raise ValueError("v_limits must be finite and increasing")
         if not 0 < w_limit < math.inf:
             raise ValueError("w_limit must be finite and > 0")
+        if landmarks:
+            _finite(list(landmarks.values()), (len(landmarks), 3), "landmarks")
+        _finite((ego_start.x, ego_start.y, ego_start.theta), (3,), "ego_start")
         self.grid = grid
         self.esdf = EsdfGrid.from_occupancy(grid)
         self.landmarks = dict(landmarks)
@@ -219,13 +236,7 @@ class Simulator:
         Raises ValueError, before any state changes, unless ``command`` is
         two finite numbers.
         """
-        try:
-            a = np.asarray(command, dtype=float)
-            ok = a.shape == (2,) and np.all(np.isfinite(a))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"command must be two finite numbers, got {command!r}")
+        a = _finite(command, (2,), "command")
         st = self.state
         v_lo, v_hi = self.v_limits
         vel = np.clip(st.ego_vel + a * self.dt, (v_lo, -self.w_limit), (v_hi, self.w_limit))

@@ -17,7 +17,6 @@ from dense_oracle import cross_block, jtj, jtr
 from fgnav import factors as factor_module
 from fgnav.factors import (
     BetweenFactor,
-    ConstantAccelerationFactor,
     Component,
     DynamicObstacleFactor,
     Factor,
@@ -202,17 +201,17 @@ def build_limit(rng):
     return vals, fs, masked, [velocity(3)]
 
 
-def build_constant_acceleration(rng):
+def build_vector_between(rng):
+    # the plan's control smoothness: a zero change between accelerations
+    zero = np.zeros(2)
     vals, fs = {}, []
     for i in range(5):
         vals[acceleration(i)] = rng.normal(size=2)
     for i in range(4):
-        fs.append(ConstantAccelerationFactor(acceleration(i), acceleration(i + 1), 2, 0.5))
-    fs.append(ConstantAccelerationFactor(acceleration(0), acceleration(2), 2,
-                                         sigmas(rng, 2)))
+        fs.append(BetweenFactor(acceleration(i), acceleration(i + 1), zero, 0.5))
+    fs.append(BetweenFactor(acceleration(0), acceleration(2), zero, sigmas(rng, 2)))
     vals[acceleration(8)], vals[acceleration(9)] = rng.normal(size=2), rng.normal(size=2)
-    masked = ConstantAccelerationFactor(acceleration(8), acceleration(9), 2,
-                                        0.5), (False, True)
+    masked = BetweenFactor(acceleration(8), acceleration(9), zero, 0.5), (False, True)
     return vals, fs, masked, [acceleration(4)]
 
 
@@ -260,8 +259,9 @@ def build_dynamic_obstacle(rng):
     return vals, fs, masked, [object_motion(1, 3)]
 
 
-# class name -> (seed, builder); each seed is fixed, so that removing a
-# class leaves every other builder's draws as they were
+# case -> (seed, builder), a case being a class name and, for a second builder
+# of one class, a suffix; each seed is fixed, so that removing a class leaves
+# every other builder's draws as they were
 BUILDERS = {
     "PriorFactor": (10, build_prior),
     "BetweenFactor": (0, build_between),
@@ -270,7 +270,7 @@ BUILDERS = {
     "ObjectSmoothingFactor": (8, build_smoothing),
     "MotionModelFactor": (7, build_motion_model),
     "LimitFactor": (6, build_limit),
-    "ConstantAccelerationFactor": (1, build_constant_acceleration),
+    "BetweenFactor-vector": (1, build_vector_between),
     "StaticObstacleFactor": (11, build_static_obstacle),
     "DynamicObstacleFactor": (3, build_dynamic_obstacle),
 }
@@ -278,10 +278,14 @@ BUILDERS = {
 HINGES = {"LimitFactor", "StaticObstacleFactor"}
 
 
+def class_name(case):
+    return case.split("-")[0]
+
+
 def test_builders_cover_every_factor_class():
     classes = {name for name, cls in vars(factor_module).items()
                if isinstance(cls, type) and issubclass(cls, Factor) and cls is not Factor}
-    assert classes == set(BUILDERS)
+    assert classes == {class_name(case) for case in BUILDERS}
     assert len({seed for seed, _ in BUILDERS.values()}) == len(BUILDERS)
 
 
@@ -321,7 +325,7 @@ def test_batched_system_matches_per_factor_stack(name):
     vals, factors, masked, fixed = build(np.random.default_rng(seed))
     factor, mask = masked
     instances = factors + [factor]
-    assert {type(f).__name__ for f in instances} == {name}
+    assert {type(f).__name__ for f in instances} == {class_name(name)}
     if name in HINGES:
         active = {bool(np.any(f.residual(vals) != 0.0)) for f in instances}
         assert active == {True, False}

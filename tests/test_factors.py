@@ -23,7 +23,6 @@ from fgnav.graph import (
 from fgnav.factors import (
     BetweenFactor,
     Component,
-    ConstantAccelerationFactor,
     DynamicObstacleFactor,
     Factor,
     HybridMotionFactor,
@@ -35,7 +34,6 @@ from fgnav.factors import (
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    com_pose,
     propagate_unicycle,
 )
 from fgnav.lie import Pose2, Pose3, embed_se3, stack
@@ -118,7 +116,7 @@ def test_noise_spec_rejects_bad_sigmas():
         with pytest.raises(ValueError):
             LimitFactor(velocity(0), [-1.0, -1.0], [1.0, 1.0], sigmas)
         with pytest.raises(ValueError):
-            ConstantAccelerationFactor(acceleration(0), acceleration(1), 2, sigmas)
+            BetweenFactor(acceleration(0), acceleration(1), np.zeros(2), sigmas)
 
 
 def test_mode_config_accepts_strings():
@@ -462,11 +460,15 @@ def test_cost_and_constant_acceleration():
     assert np.allclose(ca.residual(vals), [0.3, -0.1])
     check_jacobians(ca, vals)
 
-    sm = ConstantAccelerationFactor(acceleration(0), acceleration(1), 2, 0.1)
+    # control smoothness is a zero change between accelerations: r = a_1 - a_0
+    sm = BetweenFactor(acceleration(0), acceleration(1), np.zeros(2), 0.1)
     vals2 = {acceleration(0): np.array([0.3, -0.1]),
              acceleration(1): np.array([0.5, 0.2])}
     assert np.allclose(sm.residual(vals2), [0.2, 0.3])
     check_jacobians(sm, vals2)
+    # a measured change is taken off: r = a_1 - a_0 - z
+    moved = BetweenFactor(acceleration(0), acceleration(1), [0.1, -0.1], 0.1)
+    assert np.allclose(moved.residual(vals2), [0.1, 0.4])
 
 
 def test_goal_prior():
@@ -594,13 +596,6 @@ def test_dynamic_obstacle_jacobians(pose3):
             continue
         check_jacobians(f, vals, atol=2e-5)
         checked += 1
-
-
-def test_com_pose_composition():
-    rng = np.random.default_rng(14)
-    h = rand_pose3(rng)
-    c = rand_pose3(rng)
-    assert np.allclose(com_pose(h, c).matrix(), h.compose(c).matrix())
 
 
 def test_factor_base_rejects_bad_metadata():

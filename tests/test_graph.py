@@ -18,7 +18,6 @@ from dense_oracle import cross_block, dense_jacobian, jtj, jtr, stacked_residual
 from fgnav.factors import (
     BetweenFactor,
     Component,
-    ConstantAccelerationFactor,
     DynamicObstacleFactor,
     Factor,
     HybridMotionFactor,
@@ -606,7 +605,7 @@ def assert_same_values(got, want):
 def test_mixed_graph_has_constant_and_mixed_batches():
     g = mixed_graph()
     between3 = [b for b in g.batches
-                if b.cls is BetweenFactor and isinstance(b.params, tuple)]
+                if b.cls is BetweenFactor and isinstance(b.params[1], tuple)]
     assert len(between3) == 1 and len(between3[0].cols) == 2
     own = [(b.cls, len(b.cols)) for b in g.batches
            if b.cls in (_Overshooting, _Wrapped)]
@@ -649,7 +648,7 @@ def hinge_chain(n=12):
     for k in range(n - 1):
         factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), Pose2(0.3, 0.0, 0.0),
                                      [0.05, 0.05, 0.05]))
-        factors.append(ConstantAccelerationFactor(velocity(k), velocity(k + 1), 2, 0.05))
+        factors.append(BetweenFactor(velocity(k), velocity(k + 1), np.zeros(2), 0.05))
     for k in range(n):
         factors.append(PriorFactor(velocity(k), np.array([1.0, -0.8]) * (1 + 0.1 * k), 0.1))
     return FactorGraph(values, factors, fixed=[object_motion(1, k) for k in range(n)])

@@ -5,7 +5,9 @@ agent walking head-on toward the ego; the ego drives a fixed command
 sequence, so nothing here depends on the pipeline.
 """
 
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -73,8 +75,9 @@ def test_same_seed_gives_identical_sensing_and_states():
 
 
 def test_sensing_schedule():
-    period = 4
-    sim = make_sim(3, sensor=SensorSpec(global_period=period))
+    period = SensorSpec.global_period
+    assert STEPS > period   # the global pose comes twice
+    sim = make_sim(3)
     seen_static = seen_dynamic = False
     for k in range(STEPS):
         inp = sim.sense()
@@ -130,9 +133,14 @@ def test_collision_and_clearance_on_hand_placed_poses():
     {"speed": math.nan},
     {"behavior": "erratic"},
     {"waypoints": []},
-    {"body_points": [np.zeros(3), np.ones(3)]},
+    # a NaN waypoint made an agent that was never seen and never collided,
+    # a 4-entry one failed in Pose2 when the simulator was built
+    {"waypoints": [(0.0, 0.0, 0.0), (1.0, math.nan, 0.0)]},
+    {"waypoints": [(0.0, 0.0, 0.0, 0.0)]},
+    {"waypoints": [(0.0, 0.0)]},
+    {"waypoints": [(0.0, 0.0, 0.0), (1.0, 0.0)]},
 ], ids=["zero_speed", "negative_speed", "nan_speed", "behavior", "no_waypoints",
-        "two_body_points"])
+        "nan_waypoint", "four_entry_waypoint", "two_entry_waypoint", "ragged_waypoints"])
 def test_agent_spec_rejects_bad_input(bad):
     kw = {"object_id": 1, "radius": 0.3, "waypoints": [(0.0, 0.0, 0.0)], "speed": 0.5}
     kw.update(bad)
@@ -140,9 +148,73 @@ def test_agent_spec_rejects_bad_input(bad):
         AgentSpec(**kw)
 
 
+def test_scene_specs_hold_only_what_a_scene_sets():
+    assert [f.name for f in dataclasses.fields(AgentSpec) if f.init] == [
+        "object_id", "radius", "waypoints", "speed", "behavior"]
+    assert [f.name for f in dataclasses.fields(SensorSpec)] == [
+        "noise_sigma", "odometry_sigma", "global_sigma"]
+
+
+def finite_positive(value):
+    return 0 < value < math.inf
+
+
+def agent(**kw):
+    return AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], 0.5, **kw)
+
+
+# each constant that a scene once set: what holds it, its name and a bad value
+# that its deleted check rejected
+CONSTANTS = {
+    "zero-global_period": (SensorSpec, "global_period", 0),
+    "float-global_period": (SensorSpec, "global_period", 2.5),
+    "negative-max_range": (SensorSpec, "max_range", -1.0),
+    "nan-fov": (SensorSpec, "fov", math.nan),
+    "negative-agent_turn_rate": (agent, "turn_rate", -1.0),
+    "negative-agent_avoid_radius": (agent, "avoid_radius", -1.0),
+    "nan-agent_gain": (agent, "gain", math.nan),
+    "two_body_points": (agent, "body_points", [np.zeros(3), np.ones(3)]),
+}
+CHECKS = {
+    "global_period": lambda v: isinstance(v, numbers.Integral) and v >= 1,
+    "max_range": finite_positive,
+    "fov": lambda v: 0 < v <= math.tau,
+    "turn_rate": finite_positive,
+    "avoid_radius": finite_positive,
+    "gain": lambda v: 0 <= v < math.inf,
+    "body_points": lambda v: len(v) >= 3,
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTANTS))
+def test_constants_pass_the_checks_they_replace(case):
+    make, name, bad = CONSTANTS[case]
+    assert CHECKS[name](getattr(make(), name))
+    with pytest.raises(TypeError):   # a constant is no keyword
+        make(**{name: bad})
+
+
 def test_simulator_rejects_duplicate_agent_ids():
     with pytest.raises(ValueError):
         make_sim(0, agents=[walker(), walker()])
+
+
+@pytest.mark.parametrize("scene", [
+    # a 2-vector landmark failed the first sense() after the random stream
+    # had moved; a NaN one was sensed as NaN points the pipeline rejects
+    {"landmarks": {0: np.array([1.0, 1.0])}},
+    {"landmarks": {0: np.array([1.0, 1.0, 0.5]), 1: np.array([1.0, math.nan, 0.5])}},
+    {"landmarks": {0: "far"}},
+    {"ego_start": Pose2(math.nan, 0.0, 0.0)},
+    {"ego_start": Pose2(0.0, math.inf, 0.0)},
+], ids=["two_entry_landmark", "nan_landmark", "text_landmark", "nan_ego_start",
+        "inf_ego_start"])
+def test_simulator_rejects_bad_scene_input(scene):
+    kw = {"landmarks": {}, "ego_start": Pose2()}
+    kw.update(scene)
+    with pytest.raises(ValueError):
+        Simulator(OccupancyGrid.empty(20, 20, 0.1), kw["landmarks"], [], SensorSpec(),
+                  kw["ego_start"], 0)
 
 
 @pytest.mark.parametrize("limits", [
