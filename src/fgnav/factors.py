@@ -1,16 +1,18 @@
 """Residual catalog for estimation, prediction and planning.
 
-Estimation reads odometry (``BetweenFactor``), static and dynamic points
-(``PointMeasurementFactor``, ``HybridMotionFactor``), the smooth motion of
-an object (``ObjectSmoothingFactor``) and unary priors (``PriorFactor``).
-Prediction chains ``ObjectSmoothingFactor`` and keeps each predicted
-centre clear of the map (``StaticObstacleFactor``). Planning holds the
-unicycle propagation (``MotionModelFactor``), the control box
-(``LimitFactor``) and the clearances (``StaticObstacleFactor``,
-``DynamicObstacleFactor``). Its goal and effort terms are priors as well:
-a ``PriorFactor`` at the local goal on the last planned pose and a zero
-``PriorFactor`` on each acceleration; its control smoothness is a zero
-``BetweenFactor`` between successive accelerations.
+Estimation is in SE(3): it reads odometry (``BetweenFactor``), static and
+dynamic points (``PointMeasurementFactor``, ``HybridMotionFactor``), the
+smooth motion of an object (``ObjectSmoothingFactor``) and unary priors
+(``PriorFactor``). Prediction is planar, like the plan it serves: its
+motions are Pose2, chained by ``PlanarSmoothingFactor`` (the same kernel
+read in SE(2)), and each predicted centre is kept clear of the map
+(``StaticObstacleFactor``). Planning holds the unicycle propagation
+(``MotionModelFactor``), the control box (``LimitFactor``) and the
+clearances (``StaticObstacleFactor``, ``DynamicObstacleFactor``). Its goal
+and effort terms are priors as well: a ``PriorFactor`` at the local goal on
+the last planned pose and a zero ``PriorFactor`` on each acceleration; its
+control smoothness is a zero ``BetweenFactor`` between successive
+accelerations.
 
 Every factor class writes its geometry once, as a two-phase batch
 kernel: ``evaluate(params, args)`` takes the stacked constants of n
@@ -30,7 +32,8 @@ as ``(t_x, t_y, atan2(R_10, R_00))``. The kernel therefore only ever sees
 the key's own tangent columns ``read_columns(dim, True)``: all three of a
 Pose2, columns 0, 1 and 5 of a Pose3 (whose other three columns this
 factor does not move). This is how a planning chain reads the Pose3
-estimate it starts from.
+estimate it starts from, and a prediction chain the two Pose3 motion
+estimates it starts from.
 
 Instances share a kernel call when they have the same class, the same
 viewed value kinds per key and the same ``batch_key()``, so a chain whose
@@ -82,6 +85,7 @@ from .lie import (
     right_jacobian_inverse,  # noqa: F401  (re-exported under this module)
     right_jacobian_inverse_batch,
     rot2_batch,
+    se2_view,
     skew_batch,
     stack,
     wrap_angles,
@@ -269,25 +273,30 @@ def _eye(n: int, d: int, scale: float = 1.0) -> np.ndarray:
 
 def _xy(arg, com_t=None) -> np.ndarray:
     """(n, 2) workspace position of poses, or of object centres through motions."""
-    if com_t is not None:
-        r, t = arg
-        return (np.einsum("nij,nj->ni", r, com_t) + t)[:, 0:2]
     if isinstance(arg, tuple):
-        return arg[1][:, 0:2]
-    return arg[:, 0:2]
+        r, t = arg
+        if com_t is None:
+            return t[:, 0:2]
+        return (np.einsum("nij,nj->ni", r, com_t) + t)[:, 0:2]
+    if com_t is None:
+        return arg[:, 0:2]
+    return np.einsum("nij,nj->ni", rot2_batch(arg[:, 2]), com_t[:, 0:2]) + arg[:, 0:2]
 
 
 def _xy_jacobian(arg, com_t=None) -> np.ndarray:
     """(n, 2, d) Jacobian of ``_xy`` in the batch's tangent."""
-    if com_t is not None:
-        r = arg[0]
-        return np.concatenate([r, r @ -skew_batch(com_t)], axis=2)[:, 0:2, :]
     if isinstance(arg, tuple):
-        out = np.zeros((arg[0].shape[0], 2, 6))
-        out[:, :, 0:3] = arg[0][:, 0:2, :]
+        r = arg[0]
+        if com_t is not None:
+            return np.concatenate([r, r @ -skew_batch(com_t)], axis=2)[:, 0:2, :]
+        out = np.zeros((r.shape[0], 2, 6))
+        out[:, :, 0:3] = r[:, 0:2, :]
         return out
     out = np.zeros((arg.shape[0], 2, 3))
-    out[:, :, 0:2] = rot2_batch(arg[:, 2])
+    out[:, :, 0:2] = rot = rot2_batch(arg[:, 2])
+    if com_t is not None:
+        # a turn d_theta moves the centre R (-c_y, c_x) d_theta
+        out[:, :, 2] = np.einsum("nij,nj->ni", rot, columns(-com_t[:, 1], com_t[:, 0]))
     return out
 
 
@@ -442,7 +451,9 @@ class ObjectSmoothingFactor(Factor):
     That transform is C_ref^-1 X C_ref with X = (H_2^-1 H_1) B and
     B = H_2^-1 H_3, so r = Ad(C_ref^-1) log X (Barfoot, State Estimation
     for Robotics, 2017): J_3 = Ad(C_ref^-1) J_r^-1(log X),
-    J_1 = J_3 Ad(B^-1) and J_2 = -J_3 (Ad(X^-1) + Ad(B^-1)).
+    J_1 = J_3 Ad(B^-1) and J_2 = -J_3 (Ad(X^-1) + Ad(B^-1)). The kernel
+    only composes, inverts and takes logs and adjoints, so it serves SE(2)
+    batches as it serves SE(3) ones.
     """
 
     __slots__ = ("_ad_ref_inv",)
@@ -450,7 +461,9 @@ class ObjectSmoothingFactor(Factor):
     def __init__(self, motion_keys, com_ref: Pose3, noise, **kw):
         if len(motion_keys) != 3:
             raise ValueError("smoothing factor needs exactly three motion keys")
-        super().__init__(tuple(motion_keys), noise, 6, **kw)
+        if self.planar_slots:
+            com_ref = se2_view(com_ref)
+        super().__init__(tuple(motion_keys), noise, com_ref.tangent_dim(), **kw)
         self._ad_ref_inv = com_ref.inverse().adjoint()
 
     @classmethod
@@ -469,6 +482,19 @@ class ObjectSmoothingFactor(Factor):
         j1 = j3 @ ad_b_inv
         j2 = -(j3 @ (adjoint_batch(inverse_batch(x)) + ad_b_inv))
         yield np.concatenate([j1, j2, j3], axis=2)
+
+
+class PlanarSmoothingFactor(ObjectSmoothingFactor):
+    """The smoothing of a predicted motion chain, read in SE(2).
+
+    All three motions reach the kernel through ``planar_view`` and C_ref as
+    its planar view, so r and Ad(C_ref^-1) are 3-wide. A chain's first
+    factors read the two newest Pose3 estimates on their columns 0, 1 and 5
+    and share one batch with the rest, which read Pose2 predictions.
+    """
+
+    __slots__ = ()
+    planar_slots = (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

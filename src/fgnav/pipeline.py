@@ -2,17 +2,21 @@
 
 Every control step assembles three fragments: a fixed-lag estimation
 window (robot poses, landmarks, object motions), a constant-motion
-prediction chain per tracked object, and an N-step local plan. Prediction
-and planning own the variables they create, estimation the rest. All that
-sets a mode apart lives here: ``STAGES`` sets its solve order,
-:func:`mode_masks` the keys each factor reads but may not move, and only
-cooperative mode builds a prediction-side copy of each dynamic obstacle
-hinge. Each stage is one factor graph, built whole in one constructor call
-from the stage's factors, their masks, the values of the keys they read
-and the keys held fixed. The optimized first acceleration is the control
-command. Every factor is whitened by the fixed sigma of its kind in
-``SIGMAS``; the plan's goal and effort terms are priors on plan variables,
-like the estimation priors.
+prediction chain per tracked object, and an N-step local plan. Estimation
+is in SE(3). Prediction and planning are planar: the plan is a unicycle,
+and everything that reads a prediction (the plan and both clearance
+hinges) reads it in the plane, so the predicted motions are Pose2; a
+track's next estimate starts from its prediction lifted into SE(3).
+Prediction and planning own the variables they create, estimation the
+rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
+order, :func:`mode_masks` the keys each factor reads but may not move, and
+only cooperative mode builds a prediction-side copy of each dynamic
+obstacle hinge. Each stage is one factor graph, built whole in one
+constructor call from the stage's factors, their masks, the values of the
+keys they read and the keys held fixed. The optimized first acceleration
+is the control command. Every factor is whitened by the fixed sigma of its
+kind in ``SIGMAS``; the plan's goal and effort terms are priors on plan
+variables, like the estimation priors.
 
 A run sets only the horizon and the mode in :class:`PipelineConfig`; the
 robot, its limits, the margins and the solver's stopping rules
@@ -36,6 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .factors import (
+    PLANAR_COLUMNS,
     BetweenFactor,
     Component,
     DynamicObstacleFactor,
@@ -45,6 +50,7 @@ from .factors import (
     ModeConfig,
     MotionModelFactor,
     ObjectSmoothingFactor,
+    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -63,7 +69,7 @@ from .graph import (
     static_point,
     velocity,
 )
-from .lie import Pose2, Pose3, se2_view
+from .lie import Pose2, Pose3, embed_se3, se2_view
 
 
 # the sigmas each kind of factor in the step graph is whitened by: one for
@@ -84,6 +90,10 @@ SIGMAS = {
     "static_obstacle": 2e-3,
     "dynamic_obstacle": 5e-3,
 }
+
+# a predicted motion's smoothing sigmas: the SE(2) rows (t_x, t_y, yaw) of an
+# estimated one's
+_PLANAR_SMOOTHING = tuple(SIGMAS["smoothing"][i] for i in PLANAR_COLUMNS)
 
 # the effort terms' shared prior, each acceleration pulled toward zero, and the
 # smoothness terms' measured change between successive accelerations
@@ -335,9 +345,10 @@ class Pipeline:
         steps = self._motion_steps[obj]
         h_key = object_motion(obj, k)
         warm = self._tracked(obj, k - 1)   # step k - 1 predicted and solved H_k
-        if not warm:
-            self._values[h_key] = self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1]
-        h_init = self._values[h_key]
+        # a prediction is planar; the estimate it seeds is its lift into SE(3)
+        h_plane = (self._values[h_key] if warm
+                   else self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1])
+        h_init = self._values[h_key] = embed_se3(h_plane)
         steps.append(k)
         for pid, z in obs:
             p_key = dynamic_point(obj, pid)
@@ -353,18 +364,20 @@ class Pipeline:
                     (object_motion(obj, k - 2), object_motion(obj, k - 1), h_key),
                     self._com_ref[obj], SIGMAS["smoothing"])))
 
-    def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose3]:
-        """Constant relative centre motion 1..`ahead` steps past `last`, one compose each."""
-        h = self._values[object_motion(obj, last)]
+    def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose2]:
+        """Constant planar motion 1..`ahead` steps past `last`, one Pose2 compose each.
+
+        With C_i = H_i C_ref, the centre repeats its last step C_{i-1}^-1 C_i
+        exactly when H_{i-1}^-1 H_i repeats, so the chain composes that step
+        of the planar views of the last two motions.
+        """
+        h = se2_view(self._values[object_motion(obj, last)])
         if not self._tracked(obj, last):
             return [h] * ahead
-        c_ref = self._com_ref[obj]
-        c_prev = self._values[object_motion(obj, last - 1)].compose(c_ref)
-        c_last = h.compose(c_ref)
-        step_in_ref = c_ref.compose(c_prev.between(c_last)).compose(c_ref.inverse())
+        step = se2_view(self._values[object_motion(obj, last - 1)]).between(h)
         chain = []
         for _ in range(ahead):
-            h = h.compose(step_in_ref)
+            h = h.compose(step)
             chain.append(h)
         return chain
 
@@ -374,6 +387,14 @@ class Pipeline:
         return sorted(obj for obj in self._motion_steps if self._tracked(obj, k))
 
     def _build_prediction(self, k: int, objects) -> tuple[list, dict]:
+        """Each tracked object's predicted motions H_{k+1} .. H_{k+H}, as Pose2.
+
+        Prediction serves the plan, which is planar, so it is planar too:
+        its smoothing factors read every motion in SE(2), the estimates
+        H_{k-1} and H_k through their planar view. A step the previous step
+        predicted keeps that solution; the rest start on the constant-motion
+        chain. Estimation stays in SE(3).
+        """
         cfg = self.config
         d_os = cfg.object_radius + cfg.safety_offset
         factors = []
@@ -390,8 +411,8 @@ class Pipeline:
                 keys = (object_motion(obj, k + j - 2),
                         object_motion(obj, k + j - 1),
                         object_motion(obj, k + j))
-                factors.append(ObjectSmoothingFactor(
-                    keys, c_ref, SIGMAS["smoothing"], component=Component.PREDICTION))
+                factors.append(PlanarSmoothingFactor(
+                    keys, c_ref, _PLANAR_SMOOTHING, component=Component.PREDICTION))
             for j in range(1, cfg.horizon + 1):
                 factors.append(StaticObstacleFactor(
                     object_motion(obj, k + j), self.esdf,

@@ -165,13 +165,13 @@ class Simulator:
 
     def sense(self) -> StepInput:
         """Noisy body-frame observations plus odometry for the current step."""
-        ego3 = embed_se3(self.state.ego_pose)
+        to_body = embed_se3(self.state.ego_pose).inverse()
         static = []
         for pid in sorted(self.landmarks):
             p = self.landmarks[pid]
             if not self._visible(p[:2]):
                 continue
-            body = ego3.inverse().act(np.asarray(p, dtype=float))
+            body = to_body.act(np.asarray(p, dtype=float))
             static.append((pid, body + self._noise(self.sensor.noise_sigma, 3)))
         dynamic = []
         for obj in sorted(self.agents):
@@ -182,7 +182,7 @@ class Simulator:
             # center visibility implies the whole point set is observed
             for pid, bp in enumerate(agent.body_points):
                 world = np.array([*pose.act(bp[:2]), bp[2]])
-                body = ego3.inverse().act(world)
+                body = to_body.act(world)
                 dynamic.append(
                     (obj, pid, body + self._noise(self.sensor.noise_sigma, 3)))
         odometry = None

@@ -24,6 +24,7 @@ from fgnav.factors import (
     LimitFactor,
     MotionModelFactor,
     ObjectSmoothingFactor,
+    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -164,6 +165,25 @@ def build_smoothing(rng):
     return vals, fs, masked, [object_motion(1, 0)]
 
 
+def build_planar_smoothing(rng):
+    # a predicted chain: it starts at two Pose3 estimates, read through their
+    # planar view, and goes on in Pose2
+    vals, fs = {}, []
+    for i in range(6):
+        x = pose2(rng, 0.8)
+        vals[object_motion(1, i)] = embed_se3(x) if i < 2 else x
+    for i in range(4):
+        keys = tuple(object_motion(1, i + j) for j in range(3))
+        fs.append(PlanarSmoothingFactor(keys, pose3(rng, 0.2, 0.2), (0.02, 0.02, 0.01)))
+    fs.append(PlanarSmoothingFactor(tuple(object_motion(1, j) for j in range(3)),
+                                    pose3(rng, 0.2, 0.2), sigmas(rng, 3)))
+    keys = tuple(object_motion(3, j) for j in range(3))
+    for k in keys:
+        vals[k] = pose2(rng, 0.8)
+    masked = PlanarSmoothingFactor(keys, pose3(rng), 0.05), (True, True, False)
+    return vals, fs, masked, [object_motion(1, 0)]
+
+
 def _motion_chain(rng, vals, fs, start, n, first_pose3):
     for j in range(n + 1):
         x = pose2(rng)
@@ -232,6 +252,12 @@ def build_static_obstacle(rng):
         vals[object_motion(1, i)] = centre.compose(com_ref.inverse())
         fs.append(StaticObstacleFactor(object_motion(1, i), esdf, 0.6, 0.05,
                                        com_ref=com_ref))
+    # predicted motions, whose centre is the reference centre read in the plane
+    c = com_ref.translation
+    for i, (x, y) in enumerate([near[2], far[1]]):
+        vals[object_motion(2, i)] = Pose2(x, y, 0.7).compose(Pose2(c[0], c[1], 0.0).inverse())
+        fs.append(StaticObstacleFactor(object_motion(2, i), esdf, 0.6, 0.05,
+                                       com_ref=com_ref))
     fs.append(StaticObstacleFactor(robot_pose(0), esdf, 0.6, sigmas(rng, 1)))
     vals[robot_pose(9)] = Pose2(0.35, 0.0, 0.0)
     masked = StaticObstacleFactor(robot_pose(9), esdf, 0.6, 0.05), (True,)
@@ -250,6 +276,10 @@ def build_dynamic_obstacle(rng):
         for component in (Component.PLANNING, Component.PREDICTION):
             fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(1, i), com_ref,
                                             1.0, 0.05, margin=0.05, component=component))
+    for i in range(2):   # predicted motions, Pose2
+        vals[object_motion(2, i)] = Pose2(0.1 * i, 0.0, 0.1 * i)
+        fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(2, i), com_ref,
+                                        1.0, 0.05, margin=0.05))
     fs.append(DynamicObstacleFactor(robot_pose(2), object_motion(1, 2), com_ref, 1.0,
                                     sigmas(rng, 1), margin=0.05))
     vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)
@@ -268,6 +298,7 @@ BUILDERS = {
     "PointMeasurementFactor": (9, build_point),
     "HybridMotionFactor": (5, build_hybrid),
     "ObjectSmoothingFactor": (8, build_smoothing),
+    "PlanarSmoothingFactor": (2, build_planar_smoothing),
     "MotionModelFactor": (7, build_motion_model),
     "LimitFactor": (6, build_limit),
     "BetweenFactor-vector": (1, build_vector_between),

@@ -31,6 +31,7 @@ from fgnav.factors import (
     ModeConfig,
     MotionModelFactor,
     ObjectSmoothingFactor,
+    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -361,6 +362,38 @@ def test_object_smoothing_needs_three_keys():
                               Pose3.identity(), 0.05)
 
 
+@pytest.mark.parametrize("boundary", [False, True])
+def test_planar_smoothing_jacobians(boundary):
+    # a predicted chain's first factor reads two Pose3 estimates through
+    # their planar view, the rest read Pose2 predictions alone
+    rng = np.random.default_rng(28)
+    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
+    for _ in range(25):
+        f = PlanarSmoothingFactor(keys, rand_pose3(rng), 0.05)
+        vals = {k: rand_pose2(rng, 0.8) for k in keys}
+        if boundary:
+            vals.update({k: embed_se3(vals[k]) for k in keys[:2]})
+        check_jacobians(f, vals)
+
+
+def test_planar_smoothing_is_the_planar_rows_of_the_se3_one():
+    # on planar motions the SE(3) residual leaves the plane nowhere, and its
+    # t_x, t_y and yaw rows are the SE(2) residual with the reference centre
+    # read in the plane
+    rng = np.random.default_rng(29)
+    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
+    for _ in range(10):
+        c_ref = Pose3(np.eye(3), rng.normal(0, 1, 3))
+        motions = [rand_pose2(rng, 0.8) for _ in keys]
+        planar = PlanarSmoothingFactor(keys, c_ref, 0.05)
+        full = ObjectSmoothingFactor(keys, c_ref, 0.05)
+        r = planar.residual(dict(zip(keys, motions)))
+        r3 = full.residual({k: embed_se3(m) for k, m in zip(keys, motions)})
+        assert r.shape == (3,)
+        np.testing.assert_allclose(r3[[0, 1, 5]], r, atol=1e-12)
+        np.testing.assert_allclose(r3[2:5], 0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # planning factors
 
@@ -514,14 +547,14 @@ def _interior_point(rng, esdf, d_safe):
             return x, y
 
 
-@pytest.mark.parametrize("variant", ["pose2", "pose3", "motion"])
+@pytest.mark.parametrize("variant", ["pose2", "pose3", "motion", "planar-motion"])
 def test_static_obstacle_jacobians(variant):
     rng = np.random.default_rng(12)
     esdf = disk_esdf()
     d_safe = 0.6
     com_ref = None
     key = robot_pose(0)
-    if variant == "motion":
+    if variant in ("motion", "planar-motion"):
         com_ref = rand_pose3(rng, 0.05, 0.2)
         key = object_motion(0, 0)
     f = StaticObstacleFactor(key, esdf, d_safe, 0.05, com_ref=com_ref)
@@ -532,6 +565,10 @@ def test_static_obstacle_jacobians(variant):
             value = Pose2(x, y, theta)
         elif variant == "pose3":
             value = embed_se3(Pose2(x, y, theta))
+        elif variant == "planar-motion":
+            # a predicted motion placing the centre, read in the plane, there
+            c = com_ref.translation
+            value = Pose2(x, y, theta).compose(Pose2(c[0], c[1], 0.0).inverse())
         else:
             # motion placing the reference centre at the sampled spot
             centre = Pose3.exp(
@@ -591,6 +628,25 @@ def test_dynamic_obstacle_jacobians(pose3):
             robot_pose(0): embed_se3(pose) if pose3 else pose,
             object_motion(1, 0): motion,
         }
+        r = f.residual(vals)[0]
+        if not (1e-3 < r < d_safe - 1e-3):
+            continue
+        check_jacobians(f, vals, atol=2e-5)
+        checked += 1
+
+
+def test_dynamic_obstacle_jacobians_on_a_planar_motion():
+    # a predicted motion is a Pose2, and the centre it carries is the
+    # reference centre read in the plane
+    rng = np.random.default_rng(14)
+    d_safe = 1.0
+    com_ref = rand_pose3(rng, 0.4, 0.2)
+    f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
+                              d_safe=d_safe, noise=0.05, margin=0.05)
+    checked = 0
+    while checked < 20:
+        vals = {robot_pose(0): rand_pose2(rng, 0.6),
+                object_motion(1, 0): rand_pose2(rng, 0.4)}
         r = f.residual(vals)[0]
         if not (1e-3 < r < d_safe - 1e-3):
             continue

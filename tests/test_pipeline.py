@@ -16,7 +16,7 @@ import numbers
 
 import numpy as np
 import pytest
-from dense_oracle import cross_block, jtj
+from dense_oracle import cross_block, jtj, jtr
 
 from fgnav.factors import (
     BetweenFactor,
@@ -25,6 +25,7 @@ from fgnav.factors import (
     Mode,
     ModeConfig,
     MotionModelFactor,
+    PlanarSmoothingFactor,
     PriorFactor,
 )
 from fgnav.graph import (
@@ -35,7 +36,7 @@ from fgnav.graph import (
     robot_pose,
     velocity,
 )
-from fgnav.lie import Pose2, Pose3, embed_se3
+from fgnav.lie import Pose2, Pose3, embed_se3, se2_view
 from fgnav.pipeline import (
     InputError,
     Pipeline,
@@ -68,8 +69,7 @@ def run_closed_loop(mode: Mode, seed: int, agents=(), steps=STEPS):
     grid.mark_rect(2.5, 1.9, 3.0, 2.4)
     landmarks = {i: np.array([0.8 * i + 0.5, 0.6 + 1.8 * (i % 2), 0.5]) for i in range(6)}
     start = Pose2(0.5, 1.5, 0.0)
-    sim = Simulator(grid, landmarks, list(agents), SensorSpec(), start, seed,
-                    dt=cfg.dt, v_limits=cfg.v_limits, w_limit=cfg.w_limit)
+    sim = Simulator(grid, landmarks, list(agents), SensorSpec(), start, seed)
     pipe = Pipeline(cfg, sim.esdf, embed_se3(start))
     path = [Pose2(0.5 + 0.1 * i, 1.5, 0.0) for i in range(40)]
     outputs = []
@@ -664,21 +664,22 @@ def drive_objects(pipe, seen_at):
 
 
 def reference_motion(pipe, obj, last, ahead):
-    """The constant-motion seed ``ahead`` steps past ``last``, composed from scratch."""
+    """The planar constant-motion seed ``ahead`` steps past ``last``, composed from scratch."""
     steps = pipe._motion_steps[obj]
-    h = pipe._values[object_motion(obj, last)]
+    h = se2_view(pipe._values[object_motion(obj, last)])
     if len(steps) < 2 or steps[-1] != last or steps[-2] != last - 1:
         return h
-    c_ref = pipe._com_ref[obj]
-    c_prev = pipe._values[object_motion(obj, last - 1)].compose(c_ref)
-    c_last = h.compose(c_ref)
-    step = c_ref.compose(c_prev.between(c_last)).compose(c_ref.inverse())
+    step = se2_view(pipe._values[object_motion(obj, last - 1)]).between(h)
     for _ in range(ahead):
         h = h.compose(step)
     return h
 
 
 def assert_same_pose(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Pose2):
+        assert (got.x, got.y, got.theta) == (want.x, want.y, want.theta)
+        return
     assert np.array_equal(got.rotation, want.rotation)
     assert np.array_equal(got.translation, want.translation)
 
@@ -688,7 +689,8 @@ def record_seeds(monkeypatch):
 
     A warm reference is the motion the previous step predicted and solved,
     from a snapshot taken when that step returned; a cold one is the
-    from-scratch seed, taken before the pipeline builds its own.
+    from-scratch seed, taken before the pipeline builds its own. Both are
+    Pose2, and a track extension's estimate is the reference lifted into SE(3).
     """
     seeds = []
     # the step a snapshot was taken at, the objects it predicted and its motions
@@ -717,7 +719,8 @@ def record_seeds(monkeypatch):
         key, solved = object_motion(obj, k), warm(k)
         want = solved[key] if key in solved else reference_motion(self, obj, prev, k - prev)
         extend(self, obj, k, obs, x_hat)
-        seeds.append((k, int(key not in solved), {key: self._values[key]}, {key: want}))
+        seeds.append((k, int(key not in solved), {key: self._values[key]},
+                      {key: embed_se3(want)}))
 
     def stepping(self, k, *args):
         last["objects"] = []
@@ -744,7 +747,7 @@ def test_prediction_seeds_equal_the_from_scratch_chain_bitwise(monkeypatch):
     # solved step-5 state its chain steps by a motion that is not the identity
     _, last = pipe._build_prediction(5, [7])
     first, final = last[object_motion(7, 6)], last[object_motion(7, 11)]
-    assert not np.allclose(first.translation, final.translation)
+    assert not np.allclose([first.x, first.y], [final.x, final.y])
     predictions = [(k, cold) for k, cold, vals, _ in seeds if len(vals) > 1]
     assert predictions == [(1, cfg.horizon), (2, 1), (5, cfg.horizon), (5, cfg.horizon)]
     extensions = [(k, cold) for k, cold, vals, _ in seeds if len(vals) == 1]
@@ -756,7 +759,7 @@ def test_prediction_seeds_equal_the_from_scratch_chain_bitwise(monkeypatch):
 
 
 def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
-    compose, build = Pose3.compose, Pipeline._build_prediction
+    compose, build = Pose2.compose, Pipeline._build_prediction
     tally = {"on": False, "calls": 0}
     per_step = {}
 
@@ -772,16 +775,59 @@ def test_a_cold_prediction_composes_linearly_in_the_horizon(monkeypatch):
             tally["on"] = False
             per_step[k] = (len(objects), tally["calls"])
 
-    monkeypatch.setattr(Pose3, "compose", counting)
+    monkeypatch.setattr(Pose2, "compose", counting)
     monkeypatch.setattr(Pipeline, "_build_prediction", building)
     pipe = empty_grid_pipeline(horizon=30)
     cfg = pipe.config
     drive_objects(pipe, {7: [0, 1], 8: [0, 1]})
     objects, calls = per_step[1]
-    # two centre poses and the step in the reference frame, then one
-    # compose per predicted step; from scratch it is horizon^2 / 2 per object
+    # the step between the last two motions, then one compose per predicted
+    # step; from scratch it is horizon^2 / 2 per object
     assert objects == 2
-    assert calls <= objects * (cfg.horizon + 4)
+    assert calls <= objects * (cfg.horizon + 1)
+
+
+def test_predictions_are_planar_and_their_smoothing_is_one_batch(monkeypatch):
+    # a walker close enough for the clearance hinges to bite, tracked from
+    # step 1; the later predictions start warm
+    near = AgentSpec(1, 0.3, [(1.3, 1.5, math.pi), (0.0, 1.5, math.pi)], 0.2)
+    graphs = record_step_graphs(monkeypatch)
+    run_closed_loop(Mode.COOPERATIVE, seed=5, agents=[near], steps=4)
+    predicting = [(k, g) for k, g in graphs
+                  if any(isinstance(f, PlanarSmoothingFactor) for f in g.factors)]
+    assert [k for k, _ in predicting] == [1, 2, 3]
+    for k, g in predicting:
+        motions = {key: v for key, v in g.values.items() if key.kind is VarKind.OBJECT_MOTION}
+        # the predicted motions are Pose2, the estimates they start from Pose3
+        assert {key.time_step for key in motions} == set(range(k - 1, k + HORIZON + 1))
+        for key, value in motions.items():
+            assert isinstance(value, Pose2 if key.time_step > k else Pose3), key
+        # one kernel call smooths the whole chain, the factor that reads the
+        # two estimates included
+        [batch] = [b for b in g.batches if b.cls is PlanarSmoothingFactor]
+        assert len(batch.cols) == HORIZON
+        first = next(f for f in g.factors if isinstance(f, PlanarSmoothingFactor))
+        assert first.keys[:2] == (object_motion(1, k - 1), object_motion(1, k))
+        # the estimates are held by then: only the prediction's columns are kept
+        assert np.all(batch.cols[0, :6] == -1) and np.all(batch.cols[0, 6:] >= 0)
+
+        # the yield copies still move the prediction: they share the planning
+        # copies' batch, and only they keep the predicted motions' columns
+        [hinges] = [b for b in g.batches if b.cls is DynamicObstacleFactor]
+        yields = np.array([f.component is Component.PREDICTION
+                           for f in g.factors if isinstance(f, DynamicObstacleFactor)])
+        assert yields.sum() == HORIZON
+        assert np.all(hinges.cols[yields, 3:] >= 0) and np.all(hinges.cols[~yields, 3:] == -1)
+        # and without them the gradient on every predicted motion changes
+        kept = [(f, m) for f, m in zip(g.factors, g.masks)
+                if not (isinstance(f, DynamicObstacleFactor)
+                        and f.component is Component.PREDICTION)]
+        alone = FactorGraph(g.values, [f for f, _ in kept], [m for _, m in kept], g.fixed)
+        grad, grad_alone = jtr(g.linearize(g.values)), jtr(alone.linearize(alone.values))
+        for j in range(1, HORIZON + 1):
+            key = object_motion(1, k + j)
+            at, at_alone = g.offsets[key], alone.offsets[key]
+            assert np.any(grad[at:at + 3] != grad_alone[at_alone:at_alone + 3]), key
 
 
 @pytest.mark.parametrize("make", [
