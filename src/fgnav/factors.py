@@ -25,15 +25,17 @@ that needs only the error stops after the first yield; one that resumes
 the kernel later gets the Jacobians at the point the residuals were taken
 at, without evaluating them again.
 
-A class lists in ``planar_slots`` the keys it reads in SE(2). Those keys
-reach the kernel through :func:`planar_view`: a Pose2 as itself, a Pose3
-as ``(t_x, t_y, atan2(R_10, R_00))``. The kernel therefore only ever sees
+A class lists in ``planar_slots`` the keys it reads in SE(2): every pose
+and motion key of ``PlanarSmoothingFactor``, ``MotionModelFactor``,
+``StaticObstacleFactor`` and ``DynamicObstacleFactor``. Those keys reach
+the kernel through :func:`planar_view`: a Pose2 as itself, a Pose3 as
+``(t_x, t_y, atan2(R_10, R_00))``. The kernel therefore only ever sees
 (n, 3) poses there, and its three Jacobian columns for such a key land on
 the key's own tangent columns ``read_columns(dim, True)``: all three of a
 Pose2, columns 0, 1 and 5 of a Pose3 (whose other three columns this
 factor does not move). This is how a planning chain reads the Pose3
 estimate it starts from, and a prediction chain the two Pose3 motion
-estimates it starts from.
+estimates it starts from; only estimation factors read a Pose3 as itself.
 
 Instances share a kernel call when they have the same class, the same
 viewed value kinds per key and the same ``batch_key()``, so a chain whose
@@ -271,32 +273,20 @@ def _eye(n: int, d: int, scale: float = 1.0) -> np.ndarray:
     return np.broadcast_to(scale * np.eye(d), (n, d, d))
 
 
-def _xy(arg, com_t=None) -> np.ndarray:
-    """(n, 2) workspace position of poses, or of object centres through motions."""
-    if isinstance(arg, tuple):
-        r, t = arg
-        if com_t is None:
-            return t[:, 0:2]
-        return (np.einsum("nij,nj->ni", r, com_t) + t)[:, 0:2]
-    if com_t is None:
-        return arg[:, 0:2]
-    return np.einsum("nij,nj->ni", rot2_batch(arg[:, 2]), com_t[:, 0:2]) + arg[:, 0:2]
+def _xy(p, com_xy=None) -> np.ndarray:
+    """(n, 2) position of (n, 3) planar poses, or of centres ``com_xy`` moved: R c + t."""
+    if com_xy is None:
+        return p[:, 0:2]
+    return np.einsum("nij,nj->ni", rot2_batch(p[:, 2]), com_xy) + p[:, 0:2]
 
 
-def _xy_jacobian(arg, com_t=None) -> np.ndarray:
-    """(n, 2, d) Jacobian of ``_xy`` in the batch's tangent."""
-    if isinstance(arg, tuple):
-        r = arg[0]
-        if com_t is not None:
-            return np.concatenate([r, r @ -skew_batch(com_t)], axis=2)[:, 0:2, :]
-        out = np.zeros((r.shape[0], 2, 6))
-        out[:, :, 0:3] = r[:, 0:2, :]
-        return out
-    out = np.zeros((arg.shape[0], 2, 3))
-    out[:, :, 0:2] = rot = rot2_batch(arg[:, 2])
-    if com_t is not None:
+def _xy_jacobian(p, com_xy=None) -> np.ndarray:
+    """(n, 2, 3) Jacobian of ``_xy`` in the poses' se(2) tangent."""
+    out = np.zeros((p.shape[0], 2, 3))
+    out[:, :, 0:2] = rot = rot2_batch(p[:, 2])
+    if com_xy is not None:
         # a turn d_theta moves the centre R (-c_y, c_x) d_theta
-        out[:, :, 2] = np.einsum("nij,nj->ni", rot, columns(-com_t[:, 1], com_t[:, 0]))
+        out[:, :, 2] = np.einsum("nij,nj->ni", rot, columns(-com_xy[:, 1], com_xy[:, 0]))
     return out
 
 
@@ -600,11 +590,12 @@ class StaticObstacleFactor(Factor):
     """Hinge on signed-distance clearance: r = max(0, d_safe - esdf(p)).
 
     Applies to a robot pose directly or to an object motion through the
-    object's reference centre pose. Positions outside the distance grid
-    read as distance zero, i.e. maximally unsafe.
+    object's reference centre read in the plane, both in SE(2). Positions
+    outside the distance grid read as distance zero, i.e. maximally unsafe.
     """
 
     __slots__ = ("esdf", "d_safe", "com_ref")
+    planar_slots = (0,)
 
     def __init__(self, key, esdf, d_safe, noise, com_ref: Pose3 | None = None, **kw):
         kw.setdefault("component", Component.PLANNING)
@@ -618,19 +609,19 @@ class StaticObstacleFactor(Factor):
 
     @classmethod
     def stack_params(cls, factors):
-        com_t = None
+        com_xy = None
         if factors[0].com_ref is not None:
-            com_t = np.array([f.com_ref.translation for f in factors])
-        return factors[0].esdf, np.array([f.d_safe for f in factors]), com_t
+            com_xy = np.array([f.com_ref.translation[0:2] for f in factors])
+        return factors[0].esdf, np.array([f.d_safe for f in factors]), com_xy
 
     @classmethod
     def evaluate(cls, params, args):
-        esdf, d_safe, com_t = params
-        lookup = esdf.lookup(_xy(args[0], com_t))
+        esdf, d_safe, com_xy = params
+        lookup = esdf.lookup(_xy(args[0], com_xy))
         d = next(lookup)
         active = d < d_safe
         yield np.where(active, d_safe - d, 0.0)[:, None]
-        j = -np.einsum("ni,nij->nj", next(lookup), _xy_jacobian(args[0], com_t))
+        j = -np.einsum("ni,nij->nj", next(lookup), _xy_jacobian(args[0], com_xy))
         yield np.where(active[:, None], j, 0.0)[:, None, :]
 
 
@@ -640,13 +631,15 @@ class DynamicObstacleFactor(Factor):
     r = m log(1 + exp((d_safe - ||t_pose - t_centre||) / m)), with ``m`` the
     ``margin``: within about ``m`` of ``d_safe`` this is the hinge
     max(0, d_safe - range) with its corner rounded, and its Jacobian is the
-    hinge's active-branch Jacobian times sigmoid((d_safe - range) / m). A
-    planning instance moves the planned pose around the predicted motion; a
-    prediction instance (cooperative mode) moves the prediction to make
-    room for the plan.
+    hinge's active-branch Jacobian times sigmoid((d_safe - range) / m). Both
+    keys are read in SE(2), the centre as the reference centre read in the
+    plane. A planning instance moves the planned pose around the predicted
+    motion; a prediction instance (cooperative mode) moves the prediction
+    to make room for the plan.
     """
 
     __slots__ = ("com_ref", "d_safe", "margin")
+    planar_slots = (0, 1)
 
     def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise, *, margin,
                  **kw):
@@ -660,15 +653,15 @@ class DynamicObstacleFactor(Factor):
 
     @classmethod
     def stack_params(cls, factors):
-        return (np.array([f.com_ref.translation for f in factors]),
+        return (np.array([f.com_ref.translation[0:2] for f in factors]),
                 np.array([f.d_safe for f in factors]),
                 np.array([f.margin for f in factors]))
 
     @classmethod
     def evaluate(cls, params, args):
-        com_t, d_safe, margin = params
+        com_xy, d_safe, margin = params
         pose, motion = args
-        diff = _xy(pose) - _xy(motion, com_t)
+        diff = _xy(pose) - _xy(motion, com_xy)
         rng = np.hypot(diff[:, 0], diff[:, 1])
         z = (d_safe - rng) / margin
         yield (margin * np.logaddexp(0.0, z))[:, None]
@@ -676,7 +669,7 @@ class DynamicObstacleFactor(Factor):
         u = np.where(apart[:, None], diff / np.where(apart, rng, 1.0)[:, None],
                      np.array([1.0, 0.0]))
         j = np.concatenate([-np.einsum("ni,nij->nj", u, _xy_jacobian(pose)),
-                            np.einsum("ni,nij->nj", u, _xy_jacobian(motion, com_t))],
+                            np.einsum("ni,nij->nj", u, _xy_jacobian(motion, com_xy))],
                            axis=1)
         slope = 0.5 * (1.0 + np.tanh(0.5 * z))
         yield (slope[:, None] * j)[:, None, :]

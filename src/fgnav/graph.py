@@ -188,16 +188,14 @@ class _Kept(NamedTuple):
     columns: np.ndarray    # and their columns
 
 
-def _kept(cols: np.ndarray, ncols: int) -> _Kept | None:
-    """The products and terms of a batch that enter the system; None if none does.
+def _kept(cols: np.ndarray, ncols: int) -> _Kept:
+    """The products and terms of a batch that enter the system; empty if none does.
 
     ``cols`` is (n, D): the global column of each local Jacobian column, or
     -1 for a masked or fixed one. Only the product of kept columns
     ``i >= j`` counts; it lands at ``(i - j) * ncols + j`` of the band.
     """
     valid = cols >= 0
-    if not valid.any():
-        return None
     i, j = cols[:, :, None], cols[:, None, :]
     products = np.flatnonzero(valid[:, :, None] & valid[:, None, :] & (i >= j))
     terms = np.flatnonzero(valid)
@@ -270,7 +268,7 @@ class _Batch:
         self.slots = slots               # (table, rows) per key
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
         self.cols = cols                 # (n, D) global columns, -1 if dropped
-        self.kept = _kept(cols, ncols)   # None when nothing lands in J^T J
+        self.kept = _kept(cols, ncols)
 
     def start(self, tables):
         """The kernel started at the stacked value ``tables``, and its whitened (n, m) residuals."""
@@ -348,7 +346,7 @@ class _Block(NamedTuple):
     residual: np.ndarray
     jacobian: np.ndarray
     cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
-    kept: _Kept | None    # what enters J^T J and J^T r; None for nothing
+    kept: _Kept           # what enters J^T J and J^T r
 
 
 def _sum_of_squares(residuals, bound: float = math.inf) -> float:
@@ -386,11 +384,10 @@ class LinearSystem:
         if self._band is not None:
             return
         n, bw = self.ncols, self.graph.bw
-        scattered = [b for b in self.blocks if b.kept is not None]
         h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()[
-            b.kept.products] for b in scattered])
+            b.kept.products] for b in self.blocks])
         g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()[
-            b.kept.terms] for b in scattered])
+            b.kept.terms] for b in self.blocks])
         self._band = np.bincount(self.graph._h_index, h_vals, (bw + 1) * n).reshape(bw + 1, n)
         self._grad = np.bincount(self.graph._g_index, g_vals, n)
 
@@ -557,9 +554,8 @@ class FactorGraph:
             cols = np.array([self._columns(f, mask) for f, mask in members], dtype=np.intp)
             self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
-        kept = [b.kept for b in self.batches if b.kept is not None]
-        self._h_index = _concat([k.band for k in kept]).astype(np.intp)
-        self._g_index = _concat([k.columns for k in kept]).astype(np.intp)
+        self._h_index = _concat([b.kept.band for b in self.batches]).astype(np.intp)
+        self._g_index = _concat([b.kept.columns for b in self.batches]).astype(np.intp)
         # scratch for the damped band of every solve, in LAPACK's layout
         self._work = np.empty((self.bw + 1, self.ncols), order="F")
 
@@ -591,12 +587,15 @@ class FactorGraph:
     # -- evaluation ----------------------------------------------------
 
     def _state(self, values) -> _State:
-        """``values`` stacked into the tables; a state of the solve as it is."""
+        """``values`` stacked into the tables; a dict must hold every graph variable."""
         if isinstance(values, _State):
             return values
-        # only the Pose2 table can be empty, when it holds views alone
-        tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
-                  for keys in self._tables]
+        try:
+            # only the Pose2 table can be empty, when it holds views alone
+            tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
+                      for keys in self._tables]
+        except KeyError as exc:
+            raise UnknownVariableError(f"values lack graph variable {exc.args[0]}") from None
         view = self._view
         if view is not None:
             tables[view.table] = np.concatenate(

@@ -591,7 +591,7 @@ class Pipeline:
 
         mode = cfg.mode.mode
         diverged = False
-        stats = {"mode": mode.value}
+        stats = {}
         try:
             results = []
             num_factors = 0
@@ -608,7 +608,6 @@ class Pipeline:
                 held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),
-                         final_error=res.final_error,
                          converged=all(r.converged for r in results),
                          # the first stage that stopped short, else the last
                          reason=next((r.reason for r in results if not r.converged),
@@ -617,8 +616,7 @@ class Pipeline:
                          num_variables=len(held))   # the pinned keys are planning keys
         except SingularSystemError as exc:
             diverged = True
-            stats.update(converged=False, reason=f"singular: {exc}",
-                         iterations=0, final_error=float("nan"))
+            stats.update(converged=False, reason=f"singular: {exc}", iterations=0)
 
         return self._emit(k, diverged, stats)
 

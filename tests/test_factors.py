@@ -88,6 +88,18 @@ def check_jacobians(factor, values, atol=1e-5):
             err_msg=f"{type(factor).__name__} jacobian for key {idx}")
 
 
+def check_planar_jacobians(factor, values, atol=1e-5):
+    """``check_jacobians``; a Pose3 key moves only on its columns 0, 1 and 5.
+
+    A planar Pose3 read through ``planar_view`` does not see z, roll or
+    pitch, so those columns are exact zeros.
+    """
+    check_jacobians(factor, values, atol)
+    for key, jac in zip(factor.keys, factor.linearize_raw(values)[1]):
+        if isinstance(values[key], Pose3):
+            assert np.all(jac[:, 2:5] == 0.0), key
+
+
 # ---------------------------------------------------------------------------
 # whitening and modes
 
@@ -444,25 +456,41 @@ def test_motion_model_jacobians(boundary):
 
 
 def test_pose3_boundary_keeps_its_six_wide_block():
-    # the kernel reads the Pose3 through its SE(2) view; the batch-of-one
-    # path maps the view's columns back onto t_x, t_y and yaw
+    # the kernel reads a Pose3 through its SE(2) view; the batch-of-one path
+    # maps the view's columns back onto t_x, t_y and yaw. The hinges' object
+    # centre sits above the plane, as the pipeline's centroids do, and still
+    # moves only with the motion's planar columns
     rng = np.random.default_rng(12)
     keys = (robot_pose(0), robot_pose(1), velocity(0), velocity(1),
             acceleration(0))
-    f = MotionModelFactor(*keys, dt=0.1, noise=1e-3)
     xa = rand_pose2(rng)
-    vals = {keys[0]: embed_se3(xa), keys[1]: rand_pose2(rng),
-            keys[2]: rng.normal(0, 1, 2), keys[3]: rng.normal(0, 1, 2),
-            keys[4]: rng.normal(0, 1, 2)}
-    planar = {**vals, keys[0]: xa}
-    r, jacs = f.linearize_raw(vals)
-    r2, jacs2 = f.linearize_raw(planar)
-    assert jacs[0].shape == (f.dim, 6)
-    assert np.all(jacs[0][:, 2:5] == 0.0)
-    np.testing.assert_allclose(jacs[0][:, [0, 1, 5]], jacs2[0], atol=1e-12)
-    np.testing.assert_allclose(r, r2, atol=1e-12)
-    _, blocks = f.whitened_linearization(vals)
-    assert blocks[0][1].shape == (f.dim, 6)
+    centre = Pose3(np.eye(3), np.array([0.1, -0.05, 0.25]))
+    motion = Pose2(0.45, 0.1, 0.3).compose(Pose2(0.1, -0.05, 0.0).inverse())
+    cases = [
+        (MotionModelFactor(*keys, dt=0.1, noise=1e-3),
+         {keys[0]: xa, keys[1]: rand_pose2(rng), keys[2]: rng.normal(0, 1, 2),
+          keys[3]: rng.normal(0, 1, 2), keys[4]: rng.normal(0, 1, 2)}, [0]),
+        (StaticObstacleFactor(object_motion(0, 0), disk_esdf(), 0.6, 0.05, com_ref=centre),
+         {object_motion(0, 0): motion}, [0]),
+        (DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), centre,
+                               d_safe=1.0, noise=0.05, margin=0.05),
+         {robot_pose(0): Pose2(0.5, 0.2, 0.1), object_motion(1, 0): Pose2(0.1, 0.0, 0.4)},
+         [0, 1]),
+    ]
+    for f, planar, lifted in cases:
+        vals = dict(planar)
+        vals.update({f.keys[j]: embed_se3(planar[f.keys[j]]) for j in lifted})
+        r, jacs = f.linearize_raw(vals)
+        r2, jacs2 = f.linearize_raw(planar)
+        assert np.all(r2 != 0.0), type(f).__name__   # the hinges are active
+        np.testing.assert_allclose(r, r2, atol=1e-12)
+        for j in lifted:
+            assert jacs[j].shape == (f.dim, 6)
+            assert np.all(jacs[j][:, 2:5] == 0.0), type(f).__name__
+            np.testing.assert_allclose(jacs[j][:, [0, 1, 5]], jacs2[j], atol=1e-12)
+            assert np.any(jacs2[j] != 0.0)
+        _, blocks = f.whitened_linearization(vals)
+        assert all(blocks[j][1].shape == (f.dim, 6) for j in lifted)
 
 
 def test_limit_factor_branches():
@@ -570,18 +598,14 @@ def test_static_obstacle_jacobians(variant):
             c = com_ref.translation
             value = Pose2(x, y, theta).compose(Pose2(c[0], c[1], 0.0).inverse())
         else:
-            # motion placing the reference centre at the sampled spot
-            centre = Pose3.exp(
-                np.array([x, y, 0.3, 0.1, -0.2, theta * 0.2]))
-            value = centre.compose(com_ref.inverse())
-            px, py = centre.translation[0], centre.translation[1]
-            d = esdf.query(px, py)
-            if not (1e-3 < d < d_safe - 1e-3):
-                continue
+            # a planar Pose3 motion placing the centre, read in the plane,
+            # there; it moves the centre on its columns 0, 1 and 5 only
+            c = com_ref.translation
+            value = embed_se3(Pose2(x, y, theta).compose(Pose2(c[0], c[1], 0.0).inverse()))
         vals = {key: value}
         if f.residual(vals)[0] <= 1e-3:
             continue
-        check_jacobians(f, vals, atol=2e-5)
+        check_planar_jacobians(f, vals, atol=2e-5)
 
 
 def test_dynamic_obstacle_residual_and_direction():
@@ -615,6 +639,8 @@ def test_dynamic_obstacle_residual_and_direction():
 
 @pytest.mark.parametrize("pose3", [False, True])
 def test_dynamic_obstacle_jacobians(pose3):
+    # a planar Pose3 motion, and the planned pose a Pose2 or a planar Pose3;
+    # the centre above the plane moves with the motion's planar columns only
     rng = np.random.default_rng(13)
     d_safe = 1.0
     com_ref = rand_pose3(rng, 0.1, 0.2)
@@ -623,7 +649,7 @@ def test_dynamic_obstacle_jacobians(pose3):
     checked = 0
     while checked < 20:
         pose = rand_pose2(rng, 0.6)
-        motion = rand_pose3(rng, 0.4, 0.3)
+        motion = embed_se3(rand_pose2(rng, 0.4))
         vals = {
             robot_pose(0): embed_se3(pose) if pose3 else pose,
             object_motion(1, 0): motion,
@@ -631,7 +657,7 @@ def test_dynamic_obstacle_jacobians(pose3):
         r = f.residual(vals)[0]
         if not (1e-3 < r < d_safe - 1e-3):
             continue
-        check_jacobians(f, vals, atol=2e-5)
+        check_planar_jacobians(f, vals, atol=2e-5)
         checked += 1
 
 

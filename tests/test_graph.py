@@ -8,6 +8,7 @@ objective.
 import copy
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -193,6 +194,35 @@ def test_fixed_variable_has_no_columns():
 def two_poses():
     a, b = robot_pose(0), robot_pose(1)
     return {a: Pose2(0, 0, 0), b: Pose2(2, 1, 0.4)}, BetweenFactor(a, b, Pose2(1, 0, 0), 0.1)
+
+
+def test_values_that_lack_a_graph_variable_are_rejected_before_any_kernel_runs(
+        monkeypatch):
+    values, link = two_poses()
+    g = FactorGraph(values, [link])
+
+    def unreachable(params, args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(BetweenFactor, "evaluate", staticmethod(unreachable))
+    partial = {robot_pose(0): Pose2()}
+    for evaluate in (g.optimize, g.total_error, g.linearize):
+        with pytest.raises(UnknownVariableError, match=re.escape(repr(robot_pose(1)))):
+            evaluate(partial)
+
+
+def test_a_batch_that_moves_no_column_keeps_nothing():
+    # the prior reads only the fixed pose: its batch keeps an empty set of
+    # products and terms, and the system is the one built without it
+    rng = np.random.default_rng(0)
+    values, factors = chain(rng, n=3)
+    g = FactorGraph(values, factors, fixed=[robot_pose(0)])
+    without = FactorGraph(values, factors[1:], fixed=[robot_pose(0)])
+    [prior] = [b for b in g.batches if b.cls is PriorFactor]
+    assert prior.kept.products.size == prior.kept.terms.size == 0
+    sys, sys_without = g.linearize(values), without.linearize(values)
+    assert sys.total_error() > sys_without.total_error()
+    assert np.array_equal(sys.solve(1e-3), sys_without.solve(1e-3))
 
 
 def test_add_factor_rejects_a_mask_of_the_wrong_length():

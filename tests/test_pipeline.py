@@ -27,6 +27,7 @@ from fgnav.factors import (
     MotionModelFactor,
     PlanarSmoothingFactor,
     PriorFactor,
+    StaticObstacleFactor,
 )
 from fgnav.graph import (
     FactorGraph,
@@ -36,6 +37,7 @@ from fgnav.graph import (
     robot_pose,
     velocity,
 )
+from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, embed_se3, se2_view
 from fgnav.pipeline import (
     InputError,
@@ -602,7 +604,7 @@ def record_built_graphs(monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
     # a stage holds only the factors of the components it solves, so every
-    # batch of every graph, exact or pre-solve, has a column in the system
+    # batch of every graph, exact or pre-solve, keeps a J^T r term
     built, relaxed = record_built_graphs(monkeypatch)
     solved = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
@@ -612,7 +614,7 @@ def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
     assert [id(g) for g in built] == [id(g) for _, g in solved]
     assert [id(source) for source, _ in relaxed] == [id([g for k, g in solved if k == 0][-1])]
     for graph in built + [copy for _, copy in relaxed]:
-        assert all(b.kept is not None for b in graph.batches)
+        assert all(b.kept.terms.size for b in graph.batches)
     for i, (k, graph) in enumerate(solved):
         components = {f.component for f in graph.factors}
         if staged and i % 2:
@@ -637,6 +639,34 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
     batches = [len(b.cols) for b in planning[0].batches
                if b.cls is MotionModelFactor]
     assert batches == [HORIZON]
+
+
+@pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE])
+def test_plan_and_prediction_read_poses_only_in_se2(mode, monkeypatch):
+    # only estimation factors read the Pose3 table; a planning or prediction
+    # factor reads a Pose2, or a Pose3 estimate through its planar view
+    members = {}
+    init = _Batch.__init__
+
+    def recording(batch, factors, *args):
+        init(batch, factors, *args)
+        members[id(batch)] = factors
+
+    monkeypatch.setattr(_Batch, "__init__", recording)
+    graphs = record_step_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[crosser()], steps=3)
+    read = set()
+    for _, g in graphs:
+        [pose3] = [t for t, keys in enumerate(g._tables)
+                   if keys and isinstance(g.values[keys[0]], Pose3)]
+        for b in g.batches:
+            if all(f.component is Component.ESTIMATION for f in members[id(b)]):
+                continue
+            read.add(b.cls)
+            assert all(t != pose3 for t, _ in b.slots), b.cls.__name__
+    # the crosser is tracked: both hinges and the prediction chain were read
+    assert {StaticObstacleFactor, DynamicObstacleFactor, MotionModelFactor,
+            PlanarSmoothingFactor} <= read
 
 
 # ---------------------------------------------------------------------------
