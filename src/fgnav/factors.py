@@ -23,7 +23,10 @@ perturbation of every key as one (n, dim, D) array whose columns run over
 the keys' tangents in key order, computed from the same locals. A caller
 that needs only the error stops after the first yield; one that resumes
 the kernel later gets the Jacobians at the point the residuals were taken
-at, without evaluating them again.
+at, without evaluating them again. Whatever does not change with the
+values is one of those constants: the Jacobian of a vector prior or
+difference, and the fixed entries of the motion model's blocks, are built
+once per batch, read-only, and a kernel yields or copies them.
 
 A class lists in ``planar_slots`` the keys it reads in SE(2): every pose
 and motion key of ``PlanarSmoothingFactor``, ``MotionModelFactor``,
@@ -326,17 +329,17 @@ class PriorFactor(Factor):
     @classmethod
     def stack_params(cls, factors):
         if factors[0]._prior_inv is None:
-            return False, stack([f.prior for f in factors])
-        return True, stack([f._prior_inv for f in factors])
+            prior = stack([f.prior for f in factors])
+            return False, prior, _eye(*prior.shape)   # a vector prior's constant Jacobian
+        return True, stack([f._prior_inv for f in factors]), None
 
     @classmethod
     def evaluate(cls, params, args):
-        is_pose, prior = params
+        is_pose, prior, jac = params
         x = args[0]
         if not is_pose:
-            r = x - prior
-            yield r
-            yield _eye(*r.shape)
+            yield x - prior
+            yield jac
             return
         r = log_batch(compose_batch(prior, x))
         yield r
@@ -359,17 +362,20 @@ class BetweenFactor(Factor):
     @classmethod
     def stack_params(cls, factors):
         if factors[0]._meas_inv is None:
-            return False, stack([f.measured for f in factors])
-        return True, stack([f._meas_inv for f in factors])
+            meas = stack([f.measured for f in factors])
+            # a vector difference's constant Jacobian [-I, I]
+            jac = np.concatenate([_eye(*meas.shape, -1.0), _eye(*meas.shape)], axis=2)
+            jac.flags.writeable = False
+            return False, meas, jac
+        return True, stack([f._meas_inv for f in factors]), None
 
     @classmethod
     def evaluate(cls, params, args):
-        is_pose, meas = params
+        is_pose, meas, jac = params
         a, b = args
         if not is_pose:
-            r = b - a - meas
-            yield r
-            yield np.concatenate([_eye(*r.shape, -1.0), _eye(*r.shape)], axis=2)
+            yield b - a - meas
+            yield jac
             return
         rel = between_batch(a, b)
         r = log_batch(compose_batch(meas, rel))
@@ -510,47 +516,62 @@ class MotionModelFactor(Factor):
 
     @classmethod
     def stack_params(cls, factors):
-        return np.array([f.dt for f in factors])
+        dt = np.array([f.dt for f in factors])
+        n = len(factors)
+        # the constant entries of the pose-step block s, the velocity block t
+        # and the Jacobian; each evaluation fills the rest of a copy
+        s = np.zeros((n, 3, 3))
+        s[:, 2, 2] = 1.0
+        t = np.zeros((n, 3, 2))
+        t[:, 2, 1] = dt
+        jac = np.zeros((n, 5, 12))
+        eye2 = np.eye(2)
+        jac[:, 3:5, 6:8] = -eye2
+        jac[:, 3:5, 8:10] = eye2
+        jac[:, 3:5, 10:12] = -dt[:, None, None] * eye2
+        for template in (s, t, jac):
+            template.flags.writeable = False
+        return dt, s, t, jac
 
     @classmethod
-    def evaluate(cls, dt, args):
+    def evaluate(cls, params, args):
+        dt, s, t, jac = params
         xa, xb, va, vb, aa = args
         v, om = vb[:, 0], vb[:, 1]
+        n = v.shape[0]
         # propagate_unicycle of xa with the next velocity
         psi = xa[:, 2] + 0.5 * om * dt
-        cp, sp = np.cos(psi), np.sin(psi)
-        g = columns(xa[:, 0] + v * dt * cp, xa[:, 1] + v * dt * sp,
-                    wrap_angles(xa[:, 2] + om * dt))
+        heading = np.empty((n, 2))   # (cos psi, sin psi)
+        cp, sp = np.cos(psi, out=heading[:, 0]), np.sin(psi, out=heading[:, 1])
+        vdt = v * dt
+        g = np.empty((n, 3))
+        np.add(xa[:, 0], np.multiply(vdt, cp, out=g[:, 0]), out=g[:, 0])
+        np.add(xa[:, 1], np.multiply(vdt, sp, out=g[:, 1]), out=g[:, 1])
+        np.add(xa[:, 2], np.multiply(om, dt, out=g[:, 2]), out=g[:, 2])
+        wrap_angles(g[:, 2], out=g[:, 2])
         e = between_batch(xb, g)
         rp = log_batch(e)
         yield np.concatenate([rp, vb - (va + aa * dt[:, None])], axis=1)
 
-        n = rp.shape[0]
         jr_inv = right_jacobian_inverse_batch(rp)
         jl_inv = jr_inv @ adjoint_batch(inverse_batch(e))
         rg_t = rot2_batch(g[:, 2]).transpose(0, 2, 1)
-        along = np.einsum("nij,nj->ni", rg_t, columns(cp, sp))
+        along = np.einsum("nij,nj->ni", rg_t, heading)
         across = np.einsum("nij,nj->ni", rg_t, columns(-sp, cp))
 
         # current pose: world displacement R_a dt_xy, heading shift d_theta
-        s = np.zeros((n, 3, 3))
+        s = s.copy()
         s[:, 0:2, 0:2] = rg_t @ rot2_batch(xa[:, 2])
-        s[:, 0:2, 2] = across * (v * dt)[:, None]
-        s[:, 2, 2] = 1.0
+        s[:, 0:2, 2] = across * vdt[:, None]
         # next velocity through the propagation
-        t = np.zeros((n, 3, 2))
+        t = t.copy()
         t[:, 0:2, 0] = along * dt[:, None]
         t[:, 0:2, 1] = across * (0.5 * v * dt * dt)[:, None]
-        t[:, 2, 1] = dt
 
-        jac = np.zeros((n, 5, 12))
+        jac = jac.copy()
         jac[:, 0:3, 0:3] = jr_inv @ s
         jac[:, 0:3, 3:6] = -jl_inv
-        eye2 = np.eye(2)
-        jac[:, 3:5, 6:8] = -eye2
         jac[:, 0:3, 8:10] = jr_inv @ t
-        jac[:, 3:5, 8:10] = eye2
-        jac[:, 3:5, 10:12] = -dt[:, None, None] * eye2
         yield jac
 
 
@@ -571,15 +592,16 @@ class LimitFactor(Factor):
 
     @classmethod
     def stack_params(cls, factors):
-        return stack([f.lower for f in factors]), stack([f.upper for f in factors])
+        lower = stack([f.lower for f in factors])
+        return lower, stack([f.upper for f in factors]), np.eye(lower.shape[1])
 
     @classmethod
     def evaluate(cls, params, args):
-        lower, upper = params
+        lower, upper, eye = params
         v = args[0]
         yield np.maximum(0.0, v - upper) + np.minimum(0.0, v - lower)
         active = (v > upper) | (v < lower)
-        yield active[:, :, None] * np.eye(v.shape[1])
+        yield active[:, :, None] * eye
 
 
 # ---------------------------------------------------------------------------

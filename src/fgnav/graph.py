@@ -17,11 +17,14 @@ share one kernel call (same class, same value kinds per key and same
 ``batch_key``, see :mod:`fgnav.factors`), and records for every batch the
 table rows its keys read and the ``J^T J`` and ``J^T r`` entries its
 Jacobian columns land in. A key that a factor reads in SE(2) (its
-class's ``planar_slots``) counts as a Pose2 there: the Pose2 table is
-followed by the planar view of every Pose3 key some planar slot reads, the
-slot reads that row, and the view's three Jacobian columns land on the
-Pose3's tangent columns 0, 1 and 5. So a planning chain that starts at a
-Pose3 estimate is one batch. A point is evaluated once per batch, in two
+class's ``planar_slots``) counts as a Pose2 there: the Pose2 table starts
+with the planar view of every Pose3 key some planar slot reads, the slot
+reads that row, and the view's three Jacobian columns land on the Pose3's
+tangent columns 0, 1 and 5. So a planning chain that starts at a Pose3
+estimate is one batch, and it reads one run of rows. A batch reads a run
+of rows as a view of its table, and any other rows as a gathered copy;
+its ``(n, D)`` global columns come from one gather over per-key column
+offsets. A point is evaluated once per batch, in two
 phases (the kernels are generators, see :mod:`fgnav.factors`):
 :meth:`FactorGraph.total_error` stacks the point into the tables and starts
 one kernel per batch, which yields the residuals, and
@@ -257,6 +260,17 @@ def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def _rows(rows) -> slice | np.ndarray:
+    """Table rows as a slice when they are one ascending run, else as an index array.
+
+    A slice reads a view of the table, where an index array gathers a copy.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1 and np.all(np.diff(rows) == 1):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class _Batch:
     """Factors of one class that share a kernel call, and where they land."""
 
@@ -265,7 +279,7 @@ class _Batch:
     def __init__(self, factors, slots, cols, ncols):
         self.cls = type(factors[0])
         self.params = self.cls.stack_params(factors)
-        self.slots = slots               # (table, rows) per key
+        self.slots = slots               # (table, rows) per key, rows a slice or an array
         self.sqrt_info = np.array([f.sqrt_info for f in factors])
         self.cols = cols                 # (n, D) global columns, -1 if dropped
         self.kept = _kept(cols, ncols)
@@ -283,8 +297,8 @@ class _Batch:
 class _View(NamedTuple):
     """Where the planar view of the Pose3 keys that planar slots read lives."""
 
-    table: int                # the Pose2 table, which the view rows extend
-    rows: np.ndarray          # the view rows in it
+    table: int                # the Pose2 table, whose first rows the views are
+    rows: slice               # the view rows in it
     source: int               # the Pose3 table
     source_rows: np.ndarray   # the viewed keys' rows there
     moves: bool               # some viewed key is free
@@ -349,13 +363,16 @@ class _Block(NamedTuple):
     kept: _Kept           # what enters J^T J and J^T r
 
 
-def _sum_of_squares(residuals, bound: float = math.inf) -> float:
-    """Sum of squared entries, array by array in order, until it passes ``bound``."""
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, as it computes it, without its wrapper."""
+    return math.sqrt(float(x.dot(x)))
+
+
+def _sum_of_squares(residuals) -> float:
+    """Sum of squared entries, array by array in order."""
     total = 0.0
     for r in residuals:
         total += float(np.vdot(r, r))
-        if total > bound:
-            break
     return total
 
 
@@ -395,7 +412,7 @@ class LinearSystem:
         """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
         self._accumulate()
         d = self._band[0]
-        if np.any(d <= 0.0):
+        if np.count_nonzero(d <= 0.0):
             col = int(np.argmin(d))
             g = self.graph
             bad = next(k for k in g.ordering if g.offsets[k] <= col < g.offsets[k] + g.dims[k])
@@ -497,31 +514,26 @@ class FactorGraph:
             off += self.dims[key]
         self.ncols = off
 
+        # the Pose3 keys that planar slots read get a row of their planar
+        # view ahead of the Pose2 keys' rows; those slots read that row, so a
+        # chain that starts at a viewed Pose3 reads one run of rows
+        viewed = list(dict.fromkeys(
+            f.keys[j] for f in self.factors
+            for j in f.planar_slots if isinstance(self.values[f.keys[j]], Pose3)))
         # one table of keys per value kind; row_of[key] = (table, row)
-        table_of: dict[object, int] = {}
-        self._tables: list[list[VariableKey]] = []
+        table_of: dict[object, int] = {Pose2: 0} if viewed else {}
+        self._tables: list[list[VariableKey]] = [[]] if viewed else []
         row_of: dict[VariableKey, tuple[int, int]] = {}
         for key, value in self.values.items():
             t = table_of.setdefault(_value_kind(value), len(table_of))
             if t == len(self._tables):
                 self._tables.append([])
-            row_of[key] = (t, len(self._tables[t]))
+            row_of[key] = (t, len(self._tables[t]) + (len(viewed) if t == 0 else 0))
             self._tables[t].append(key)
-
-        # the Pose3 keys that planar slots read get a row of their planar
-        # view after the Pose2 keys' rows; those slots read that row
-        viewed = list(dict.fromkeys(
-            f.keys[j] for f in self.factors
-            for j in f.planar_slots if isinstance(self.values[f.keys[j]], Pose3)))
-        planar_row: dict[VariableKey, tuple[int, int]] = {}
+        planar_row = {k: (0, i) for i, k in enumerate(viewed)}
         self._view = None
         if viewed:
-            t2 = table_of.setdefault(Pose2, len(table_of))
-            if t2 == len(self._tables):
-                self._tables.append([])
-            n2 = len(self._tables[t2])
-            planar_row = {k: (t2, n2 + i) for i, k in enumerate(viewed)}
-            self._view = _View(t2, np.arange(n2, n2 + len(viewed)), row_of[viewed[0]][0],
+            self._view = _View(0, slice(0, len(viewed)), row_of[viewed[0]][0],
                                np.array([row_of[k][1] for k in viewed]),
                                any(k in self.offsets for k in viewed))
 
@@ -532,7 +544,7 @@ class FactorGraph:
             keys = sorted((k for k in self._tables[t] if k in self.offsets),
                           key=self.offsets.__getitem__)
             if keys:
-                rows = np.array([row_of[k][1] for k in keys], dtype=np.intp)
+                rows = _rows([row_of[k][1] for k in keys])
                 cols = np.array([range(self.offsets[k], self.offsets[k] + self.dims[k])
                                  for k in keys], dtype=np.intp)
                 self._moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
@@ -543,15 +555,34 @@ class FactorGraph:
                           for j, k in enumerate(f.keys))
             groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
 
+        # per key, the first global column of its tangent (-1 when fixed) and,
+        # for a pose, the local column its planar view's yaw lands on
+        index = {k: i for i, k in enumerate(self.values)}
+        first = np.array([self.offsets.get(k, -1) for k in self.values], dtype=np.intp)
+        yaw = np.array([read_columns(self._tangent[k], True)[-1] for k in self.values],
+                       dtype=np.intp)
         self.batches: list[_Batch] = []
         for members in groups.values():
             factors = [f for f, _ in members]
+            planar = factors[0].planar_slots
             slots = []
             for j in range(len(factors[0].keys)):
-                read = planar_row if j in factors[0].planar_slots else {}
+                read = planar_row if j in planar else {}
                 rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
-                slots.append((rows[0][0], np.array([r for _, r in rows])))
-            cols = np.array([self._columns(f, mask) for f, mask in members], dtype=np.intp)
+                slots.append((rows[0][0], _rows([r for _, r in rows])))
+            # one gather: every key's first column, -1 where masked, spread
+            # over its slot's local columns; a planar slot's third column is
+            # each key's own yaw column
+            keys = np.array([[index[k] for k in f.keys] for f in factors], dtype=np.intp)
+            starts = np.where([mask for _, mask in members], -1, first[keys])
+            widths = [3 if j in planar else self._tangent[k]
+                      for j, k in enumerate(factors[0].keys)]
+            slot_of = np.repeat(np.arange(len(widths)), widths)
+            local = np.tile(np.concatenate([np.arange(w) for w in widths]), (len(factors), 1))
+            for j in planar:
+                local[:, sum(widths[:j]) + 2] = yaw[keys[:, j]]
+            starts = starts[:, slot_of]
+            cols = np.where(starts >= 0, starts + local, -1)
             self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
         self._h_index = _concat([b.kept.band for b in self.batches]).astype(np.intp)
@@ -573,17 +604,6 @@ class FactorGraph:
             out.batches.append(b)
         return out
 
-    def _columns(self, factor: Factor, mask) -> list[int]:
-        """Global column per local Jacobian column; -1 where masked or fixed."""
-        out = []
-        for j, (key, drop) in enumerate(zip(factor.keys, mask)):
-            local = read_columns(self._tangent[key], j in factor.planar_slots)
-            if drop or key in self.fixed:
-                out.extend([-1] * len(local))
-            else:
-                out.extend((self.offsets[key] + local).tolist())
-        return out
-
     # -- evaluation ----------------------------------------------------
 
     def _state(self, values) -> _State:
@@ -599,8 +619,8 @@ class FactorGraph:
         view = self._view
         if view is not None:
             tables[view.table] = np.concatenate(
-                [tables[view.table], planar_view(take(tables[view.source],
-                                                      view.source_rows))])
+                [planar_view(take(tables[view.source], view.source_rows)),
+                 tables[view.table]])
         return _State(self, tables, values, values)
 
     def total_error(self, values, bound: float = math.inf) -> float:
@@ -614,13 +634,13 @@ class FactorGraph:
         """
         state = self._state(values)
         started = []
-
-        def residuals():
-            for b in self.batches:
-                started.append(b.start(state.tables))
-                yield started[-1][1]
-
-        total = _sum_of_squares(residuals(), bound)
+        total = 0.0
+        for b in self.batches:   # summed as _sum_of_squares sums
+            started.append(b.start(state.tables))
+            r = started[-1][1]
+            total += float(np.vdot(r, r))
+            if total > bound:
+                break
         if len(started) == len(self.batches):
             state.started = started
         return total
@@ -669,7 +689,7 @@ class FactorGraph:
                 cand_err = self.total_error(cand, err)
                 if cand_err <= err and math.isfinite(cand_err):
                     break
-                if float(np.linalg.norm(delta)) < cfg.abs_tol:
+                if _norm(delta) < cfg.abs_tol:
                     # the damped step is below the step tolerance and still
                     # not accepted: stationary up to floating-point noise
                     return OptimizeResult(state.values(), it, err, "abs_tol", history)
@@ -680,7 +700,7 @@ class FactorGraph:
             state, err = cand, cand_err
             history.append(err)
             lam = max(lam / LAMBDA_SCALE, 1e-12)
-            step_norm = float(np.linalg.norm(delta))
+            step_norm = _norm(delta)
             if step_norm < cfg.abs_tol:
                 reason = "abs_tol"
                 break

@@ -28,6 +28,18 @@ _TWO_PI = 2.0 * math.pi
 # constant terms of the kernels below; they only ever enter new arrays
 _I3 = np.eye(3)
 _I3_SCHULZ = 1.5 * _I3
+# scalar operands of the batch maps as 0-d arrays: numpy converts a Python
+# float operand on every call and takes a 0-d array as it is, with the same
+# float64 arithmetic
+_A_TWO_PI = np.array(_TWO_PI)
+_A_PI = np.array(math.pi)
+_A_NEG_PI = np.array(-math.pi)
+_A_HALF = np.array(0.5)
+# the switches of the SE(2) maps: the Taylor branch of _se2_coeffs, the
+# branch cut of _se2_log and the series of _se2_rjinv
+_A_SE2_SMALL = np.array(1e-7)
+_A_SE2_CUT = np.array(1e-12)
+_A_SE2_SERIES = np.array(1e-2)
 
 
 class SingularLogError(ValueError):
@@ -216,6 +228,17 @@ def embed_se3(p: Pose2) -> Pose3:
 # translations, plain vectors as an (n, d) array and tangents as (n, 3) or
 # (n, 6) arrays. The batched maps follow the conventions, branch points
 # and re-orthonormalization of the single-element methods above.
+#
+# The solver runs these maps on every iteration, mostly on a few dozen
+# rows, where numpy's fixed cost per call outweighs the arithmetic. So each
+# map has one implementation for every n, makes a fixed number of numpy
+# calls (writing into one preallocated output where it can), and branches
+# only where a mask is non-empty (``np.count_nonzero``). A rewrite must
+# return the same bits as the map it replaces on every input: the same
+# operations on the same operands, einsum and matmul inputs in the same
+# memory layout (their summation order follows it), signed zeros included.
+# ``tests/lie_reference.py`` keeps the maps before their calls were cut,
+# and ``tests/test_lie.py`` compares against it bit for bit.
 
 
 def stack(elements):
@@ -256,10 +279,14 @@ def columns(*cols) -> np.ndarray:
     return out
 
 
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Elementwise wrap_angle."""
-    t = theta - _TWO_PI * np.round(theta / _TWO_PI)
-    return np.where(t <= -math.pi, t + _TWO_PI, t)
+def wrap_angles(theta: np.ndarray, out=None) -> np.ndarray:
+    """Elementwise wrap_angle, into ``out`` if given (``theta`` itself may be ``out``)."""
+    k = np.divide(theta, _A_TWO_PI)
+    np.rint(k, k)
+    np.multiply(k, _A_TWO_PI, k)
+    t = np.subtract(theta, k, out)
+    np.add(t, _A_TWO_PI, t, where=np.less_equal(t, _A_NEG_PI))
+    return t
 
 
 _SKEW_INDEX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
@@ -279,9 +306,12 @@ def rot2_batch(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+_POWERS = np.arange(6)
+
+
 def _series(t2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(n, m): sum_k coeffs[k, j] * t2**k for each of m series."""
-    return (t2[:, None] ** np.arange(coeffs.shape[0])) @ coeffs
+    """(n, m): sum_k coeffs[k, j] * t2**k for each of m series (up to 6 terms)."""
+    return (t2[:, None] ** _POWERS[:coeffs.shape[0]]) @ coeffs
 
 
 def _taylor(sign: int, first: int, count: int, scale=lambda k: 1) -> np.ndarray:
@@ -302,12 +332,17 @@ _SO3_VINV_SERIES = np.array([[1 / 12], [1 / 720], [1 / 30240]])
 
 def _se2_coeffs(w: np.ndarray):
     """sin(w)/w and (1 - cos w)/w, as in Pose2.exp and Pose2.log."""
-    small = np.abs(w) < 1e-7
-    ws = np.where(small, 1.0, w)
-    sc = np.sin(0.5 * ws) / (0.5 * ws)
-    a = np.sin(ws) / ws
-    b = 0.5 * ws * sc * sc
-    if small.any():
+    small = np.less(np.abs(w), _A_SE2_SMALL)
+    any_small = np.count_nonzero(small)
+    ws = np.where(small, 1.0, w) if any_small else w
+    h = np.multiply(_A_HALF, ws)
+    sc = np.sin(h)
+    sc /= h
+    a = np.sin(ws)
+    a /= ws
+    b = h * sc
+    b *= sc
+    if any_small:
         t = w[small]
         a[small] = 1.0 - t * t / 6.0
         b[small] = 0.5 * t - t ** 3 / 24.0
@@ -316,41 +351,77 @@ def _se2_coeffs(w: np.ndarray):
 
 def _se2_exp(v):
     a, b = _se2_coeffs(v[:, 2])
-    return columns(a * v[:, 0] - b * v[:, 1], b * v[:, 0] + a * v[:, 1],
-                   wrap_angles(v[:, 2]))
+    out = np.empty((v.shape[0], 3))
+    x, y = out[:, 0], out[:, 1]
+    np.multiply(a, v[:, 0], out=x)
+    x -= b * v[:, 1]
+    np.multiply(b, v[:, 0], out=y)
+    y += a * v[:, 1]
+    wrap_angles(v[:, 2], out=out[:, 2])
+    return out
 
 
 def _se2_compose(a, b):
     c, s = np.cos(a[:, 2]), np.sin(a[:, 2])
-    return columns(a[:, 0] + c * b[:, 0] - s * b[:, 1],
-                   a[:, 1] + s * b[:, 0] + c * b[:, 1],
-                   wrap_angles(a[:, 2] + b[:, 2]))
+    out = np.empty((a.shape[0], 3))
+    x, y, theta = out[:, 0], out[:, 1], out[:, 2]
+    np.multiply(c, b[:, 0], out=x)
+    np.add(a[:, 0], x, out=x)
+    x -= s * b[:, 1]
+    np.multiply(s, b[:, 0], out=y)
+    np.add(a[:, 1], y, out=y)
+    y += c * b[:, 1]
+    np.add(a[:, 2], b[:, 2], out=theta)
+    wrap_angles(theta, out=theta)
+    return out
 
 
 def _se2_inverse(p):
+    # -(-s x + c y) is -(c y - s x) exactly: negation is exact, and u + (-w) is u - w
     c, s = np.cos(p[:, 2]), np.sin(p[:, 2])
-    return columns(-(c * p[:, 0] + s * p[:, 1]),
-                   -(-s * p[:, 0] + c * p[:, 1]),
-                   wrap_angles(-p[:, 2]))
+    out = np.empty((p.shape[0], 3))
+    x, y, theta = out[:, 0], out[:, 1], out[:, 2]
+    np.multiply(c, p[:, 0], out=x)
+    x += s * p[:, 1]
+    np.negative(x, out=x)
+    np.multiply(c, p[:, 1], out=y)
+    y -= s * p[:, 0]
+    np.negative(y, out=y)
+    np.negative(p[:, 2], out=theta)
+    wrap_angles(theta, out=theta)
+    return out
 
 
 def _se2_log(p):
     w = p[:, 2]
-    if np.any(math.pi - np.abs(w) < 1e-12):
+    if np.count_nonzero(np.less(np.subtract(_A_PI, np.abs(w)), _A_SE2_CUT)):
         raise SingularLogError("rotation angle at pi, log is not unique")
     a, b = _se2_coeffs(w)
-    den = a * a + b * b
-    return columns((a * p[:, 0] + b * p[:, 1]) / den,
-                   (-b * p[:, 0] + a * p[:, 1]) / den, w)
+    den = a * a
+    den += b * b
+    out = np.empty((p.shape[0], 3))
+    x, y = out[:, 0], out[:, 1]
+    np.multiply(a, p[:, 0], out=x)
+    x += b * p[:, 1]
+    x /= den
+    # -b x + a y is a y - b x exactly
+    np.multiply(a, p[:, 1], out=y)
+    y -= b * p[:, 0]
+    y /= den
+    out[:, 2] = w
+    return out
 
 
 def _se2_adjoint(p):
-    out = np.zeros((p.shape[0], 3, 3))
-    out[:, 0:2, 0:2] = rot2_batch(p[:, 2])
-    out[:, 0, 2] = p[:, 1]
-    out[:, 1, 2] = -p[:, 0]
-    out[:, 2, 2] = 1.0
-    return out
+    c, s = np.cos(p[:, 2]), np.sin(p[:, 2])
+    out = np.zeros((p.shape[0], 9))
+    out[:, 0] = out[:, 4] = c
+    np.negative(s, out=out[:, 1])
+    out[:, 3] = s
+    out[:, 2] = p[:, 1]
+    np.negative(p[:, 0], out=out[:, 5])
+    out[:, 8] = 1.0
+    return out.reshape(-1, 3, 3)
 
 
 def _se2_rjinv(xi):
@@ -363,26 +434,35 @@ def _se2_rjinv(xi):
     t = xi[:, 2]
     t2 = t * t
     coef = _series(t2, _SE2_RJINV_SERIES)
-    large = t2 >= 1e-2
-    if large.any():
+    large = np.greater_equal(t2, _A_SE2_SERIES)
+    if np.count_nonzero(large):
         tl = t[large]
         sin = np.sin(tl)
         half = np.sin(0.5 * tl) / (0.5 * tl)
         coef[large] = columns(sin / tl, 0.5 * half * half, (tl - sin) / tl ** 3)
-    a, p, q = coef[:, 0], coef[:, 1], t * coef[:, 2]
+    a, p = coef[:, 0], coef[:, 1]
+    q = t * coef[:, 2]
     b = t * p
     r1, r2 = xi[:, 0], xi[:, 1]
-    c1 = r1 * q - r2 * p
-    c2 = r1 * p + r2 * q
-    k = 0.5 / p
-    out = np.zeros((xi.shape[0], 3, 3))
-    out[:, 0, 0] = out[:, 1, 1] = k * a
-    out[:, 0, 1] = -k * b
-    out[:, 1, 0] = k * b
-    out[:, 0, 2] = -k * (a * c1 - b * c2)
-    out[:, 1, 2] = -k * (b * c1 + a * c2)
-    out[:, 2, 2] = 1.0
-    return out
+    c1 = r1 * q
+    c1 -= r2 * p
+    c2 = r1 * p
+    c2 += r2 * q
+    k = np.divide(_A_HALF, p)
+    # row-major 3x3 entries; -k w is -(k w) exactly
+    out = np.zeros((xi.shape[0], 9))
+    out[:, 4] = np.multiply(k, a, out=out[:, 0])
+    np.negative(np.multiply(k, b, out=out[:, 3]), out=out[:, 1])
+    u = a * c1
+    u -= b * c2
+    u *= k
+    np.negative(u, out=out[:, 2])
+    u = b * c1
+    u += a * c2
+    u *= k
+    np.negative(u, out=out[:, 5])
+    out[:, 8] = 1.0
+    return out.reshape(-1, 3, 3)
 
 
 def _se3_compose(a, b):
@@ -403,71 +483,93 @@ def _se3_between(a, b):
             np.einsum("nij,nj->ni", rt, b[1] - a[1]))
 
 
-def _so3_exp(phi):
-    t2 = np.einsum("ni,ni->n", phi, phi)
+def _so3_pieces(phi):
+    """|phi|^2, skew(phi) and skew(phi)^2: what every SO(3) series of phi reads."""
+    k = skew_batch(phi)
+    return np.einsum("ni,ni->n", phi, phi), k, k @ k
+
+
+def _so3_exp(pieces):
+    t2, k, kk = pieces
     a = np.ones_like(t2)
     b = np.full_like(t2, 0.5)
     large = t2 >= 1e-16
-    if large.any():
-        t = np.sqrt(t2[large])
+    if np.count_nonzero(large):
+        tl2 = t2[large]
+        t = np.sqrt(tl2)
         a[large] = np.sin(t) / t
-        b[large] = (1.0 - np.cos(t)) / t2[large]
-    k = skew_batch(phi)
-    return _I3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+        b[large] = (1.0 - np.cos(t)) / tl2
+    return _I3 + a[:, None, None] * k + b[:, None, None] * kk
 
 
-def _so3_left_jacobian(phi):
+def _so3_left_jacobian(phi, pieces=None):
     """SO(3) left Jacobian, the V of Pose3.exp.
 
     (1 - cos t)/t^2 and (t - sin t)/t^3 lose half their digits below
     t ~ 1e-2, so the half-angle identity and a Taylor branch replace them.
     """
-    t2 = np.einsum("ni,ni->n", phi, phi)
+    t2, k, kk = pieces or _so3_pieces(phi)
     coef = _series(t2, _SO3_V_SERIES)
     large = t2 >= 1e-4
-    if large.any():
+    if np.count_nonzero(large):
         t = np.sqrt(t2[large])
         sc = np.sin(0.5 * t) / (0.5 * t)
         coef[large] = columns(0.5 * sc * sc, (t - np.sin(t)) / (t * t * t))
     a, b = coef[:, 0], coef[:, 1]
-    k = skew_batch(phi)
-    return _I3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _I3 + a[:, None, None] * k + b[:, None, None] * kk
 
 
 def _se3_exp(v):
     phi = v[:, 3:6]
-    return (_so3_exp(phi),
-            np.einsum("nij,nj->ni", _so3_left_jacobian(phi), v[:, 0:3]))
+    pieces = _so3_pieces(phi)
+    return (_so3_exp(pieces),
+            np.einsum("nij,nj->ni", _so3_left_jacobian(phi, pieces), v[:, 0:3]))
+
+
+# the entries of R - R^T that make up 2 sin(t) times the rotation axis, and
+# the diagonal, in a row-major flattened 3x3
+_SO3_AXIS_PLUS = np.array([7, 2, 3])
+_SO3_AXIS_MINUS = np.array([5, 6, 1])
 
 
 def _so3_log(r):
-    s_vec = 0.5 * columns(r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
-                          r[:, 1, 0] - r[:, 0, 1])
+    flat = r.reshape(-1, 9)
+    # row-major like the parent's columns: einsum sums in another order over
+    # another layout
+    s_vec = np.subtract(flat[:, _SO3_AXIS_PLUS], flat[:, _SO3_AXIS_MINUS],
+                        out=np.empty((flat.shape[0], 3)))
+    s_vec *= 0.5
     s = np.sqrt(np.einsum("ni,ni->n", s_vec, s_vec))
-    c = np.clip(0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0), -1.0, 1.0)
+    c = flat[:, 0] + flat[:, 4]   # the trace, summed in np.trace's order
+    c += flat[:, 8]
+    c -= 1.0
+    c *= 0.5
+    np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)   # np.clip
     theta = np.arctan2(s, c)
-    if np.any(math.pi - theta < 1e-9):
+    if np.count_nonzero(math.pi - theta < 1e-9):
         raise SingularLogError("rotation angle at pi, log is not unique")
     small = theta < 1e-8
-    scale = np.where(small, 1.0 + theta * theta / 6.0,
-                     theta / np.where(small, 1.0, s))
+    if np.count_nonzero(small):
+        scale = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, s))
+    else:
+        scale = theta / s
     return s_vec * scale[:, None]
 
 
-def _so3_left_jacobian_inv(phi):
+def _so3_left_jacobian_inv(phi, pieces=None):
     """Inverse SO(3) left Jacobian, the V^-1 of Pose3.log.
 
     Its coefficient cancels to t^2/12; the trig form is only used once
     t^2 dominates rounding.
     """
-    t2 = np.einsum("ni,ni->n", phi, phi)
+    t2, k, kk = pieces or _so3_pieces(phi)
     c = _series(t2, _SO3_VINV_SERIES)[:, 0]
     large = t2 >= 1e-4
-    if large.any():
-        half = 0.5 * np.sqrt(t2[large])
-        c[large] = (1.0 - half / np.tan(half)) / t2[large]
-    k = skew_batch(phi)
-    return _I3 - 0.5 * k + c[:, None, None] * (k @ k)
+    if np.count_nonzero(large):
+        tl2 = t2[large]
+        half = 0.5 * np.sqrt(tl2)
+        c[large] = (1.0 - half / np.tan(half)) / tl2
+    return _I3 - 0.5 * k + c[:, None, None] * kk
 
 
 def _se3_log(p):
@@ -497,7 +599,7 @@ def _se3_rjinv(xi):
     t2 = np.einsum("ni,ni->n", phi, phi)
     coef = _series(t2, _SE3_Q_SERIES)
     large = t2 >= 0.25
-    if large.any():
+    if np.count_nonzero(large):
         t = np.sqrt(t2[large])
         sin, cos = np.sin(t), np.cos(t)
         coef[large] = columns((t - sin) / t ** 3, (0.5 * t * t + cos - 1.0) / t ** 4,
@@ -509,7 +611,7 @@ def _se3_rjinv(xi):
     prp = pr @ p
     q = (0.5 * r + c1 * (pr + rp + prp) + c2 * (p @ pr + rp @ p - 3.0 * prp)
          + c3 * (prp @ p + p @ prp))
-    g = _so3_left_jacobian_inv(phi)
+    g = _so3_left_jacobian_inv(phi, (t2, p, p @ p))
     out = np.zeros((xi.shape[0], 6, 6))
     out[:, 0:3, 0:3] = g
     out[:, 0:3, 3:6] = -(g @ q @ g)

@@ -133,6 +133,7 @@ _KEYS = np.array([
 ])
 # the same for the weights' derivatives in t
 _KEYS_DT = np.arange(1, 4)[:, None] * _KEYS[1:]
+_POWERS = np.arange(4)
 
 
 class EsdfGrid:
@@ -146,7 +147,8 @@ class EsdfGrid:
     gradient: unknown space is treated as maximally unsafe.
     """
 
-    __slots__ = ("distances", "resolution", "origin", "_flat", "_patch")
+    __slots__ = ("distances", "resolution", "origin", "_flat", "_patch", "_lower", "_last",
+                 "_corner")
 
     def __init__(self, distances, resolution: float, origin=(0.0, 0.0)):
         distances = np.asarray(distances, dtype=float)
@@ -164,6 +166,12 @@ class EsdfGrid:
         self.distances = padded[1:-2, 1:-2]
         self._flat = padded.ravel()
         self._patch = padded.shape[1] * np.arange(4)[:, None] + np.arange(4)
+        h, w = self.distances.shape
+        # the bounds lookup reads, as arrays: the origin, the last sample
+        # (x, y) and the last patch corner
+        self._lower = np.array(self.origin)
+        self._last = np.array([w - 1, h - 1])
+        self._corner = np.array([max(w - 2, 0), max(h - 2, 0)])
 
     @classmethod
     def from_occupancy(cls, occ: OccupancyGrid) -> "EsdfGrid":
@@ -180,25 +188,27 @@ class EsdfGrid:
         only the distances stops after the first yield, and one that
         resumes it gets the gradients from the same interpolation.
         """
-        h, w = self.distances.shape
-        uv = (xy - self.origin) / self.resolution - 0.5
-        inside = np.all((uv >= 0.0) & (uv <= (w - 1, h - 1)), axis=1)
-        uv = np.where(inside[:, None], uv, 0.0)
-        corner = np.minimum(uv.astype(np.intp), (max(w - 2, 0), max(h - 2, 0)))
+        uv = (xy - self._lower) / self.resolution - 0.5
+        within = (uv >= 0.0) & (uv <= self._last)
+        inside = within[:, 0] & within[:, 1]
+        outside = np.count_nonzero(inside) < inside.shape[0]
+        if outside:
+            uv = np.where(inside[:, None], uv, 0.0)
+        corner = np.minimum(uv.astype(np.intp), self._corner)
         # 4x4 sample patch at offsets -1..2 around the cell
         row = self._patch[1, 0]               # length of a padded row
         block = self._flat[(corner[:, 0] + corner[:, 1] * row)[:, None, None] + self._patch]
-        powers = (uv - corner)[:, :, None] ** np.arange(4)
+        powers = (uv - corner)[:, :, None] ** _POWERS
         wts = powers @ _KEYS                   # (n, 2, 4): x and y weights
         along_y = (wts[:, 1, None, :] @ block)[:, 0, :]
         d = np.einsum("nj,nj->n", along_y, wts[:, 0])
-        yield np.where(inside, d, 0.0)
+        yield np.where(inside, d, 0.0) if outside else d
         dwts = powers[:, :, 0:3] @ _KEYS_DT
         grad = np.empty((xy.shape[0], 2))
         grad[:, 0] = np.einsum("nj,nj->n", along_y, dwts[:, 0])
         grad[:, 1] = np.einsum("ni,nij,nj->n", dwts[:, 1], block, wts[:, 0])
         grad /= self.resolution
-        yield np.where(inside[:, None], grad, 0.0)
+        yield np.where(inside[:, None], grad, 0.0) if outside else grad
 
     def query(self, x: float, y: float) -> float:
         return float(next(self.lookup(np.array([[x, y]], dtype=float)))[0])

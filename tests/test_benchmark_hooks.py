@@ -18,12 +18,13 @@ import sys
 from pathlib import Path
 
 import fgnav
-from fgnav import pipeline
+from fgnav import graph, pipeline
 from fgnav.factors import Mode
 from test_pipeline import run_closed_loop
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(fgnav.__file__).resolve().parent
+FACTOR_GRAPH_OPTIMIZE = graph.FactorGraph.optimize
 
 
 def load(name):
@@ -113,3 +114,28 @@ def test_the_step_digests_cover_every_workload_and_mode():
     scenes = list(step_digests.scenes(scenarios))
     assert {scene.workload for scene in scenes} == set(scenarios.WORKLOADS)
     assert {scene.mode for scene in scenes} == set(Mode)
+
+
+def test_the_kernel_timings_capture_and_time_a_crossing_step():
+    # tests/kernel_timings.py times the batches and solver pieces of the
+    # stage graphs of fixed benchmark steps; one repetition of step 0
+    import kernel_timings
+    scenarios = kernel_timings.load("scenarios")
+    closedloop = kernel_timings.load("closedloop")
+    points = [("crossing_cooperative", 11, 0, 0)]
+    records = list(kernel_timings.graph_records(scenarios, closedloop, points, reps=1))
+    # estimation, then the cold plan's pre-solve and its exact solve
+    assert [(r["stage"], r["presolve"]) for r in records] == [
+        ("ESTIMATION", False), ("PLANNING", True), ("PLANNING", False)]
+    for r in records:
+        assert r["iterations"] >= 1 and r["per_iteration_us"] > 0
+        for name in ("accumulate_us", "solve_us", "retract_us", "total_error_us",
+                     "linearize_us", "optimize_us"):
+            assert r[name] > 0, name
+        assert r["batches"] and all(b["start_us"] > 0 and b["finish_us"] > 0
+                                    for b in r["batches"])
+    # the wrappers are gone once a point is captured
+    assert graph.FactorGraph.optimize is FACTOR_GRAPH_OPTIMIZE
+    maps = list(kernel_timings.lie_records(reps=1))
+    assert {m["map"] for m in maps} >= {"wrap_angles", "se2.rjinv", "se3.log"}
+    assert all(m["n1_us"] > 0 and m["n30_us"] > 0 for m in maps)

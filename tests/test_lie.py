@@ -363,3 +363,160 @@ class TestBatches:
         flip = Pose3(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
         with pytest.raises(lie.SingularLogError):
             lie.log_batch(lie.stack([Pose3.identity(), flip]))
+
+
+def assert_bitwise(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # equal bit for bit: the sign of a zero counts, NaNs must not appear
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# angles at every switch of the batch maps: signed zeros, the 1e-7 switch of
+# _se2_coeffs, the t^2 = 1e-2 switch of _se2_rjinv, the t^2 = 1e-4 and 1e-16
+# switches of the SO(3) maps, the t^2 = 0.25 switch of _se3_rjinv and the
+# branch cut at pi
+EDGE_ANGLES = (0.0, -0.0, 1e-9, -1e-9, 9.99999e-8, -9.99999e-8, 1.00001e-7, -1.00001e-7,
+               0.0099999, 0.0100001, 0.0999999, -0.0999999, 0.1000001, -0.1000001,
+               0.4999999, 0.5000001, math.pi - 1e-12, -(math.pi - 1e-12), 1.3, -2.9)
+# SO(3)'s log raises within 1e-9 of pi
+SE3_EDGE_ANGLES = tuple(a for a in EDGE_ANGLES if abs(a) < 3.0)
+# inputs of wrap_angles: exactly -pi and pi, odd multiples of pi, their
+# neighbours and wide values
+WRAP_ANGLES = (-math.pi, math.pi, 3 * math.pi, -3 * math.pi, 5 * math.pi, -7 * math.pi,
+               np.nextafter(-math.pi, 0.0), np.nextafter(-math.pi, -4.0),
+               np.nextafter(math.pi, 4.0), 0.0, -0.0, 1e-300, 2 * math.pi, -2 * math.pi,
+               12.5, -40.0)
+
+
+def se2_tangents(rng, n):
+    v = rng.normal(0.0, 1.5, (n, 3))
+    v[:, 2] = rng.uniform(-3.1, 3.1, n)
+    return v
+
+
+def se3_tangents(rng, n, scale=1.0):
+    v = rng.normal(0.0, 1.0, (n, 6))
+    phi = v[:, 3:6]
+    phi *= (rng.uniform(0.0, 2.9 * scale, n) / np.linalg.norm(phi, axis=1))[:, None]
+    return v
+
+
+def with_angles(v, angles, axis_of):
+    """``v`` with its rotation part rescaled to each angle in turn, cycling."""
+    v = v.copy()
+    for i in range(v.shape[0]):
+        a = angles[i % len(angles)]
+        if v.shape[1] == 3:
+            v[i, 2] = a
+        else:
+            u = axis_of(i)
+            v[i, 3:6] = a * u / np.linalg.norm(u)
+    return v
+
+
+class TestBitwiseAgainstTheReference:
+    """Every batch map equals, bit for bit, its pre-rewrite copy in lie_reference."""
+
+    @staticmethod
+    def se2_cases(seed, n):
+        rng = np.random.default_rng(seed)
+        v = se2_tangents(rng, n)
+        edges = with_angles(se2_tangents(rng, len(EDGE_ANGLES)), EDGE_ANGLES, None)
+        return [v, edges[:n] if n < len(EDGE_ANGLES) else edges, se2_tangents(rng, n) * 4.0]
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_wrap_angles(self, n):
+        import lie_reference as ref
+        rng = np.random.default_rng(21)
+        for theta in (rng.uniform(-20.0, 20.0, n), np.array(WRAP_ANGLES[:n]),
+                      np.array(WRAP_ANGLES), np.array(EDGE_ANGLES)):
+            assert_bitwise(lie.wrap_angles(theta), ref.wrap_angles(theta))
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_se2_maps(self, n):
+        import lie_reference as ref
+        for v in self.se2_cases(22 + n, n):
+            rng = np.random.default_rng(n)
+            # unwrapped angles on purpose: every map must take any input
+            a = v.copy()
+            b = se2_tangents(rng, v.shape[0]) * 2.0
+            assert_bitwise(lie.exp_batch(v), ref._se2_exp(v))
+            assert_bitwise(lie.right_jacobian_inverse_batch(v), ref._se2_rjinv(v))
+            assert_bitwise(lie.compose_batch(a, b), ref._se2_compose(a, b))
+            assert_bitwise(lie.compose_batch(b, a), ref._se2_compose(b, a))
+            assert_bitwise(lie.inverse_batch(a), ref._se2_inverse(a))
+            assert_bitwise(lie.between_batch(a, b), ref.between(a, b))
+            assert_bitwise(lie.between_batch(b, a), ref.between(b, a))
+            assert_bitwise(lie.adjoint_batch(a), ref._se2_adjoint(a))
+            p = ref._se2_exp(v)   # wrapped, and off the branch cut
+            assert_bitwise(lie.log_batch(p), ref._se2_log(p))
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_se3_maps(self, n):
+        import lie_reference as ref
+        rng = np.random.default_rng(40 + n)
+        axes = rng.normal(size=(len(SE3_EDGE_ANGLES), 3))
+        cases = [se3_tangents(rng, n), se3_tangents(rng, n, scale=0.01),
+                 with_angles(se3_tangents(rng, max(n, len(SE3_EDGE_ANGLES))),
+                             SE3_EDGE_ANGLES, lambda i: axes[i % len(axes)])]
+        for v in cases:
+            w = se3_tangents(rng, v.shape[0])
+            a, b = ref._se3_exp(v), ref._se3_exp(w)
+            assert_bitwise(lie.exp_batch(v), ref._se3_exp(v))
+            assert_bitwise(lie.right_jacobian_inverse_batch(v), ref._se3_rjinv(v))
+            assert_bitwise(lie.compose_batch(a, b), ref._se3_compose(a, b))
+            assert_bitwise(lie.inverse_batch(a), ref._se3_inverse(a))
+            assert_bitwise(lie.between_batch(a, b), ref.between(a, b))
+            assert_bitwise(lie.adjoint_batch(a), ref._se3_adjoint(a))
+            assert_bitwise(lie.log_batch(a), ref._se3_log(a))
+            assert_bitwise(lie.log_batch(ref.between(a, b)), ref._se3_log(ref.between(a, b)))
+
+    def test_edge_angles_one_at_a_time(self):
+        import lie_reference as ref
+        rng = np.random.default_rng(50)
+        for angle in EDGE_ANGLES:
+            v = se2_tangents(rng, 1)
+            v[0, 2] = angle
+            p = np.array([[0.3, -1.2, angle]])
+            for got, want in ((lie.exp_batch(v), ref._se2_exp(v)),
+                              (lie.right_jacobian_inverse_batch(v), ref._se2_rjinv(v)),
+                              (lie.log_batch(p), ref._se2_log(p)),
+                              (lie.inverse_batch(p), ref._se2_inverse(p)),
+                              (lie.between_batch(p, v), ref.between(p, v)),
+                              (lie.compose_batch(p, v), ref._se2_compose(p, v))):
+                assert_bitwise(got, want)
+            w = se3_tangents(rng, 1)
+            w[0, 3:6] *= angle / np.linalg.norm(w[0, 3:6])
+            assert_bitwise(lie.exp_batch(w), ref._se3_exp(w))
+            assert_bitwise(lie.right_jacobian_inverse_batch(w), ref._se3_rjinv(w))
+            if abs(angle) < 3.0:
+                q = ref._se3_exp(w)
+                assert_bitwise(lie.log_batch(q), ref._se3_log(q))
+
+    @pytest.mark.parametrize("theta", [math.pi, -math.pi, math.pi - 1e-13,
+                                       -(math.pi - 1e-13)])
+    def test_log_at_the_branch_cut_still_raises(self, theta):
+        import lie_reference as ref
+        p = np.array([[0.0, 0.0, 0.2], [1.0, 2.0, theta]])
+        for log in (lie.log_batch, ref._se2_log):
+            with pytest.raises(lie.SingularLogError):
+                log(p)
+
+    def test_se3_log_at_the_branch_cut_still_raises(self):
+        import lie_reference as ref
+        p = ref._se3_exp(np.array([[0.1, 0.2, 0.3, 0.0, 0.0, 0.2],
+                                   [1.0, 0.0, 0.0, 0.0, math.pi - 1e-11, 0.0]]))
+        for log in (lie.log_batch, ref._se3_log):
+            with pytest.raises(lie.SingularLogError):
+                log(p)
+
+    def test_log_just_inside_the_cut_matches(self):
+        # pi - 1e-12 is 1.00009e-12 from pi, outside the 1e-12 guard: no raise
+        import lie_reference as ref
+        p = np.array([[1.0, 2.0, math.pi - 1e-12], [0.5, -0.5, -(math.pi - 1e-12)]])
+        assert_bitwise(lie.log_batch(p), ref._se2_log(p))

@@ -28,6 +28,7 @@ from fgnav.factors import (
     PlanarSmoothingFactor,
     PriorFactor,
     StaticObstacleFactor,
+    read_columns,
 )
 from fgnav.graph import (
     FactorGraph,
@@ -37,6 +38,7 @@ from fgnav.graph import (
     robot_pose,
     velocity,
 )
+from fgnav import graph as graph_module
 from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, embed_se3, se2_view
 from fgnav.pipeline import (
@@ -625,6 +627,55 @@ def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
             assert components == {Component.ESTIMATION}
         elif k == 2:   # the walker is tracked at step 2
             assert components == set(Component)
+
+
+def per_factor_layout(graph):
+    """Each batch's (n, D) columns, one factor at a time, and the band width.
+
+    The factors are grouped as the constructor groups them; a factor's
+    column is its key's offset plus the local column its slot reads, or -1
+    where the key is masked or fixed.
+    """
+    groups = {}
+    for f, mask in zip(graph.factors, graph.masks):
+        kinds = tuple(graph_module._value_kind(graph.values[k], j in f.planar_slots)
+                      for j, k in enumerate(f.keys))
+        groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
+    layout = []
+    for members in groups.values():
+        rows = []
+        for f, mask in members:
+            row = []
+            for j, (key, drop) in enumerate(zip(f.keys, mask)):
+                local = read_columns(graph._tangent[key], j in f.planar_slots)
+                if drop or key in graph.fixed:
+                    row.extend([-1] * len(local))
+                else:
+                    row.extend((graph.offsets[key] + local).tolist())
+            rows.append(row)
+        layout.append(np.array(rows, dtype=np.intp))
+    bw = max((graph_module._span(cols) for cols in layout), default=0)
+    return layout, bw
+
+
+@pytest.mark.parametrize("mode", [Mode.COOPERATIVE, Mode.DIRECTED])
+def test_batch_columns_equal_the_per_factor_layout(mode, monkeypatch):
+    # cooperative steps mask the prediction-side hinges' plan keys, directed
+    # steps mask estimation keys in the joint graph; step 0 plans cold
+    built, _ = record_built_graphs(monkeypatch)
+    run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
+    masked = 0
+    for graph in built:
+        layout, bw = per_factor_layout(graph)
+        assert len(layout) == len(graph.batches)
+        for b, cols in zip(graph.batches, layout):
+            assert b.cols.dtype == cols.dtype and np.array_equal(b.cols, cols)
+            want = graph_module._kept(cols, graph.ncols)
+            for got_field, want_field in zip(b.kept, want):
+                assert np.array_equal(got_field, want_field)
+        assert graph.bw == bw
+        masked += sum(any(m) for m in graph.masks)
+    assert masked > 0
 
 
 @pytest.mark.parametrize("mode", list(Mode))
