@@ -56,10 +56,12 @@ given as one sigma for every dimension or one per dimension, all positive
 and finite. Factors given equal sigmas share one read-only array; a
 ``weight`` other than 1 scales a fresh copy. The ``component`` is the part
 of the pipeline the factor belongs to and its only direction metadata; a
-factor holds no mask. The pipeline's :func:`fgnav.pipeline.mode_masks`
-compares it with the component that owns each key the factor reads, and
-the keys the factor may not move become its mask in the stage graph (the
-``masks`` argument of :class:`fgnav.graph.FactorGraph`).
+factor holds no mask. A pipeline stage holds the factors of its components
+only (``fgnav.pipeline.STAGES``). In cooperative mode's prediction/plan
+stage, :func:`fgnav.pipeline.mode_masks` compares the component with the
+one that owns each key the factor reads, and the keys the factor may not
+move become its mask in the stage graph (the ``masks`` argument of
+:class:`fgnav.graph.FactorGraph`).
 
 The limit and static-clearance hinges return a zero residual and zero
 Jacobian on their inactive branch. The dynamic-clearance factor is a

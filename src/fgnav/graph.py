@@ -44,10 +44,11 @@ one mask per factor, and the Jacobian block of a masked key is left out of
 the linear system (structurally zero) while the residual still evaluates
 with the key's current value. Masked keys therefore influence other
 updates through the residual but receive none from that factor, and the
-corresponding Gauss-Newton cross terms vanish. The pipeline sets each mask
-from the factor's component and the component that owns each key. A key
-in ``fixed`` gets no columns and its value is still read, which is how the
-pipeline implements its fixed-lag window and its stages.
+corresponding Gauss-Newton cross terms vanish. The pipeline masks only in
+cooperative mode's prediction/plan stage, from the factor's component and
+the component that owns each key. A key in ``fixed`` gets no columns and
+its value is still read: the pipeline holds its fixed-lag window so, and
+in each stage every key an earlier stage solved.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative

@@ -9,14 +9,16 @@ hinges) reads it in the plane, so the predicted motions are Pose2; a
 track's next estimate starts from its prediction lifted into SE(3).
 Prediction and planning own the variables they create, estimation the
 rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
-order, :func:`mode_masks` the keys each factor reads but may not move, and
-only cooperative mode builds a prediction-side copy of each dynamic
-obstacle hinge. Each stage is one factor graph, built whole in one
+order, which alone keeps a later component from moving an earlier one;
+only cooperative mode also masks, in its prediction/plan stage
+(:func:`mode_masks`), and only it builds a prediction-side copy of each
+dynamic obstacle hinge. Each stage is one factor graph, built whole in one
 constructor call from the stage's factors, their masks, the values of the
-keys they read and the keys held fixed. The optimized first acceleration
-is the control command. Every factor is whitened by the fixed sigma of its
-kind in ``SIGMAS``; the plan's goal and effort terms are priors on plan
-variables, like the estimation priors.
+keys they read and the keys held fixed; a stage with no factors is not
+solved. The optimized first acceleration is the control command. Every
+factor is whitened by the fixed sigma of its kind in ``SIGMAS``; the
+plan's goal and effort terms are priors on plan variables, like the
+estimation priors.
 
 A run sets only the horizon and the mode in :class:`PipelineConfig`; the
 robot, its limits, the margins and the solver's stopping rules
@@ -101,22 +103,28 @@ _ZERO_ACC = np.zeros(2)
 _ZERO_ACC.flags.writeable = False
 
 # the components each stage solves, in order; a stage evaluates only the factors
-# of its own components and holds fixed every key an earlier stage solved.
-# Decoupled and cooperative modes solve estimation first, so planning cannot
-# move it even through the accept test; in cooperative mode the prediction
-# then still yields to the plan, through the hinge copies only it builds.
-STAGES = {mode: (tuple(Component),) for mode in Mode}
-STAGES[Mode.DECOUPLED] = STAGES[Mode.COOPERATIVE] = (
-    (Component.ESTIMATION,), (Component.PREDICTION, Component.PLANNING))
+# of its own components and holds fixed every key an earlier stage solved, so
+# no stage moves an earlier one's keys, not even through the accept test. Each
+# directed stage is an ordinary least-squares problem; in cooperative mode the
+# prediction still yields to the plan, through the hinge copies only it builds.
+_EST, _PRED, _PLAN = Component.ESTIMATION, Component.PREDICTION, Component.PLANNING
+STAGES = {
+    Mode.UNDIRECTED: ((_EST, _PRED, _PLAN),),
+    Mode.DIRECTED: ((_EST,), (_PRED,), (_PLAN,)),
+    Mode.DECOUPLED: ((_EST,), (_PRED, _PLAN)),
+    Mode.COOPERATIVE: ((_EST,), (_PRED, _PLAN)),
+}
 
 
 def mode_masks(mode: Mode, factors, owner) -> list:
     """Each factor's mask in ``mode``: None, or a flag per key it may not move.
 
-    In directed and cooperative modes a factor moves only the keys its own
-    component owns; ``owner`` lists the keys estimation does not own.
+    Only cooperative mode masks: in its prediction/plan stage a factor moves
+    only the keys its own component owns, so the prediction yields to the
+    plan through the hinge copies alone. ``owner`` lists the keys
+    estimation does not own.
     """
-    if mode not in (Mode.DIRECTED, Mode.COOPERATIVE):
+    if mode is not Mode.COOPERATIVE:
         return [None] * len(factors)
     est = Component.ESTIMATION
     return [tuple(owner.get(key, est) != f.component for key in f.keys) for f in factors]
@@ -281,7 +289,6 @@ class Pipeline:
         self._est_factors: list = []
         self._com_ref: dict[int, Pose3] = {}
         self._motion_steps: dict[int, list[int]] = {}
-        self._always_fixed: set[VariableKey] = set()
         self._vel = np.zeros(2)
         self._last_acc = np.zeros(2)
         self._values[robot_pose(0)] = initial_pose
@@ -331,9 +338,7 @@ class Pipeline:
         centroid = np.mean(np.asarray(world), axis=0)
         self._com_ref[obj] = Pose3(np.eye(3), centroid)
         # the motion at the reference step is the identity by definition
-        h0 = object_motion(obj, k)
-        self._values[h0] = Pose3.identity()
-        self._always_fixed.add(h0)
+        self._values[object_motion(obj, k)] = Pose3.identity()
         self._motion_steps[obj] = [k]
 
     def _tracked(self, obj: int, k: int) -> bool:
@@ -518,7 +523,9 @@ class Pipeline:
         return factors, fix_before
 
     def _fixed_keys(self, keys, fix_before: int):
-        fixed = {key for key in keys if key in self._always_fixed}
+        # each track's motion at its reference step is the identity, always
+        fixed = {object_motion(obj, steps[0]) for obj, steps in self._motion_steps.items()}
+        fixed &= keys
         lagged = (VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION,
                   VarKind.VELOCITY, VarKind.ACCELERATION)
         for key in keys:
@@ -598,6 +605,8 @@ class Pipeline:
             held = set(pinned)   # and then every key an earlier stage solved
             for components in STAGES[mode]:
                 factors = [f for f in joint if f.component in components]
+                if not factors:   # directed prediction with nothing tracked
+                    continue
                 keys = {key for f in factors for key in f.keys}
                 fixed = self._fixed_keys(keys, fix_before) | (held & keys)
                 presolve = cold and Component.PLANNING in components

@@ -12,6 +12,7 @@ a fresh interpreter, those modules must load every module of the package.
 import dataclasses
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,21 @@ def test_the_step_digests_cover_every_workload_and_mode():
     scenes = list(step_digests.scenes(scenarios))
     assert {scene.workload for scene in scenes} == set(scenarios.WORKLOADS)
     assert {scene.mode for scene in scenes} == set(Mode)
+
+
+def test_the_behaviour_runs_record_a_short_run():
+    # tests/behaviour_runs.py records long closed-loop runs per mode; two
+    # steps of one directed crossing run, a record and not a gate
+    import behaviour_runs
+    [record] = behaviour_runs.runs(["directed"], ["crossing"], [41], steps=2)
+    assert (record["scene"], record["mode"], record["seed"]) == (
+        "crossing_cooperative", "directed", 41)
+    assert record["steps"] == 2 and record["stop"] is None
+    assert sum(record["reasons"].values()) == 2
+    # nothing is tracked at step 0: estimation and planning, then all three
+    assert sum(record["stage_reasons"].values()) == 5
+    assert record["collisions"] >= 0 and math.isfinite(record["min_clearance_m"])
+    assert 0 < record["step_p50_s"] <= record["step_p95_s"]
 
 
 def test_the_kernel_timings_capture_and_time_a_crossing_step():

@@ -3,11 +3,14 @@
 A small map with one block and a few landmarks, a short horizon and a few
 control steps of ``Simulator`` + ``Pipeline``; every step's command must
 be usable and a run must be a pure function of its seed. The step graphs
-the pipeline solves are captured to check each mode's masks against the
-ownership rule, and the directed guarantee both ways: in directed and
-cooperative mode planning and prediction leave the estimation step, its
-information and its optimum unchanged, while in undirected mode they move
-them.
+the pipeline solves are captured to check each mode's stages against the
+stage table and the ownership rule, and the directed guarantee both ways:
+in the staged modes estimation is solved first on its own factors, so the
+estimate a step returns is the estimation-only solve's, bit for bit, while
+in undirected mode's one joint stage planning and prediction move it.
+Directed mode's staged end is also checked against the directed factors
+themselves: it is a stationary point of the masked joint graph that
+expresses the same one-way flow.
 """
 
 import dataclasses
@@ -42,6 +45,7 @@ from fgnav import graph as graph_module
 from fgnav.graph import _Batch
 from fgnav.lie import Pose2, Pose3, embed_se3, se2_view
 from fgnav.pipeline import (
+    STAGES,
     InputError,
     Pipeline,
     PipelineConfig,
@@ -201,9 +205,10 @@ def test_modes_agree_without_agents_and_only_a_cold_plan_is_presolved(monkeypatc
     assert_repeatable(decoupled, cooperative)
     # the first plan is cold; every later one starts from the shifted plan
     assert presolved == [0]
+    # directed mode's prediction stage is empty, and its planning stage is
+    # decoupled mode's second stage
     _, directed = run_closed_loop(Mode.DIRECTED, seed=3, steps=3)
-    for a, b in zip(decoupled, directed):
-        assert np.max(np.abs(a.command - b.command)) <= 1e-7
+    assert_repeatable(decoupled, directed)
 
 
 def test_a_rejected_step_can_be_retried():
@@ -324,11 +329,13 @@ def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
                   goal)
     pipe.step(1, StepInput(odometry=Pose3.identity(), static_points=[(0, [1.0, 2.0, 0.5])]),
               goal)
-    [(k, graph)] = graphs[1:]
+    # each step solves estimation, then planning: nothing is tracked, so
+    # there is no prediction stage
+    assert [k for k, _ in graphs] == [0, 0, 1, 1]
     # the odometry is the one BetweenFactor on poses; the rest are the plan's smoothness
-    odometry = [f for f in graph.factors
+    odometry = [f for _, graph in graphs[2:] for f in graph.factors
                 if isinstance(f, BetweenFactor) and isinstance(f.measured, Pose3)]
-    assert k == 1 and len(odometry) == 1
+    assert len(odometry) == 1
 
 
 @pytest.mark.parametrize("bad", [
@@ -399,6 +406,16 @@ def test_stats_count_the_graphs_of_every_stage(mode, monkeypatch):
         assert out.stats["num_variables"] == len({key for g in stages for key in g.values})
 
 
+def solved_stages(mode, k):
+    """The stages of ``mode`` that step ``k`` of a walker run solves, in order.
+
+    The walker is tracked from step 1; before that directed mode's
+    prediction stage has no factors, and a stage without factors is not
+    solved.
+    """
+    return [stage for stage in STAGES[mode] if k > 0 or stage != (Component.PREDICTION,)]
+
+
 def owner(k, key):
     """The component that owns ``key`` at step ``k``: what it creates, or estimation."""
     if key.kind is VarKind.OBJECT_MOTION and key.time_step > k:
@@ -420,13 +437,17 @@ def test_mode_masks_mask_the_keys_a_component_does_not_own():
     tagged = [plain, spanning, coop]
     owned = {robot_pose(2): Component.PLANNING, robot_pose(3): Component.PREDICTION}
 
-    assert mode_masks(Mode.UNDIRECTED, tagged, owned) == [None] * 3
-    directed = mode_masks(Mode.DIRECTED, tagged, owned)
-    assert directed[0] == (False, False)
-    assert directed[1] == (True, False)
-    assert mode_masks(Mode.DECOUPLED, tagged, owned) == [None] * 3
+    # only cooperative mode masks. Every mode solves each component once,
+    # estimation first and planning last, and a stage holds fixed what an
+    # earlier stage solved: directed mode keeps all three apart that way
+    for mode in (Mode.UNDIRECTED, Mode.DIRECTED, Mode.DECOUPLED):
+        assert mode_masks(mode, tagged, owned) == [None] * 3
+    for stages in STAGES.values():
+        assert [c for stage in stages for c in stage] == list(Component)
+    assert STAGES[Mode.DIRECTED] == tuple((c,) for c in Component)
     cooperative = mode_masks(Mode.COOPERATIVE, tagged, owned)
-    assert cooperative[:2] == directed[:2]
+    assert cooperative[0] == (False, False)
+    assert cooperative[1] == (True, False)
     assert cooperative[2] == (True, False)
     # the factors carry no mask, so one mode's masks never leak into another's
     assert mode_masks(Mode.UNDIRECTED, tagged, owned) == [None] * 3
@@ -437,9 +458,8 @@ def test_mode_masks_mask_the_keys_a_component_does_not_own():
 def test_step_graph_masks_follow_ownership(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
-    staged = mode in (Mode.DECOUPLED, Mode.COOPERATIVE)   # estimation solved first
-    assert len(graphs) == 3 * (2 if staged else 1)
-    masked = mode in (Mode.DIRECTED, Mode.COOPERATIVE)
+    assert [k for k, _ in graphs] == [k for k in range(3) for _ in solved_stages(mode, k)]
+    masked = mode is Mode.COOPERATIVE
     reads_later = 0
     for k, graph in graphs:
         assert len(graph.masks) == len(graph.factors)
@@ -517,17 +537,19 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
     graphs = record_step_graphs(monkeypatch)
     cfg, outputs = run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     step_graphs = [g for k, g in graphs if k == 2]  # the walker is tracked at step 2
-    if mode in (Mode.DECOUPLED, Mode.COOPERATIVE):
-        # estimation is solved first on its own factors; the second stage
-        # holds none of them and fixes every estimation key it reads, so
-        # nothing else can move estimation
-        est_stage, rest_stage = step_graphs
+    if mode is not Mode.UNDIRECTED:
+        # estimation is solved first on its own factors; every later stage
+        # holds none of them, fixes every estimation key it reads and moves
+        # only keys of the components it solves, so nothing else can move
+        # estimation
+        est_stage, *rest_stages = step_graphs
         assert {f.component for f in est_stage.factors} == {Component.ESTIMATION}
         assert all(owner(2, key) is Component.ESTIMATION for key in est_stage.values)
-        active = rest_stage.ordering
+        active = [key for g in rest_stages for key in g.ordering]
         assert {key.kind for key in active} >= {VarKind.ROBOT_POSE, VarKind.OBJECT_MOTION}
-        assert all(owner(2, key) is not Component.ESTIMATION for key in active)
-        assert Component.ESTIMATION not in {f.component for f in rest_stage.factors}
+        for stage, g in zip(STAGES[mode][1:], rest_stages, strict=True):
+            assert all(owner(2, key) in stage for key in g.ordering)
+            assert {f.component for f in g.factors} == set(stage)
         # so the estimate the step returns is the estimation-only solution,
         # bit for bit: the estimation shift is exactly zero
         alone = est_stage.optimize(config=cfg.optimizer).values
@@ -563,21 +585,42 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
     solved = graph.optimize(config=cfg.optimizer)
     solved_alone = alone.optimize(config=cfg.optimizer)
     estimate_gap = max(gap(solved_alone.values[e], solved.values[e]) for e in est)
-    if mode is Mode.DIRECTED:
-        # no factor couples estimation to the rest, so the estimation block
-        # of the information matrix, its step and its optimum are those of
-        # the estimation factors alone
-        assert coupled == []
-        assert step_gap <= 1e-9
-        assert info_gap == 0.0
-        assert solved.converged and solved_alone.converged
-        assert estimate_gap <= 1e-6
-    else:
-        # the plan and the prediction reach back into estimation
-        assert coupled
-        assert info_gap > 0.0
-        assert step_gap > 0.1
-        assert estimate_gap > 0.1
+    # the plan and the prediction reach back into estimation
+    assert coupled
+    assert info_gap > 0.0
+    assert step_gap > 0.1
+    assert estimate_gap > 0.1
+
+
+def scaled_gradient(graph, values):
+    """max |g_i| / sqrt(H_ii) of ``graph`` linearised at ``values``: 0 where stationary."""
+    system = graph.linearize(values)
+    return float(np.max(np.abs(jtr(system)) / np.sqrt(np.diag(jtj(system)))))
+
+
+def test_the_directed_staged_end_is_stationary_for_the_directed_factors(monkeypatch):
+    # one masked joint graph expresses directed mode's one-way flow in a
+    # single stage: each factor moves only the keys its own component owns.
+    # Solving estimation, prediction and planning in turn must end at one of
+    # its stationary points
+    graphs, results = record_step_graphs(monkeypatch), record_stage_results(monkeypatch)
+    run_closed_loop(Mode.DIRECTED, seed=5, agents=[walker()], steps=3)
+    step = [(graph, res) for (k, graph), (_, res) in zip(graphs, results, strict=True)
+            if k == 2]   # the walker is tracked
+    assert len(step) == 3 and all(res.converged for _, res in step)
+    factors = [f for graph, _ in step for f in graph.factors]
+    masks = [tuple(owner(2, key) != f.component for key in f.keys) for f in factors]
+    # a key an earlier stage solved is free in the joint graph
+    fixed = (frozenset().union(*(graph.fixed for graph, _ in step))
+             - {key for graph, _ in step for key in graph.ordering})
+    start, end = {}, {}
+    for graph, _ in reversed(step):   # a key's value before the first stage that read it
+        start.update(graph.values)
+    for _, res in step:
+        end.update(res.values)
+    joint = FactorGraph({key: start[key] for key in sorted(start)}, factors, masks, fixed)
+    assert sorted(joint.ordering) == sorted(key for graph, _ in step for key in graph.ordering)
+    assert scaled_gradient(joint, end) <= 1e-6
 
 
 def record_built_graphs(monkeypatch):
@@ -610,23 +653,20 @@ def test_every_stage_solves_only_its_own_components(mode, monkeypatch):
     built, relaxed = record_built_graphs(monkeypatch)
     solved = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
-    staged = mode in (Mode.DECOUPLED, Mode.COOPERATIVE)
     # one graph per stage; step 0 plans cold, so its planning stage, the
     # last it solves, is pre-solved on a relaxed copy of that graph
     assert [id(g) for g in built] == [id(g) for _, g in solved]
     assert [id(source) for source, _ in relaxed] == [id([g for k, g in solved if k == 0][-1])]
     for graph in built + [copy for _, copy in relaxed]:
         assert all(b.kept.terms.size for b in graph.batches)
-    for i, (k, graph) in enumerate(solved):
+    stages = [(k, stage) for k in range(3) for stage in solved_stages(mode, k)]
+    assert [k for k, _ in solved] == [k for k, _ in stages]
+    for (k, graph), (_, stage) in zip(solved, stages):
         components = {f.component for f in graph.factors}
-        if staged and i % 2:
-            assert Component.ESTIMATION not in components
-            assert all(owner(k, key) is not Component.ESTIMATION
-                       for key in graph.ordering)
-        elif staged:
-            assert components == {Component.ESTIMATION}
-        elif k == 2:   # the walker is tracked at step 2
-            assert components == set(Component)
+        assert components <= set(stage)
+        assert all(owner(k, key) in stage for key in graph.ordering)
+        if k == 2:   # the walker is tracked at step 2
+            assert components == set(stage)
 
 
 def per_factor_layout(graph):
@@ -660,8 +700,9 @@ def per_factor_layout(graph):
 
 @pytest.mark.parametrize("mode", [Mode.COOPERATIVE, Mode.DIRECTED])
 def test_batch_columns_equal_the_per_factor_layout(mode, monkeypatch):
-    # cooperative steps mask the prediction-side hinges' plan keys, directed
-    # steps mask estimation keys in the joint graph; step 0 plans cold
+    # cooperative steps mask the prediction-side hinges' plan keys; directed
+    # steps mask nothing, their stages hold earlier keys fixed instead; step
+    # 0 plans cold
     built, _ = record_built_graphs(monkeypatch)
     run_closed_loop(mode, seed=5, agents=[walker()], steps=3)
     masked = 0
@@ -675,7 +716,7 @@ def test_batch_columns_equal_the_per_factor_layout(mode, monkeypatch):
                 assert np.array_equal(got_field, want_field)
         assert graph.bw == bw
         masked += sum(any(m) for m in graph.masks)
-    assert masked > 0
+    assert (masked > 0) == (mode is Mode.COOPERATIVE)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
