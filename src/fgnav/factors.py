@@ -64,10 +64,12 @@ move become its mask in the stage graph (the ``masks`` argument of
 :class:`fgnav.graph.FactorGraph`).
 
 The limit and static-clearance hinges return a zero residual and zero
-Jacobian on their inactive branch. The dynamic-clearance factor is a
-softplus of width ``margin`` instead: its residual and Jacobian fall off
-smoothly outside ``d_safe`` but never reach zero, so the solver sees a
-moving object before a step would cross it.
+Jacobian on their inactive branch. A step linearized there cannot see the
+static clearance; the limit rows are piecewise linear, and the solver takes
+them exactly at the trial point instead (:class:`LimitFactor`). The
+dynamic-clearance factor is a softplus of width ``margin``: its residual
+and Jacobian fall off smoothly outside ``d_safe`` but never reach zero, so
+the solver sees a moving object before a step would cross it.
 """
 
 from __future__ import annotations
@@ -578,7 +580,15 @@ class MotionModelFactor(Factor):
 
 
 class LimitFactor(Factor):
-    """Per-component hinge on box bounds: active only outside [lower, upper]."""
+    """Per-component hinge on box bounds: active only outside [lower, upper].
+
+    Each row reads one entry of a vector key, with an identity Jacobian on
+    its active branch, so it is piecewise linear in a step. The damped step
+    of a least-squares graph therefore takes these rows at the trial point
+    rather than at the linearization point (see
+    :meth:`fgnav.graph.LinearSystem.solve`); the kernel is what every
+    residual, accept test and masked stage reads.
+    """
 
     __slots__ = ("lower", "upper")
 

@@ -53,6 +53,16 @@ in each stage every key an earlier stage solved.
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
 damping updates (``LAMBDA_INIT``, ``LAMBDA_SCALE``, ``LAMBDA_CAP``).
+``diag(J^T J)`` is taken at the linearization point. A ``LimitFactor``
+row reads one entry of a vector key through an identity Jacobian, so its
+residual is piecewise linear in the step, and the damped model of a
+least-squares graph holds it exactly: such a row enters neither ``J^T J``
+nor ``J^T r``, and :meth:`LinearSystem.solve` takes it where it is active
+at the trial point, re-solving while that active set changes, up to
+``ACTIVE_SET_PASSES`` solves. A graph that masks a free key is not a
+least-squares problem, and its step keeps the limit rows in ``J^T J`` as
+linearized. The objective, the accept test and the stop rules are the same
+either way, so the two steps lead to the same optimum.
 :meth:`FactorGraph.optimize` redoes only the work whose inputs change
 (Kaess et al., *iSAM2*, IJRR 2012, applied within one solve). Its iterate
 is the graph's stacked tables (:class:`_State`), not a dict: a trial
@@ -91,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg.lapack
 
-from .factors import Factor, planar_view, read_columns
+from .factors import Factor, LimitFactor, planar_view, read_columns
 from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
 
 # LAPACK's banded Cholesky solve, called without scipy's checks and copies
@@ -377,6 +387,25 @@ def _sum_of_squares(residuals) -> float:
     return total
 
 
+class _Limits(NamedTuple):
+    """The limit rows a damped step takes exactly, one entry per kept row.
+
+    Row ``i`` adds ``weight[i]`` times the squared hinge of the step's entry
+    ``delta[columns[i]]`` on ``[lower[i], upper[i]]``, the row's bounds less
+    the value at the linearization point.
+    """
+
+    columns: np.ndarray
+    weight: np.ndarray    # the row's squared whitening
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+# the most band solves one damped step makes while the limit rows' active
+# set still changes; the last one's step goes to the accept test as it is
+ACTIVE_SET_PASSES = 6
+
+
 class LinearSystem:
     """Whitened linearization of a graph at one point, kept as stacked blocks.
 
@@ -384,15 +413,19 @@ class LinearSystem:
     array holds the ``d``-th subdiagonal, ``band[d, j] = (J^T J)[j + d, j]``.
     Masked and fixed Jacobian columns never enter ``J``: their products go
     to no ``J^T J`` entry, so the block of two variables that no unmasked
-    factor couples is exactly zero.
+    factor couples is exactly zero. In a least-squares stage the limit rows
+    enter neither the band nor ``J^T r``: ``limits`` holds them, and
+    :meth:`solve` takes them at the trial point instead.
     """
 
-    def __init__(self, graph: "FactorGraph", blocks: list[_Block]):
+    def __init__(self, graph: "FactorGraph", blocks: list[_Block], limits: _Limits | None):
         self.graph = graph
         self.ncols = graph.ncols
         self.blocks = blocks
+        self.limits = limits
         self._band: np.ndarray | None = None
         self._grad: np.ndarray | None = None
+        self._damping: np.ndarray | None = None
 
     def total_error(self) -> float:
         """Equal, bit for bit, to :meth:`FactorGraph.total_error` at the same point."""
@@ -402,31 +435,71 @@ class LinearSystem:
         if self._band is not None:
             return
         n, bw = self.ncols, self.graph.bw
+        blocks = [self.blocks[i] for i in self.graph._summed]
         h_vals = _concat([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()[
-            b.kept.products] for b in self.blocks])
+            b.kept.products] for b in blocks])
         g_vals = _concat([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()[
-            b.kept.terms] for b in self.blocks])
+            b.kept.terms] for b in blocks])
         self._band = np.bincount(self.graph._h_index, h_vals, (bw + 1) * n).reshape(bw + 1, n)
         self._grad = np.bincount(self.graph._g_index, g_vals, n)
+        # diag(J^T J) at this point, the limit rows active here included
+        self._damping = self._band[0]
+        if self.limits is not None:
+            cols, w, lower, upper = self.limits
+            active = (upper < 0.0) | (lower > 0.0)
+            self._damping = self._damping + np.bincount(cols, w * active, n)
+
+    def _band_solve(self, lam: float, diag=None, rhs=None) -> np.ndarray:
+        """Solve (band + lam D + diag(diag)) delta = rhs - J^T r, D the damping diagonal."""
+        ab = self.graph._work
+        np.copyto(ab, self._band)
+        ab[0] += lam * self._damping
+        b = -self._grad
+        if diag is not None:
+            ab[0] += diag
+            b += rhs
+        _, x, info = _pbsv(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise NumericalSingularityError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbsv")
+        return x
 
     def solve(self, lam: float) -> np.ndarray:
-        """Solve (J^T J + lam diag(J^T J)) delta = -J^T r."""
+        """The damped step: the minimiser of ``|J delta + r|^2 + lam delta^T D delta``.
+
+        ``D`` is diag(J^T J) at the linearization point. Without ``limits``
+        this is (J^T J + lam D) delta = -J^T r. With them, each limit row
+        that is active at ``x + delta`` adds its weight to the diagonal and
+        its weight times the bound's distance to the right-hand side. The
+        rows active at ``x`` give the first solve; every later one takes the
+        rows its predecessor's step activates, until the active set repeats
+        or ``ACTIVE_SET_PASSES`` solves are made (a primal-dual active set,
+        Hintermueller, Ito & Kunisch, SIAM J. Optim., 2002).
+        """
         self._accumulate()
-        d = self._band[0]
+        d = self._damping
         if np.count_nonzero(d <= 0.0):
             col = int(np.argmin(d))
             g = self.graph
             bad = next(k for k in g.ordering if g.offsets[k] <= col < g.offsets[k] + g.dims[k])
             raise StructuralSingularityError(
                 f"variable {bad} has no unmasked factor support")
-        ab = self.graph._work
-        np.copyto(ab, self._band)
-        ab[0] += lam * d
-        _, x, info = _pbsv(ab, -self._grad, lower=1, overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise NumericalSingularityError(f"{info}th leading minor not positive definite")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbsv")
+        if self.limits is None:
+            return self._band_solve(lam)
+        cols, w, lower, upper = self.limits
+        above, below = upper < 0.0, lower > 0.0
+        for _ in range(ACTIVE_SET_PASSES):
+            on = above | below
+            x = self._band_solve(
+                lam, np.bincount(cols, w * on, self.ncols),
+                np.bincount(cols, np.where(on, w * np.where(above, upper, lower), 0.0),
+                            self.ncols))
+            step = x[cols]
+            now_above, now_below = step > upper, step < lower
+            if np.array_equal(now_above, above) and np.array_equal(now_below, below):
+                break
+            above, below = now_above, now_below
         return x
 
 
@@ -586,8 +659,19 @@ class FactorGraph:
             cols = np.where(starts >= 0, starts + local, -1)
             self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
-        self._h_index = _concat([b.kept.band for b in self.batches]).astype(np.intp)
-        self._g_index = _concat([b.kept.columns for b in self.batches]).astype(np.intp)
+        # a limit row reads one vector entry through an identity Jacobian, so
+        # the damped step of a least-squares stage takes it exactly and J^T J
+        # holds none; a stage that masks a free key is no least-squares
+        # problem, and its step keeps the rows in J^T J
+        masks_free = any(d and k in self.offsets
+                         for f, mask in zip(self.factors, self.masks)
+                         for k, d in zip(f.keys, mask))
+        self._limits = [] if masks_free else [
+            i for i, b in enumerate(self.batches) if b.cls is LimitFactor]
+        self._summed = [i for i in range(len(self.batches)) if i not in self._limits]
+        self._h_index = _concat([self.batches[i].kept.band for i in self._summed]).astype(np.intp)
+        self._g_index = _concat([self.batches[i].kept.columns
+                                 for i in self._summed]).astype(np.intp)
         # scratch for the damped band of every solve, in LAPACK's layout
         self._work = np.empty((self.bw + 1, self.ncols), order="F")
 
@@ -657,7 +741,22 @@ class FactorGraph:
         state = self._state(values)
         started = state.started or [b.start(state.tables) for b in self.batches]
         state.started = None
-        return LinearSystem(self, [b.finish(*s) for b, s in zip(self.batches, started)])
+        return LinearSystem(self, [b.finish(*s) for b, s in zip(self.batches, started)],
+                            self._limit_rows(state.tables))
+
+    def _limit_rows(self, tables) -> _Limits | None:
+        """The limit rows the damped step takes exactly, at the point ``tables`` stack."""
+        if not self._limits:
+            return None
+        parts = []
+        for i in self._limits:
+            b = self.batches[i]
+            [(t, rows)] = b.slots
+            lower, upper, _ = b.params
+            value, terms = take(tables[t], rows), b.kept.terms
+            parts.append((b.kept.columns, np.square(b.sqrt_info).ravel()[terms],
+                          (lower - value).ravel()[terms], (upper - value).ravel()[terms]))
+        return _Limits(*map(_concat, zip(*parts)))
 
     # -- solving ---------------------------------------------------------
 

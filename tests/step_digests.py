@@ -5,9 +5,12 @@ scenes in their own modes, and the crossing scene in the other three modes
 on seeds 11-12, and prints one JSON line per step: the command digest, the
 iteration count, the stop reason and the diverged flag, and per stage graph
 the step solves its columns, its band width ``bw`` and how many
-linearizations, error passes and factorizations it took (a pre-solve counts
-toward the stage it walks into its basin). Two checkouts that run the same
-steps print the same lines, so comparing them is one ``cmp``:
+linearizations, error passes, damped-step solves (``trials``) and banded
+factorizations it took (a pre-solve counts toward the stage it walks into
+its basin). A solve factorizes once per pass over the limit hinges' active
+set, so ``factorizations`` counts the LAPACK calls themselves. Two
+checkouts that run the same steps print the same lines, so comparing them
+is one ``cmp``:
 
     python3 tests/step_digests.py > new.jsonl   # in each checkout
     cmp old.jsonl new.jsonl
@@ -83,7 +86,7 @@ def count_stages():
         def wrapper(g, *args, **kwargs):
             init(g, *args, **kwargs)
             steps[-1].append({"columns": g.ncols, "bw": g.bw, "linearize": 0,
-                              "errors": 0, "factorizations": 0})
+                              "errors": 0, "trials": 0, "factorizations": 0})
         return wrapper
 
     def stepping(step):
@@ -95,7 +98,8 @@ def count_stages():
     fg.__init__ = building(fg.__init__)
     fg.linearize = counted(fg.linearize, "linearize")
     fg.total_error = counted(fg.total_error, "errors")
-    linear.solve = counted(linear.solve, "factorizations")   # one dpbsv each
+    linear.solve = counted(linear.solve, "trials")
+    graph._pbsv = counted(graph._pbsv, "factorizations")
     pipeline.Pipeline.step = stepping(pipeline.Pipeline.step)
     return steps
 

@@ -13,8 +13,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.optimize
-from dense_oracle import cross_block, dense_jacobian, jtj, jtr, stacked_residual
+from dense_oracle import (
+    cross_block,
+    damped_limit_step,
+    dense_jacobian,
+    jtj,
+    jtr,
+    stacked_residual,
+)
+
+from fgnav import graph as graph_module
 
 from fgnav.factors import (
     BetweenFactor,
@@ -30,6 +40,7 @@ from fgnav.factors import (
     StaticObstacleFactor,
 )
 from fgnav.graph import (
+    ACTIVE_SET_PASSES,
     LAMBDA_CAP,
     LAMBDA_INIT,
     LAMBDA_SCALE,
@@ -430,6 +441,160 @@ def test_rank_deficient_system_raises_numerical_singularity(dim):
 
 
 # ---------------------------------------------------------------------------
+# the damped step with the limit rows taken at the trial point
+
+
+def limit_chain(masked=False, fixed=()):
+    """Three velocities inside a box whose priors pull two of them out of it.
+
+    With ``masked``, a smoothness row may not move the first velocity, so
+    unless that key is ``fixed`` the graph is no least-squares problem.
+    """
+    rng = np.random.default_rng(0)
+    values = {velocity(k): rng.uniform(-0.3, 0.3, 2) for k in range(3)}
+    factors = [LimitFactor(velocity(k), [-0.5, -0.4], [0.5, 0.4], 1e-2) for k in range(3)]
+    for k in range(2):
+        factors.append(BetweenFactor(velocity(k), velocity(k + 1), np.zeros(2), 0.2))
+    for k in range(3):
+        factors.append(PriorFactor(velocity(k), np.array([1.0, -0.8]) * (1 - 0.5 * k), 0.1))
+    masks = [None] * len(factors)
+    if masked:
+        masks[3] = (True, False)
+    return FactorGraph(values, factors, masks, fixed)
+
+
+def limit_entries(g):
+    """The value, lower and upper bound of every free limited entry, in column order."""
+    v, lo, hi = (np.zeros(g.ncols) for _ in range(3))
+    for f in g.factors:
+        if isinstance(f, LimitFactor):
+            o = g.offsets[f.keys[0]]
+            at = slice(o, o + f.dim)
+            v[at], lo[at], hi[at] = g.values[f.keys[0]], f.lower, f.upper
+    return v, lo, hi
+
+
+def plain_step(system, lam):
+    """The damped step with every row linearised where the system was."""
+    j = dense_jacobian(system)
+    h = j.T @ j
+    return np.linalg.solve(h + lam * np.diag(np.diag(h)), -j.T @ stacked_residual(system))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 1e-2, 0.3])
+def test_the_damped_step_is_the_minimiser_of_the_model_with_exact_limit_rows(lam):
+    g = limit_chain()
+    system = g.linearize(g.values)
+    v, lo, hi = limit_entries(g)
+    # linearised inside the box, where the step that sees no limit row leaves it
+    assert np.all((lo < v) & (v < hi))
+    x = v + plain_step(system, lam)
+    assert np.any((x < lo) | (x > hi))
+    assert_rel(system.solve(lam), damped_limit_step(g, g.values, lam), 1e-12)
+
+
+def band_solve_with_every_row(system, lam):
+    """(J^T J + lam diag(J^T J)) delta = -J^T r with every row of every batch in the band."""
+    g = system.graph
+    n = g.ncols
+    h_index = np.concatenate([b.kept.band for b in g.batches])
+    g_index = np.concatenate([b.kept.columns for b in g.batches])
+    h_vals = np.concatenate([(b.jacobian.transpose(0, 2, 1) @ b.jacobian).ravel()[
+        b.kept.products] for b in system.blocks])
+    g_vals = np.concatenate([np.einsum("nmd,nm->nd", b.jacobian, b.residual).ravel()[
+        b.kept.terms] for b in system.blocks])
+    band = np.bincount(h_index, h_vals, (g.bw + 1) * n).reshape(g.bw + 1, n)
+    ab = np.asfortranarray(band)
+    ab[0] += lam * band[0]
+    _, x, info = scipy.linalg.lapack.dpbsv(ab, -np.bincount(g_index, g_vals, n), lower=1)
+    assert info == 0
+    return x
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: limit_chain(masked=True), id="masks-a-free-key"),
+    pytest.param(lambda: chain_graph(np.random.default_rng(2)), id="no-limit-rows"),
+])
+def test_a_stage_that_is_no_least_squares_problem_keeps_the_band_solve(make):
+    g = make()
+    system = g.linearize(g.values)
+    assert system.limits is None
+    j = dense_jacobian(system)
+    assert_rel(jtj(system), j.T @ j, 1e-12)
+    for lam in (0.0, 1e-4, 1.0):
+        assert system.solve(lam).tobytes() == band_solve_with_every_row(system, lam).tobytes()
+
+
+def test_a_mask_on_a_fixed_key_leaves_a_least_squares_stage():
+    g = limit_chain(masked=True, fixed=[velocity(0)])
+    assert g.linearize(g.values).limits is not None
+
+
+class _Row(Factor):
+    """One whitened row ``a . v - b`` on a vector key, coupling its entries both ways."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, key, a, b):
+        super().__init__((key,), 1.0, 1)
+        self.a, self.b = np.asarray(a, dtype=float), float(b)
+
+    @classmethod
+    def stack_params(cls, factors):
+        return np.array([f.a for f in factors]), np.array([f.b for f in factors])
+
+    @classmethod
+    def evaluate(cls, params, args):
+        a, b = params
+        yield (np.einsum("nd,nd->n", a, args[0]) - b)[:, None]
+        yield a[:, None, :]
+
+
+def cycling_graph():
+    """A boxed 3-vector whose limit rows' active set, at light damping, never repeats."""
+    rows = [([-0.76, 0.23, -0.62], 1.3), ([-0.84, 0.24, -0.87], -1.5),
+            ([0.37, 0.14, 0.65], 2.4)]
+    factors = [LimitFactor(velocity(0), -np.ones(3), np.ones(3), 0.1)]
+    factors += [_Row(velocity(0), a, b) for a, b in rows]
+    return FactorGraph({velocity(0): np.array([0.14, -0.06, -0.8])}, factors)
+
+
+def test_a_step_that_reaches_the_pass_bound_goes_to_the_accept_test(monkeypatch):
+    factorizations = []
+    pbsv = graph_module._pbsv
+
+    def counting(*args, **kwargs):
+        factorizations.append(1)
+        return pbsv(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_pbsv", counting)
+    g = cycling_graph()
+    system = g.linearize(g.values)
+    step = system.solve(LAMBDA_INIT)
+    # the bound ends the passes without error, on a step that is not the
+    # model's minimiser; with more damping the active set settles
+    assert len(factorizations) == ACTIVE_SET_PASSES
+    assert np.max(np.abs(step - damped_limit_step(g, g.values, LAMBDA_INIT))) > 0.1
+    factorizations.clear()
+    assert_rel(system.solve(0.1), damped_limit_step(g, g.values, 0.1), 1e-12)
+    assert len(factorizations) < ACTIVE_SET_PASSES
+
+    # the solve's first trial is that step, and the accept test takes it
+    trials = []
+    retract = _State.retract
+
+    def retracting(state, delta):
+        trials.append(delta)
+        return retract(state, delta)
+
+    monkeypatch.setattr(_State, "retract", retracting)
+    res = g.optimize()
+    assert trials[0].tobytes() == step.tobytes()
+    assert res.accepted_errors[1] < res.accepted_errors[0]
+    assert res.converged
+
+
+# ---------------------------------------------------------------------------
 # optimization
 
 
@@ -659,11 +824,17 @@ def test_optimize_matches_a_values_based_reference_exactly(config):
 def hinge_chain(n=12):
     """Velocity and pose chains that the limit and clearance hinges keep pushing back.
 
-    Velocity priors pull outside tight box hinges and every pose sits
-    inside the clearance of a fixed object, so about half of the trial
-    steps are rejected. The hinge batches come first in the graph's order.
+    Velocity priors pull outside tight box hinges, and every pose sits
+    inside the clearance of a fixed object, which pushes it toward a wall.
+    The damped step takes the box hinges exactly but not the wall's
+    clearance hinge, whose zero inactive branch it cannot see, so the poses
+    overshoot into it and close to half of the trial steps are rejected.
+    The hinge batches come first in the graph's order.
     """
     rng = np.random.default_rng(41)
+    grid = OccupancyGrid.empty(45, 20, 0.1, origin=(-0.5, -1.0))
+    grid.mark_rect(-0.5, -1.0, 4.0, -0.6)
+    wall = EsdfGrid.from_occupancy(grid)
     values = {}
     for k in range(n):
         values[velocity(k)] = rng.normal(0, 0.3, 2)
@@ -672,6 +843,7 @@ def hinge_chain(n=12):
     factors = []
     for k in range(n):
         factors.append(LimitFactor(velocity(k), [-0.5, -0.5], [0.5, 0.5], 1e-3))
+        factors.append(StaticObstacleFactor(robot_pose(k), wall, 0.35, 1e-3))
         factors.append(DynamicObstacleFactor(robot_pose(k), object_motion(1, k),
                                              Pose3.identity(), 0.6, 5e-3, margin=0.05))
     factors.append(PriorFactor(robot_pose(0), Pose2.identity(), [0.05, 0.05, 0.05]))
