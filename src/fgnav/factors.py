@@ -1,11 +1,12 @@
 """Residual catalog for estimation, prediction and planning.
 
-Estimation is in SE(3): it reads odometry (``BetweenFactor``), static and
-dynamic points (``PointMeasurementFactor``, ``HybridMotionFactor``), the
-smooth motion of an object (``ObjectSmoothingFactor``) and unary priors
-(``PriorFactor``). Prediction is planar, like the plan it serves: its
-motions are Pose2, chained by ``PlanarSmoothingFactor`` (the same kernel
-read in SE(2)), and each predicted centre is kept clear of the map
+Every pose is planar (:mod:`fgnav.lie`). Estimation reads odometry
+(``BetweenFactor``), static and dynamic points (``PointMeasurementFactor``,
+``HybridMotionFactor``), the smooth motion of an object
+(``ObjectSmoothingFactor``) and unary priors (``PriorFactor``); a point is a
+3-vector whose (x, y) a pose moves and whose z it passes through.
+Prediction chains an object's predicted motions by the same
+``ObjectSmoothingFactor`` and keeps each predicted centre clear of the map
 (``StaticObstacleFactor``). Planning holds the unicycle propagation
 (``MotionModelFactor``), the control box (``LimitFactor``) and the
 clearances (``StaticObstacleFactor``, ``DynamicObstacleFactor``). Its goal
@@ -28,27 +29,12 @@ values is one of those constants: the Jacobian of a vector prior or
 difference, and the fixed entries of the motion model's blocks, are built
 once per batch, read-only, and a kernel yields or copies them.
 
-A class lists in ``planar_slots`` the keys it reads in SE(2): every pose
-and motion key of ``PlanarSmoothingFactor``, ``MotionModelFactor``,
-``StaticObstacleFactor`` and ``DynamicObstacleFactor``. Those keys reach
-the kernel through :func:`planar_view`: a Pose2 as itself, a Pose3 as
-``(t_x, t_y, atan2(R_10, R_00))``. The kernel therefore only ever sees
-(n, 3) poses there, and its three Jacobian columns for such a key land on
-the key's own tangent columns ``read_columns(dim, True)``: all three of a
-Pose2, columns 0, 1 and 5 of a Pose3 (whose other three columns this
-factor does not move). This is how a planning chain reads the Pose3
-estimate it starts from, and a prediction chain the two Pose3 motion
-estimates it starts from; only estimation factors read a Pose3 as itself.
-
 Instances share a kernel call when they have the same class, the same
-viewed value kinds per key and the same ``batch_key()``, so a chain whose
-first pose is a Pose3 is still one batch.
+value kinds per key and the same ``batch_key()``.
 :class:`fgnav.graph.FactorGraph` calls one kernel per such family and
 evaluates nothing else. The per-factor methods (``residual``,
-``linearize_raw`` and the whitened forms) are calls with a batch of one,
-through the same view and column map, so they return a 6-wide block for a
-Pose3 key; they serve as the reference the batched system is tested
-against.
+``linearize_raw`` and the whitened forms) are calls with a batch of one;
+they serve as the reference the batched system is tested against.
 
 Each factor also carries its whitening and its ``component``. The
 whitening ``sqrt_info`` is the inverse of the factor's standard deviations,
@@ -83,9 +69,7 @@ import numpy as np
 
 from .lie import (
     Pose2,
-    Pose3,
     adjoint_batch,
-    batch_dim,
     between_batch,
     columns,
     compose_batch,
@@ -94,8 +78,6 @@ from .lie import (
     right_jacobian_inverse,  # noqa: F401  (re-exported under this module)
     right_jacobian_inverse_batch,
     rot2_batch,
-    se2_view,
-    skew_batch,
     stack,
     wrap_angles,
 )
@@ -170,37 +152,10 @@ def propagate_unicycle(x: Pose2, v: float, omega: float, dt: float) -> Pose2:
     )
 
 
-# tangent columns of a Pose3 that its SE(2) view moves along: t_x, t_y, yaw
-PLANAR_COLUMNS = np.array([0, 1, 5])
-
-
-def planar_view(batch) -> np.ndarray:
-    """(n, 3) SE(2) view of a Pose2 batch (itself) or a nearly planar Pose3 batch.
-
-    A Pose3 reads as ``(t_x, t_y, atan2(R_10, R_00))``. For a planar Pose3
-    the se(3) directions t_x, t_y and yaw coincide with the se(2) ones and
-    the out-of-plane directions have no first-order effect on the view, so
-    a Jacobian with respect to the view is one with respect to the Pose3's
-    ``PLANAR_COLUMNS``.
-    """
-    if not isinstance(batch, tuple):
-        return batch
-    r, t = batch
-    return columns(t[:, 0], t[:, 1], np.arctan2(r[:, 1, 0], r[:, 0, 0]))
-
-
-def read_columns(dim: int, planar: bool) -> np.ndarray:
-    """Tangent columns of a key of width ``dim`` that its kernel columns land on."""
-    return PLANAR_COLUMNS if planar and dim == 6 else np.arange(dim)
-
-
 class Factor:
     """Base class: keys, whitening and component."""
 
     __slots__ = ("keys", "dim", "sqrt_info", "component")
-
-    # positions in ``keys`` that the kernel reads through planar_view
-    planar_slots: tuple[int, ...] = ()
 
     def __init__(self, keys, noise, dim, component=Component.ESTIMATION, weight=1.0):
         self.keys = tuple(keys)
@@ -237,29 +192,14 @@ class Factor:
         if type(self).evaluate.__func__ is Factor.evaluate.__func__:
             raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
         args = [stack([values[k]]) for k in self.keys]
-        dims = [batch_dim(a) for a in args]
-        for j in self.planar_slots:
-            args[j] = planar_view(args[j])
-        return self.evaluate(self.stack_params([self]), args), dims
+        return self.evaluate(self.stack_params([self]), args), [a.shape[1] for a in args]
 
     def residual(self, values) -> np.ndarray:
         return next(self._kernel(values)[0])[0]
 
     def linearize_raw(self, values):
-        """Return (residual, [jacobian per key]).
-
-        The blocks run over every key's whole tangent: columns of a key
-        read through ``planar_view`` that the view does not move are zero.
-        """
+        """Return (residual, [jacobian per key])."""
         (r, jac), dims = self._kernel(values)
-        if jac.shape[2] != sum(dims):
-            # a Pose3 read through its view: spread the view's columns out
-            starts = np.cumsum(dims) - dims
-            cols = np.concatenate([o + read_columns(d, j in self.planar_slots)
-                                   for j, (o, d) in enumerate(zip(starts, dims))])
-            full = np.zeros(jac.shape[:2] + (sum(dims),))
-            full[:, :, cols] = jac
-            jac = full
         return r[0], np.split(jac[0], np.cumsum(dims)[:-1], axis=1)
 
     def whitened_residual(self, values) -> np.ndarray:
@@ -281,7 +221,7 @@ def _eye(n: int, d: int, scale: float = 1.0) -> np.ndarray:
 
 
 def _xy(p, com_xy=None) -> np.ndarray:
-    """(n, 2) position of (n, 3) planar poses, or of centres ``com_xy`` moved: R c + t."""
+    """(n, 2) position of (n, 3) poses, or of centres ``com_xy`` moved: R c + t."""
     if com_xy is None:
         return p[:, 0:2]
     return np.einsum("nij,nj->ni", rot2_batch(p[:, 2]), com_xy) + p[:, 0:2]
@@ -298,16 +238,48 @@ def _xy_jacobian(p, com_xy=None) -> np.ndarray:
 
 
 def _measurement(z):
-    """(z, z^-1, tangent dim) of a pose; (z as a float array, None, length) of a vector."""
-    if isinstance(z, (Pose2, Pose3)):
-        return z, z.inverse(), z.tangent_dim()
+    """(z, z^-1, 3) of a pose; (z as a float array, None, length) of a vector."""
+    if isinstance(z, Pose2):
+        return z, z.inverse(), 3
     z = np.asarray(z, dtype=float)
     return z, None, z.shape[0]
 
 
-def _point_jacobian(p: np.ndarray) -> np.ndarray:
-    """d(R^T (m - t))/d(pose) = [-I, skew(p)] at the body-frame point p."""
-    return np.concatenate([_eye(p.shape[0], 3, -1.0), skew_batch(p)], axis=2)
+def _to_body(x, w):
+    """(n, 3) points ``w`` in the frames of the (n, 3) poses ``x``, and R_x^T.
+
+    The pose turns and moves a point's (x, y) and passes its z through:
+    the body-frame point is (R^T (w_xy - t), w_z).
+    """
+    rt = rot2_batch(x[:, 2]).transpose(0, 2, 1)
+    p = np.empty(w.shape)
+    p[:, 0:2] = np.einsum("nij,nj->ni", rt, w[:, 0:2] - x[:, 0:2])
+    p[:, 2] = w[:, 2]
+    return p, rt
+
+
+def _point_jacobians(p, rot, m=None) -> np.ndarray:
+    """(n, 3, 6 or 9) Jacobian of a body-frame point ``p``.
+
+    The columns run over the pose's tangent, then (given the point ``m`` an
+    object motion moves, and ``rot`` = R_x^T R_h) the motion's tangent,
+    then the point's three coordinates. A turn d_theta of a frame moves a
+    point q by (-q_y, q_x) d_theta in it, so the pose's block is
+    [[-1, 0, p_y], [0, -1, -p_x], [0, 0, 0]] and the motion's is
+    [rot, rot (-m_y, m_x)] over the first two rows. Through ``rot`` a
+    point's (x, y) moves p's, and its z moves p_z one to one.
+    """
+    n = p.shape[0]
+    out = np.zeros((n, 3, 6 if m is None else 9))
+    out[:, 0, 0] = out[:, 1, 1] = -1.0
+    out[:, 0, 2] = p[:, 1]
+    out[:, 1, 2] = -p[:, 0]
+    if m is not None:
+        out[:, 0:2, 3:5] = rot
+        out[:, 0:2, 5] = np.einsum("nij,nj->ni", rot, columns(-m[:, 1], m[:, 0]))
+    out[:, 0:2, -3:-1] = rot
+    out[:, 2, -1] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +362,10 @@ class BetweenFactor(Factor):
 
 
 class PointMeasurementFactor(Factor):
-    """Body-frame point observation: r = X^-1 * m - z."""
+    """Body-frame point observation: r = X^-1 * m - z.
+
+    The pose X turns and moves the point's (x, y) and passes its z through.
+    """
 
     __slots__ = ("measured",)
 
@@ -404,11 +379,10 @@ class PointMeasurementFactor(Factor):
 
     @classmethod
     def evaluate(cls, measured, args):
-        (rot, t), m = args
-        rt = rot.transpose(0, 2, 1)
-        p = np.einsum("nij,nj->ni", rt, m - t)
+        x, m = args
+        p, rt = _to_body(x, m)
         yield p - measured
-        yield np.concatenate([_point_jacobian(p), rt], axis=2)
+        yield _point_jacobians(p, rt)
 
 
 class HybridMotionFactor(Factor):
@@ -416,9 +390,10 @@ class HybridMotionFactor(Factor):
 
     r = X_k^-1 * (H_{e,k} * m_e) - z_k, where m_e is the point's world
     position at the object's reference step and H_{e,k} the world-frame
-    motion since then. The shared reference point couples all observations
-    of one object; the parameterization assumes the reference position is
-    estimated alongside the motions.
+    motion since then; both poses pass the point's z through. The shared
+    reference point couples all observations of one object; the
+    parameterization assumes the reference position is estimated alongside
+    the motions.
     """
 
     __slots__ = ("measured",)
@@ -433,13 +408,14 @@ class HybridMotionFactor(Factor):
 
     @classmethod
     def evaluate(cls, measured, args):
-        (rx, tx), (rh, th), m = args
-        rt = rx.transpose(0, 2, 1)
-        w = np.einsum("nij,nj->ni", rh, m) + th
-        p = np.einsum("nij,nj->ni", rt, w - tx)
+        x, h, m = args
+        rh = rot2_batch(h[:, 2])
+        w = np.empty(m.shape)
+        w[:, 0:2] = np.einsum("nij,nj->ni", rh, m[:, 0:2]) + h[:, 0:2]
+        w[:, 2] = m[:, 2]
+        p, rt = _to_body(x, w)
         yield p - measured
-        rot = rt @ rh
-        yield np.concatenate([_point_jacobian(p), rot, rot @ -skew_batch(m), rot], axis=2)
+        yield _point_jacobians(p, rt @ rh, m)
 
 
 class ObjectSmoothingFactor(Factor):
@@ -451,19 +427,16 @@ class ObjectSmoothingFactor(Factor):
     That transform is C_ref^-1 X C_ref with X = (H_2^-1 H_1) B and
     B = H_2^-1 H_3, so r = Ad(C_ref^-1) log X (Barfoot, State Estimation
     for Robotics, 2017): J_3 = Ad(C_ref^-1) J_r^-1(log X),
-    J_1 = J_3 Ad(B^-1) and J_2 = -J_3 (Ad(X^-1) + Ad(B^-1)). The kernel
-    only composes, inverts and takes logs and adjoints, so it serves SE(2)
-    batches as it serves SE(3) ones.
+    J_1 = J_3 Ad(B^-1) and J_2 = -J_3 (Ad(X^-1) + Ad(B^-1)). It smooths
+    an object's estimated motions and chains its predicted ones alike.
     """
 
     __slots__ = ("_ad_ref_inv",)
 
-    def __init__(self, motion_keys, com_ref: Pose3, noise, **kw):
+    def __init__(self, motion_keys, com_ref: Pose2, noise, **kw):
         if len(motion_keys) != 3:
             raise ValueError("smoothing factor needs exactly three motion keys")
-        if self.planar_slots:
-            com_ref = se2_view(com_ref)
-        super().__init__(tuple(motion_keys), noise, com_ref.tangent_dim(), **kw)
+        super().__init__(tuple(motion_keys), noise, 3, **kw)
         self._ad_ref_inv = com_ref.inverse().adjoint()
 
     @classmethod
@@ -484,19 +457,6 @@ class ObjectSmoothingFactor(Factor):
         yield np.concatenate([j1, j2, j3], axis=2)
 
 
-class PlanarSmoothingFactor(ObjectSmoothingFactor):
-    """The smoothing of a predicted motion chain, read in SE(2).
-
-    All three motions reach the kernel through ``planar_view`` and C_ref as
-    its planar view, so r and Ad(C_ref^-1) are 3-wide. A chain's first
-    factors read the two newest Pose3 estimates on their columns 0, 1 and 5
-    and share one batch with the rest, which read Pose2 predictions.
-    """
-
-    __slots__ = ()
-    planar_slots = (0, 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # Planning factors
 
@@ -506,12 +466,10 @@ class MotionModelFactor(Factor):
 
     Rows 0..2: log of the SE(2) error between the next pose and the
     propagation of the current pose with the next velocity. Rows 3..4:
-    v_next - (v_prev + a dt). Both poses are read in SE(2), so a Pose3 at
-    the estimation boundary is read through its planar view.
+    v_next - (v_prev + a dt).
     """
 
     __slots__ = ("dt",)
-    planar_slots = (0, 1)
 
     def __init__(self, pose_a, pose_b, vel_a, vel_b, acc_a, dt, noise, **kw):
         kw.setdefault("component", Component.PLANNING)
@@ -624,14 +582,13 @@ class StaticObstacleFactor(Factor):
     """Hinge on signed-distance clearance: r = max(0, d_safe - esdf(p)).
 
     Applies to a robot pose directly or to an object motion through the
-    object's reference centre read in the plane, both in SE(2). Positions
-    outside the distance grid read as distance zero, i.e. maximally unsafe.
+    object's reference centre. Positions outside the distance grid read as
+    distance zero, i.e. maximally unsafe.
     """
 
     __slots__ = ("esdf", "d_safe", "com_ref")
-    planar_slots = (0,)
 
-    def __init__(self, key, esdf, d_safe, noise, com_ref: Pose3 | None = None, **kw):
+    def __init__(self, key, esdf, d_safe, noise, com_ref: Pose2 | None = None, **kw):
         kw.setdefault("component", Component.PLANNING)
         super().__init__((key,), noise, 1, **kw)
         self.esdf = esdf
@@ -645,7 +602,7 @@ class StaticObstacleFactor(Factor):
     def stack_params(cls, factors):
         com_xy = None
         if factors[0].com_ref is not None:
-            com_xy = np.array([f.com_ref.translation[0:2] for f in factors])
+            com_xy = np.array([(f.com_ref.x, f.com_ref.y) for f in factors])
         return factors[0].esdf, np.array([f.d_safe for f in factors]), com_xy
 
     @classmethod
@@ -665,17 +622,16 @@ class DynamicObstacleFactor(Factor):
     r = m log(1 + exp((d_safe - ||t_pose - t_centre||) / m)), with ``m`` the
     ``margin``: within about ``m`` of ``d_safe`` this is the hinge
     max(0, d_safe - range) with its corner rounded, and its Jacobian is the
-    hinge's active-branch Jacobian times sigmoid((d_safe - range) / m). Both
-    keys are read in SE(2), the centre as the reference centre read in the
-    plane. A planning instance moves the planned pose around the predicted
-    motion; a prediction instance (cooperative mode) moves the prediction
-    to make room for the plan.
+    hinge's active-branch Jacobian times sigmoid((d_safe - range) / m), the
+    centre being the object's reference centre moved by the motion. A
+    planning instance moves the planned pose around the predicted motion; a
+    prediction instance (cooperative mode) moves the prediction to make
+    room for the plan.
     """
 
     __slots__ = ("com_ref", "d_safe", "margin")
-    planar_slots = (0, 1)
 
-    def __init__(self, pose_key, motion_key, com_ref: Pose3, d_safe, noise, *, margin,
+    def __init__(self, pose_key, motion_key, com_ref: Pose2, d_safe, noise, *, margin,
                  **kw):
         if not margin > 0:
             raise ValueError("margin must be > 0")
@@ -687,7 +643,7 @@ class DynamicObstacleFactor(Factor):
 
     @classmethod
     def stack_params(cls, factors):
-        return (np.array([f.com_ref.translation[0:2] for f in factors]),
+        return (np.array([(f.com_ref.x, f.com_ref.y) for f in factors]),
                 np.array([f.d_safe for f in factors]),
                 np.array([f.margin for f in factors]))
 

@@ -11,20 +11,15 @@ stage graph with the propagation rows down-weighted on a copy from
 :meth:`FactorGraph.relaxed`, which shares the layout.
 
 Evaluation is batched. The constructor lays the solve out once: it sorts
-the variables into one table per value kind (Pose2, Pose3, vectors of each
+the variables into one table per value kind (Pose2, vectors of each
 length) in the order of ``values``, groups the factors into batches that
 share one kernel call (same class, same value kinds per key and same
 ``batch_key``, see :mod:`fgnav.factors`), and records for every batch the
 table rows its keys read and the ``J^T J`` and ``J^T r`` entries its
-Jacobian columns land in. A key that a factor reads in SE(2) (its
-class's ``planar_slots``) counts as a Pose2 there: the Pose2 table starts
-with the planar view of every Pose3 key some planar slot reads, the slot
-reads that row, and the view's three Jacobian columns land on the Pose3's
-tangent columns 0, 1 and 5. So a planning chain that starts at a Pose3
-estimate is one batch, and it reads one run of rows. A batch reads a run
-of rows as a view of its table, and any other rows as a gathered copy;
-its ``(n, D)`` global columns come from one gather over per-key column
-offsets. A point is evaluated once per batch, in two
+Jacobian columns land in. A batch reads a run of rows as a view of its
+table, and any other rows as a gathered copy; its ``(n, D)`` global
+columns come from one gather over per-key column offsets. A point is
+evaluated once per batch, in two
 phases (the kernels are generators, see :mod:`fgnav.factors`):
 :meth:`FactorGraph.total_error` stacks the point into the tables and starts
 one kernel per batch, which yields the residuals, and
@@ -66,10 +61,9 @@ either way, so the two steps lead to the same optimum.
 :meth:`FactorGraph.optimize` redoes only the work whose inputs change
 (Kaess et al., *iSAM2*, IJRR 2012, applied within one solve). Its iterate
 is the graph's stacked tables (:class:`_State`), not a dict: a trial
-step is one ``exp_batch`` and ``compose_batch`` per pose table and one add
-per vector table, written into fresh arrays so a rejected trial never
-touches the accepted point; the planar view rows are refreshed from the
-Pose3 table only when one of their keys is free. Every batch is evaluated
+step is one ``exp_batch`` and ``compose_batch`` on the pose table and one
+add per vector table, written into fresh arrays so a rejected trial never
+touches the accepted point. Every batch is evaluated
 on every pass, also one whose keys are all fixed; the pipeline builds no
 such batch, since each of its stages holds only the factors of the
 components it solves. The first error is the one the first linearization
@@ -101,8 +95,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg.lapack
 
-from .factors import Factor, LimitFactor, planar_view, read_columns
-from .lie import Pose2, Pose3, compose_batch, exp_batch, stack, take, unstack
+from .factors import Factor, LimitFactor
+from .lie import Pose2, compose_batch, exp_batch, stack, unstack
 
 # LAPACK's banded Cholesky solve, called without scipy's checks and copies
 _pbsv = scipy.linalg.lapack.dpbsv
@@ -181,15 +175,15 @@ def _ordering_rank(key: VariableKey):
 
 
 def tangent_dim(value) -> int:
-    if isinstance(value, (Pose2, Pose3)):
-        return value.tangent_dim()
+    if isinstance(value, Pose2):
+        return 3
     return int(np.asarray(value).shape[0])
 
 
-def _value_kind(value, planar: bool = False):
-    """Table kind of a value; a pose read in SE(2) is read as a Pose2."""
-    if isinstance(value, (Pose2, Pose3)):
-        return Pose2 if planar else type(value)
+def _value_kind(value):
+    """Table kind of a value: Pose2, or a vector of its length."""
+    if isinstance(value, Pose2):
+        return Pose2
     return np.ndarray, tangent_dim(value)
 
 
@@ -297,31 +291,12 @@ class _Batch:
 
     def start(self, tables):
         """The kernel started at the stacked value ``tables``, and its whitened (n, m) residuals."""
-        kernel = self.cls.evaluate(self.params, [take(tables[t], rows) for t, rows in self.slots])
+        kernel = self.cls.evaluate(self.params, [tables[t][rows] for t, rows in self.slots])
         return kernel, self.sqrt_info * next(kernel)
 
     def finish(self, kernel, rw) -> "_Block":
         """The block of a started kernel: its residuals ``rw`` and whitened Jacobians."""
         return _Block(rw, self.sqrt_info[:, :, None] * next(kernel), self.cols, self.kept)
-
-
-class _View(NamedTuple):
-    """Where the planar view of the Pose3 keys that planar slots read lives."""
-
-    table: int                # the Pose2 table, whose first rows the views are
-    rows: slice               # the view rows in it
-    source: int               # the Pose3 table
-    source_rows: np.ndarray   # the viewed keys' rows there
-    moves: bool               # some viewed key is free
-
-
-def _put(batch, rows, moved):
-    """Copy of ``batch`` with its elements at ``rows`` replaced by ``moved``."""
-    if isinstance(batch, tuple):
-        return tuple(_put(a, rows, m) for a, m in zip(batch, moved))
-    out = batch.copy()
-    out[rows] = moved
-    return out
 
 
 class _State:
@@ -346,13 +321,9 @@ class _State:
         """``p * exp(d)`` and ``v + d`` for every active key, in fresh tables."""
         tables = list(self.tables)
         for t, _, rows, cols, pose in self.graph._moves:
-            old, d = take(tables[t], rows), delta[cols]
-            moved = compose_batch(old, exp_batch(d)) if pose else old + d
-            tables[t] = _put(tables[t], rows, moved)
-        view = self.graph._view
-        if view is not None and view.moves:
-            tables[view.table] = _put(tables[view.table], view.rows, planar_view(
-                take(tables[view.source], view.source_rows)))
+            old, d = tables[t][rows], delta[cols]
+            tables[t] = tables[t].copy()
+            tables[t][rows] = compose_batch(old, exp_batch(d)) if pose else old + d
         return _State(self.graph, tables, self.base)
 
     def values(self) -> dict:
@@ -360,7 +331,7 @@ class _State:
         if self._values is None:
             self._values = dict(self.base)
             for t, keys, rows, _, pose in self.graph._moves:
-                moved = take(self.tables[t], rows)
+                moved = self.tables[t][rows]
                 self._values.update(zip(keys, unstack(moved) if pose else moved))
         return self._values
 
@@ -551,7 +522,6 @@ class FactorGraph:
     reverse Cuthill-McKee order of the free keys that unmasked factors
     couple, the batches, and ``bw``, the widest column span of any factor,
     so every ``J^T J`` product falls inside a band of ``bw`` subdiagonals.
-    ``_view`` is None when no planar slot reads a Pose3 key.
     """
 
     def __init__(self, values: dict, factors, masks=None, fixed=()):
@@ -588,28 +558,16 @@ class FactorGraph:
             off += self.dims[key]
         self.ncols = off
 
-        # the Pose3 keys that planar slots read get a row of their planar
-        # view ahead of the Pose2 keys' rows; those slots read that row, so a
-        # chain that starts at a viewed Pose3 reads one run of rows
-        viewed = list(dict.fromkeys(
-            f.keys[j] for f in self.factors
-            for j in f.planar_slots if isinstance(self.values[f.keys[j]], Pose3)))
         # one table of keys per value kind; row_of[key] = (table, row)
-        table_of: dict[object, int] = {Pose2: 0} if viewed else {}
-        self._tables: list[list[VariableKey]] = [[]] if viewed else []
+        table_of: dict[object, int] = {}
+        self._tables: list[list[VariableKey]] = []
         row_of: dict[VariableKey, tuple[int, int]] = {}
         for key, value in self.values.items():
             t = table_of.setdefault(_value_kind(value), len(table_of))
             if t == len(self._tables):
                 self._tables.append([])
-            row_of[key] = (t, len(self._tables[t]) + (len(viewed) if t == 0 else 0))
+            row_of[key] = (t, len(self._tables[t]))
             self._tables[t].append(key)
-        planar_row = {k: (0, i) for i, k in enumerate(viewed)}
-        self._view = None
-        if viewed:
-            self._view = _View(0, slice(0, len(viewed)), row_of[viewed[0]][0],
-                               np.array([row_of[k][1] for k in viewed]),
-                               any(k in self.offsets for k in viewed))
 
         # per table with active keys: those keys in column order, their
         # rows, their (n, dim) delta columns and whether the table holds poses
@@ -621,41 +579,30 @@ class FactorGraph:
                 rows = _rows([row_of[k][1] for k in keys])
                 cols = np.array([range(self.offsets[k], self.offsets[k] + self.dims[k])
                                  for k in keys], dtype=np.intp)
-                self._moves.append((t, keys, rows, cols, kind in (Pose2, Pose3)))
+                self._moves.append((t, keys, rows, cols, kind is Pose2))
 
         groups: dict[object, list] = {}
         for f, mask in zip(self.factors, self.masks):
-            kinds = tuple(_value_kind(self.values[k], j in f.planar_slots)
-                          for j, k in enumerate(f.keys))
+            kinds = tuple(_value_kind(self.values[k]) for k in f.keys)
             groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
 
-        # per key, the first global column of its tangent (-1 when fixed) and,
-        # for a pose, the local column its planar view's yaw lands on
+        # per key, the first global column of its tangent (-1 when fixed)
         index = {k: i for i, k in enumerate(self.values)}
         first = np.array([self.offsets.get(k, -1) for k in self.values], dtype=np.intp)
-        yaw = np.array([read_columns(self._tangent[k], True)[-1] for k in self.values],
-                       dtype=np.intp)
         self.batches: list[_Batch] = []
         for members in groups.values():
             factors = [f for f, _ in members]
-            planar = factors[0].planar_slots
             slots = []
             for j in range(len(factors[0].keys)):
-                read = planar_row if j in planar else {}
-                rows = [read.get(f.keys[j]) or row_of[f.keys[j]] for f in factors]
+                rows = [row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], _rows([r for _, r in rows])))
             # one gather: every key's first column, -1 where masked, spread
-            # over its slot's local columns; a planar slot's third column is
-            # each key's own yaw column
+            # over its slot's local columns
             keys = np.array([[index[k] for k in f.keys] for f in factors], dtype=np.intp)
             starts = np.where([mask for _, mask in members], -1, first[keys])
-            widths = [3 if j in planar else self._tangent[k]
-                      for j, k in enumerate(factors[0].keys)]
-            slot_of = np.repeat(np.arange(len(widths)), widths)
-            local = np.tile(np.concatenate([np.arange(w) for w in widths]), (len(factors), 1))
-            for j in planar:
-                local[:, sum(widths[:j]) + 2] = yaw[keys[:, j]]
-            starts = starts[:, slot_of]
+            widths = [self._tangent[k] for k in factors[0].keys]
+            starts = starts[:, np.repeat(np.arange(len(widths)), widths)]
+            local = np.concatenate([np.arange(w) for w in widths])
             cols = np.where(starts >= 0, starts + local, -1)
             self.batches.append(_Batch(factors, slots, cols, self.ncols))
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
@@ -696,16 +643,9 @@ class FactorGraph:
         if isinstance(values, _State):
             return values
         try:
-            # only the Pose2 table can be empty, when it holds views alone
-            tables = [stack([values[k] for k in keys]) if keys else np.zeros((0, 3))
-                      for keys in self._tables]
+            tables = [stack([values[k] for k in keys]) for keys in self._tables]
         except KeyError as exc:
             raise UnknownVariableError(f"values lack graph variable {exc.args[0]}") from None
-        view = self._view
-        if view is not None:
-            tables[view.table] = np.concatenate(
-                [planar_view(take(tables[view.source], view.source_rows)),
-                 tables[view.table]])
         return _State(self, tables, values, values)
 
     def total_error(self, values, bound: float = math.inf) -> float:
@@ -753,7 +693,7 @@ class FactorGraph:
             b = self.batches[i]
             [(t, rows)] = b.slots
             lower, upper, _ = b.params
-            value, terms = take(tables[t], rows), b.kept.terms
+            value, terms = tables[t][rows], b.kept.terms
             parts.append((b.kept.columns, np.square(b.sqrt_info).ravel()[terms],
                           (lower - value).ravel()[terms], (upper - value).ravel()[terms]))
         return _Limits(*map(_concat, zip(*parts)))

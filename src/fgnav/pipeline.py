@@ -2,11 +2,14 @@
 
 Every control step assembles three fragments: a fixed-lag estimation
 window (robot poses, landmarks, object motions), a constant-motion
-prediction chain per tracked object, and an N-step local plan. Estimation
-is in SE(3). Prediction and planning are planar: the plan is a unicycle,
-and everything that reads a prediction (the plan and both clearance
-hinges) reads it in the plane, so the predicted motions are Pose2; a
-track's next estimate starts from its prediction lifted into SE(3).
+prediction chain per tracked object, and an N-step local plan. The world
+is planar, and so is every pose of the graph: robot poses, estimated and
+predicted object motions and planned poses are Pose2, landmarks and body
+points 3-vectors whose z no pose moves. A track's next estimate starts
+from its prediction. The pipeline's boundary stays SE(3): odometry, global
+poses and the start arrive as Pose3, are checked to lie in the plane
+(:func:`check_pose`) and read through ``se2_view`` once, and the estimate
+leaves as ``embed_se3`` of the planar one.
 Prediction and planning own the variables they create, estimation the
 rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
 order, which alone keeps a later component from moving an earlier one;
@@ -42,7 +45,6 @@ from typing import ClassVar
 import numpy as np
 
 from .factors import (
-    PLANAR_COLUMNS,
     BetweenFactor,
     Component,
     DynamicObstacleFactor,
@@ -52,7 +54,6 @@ from .factors import (
     ModeConfig,
     MotionModelFactor,
     ObjectSmoothingFactor,
-    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -78,11 +79,11 @@ from .lie import Pose2, Pose3, embed_se3, se2_view
 # every dimension or one per dimension, as a float or a tuple, which the
 # factors' whitening cache takes as its key without a conversion
 SIGMAS = {
-    "prior_pose": (0.05, 0.05, 0.05, 0.02, 0.02, 0.02),
-    "odometry": (0.02, 0.02, 0.02, 0.01, 0.01, 0.01),
+    "prior_pose": (0.05, 0.05, 0.02),
+    "odometry": (0.02, 0.02, 0.01),
     "point": 0.1,
-    "global_pose": (0.05, 0.05, 0.05, 0.02, 0.02, 0.02),
-    "smoothing": (0.02, 0.02, 0.02, 0.01, 0.01, 0.01),
+    "global_pose": (0.05, 0.05, 0.02),
+    "smoothing": (0.02, 0.02, 0.01),
     "motion_reg": 10.0,
     "motion_model": (1e-4,) * 5,
     "limit": 1e-3,
@@ -92,10 +93,6 @@ SIGMAS = {
     "static_obstacle": 2e-3,
     "dynamic_obstacle": 5e-3,
 }
-
-# a predicted motion's smoothing sigmas: the SE(2) rows (t_x, t_y, yaw) of an
-# estimated one's
-_PLANAR_SMOOTHING = tuple(SIGMAS["smoothing"][i] for i in PLANAR_COLUMNS)
 
 # the effort terms' shared prior, each acceleration pulled toward zero, and the
 # smoothness terms' measured change between successive accelerations
@@ -194,13 +191,25 @@ class InputError(ValueError):
     """An input the pipeline cannot use; raised before it changes any state."""
 
 
+# how far a Pose3 input may leave the plane: its z in metres, and the
+# x- and y-components of its rotated z-axis (the sines of its tilt)
+PLANE_TOLERANCE = 1e-6
+
+
 def check_pose(name: str, pose) -> None:
-    """Raise InputError unless ``pose`` is a finite Pose3."""
+    """Raise InputError unless ``pose`` is a finite Pose3 in the plane.
+
+    The estimator is planar, so a pose with z, roll or pitch beyond
+    ``PLANE_TOLERANCE`` is rejected rather than silently flattened.
+    """
     if not isinstance(pose, Pose3):
         raise InputError(f"{name} must be a Pose3, got {type(pose).__name__}")
     # a pose built unchecked, as embed_se3 builds one, may still hold a NaN
-    if not (np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))):
+    r, t = pose.rotation, pose.translation
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
         raise InputError(f"{name} must be finite, got {pose!r}")
+    if not max(abs(t[2]), abs(r[0, 2]), abs(r[1, 2])) <= PLANE_TOLERANCE:
+        raise InputError(f"{name} must lie in the z = 0 plane, got {pose!r}")
 
 
 def check_input(k: int, inp: StepInput, local_goal) -> None:
@@ -231,8 +240,8 @@ def check_input(k: int, inp: StepInput, local_goal) -> None:
 @dataclass
 class StepOutput:
     step: int
-    estimate: Pose3
-    object_motions: dict
+    estimate: Pose3       # the planar estimate in the z = 0 plane
+    object_motions: dict  # Pose2 motions
     planned_poses: list
     command: np.ndarray
     diverged: bool
@@ -287,26 +296,28 @@ class Pipeline:
         # lag window, and one with retain_step None, a track's reference-step
         # anchor, is kept for the life of the pipeline
         self._est_factors: list = []
-        self._com_ref: dict[int, Pose3] = {}
+        self._com_ref: dict[int, Pose2] = {}
         self._motion_steps: dict[int, list[int]] = {}
         self._vel = np.zeros(2)
         self._last_acc = np.zeros(2)
-        self._values[robot_pose(0)] = initial_pose
+        start = self._values[robot_pose(0)] = se2_view(initial_pose)
         self._est_factors.append(
-            (0, PriorFactor(robot_pose(0), initial_pose, SIGMAS["prior_pose"])))
+            (0, PriorFactor(robot_pose(0), start, SIGMAS["prior_pose"])))
 
     # -- estimation fragment -------------------------------------------
 
     def _extend_estimation(self, k: int, inp: StepInput) -> None:
         if k > 0:
+            odometry = se2_view(inp.odometry)
             prev = self._values[robot_pose(k - 1)]
-            self._values[robot_pose(k)] = prev.compose(inp.odometry)
+            self._values[robot_pose(k)] = prev.compose(odometry)
             self._est_factors.append(
                 (k, BetweenFactor(robot_pose(k - 1), robot_pose(k),
-                                  inp.odometry, SIGMAS["odometry"])))
+                                  odometry, SIGMAS["odometry"])))
         if inp.global_pose is not None:
             self._est_factors.append(
-                (k, PriorFactor(robot_pose(k), inp.global_pose, SIGMAS["global_pose"])))
+                (k, PriorFactor(robot_pose(k), se2_view(inp.global_pose),
+                                SIGMAS["global_pose"])))
 
         x_hat = self._values[robot_pose(k)]
         for pid, z in inp.static_points:
@@ -325,7 +336,7 @@ class Pipeline:
             else:
                 self._extend_track(obj, k, obs, x_hat)
 
-    def _start_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
+    def _start_track(self, obj: int, k: int, obs, x_hat: Pose2) -> None:
         world = []
         for pid, z in obs:
             key = dynamic_point(obj, pid)
@@ -336,9 +347,9 @@ class Pipeline:
             self._est_factors.append(
                 (None, PointMeasurementFactor(robot_pose(k), key, z, SIGMAS["point"])))
         centroid = np.mean(np.asarray(world), axis=0)
-        self._com_ref[obj] = Pose3(np.eye(3), centroid)
+        self._com_ref[obj] = Pose2(centroid[0], centroid[1], 0.0)
         # the motion at the reference step is the identity by definition
-        self._values[object_motion(obj, k)] = Pose3.identity()
+        self._values[object_motion(obj, k)] = Pose2.identity()
         self._motion_steps[obj] = [k]
 
     def _tracked(self, obj: int, k: int) -> bool:
@@ -346,14 +357,13 @@ class Pipeline:
         recent = self._motion_steps[obj][-3:]   # sorted, and nothing past k + 1
         return k - 1 in recent and k in recent
 
-    def _extend_track(self, obj: int, k: int, obs, x_hat: Pose3) -> None:
+    def _extend_track(self, obj: int, k: int, obs, x_hat: Pose2) -> None:
         steps = self._motion_steps[obj]
         h_key = object_motion(obj, k)
         warm = self._tracked(obj, k - 1)   # step k - 1 predicted and solved H_k
-        # a prediction is planar; the estimate it seeds is its lift into SE(3)
-        h_plane = (self._values[h_key] if warm
-                   else self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1])
-        h_init = self._values[h_key] = embed_se3(h_plane)
+        if not warm:
+            self._values[h_key] = self._extrapolate_motions(obj, steps[-1], k - steps[-1])[-1]
+        h_init = self._values[h_key]
         steps.append(k)
         for pid, z in obs:
             p_key = dynamic_point(obj, pid)
@@ -370,16 +380,16 @@ class Pipeline:
                     self._com_ref[obj], SIGMAS["smoothing"])))
 
     def _extrapolate_motions(self, obj: int, last: int, ahead: int) -> list[Pose2]:
-        """Constant planar motion 1..`ahead` steps past `last`, one Pose2 compose each.
+        """Constant motion 1..`ahead` steps past `last`, one Pose2 compose each.
 
         With C_i = H_i C_ref, the centre repeats its last step C_{i-1}^-1 C_i
         exactly when H_{i-1}^-1 H_i repeats, so the chain composes that step
-        of the planar views of the last two motions.
+        of the last two motions.
         """
-        h = se2_view(self._values[object_motion(obj, last)])
+        h = self._values[object_motion(obj, last)]
         if not self._tracked(obj, last):
             return [h] * ahead
-        step = se2_view(self._values[object_motion(obj, last - 1)]).between(h)
+        step = self._values[object_motion(obj, last - 1)].between(h)
         chain = []
         for _ in range(ahead):
             h = h.compose(step)
@@ -392,13 +402,11 @@ class Pipeline:
         return sorted(obj for obj in self._motion_steps if self._tracked(obj, k))
 
     def _build_prediction(self, k: int, objects) -> tuple[list, dict]:
-        """Each tracked object's predicted motions H_{k+1} .. H_{k+H}, as Pose2.
+        """Each tracked object's predicted motions H_{k+1} .. H_{k+H}.
 
-        Prediction serves the plan, which is planar, so it is planar too:
-        its smoothing factors read every motion in SE(2), the estimates
-        H_{k-1} and H_k through their planar view. A step the previous step
-        predicted keeps that solution; the rest start on the constant-motion
-        chain. Estimation stays in SE(3).
+        The smoothing factors chain them on from the estimates H_{k-1} and
+        H_k. A step the previous step predicted keeps that solution; the
+        rest start on the constant-motion chain.
         """
         cfg = self.config
         d_os = cfg.object_radius + cfg.safety_offset
@@ -416,8 +424,8 @@ class Pipeline:
                 keys = (object_motion(obj, k + j - 2),
                         object_motion(obj, k + j - 1),
                         object_motion(obj, k + j))
-                factors.append(PlanarSmoothingFactor(
-                    keys, c_ref, _PLANAR_SMOOTHING, component=Component.PREDICTION))
+                factors.append(ObjectSmoothingFactor(
+                    keys, c_ref, SIGMAS["smoothing"], component=Component.PREDICTION))
             for j in range(1, cfg.horizon + 1):
                 factors.append(StaticObstacleFactor(
                     object_motion(obj, k + j), self.esdf,
@@ -460,7 +468,7 @@ class Pipeline:
         new_vals[velocity(k)] = self._vel.copy()
         new_vals[acceleration(k - 1)] = self._last_acc.copy()
 
-        seed_pose = se2_view(self._values[robot_pose(k)])
+        seed_pose = self._values[robot_pose(k)]
         seed_vel = self._vel
         for j in range(1, cfg.horizon + 1):
             if robot_pose(k + j) in self._values:   # the previous step's plan
@@ -543,7 +551,7 @@ class Pipeline:
         """
         cfg = self.config
         out = dict(values)
-        pose = se2_view(out[robot_pose(k)])
+        pose = out[robot_pose(k)]
         vel = np.asarray(out[velocity(k)], dtype=float)
         v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(cfg.limit_margin)
         for j in range(1, cfg.horizon + 1):
@@ -649,7 +657,7 @@ class Pipeline:
 
         return StepOutput(
             step=k,
-            estimate=self._values[robot_pose(k)],
+            estimate=embed_se3(self._values[robot_pose(k)]),
             object_motions=motions,
             planned_poses=[self._values[robot_pose(k + j)]
                            for j in range(1, cfg.horizon + 1)],

@@ -11,6 +11,11 @@ step count changed, and prints one JSON line per run:
   reason counted in ``reasons`` and every stage's in ``stage_reasons``;
 * ``step_p50_s``, ``step_p95_s`` and ``step_mean_s``, the process time of
   ``Pipeline.step``;
+* ``ego_ate_m``, the mean distance of the estimated ego position from the
+  simulator's, and ``obj_me_t_m`` and ``obj_me_r_deg``, the mean error of
+  each tracked object's newest motion against the true motion since its
+  reference step, P_k P_ref^-1, through ``compute_motion_error``: the
+  definitions of ``perfbench/closedloop.py`` (null when nothing was tracked);
 * ``stop``: null, or the step whose output failed the benchmark's command
   check, its command and the check's message. The run ends there, and the
   other fields count only the steps before it.
@@ -41,7 +46,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from step_digests import load  # noqa: E402  (puts this checkout's src/ first)
 
 from fgnav.factors import Mode  # noqa: E402
-from fgnav.pipeline import select_local_goal  # noqa: E402
+from fgnav.lie import se2_view  # noqa: E402
+from fgnav.pipeline import compute_motion_error, select_local_goal  # noqa: E402
 
 # scene name -> (benchmark workload, steps of a run)
 SCENES = {"crossing": ("crossing_cooperative", 60), "headon": ("headon_directed", 60),
@@ -64,7 +70,11 @@ def run(scenarios, closedloop, scene) -> dict:
     failed = collisions = 0
     clearance = math.inf
     stop = None
+    ego_errors, motion_est, motion_true, history = [], [], [], {}
     for k in range(scene.episode_steps):
+        truth = sim.state
+        for obj, pose in truth.agent_poses.items():
+            history.setdefault(obj, {})[k] = pose
         inp = sim.sense()
         goal = select_local_goal(scene.path, sim.state.ego_pose, cfg.goal_lookahead)
         stages.clear()
@@ -80,6 +90,13 @@ def run(scenarios, closedloop, scene) -> dict:
         failed += out.diverged
         reasons[out.stats["reason"]] += 1
         stage_reasons.update(stages)
+        est = se2_view(out.estimate)
+        ego_errors.append(math.hypot(est.x - truth.ego_pose.x, est.y - truth.ego_pose.y))
+        for obj, motions in out.object_motions.items():
+            if k in motions and obj in history:
+                ref = history[obj][min(motions)]
+                motion_est.append(se2_view(motions[k]))
+                motion_true.append(history[obj][k].compose(ref.inverse()))
         sim.tick(out.command)
         collisions += sim.check_collision(cfg.robot_radius)
         clearance = min(clearance, closedloop._clearance(sim, cfg.robot_radius))
@@ -89,12 +106,17 @@ def run(scenarios, closedloop, scene) -> dict:
         p95 = statistics.quantiles(step_s, n=20)[-1] if len(step_s) > 1 else step_s[0]
     else:   # the first step failed the check
         clearance = None
+    me_r = me_t = None
+    if motion_est:
+        me_r, me_t = compute_motion_error(motion_est, motion_true)
     return {"scene": scene.workload, "mode": scene.mode.value, "seed": scene.seed,
             "episode": scene.episode, "steps": len(step_s), "collisions": collisions,
             "min_clearance_m": clearance, "failed": failed,
             "max_iters": reasons["max_iters"], "reasons": dict(sorted(reasons.items())),
             "stage_reasons": dict(sorted(stage_reasons.items())),
-            "step_p50_s": p50, "step_p95_s": p95, "step_mean_s": mean, "stop": stop}
+            "step_p50_s": p50, "step_p95_s": p95, "step_mean_s": mean,
+            "ego_ate_m": statistics.fmean(ego_errors) if ego_errors else None,
+            "obj_me_t_m": me_t, "obj_me_r_deg": me_r, "stop": stop}
 
 
 def runs(modes, scenes, seeds, episodes=(0,), steps=None):

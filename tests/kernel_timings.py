@@ -147,14 +147,11 @@ def graph_records(scenarios, closedloop, points, reps):
 
 
 def lie_inputs(n):
-    """Batches of n random SE(2) and SE(3) elements and tangents."""
+    """Batches of n random poses and tangents."""
     rng = np.random.default_rng(n)
     v2 = rng.uniform(-1.0, 1.0, (n, 3))
-    v6 = rng.uniform(-1.0, 1.0, (n, 6))
-    p2 = lie._se2_exp(v2)
-    q2 = lie._se2_exp(rng.uniform(-1.0, 1.0, (n, 3)))
-    p3 = lie._se3_exp(v6)
-    q3 = lie._se3_exp(rng.uniform(-1.0, 1.0, (n, 6)))
+    p2 = lie.exp_batch(v2)
+    q2 = lie.exp_batch(rng.uniform(-1.0, 1.0, (n, 3)))
     return {
         "wrap_angles": (lie.wrap_angles, (rng.uniform(-10.0, 10.0, n),)),
         "se2.exp": (lie.exp_batch, (v2,)),
@@ -164,13 +161,6 @@ def lie_inputs(n):
         "se2.log": (lie.log_batch, (p2,)),
         "se2.adjoint": (lie.adjoint_batch, (p2,)),
         "se2.rjinv": (lie.right_jacobian_inverse_batch, (v2,)),
-        "se3.exp": (lie.exp_batch, (v6,)),
-        "se3.compose": (lie.compose_batch, (p3, q3)),
-        "se3.inverse": (lie.inverse_batch, (p3,)),
-        "se3.between": (lie.between_batch, (p3, q3)),
-        "se3.log": (lie.log_batch, (p3,)),
-        "se3.adjoint": (lie.adjoint_batch, (p3,)),
-        "se3.rjinv": (lie.right_jacobian_inverse_batch, (v6,)),
     }
 
 

@@ -4,16 +4,20 @@ Runs seeds 11-20 x episodes 0-1 of the three ``perfbench/scenarios.py``
 scenes in their own modes, and the crossing scene in the other three modes
 on seeds 11-12, and prints one JSON line per step: the command digest, the
 iteration count, the stop reason and the diverged flag, and per stage graph
-the step solves its columns, its band width ``bw`` and how many
+the step solves its columns, its band width ``bw``, how many
 linearizations, error passes, damped-step solves (``trials``) and banded
 factorizations it took (a pre-solve counts toward the stage it walks into
-its basin). A solve factorizes once per pass over the limit hinges' active
-set, so ``factorizations`` counts the LAPACK calls themselves. Two
-checkouts that run the same steps print the same lines, so comparing them
-is one ``cmp``:
+its basin) and its exact solve's stop ``reason`` (null if it raised). A
+solve factorizes once per pass over the limit hinges' active set, so
+``factorizations`` counts the LAPACK calls themselves. Two checkouts that
+run the same steps print the same lines, so comparing them is one ``cmp``:
 
     python3 tests/step_digests.py > new.jsonl   # in each checkout
     cmp old.jsonl new.jsonl
+
+``--totals`` prints instead one JSON object: per workload and mode, the
+steps, the exact iterations and the sums of the stage counts, and the
+steps' and stages' stop reasons counted.
 
 The package is imported from this checkout's ``src/``, and the stage
 counts come from wrapping ``FactorGraph`` and ``Pipeline.step`` here, not
@@ -22,11 +26,13 @@ only read. The name does not start with
 ``test_``, so pytest does not collect this file.
 """
 
+import argparse
 import dataclasses
 import importlib.util
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 # The BLAS thread count changes floating-point rounding, so digests printed
@@ -86,7 +92,8 @@ def count_stages():
         def wrapper(g, *args, **kwargs):
             init(g, *args, **kwargs)
             steps[-1].append({"columns": g.ncols, "bw": g.bw, "linearize": 0,
-                              "errors": 0, "trials": 0, "factorizations": 0})
+                              "errors": 0, "trials": 0, "factorizations": 0,
+                              "reason": None})
         return wrapper
 
     def stepping(step):
@@ -95,7 +102,15 @@ def count_stages():
             return step(*args, **kwargs)
         return wrapper
 
+    def solving(optimize):
+        def wrapper(*args, **kwargs):
+            res = optimize(*args, **kwargs)
+            steps[-1][-1]["reason"] = res.reason   # the exact solve comes last
+            return res
+        return wrapper
+
     fg.__init__ = building(fg.__init__)
+    fg.optimize = solving(fg.optimize)
     fg.linearize = counted(fg.linearize, "linearize")
     fg.total_error = counted(fg.total_error, "errors")
     linear.solve = counted(linear.solve, "trials")
@@ -104,19 +119,55 @@ def count_stages():
     return steps
 
 
-def main():
-    scenarios, closedloop = load("scenarios"), load("closedloop")
+def digests(scenarios, closedloop):
+    """One record per digest step, in the order ``scenes`` yields them."""
     stages = count_stages()
     for scene in scenes(scenarios):
         stages.clear()
         rec = closedloop.run_loop(scene, *scenarios.set_up(scene))
         for k in range(rec.steps):
-            print(json.dumps({
-                "workload": scene.workload, "mode": scene.mode.value, "seed": scene.seed,
-                "episode": scene.episode, "step": k,
-                "command": rec.command_digests[k], "iterations": rec.iterations[k],
-                "reason": rec.reasons[k], "diverged": rec.diverged[k],
-                "stages": stages[k]}), flush=True)
+            yield {"workload": scene.workload, "mode": scene.mode.value, "seed": scene.seed,
+                   "episode": scene.episode, "step": k,
+                   "command": rec.command_digests[k], "iterations": rec.iterations[k],
+                   "reason": rec.reasons[k], "diverged": rec.diverged[k],
+                   "stages": stages[k]}
+
+
+COUNTS = ("linearize", "errors", "trials", "factorizations", "columns")
+
+
+def totals(records) -> dict:
+    """Per "workload (mode)": steps, exact iterations, stage count sums and stop reasons."""
+    out = {}
+    for r in records:
+        t = out.setdefault(f"{r['workload']} ({r['mode']})", {
+            "steps": 0, "stages": 0, "iterations": 0, **dict.fromkeys(COUNTS, 0),
+            "step_reasons": Counter(), "stage_reasons": Counter()})
+        t["steps"] += 1
+        t["iterations"] += r["iterations"]
+        t["step_reasons"][r["reason"]] += 1
+        for stage in r["stages"]:
+            t["stages"] += 1
+            t["stage_reasons"][str(stage["reason"])] += 1   # None: the solve raised
+            for name in COUNTS:
+                t[name] += stage[name]
+    for t in out.values():
+        for name in ("step_reasons", "stage_reasons"):
+            t[name] = dict(sorted(t[name].items()))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--totals", action="store_true",
+                        help="print the per-workload totals instead of one line per step")
+    args = parser.parse_args(argv)
+    records = digests(load("scenarios"), load("closedloop"))
+    if args.totals:
+        print(json.dumps(totals(records), indent=1))
+        return
+    for record in records:
+        print(json.dumps(record), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
 """Batched graph evaluation against the per-factor reference.
 
-For every factor class a graph holds several instances, with Pose3 keys
-where the class accepts them, both branches of every hinge, one instance
-added with a mask on keys of its own, one instance with per-dimension
-sigmas of its own and a fixed variable. The graph's ``J^T J``, ``J^T r``
-and ``total_error()``, which come from one kernel call per batch and one
-scatter, must match the dense system stacked from each factor's own
-``whitened_linearization`` with the graph's masks applied. Factors that
-read poses in SE(2) form one batch whatever the kind of pose.
+For every factor class a graph holds several instances, both branches of
+every hinge, one instance added with a mask on keys of its own, one
+instance with per-dimension sigmas of its own and a fixed variable. The
+graph's ``J^T J``, ``J^T r`` and ``total_error()``, which come from one
+kernel call per batch and one scatter, must match the dense system stacked
+from each factor's own ``whitened_linearization`` with the graph's masks
+applied. A factor family forms one batch whichever of its keys are fixed.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from fgnav.factors import (
     LimitFactor,
     MotionModelFactor,
     ObjectSmoothingFactor,
-    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
@@ -39,7 +37,7 @@ from fgnav.graph import (
     static_point,
     velocity,
 )
-from fgnav.lie import Pose2, Pose3, embed_se3, take
+from fgnav.lie import Pose2
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 RTOL = 1e-12
@@ -47,10 +45,6 @@ RTOL = 1e-12
 
 def pose2(rng, scale=1.0):
     return Pose2(*rng.normal(0, scale, 2), rng.uniform(-2.5, 2.5))
-
-
-def pose3(rng, t=1.0, r=0.5):
-    return Pose3.exp(np.concatenate([rng.normal(0, t, 3), rng.normal(0, r, 3)]))
 
 
 def sigmas(rng, dim):
@@ -73,8 +67,8 @@ def build_prior(rng):
     for i in range(3):
         vals[robot_pose(i)] = pose2(rng)
         fs.append(PriorFactor(robot_pose(i), pose2(rng), [0.1, 0.2, 0.05]))
-        vals[object_motion(1, i)] = pose3(rng)
-        fs.append(PriorFactor(object_motion(1, i), pose3(rng), 0.1))
+        vals[object_motion(1, i)] = pose2(rng)
+        fs.append(PriorFactor(object_motion(1, i), pose2(rng), 0.1))
         vals[velocity(i)] = rng.normal(size=2)
         fs.append(PriorFactor(velocity(i), rng.normal(size=2), [0.5, 0.3]))
     fs.append(PriorFactor(robot_pose(0), pose2(rng), sigmas(rng, 3)))
@@ -99,11 +93,11 @@ def build_between(rng):
     vals, fs = {}, []
     for i in range(4):
         vals[robot_pose(i)] = pose2(rng)
-        vals[object_motion(1, i)] = pose3(rng)
+        vals[object_motion(1, i)] = pose2(rng)
     for i in range(3):
         fs.append(BetweenFactor(robot_pose(i), robot_pose(i + 1), pose2(rng, 0.3), 0.1))
         fs.append(BetweenFactor(object_motion(1, i), object_motion(1, i + 1),
-                                pose3(rng, 0.3, 0.2), [0.1, 0.1, 0.1, 0.05, 0.05, 0.05]))
+                                pose2(rng, 0.3), [0.1, 0.1, 0.05]))
     fs.append(BetweenFactor(robot_pose(0), robot_pose(2), pose2(rng, 0.3),
                             sigmas(rng, 3)))
     vals[robot_pose(8)], vals[robot_pose(9)] = pose2(rng), pose2(rng)
@@ -115,7 +109,7 @@ def build_between(rng):
 def build_point(rng):
     vals, fs = {}, []
     for i in range(3):
-        vals[robot_pose(i)] = pose3(rng)
+        vals[robot_pose(i)] = pose2(rng)
         vals[static_point(i)] = rng.normal(0, 2, 3)
     for i in range(3):
         for p in range(3):
@@ -123,7 +117,7 @@ def build_point(rng):
                                              rng.normal(size=3), 0.1))
     fs.append(PointMeasurementFactor(robot_pose(0), static_point(0),
                                      rng.normal(size=3), sigmas(rng, 3)))
-    vals[robot_pose(9)], vals[static_point(9)] = pose3(rng), rng.normal(size=3)
+    vals[robot_pose(9)], vals[static_point(9)] = pose2(rng), rng.normal(size=3)
     masked = PointMeasurementFactor(robot_pose(9), static_point(9), rng.normal(size=3),
                                     0.1), (False, True)
     return vals, fs, masked, [robot_pose(0)]
@@ -132,8 +126,8 @@ def build_point(rng):
 def build_hybrid(rng):
     vals, fs = {}, []
     for i in range(3):
-        vals[robot_pose(i)] = pose3(rng)
-        vals[object_motion(2, i)] = pose3(rng, 0.5, 0.3)
+        vals[robot_pose(i)] = pose2(rng)
+        vals[object_motion(2, i)] = pose2(rng, 0.5)
         vals[dynamic_point(2, i)] = rng.normal(0, 2, 3)
     for i in range(3):
         for p in range(3):
@@ -142,7 +136,7 @@ def build_hybrid(rng):
     fs.append(HybridMotionFactor(robot_pose(1), object_motion(2, 1), dynamic_point(2, 1),
                                  rng.normal(size=3), sigmas(rng, 3)))
     for k in (robot_pose(9), object_motion(2, 9)):
-        vals[k] = pose3(rng)
+        vals[k] = pose2(rng)
     vals[dynamic_point(2, 9)] = rng.normal(size=3)
     masked = HybridMotionFactor(robot_pose(9), object_motion(2, 9), dynamic_point(2, 9),
                                 rng.normal(size=3), 0.1), (True, False, True)
@@ -152,42 +146,22 @@ def build_hybrid(rng):
 def build_smoothing(rng):
     vals, fs = {}, []
     for i in range(6):
-        vals[object_motion(1, i)] = pose3(rng, 0.8, 0.3)
+        vals[object_motion(1, i)] = pose2(rng, 0.8)
     for i in range(4):
         keys = tuple(object_motion(1, i + j) for j in range(3))
-        fs.append(ObjectSmoothingFactor(keys, pose3(rng, 0.2, 0.2), 0.05))
+        fs.append(ObjectSmoothingFactor(keys, pose2(rng, 0.2), (0.02, 0.02, 0.01)))
     fs.append(ObjectSmoothingFactor(tuple(object_motion(1, j) for j in range(3)),
-                                    pose3(rng, 0.2, 0.2), sigmas(rng, 6)))
-    keys = tuple(object_motion(3, j) for j in range(3))
-    for k in keys:
-        vals[k] = pose3(rng, 0.8, 0.3)
-    masked = ObjectSmoothingFactor(keys, pose3(rng), 0.05), (True, True, False)
-    return vals, fs, masked, [object_motion(1, 0)]
-
-
-def build_planar_smoothing(rng):
-    # a predicted chain: it starts at two Pose3 estimates, read through their
-    # planar view, and goes on in Pose2
-    vals, fs = {}, []
-    for i in range(6):
-        x = pose2(rng, 0.8)
-        vals[object_motion(1, i)] = embed_se3(x) if i < 2 else x
-    for i in range(4):
-        keys = tuple(object_motion(1, i + j) for j in range(3))
-        fs.append(PlanarSmoothingFactor(keys, pose3(rng, 0.2, 0.2), (0.02, 0.02, 0.01)))
-    fs.append(PlanarSmoothingFactor(tuple(object_motion(1, j) for j in range(3)),
-                                    pose3(rng, 0.2, 0.2), sigmas(rng, 3)))
+                                    pose2(rng, 0.2), sigmas(rng, 3)))
     keys = tuple(object_motion(3, j) for j in range(3))
     for k in keys:
         vals[k] = pose2(rng, 0.8)
-    masked = PlanarSmoothingFactor(keys, pose3(rng), 0.05), (True, True, False)
+    masked = ObjectSmoothingFactor(keys, pose2(rng), 0.05), (True, True, False)
     return vals, fs, masked, [object_motion(1, 0)]
 
 
-def _motion_chain(rng, vals, fs, start, n, first_pose3):
+def _motion_chain(rng, vals, fs, start, n):
     for j in range(n + 1):
-        x = pose2(rng)
-        vals[robot_pose(start + j)] = embed_se3(x) if j == 0 and first_pose3 else x
+        vals[robot_pose(start + j)] = pose2(rng)
         vals[velocity(start + j)] = rng.normal(0, 0.5, 2)
         vals[acceleration(start + j)] = rng.normal(0, 0.5, 2)
     for j in range(n):
@@ -198,12 +172,12 @@ def _motion_chain(rng, vals, fs, start, n, first_pose3):
 
 def build_motion_model(rng):
     vals, fs = {}, []
-    _motion_chain(rng, vals, fs, 0, 4, first_pose3=True)
-    _motion_chain(rng, vals, fs, 10, 3, first_pose3=False)
+    _motion_chain(rng, vals, fs, 0, 4)
+    _motion_chain(rng, vals, fs, 10, 3)
     fs.append(MotionModelFactor(robot_pose(11), robot_pose(12), velocity(11), velocity(12),
                                 acceleration(11), 0.1, sigmas(rng, 5)))
     m_vals, m_fs = {}, []
-    _motion_chain(rng, m_vals, m_fs, 20, 1, first_pose3=True)
+    _motion_chain(rng, m_vals, m_fs, 20, 1)
     vals.update(m_vals)
     masked = m_fs[0], (True, False, False, False, False)
     return vals, fs, masked, [velocity(0)]
@@ -243,19 +217,11 @@ def build_static_obstacle(rng):
     for i, (x, y) in enumerate(near + far):
         vals[robot_pose(i)] = Pose2(x, y, rng.uniform(-3, 3))
         fs.append(StaticObstacleFactor(robot_pose(i), esdf, 0.6, 0.05))
-    for i, (x, y) in enumerate([near[0], far[0]]):
-        vals[robot_pose(10 + i)] = embed_se3(Pose2(x, y, 0.3))
-        fs.append(StaticObstacleFactor(robot_pose(10 + i), esdf, 0.6, 0.05))
-    com_ref = pose3(rng, 0.05, 0.2)
-    for i, (x, y) in enumerate([near[1], far[1]]):
-        centre = Pose3.exp(np.array([x, y, 0.3, 0.1, -0.2, 0.4]))
-        vals[object_motion(1, i)] = centre.compose(com_ref.inverse())
-        fs.append(StaticObstacleFactor(object_motion(1, i), esdf, 0.6, 0.05,
-                                       com_ref=com_ref))
-    # predicted motions, whose centre is the reference centre read in the plane
-    c = com_ref.translation
-    for i, (x, y) in enumerate([near[2], far[1]]):
-        vals[object_motion(2, i)] = Pose2(x, y, 0.7).compose(Pose2(c[0], c[1], 0.0).inverse())
+    # motions that place an object's reference centre near and far
+    com_ref = pose2(rng, 0.05)
+    for i, (x, y) in enumerate([near[1], far[1], near[2], far[0]]):
+        vals[object_motion(2, i)] = Pose2(x, y, 0.7).compose(
+            Pose2(com_ref.x, com_ref.y, 0.0).inverse())
         fs.append(StaticObstacleFactor(object_motion(2, i), esdf, 0.6, 0.05,
                                        com_ref=com_ref))
     fs.append(StaticObstacleFactor(robot_pose(0), esdf, 0.6, sigmas(rng, 1)))
@@ -266,24 +232,23 @@ def build_static_obstacle(rng):
 
 def build_dynamic_obstacle(rng):
     vals, fs = {}, []
-    com_ref = pose3(rng, 0.1, 0.2)
+    com_ref = pose2(rng, 0.1)
     for i in range(4):
-        vals[object_motion(1, i)] = Pose3.exp(np.array([0.1 * i, 0, 0, 0, 0, 0.1 * i]))
-        centre = vals[object_motion(1, i)].act(com_ref.translation)
+        vals[object_motion(1, i)] = Pose2.exp(np.array([0.1 * i, 0.0, 0.1 * i]))
+        centre = vals[object_motion(1, i)].act([com_ref.x, com_ref.y])
         offset = 0.4 if i % 2 == 0 else 3.0
-        x = Pose2(centre[0] + offset, centre[1], rng.uniform(-3, 3))
-        vals[robot_pose(i)] = embed_se3(x) if i == 0 else x
+        vals[robot_pose(i)] = Pose2(centre[0] + offset, centre[1], rng.uniform(-3, 3))
         for component in (Component.PLANNING, Component.PREDICTION):
             fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(1, i), com_ref,
                                             1.0, 0.05, margin=0.05, component=component))
-    for i in range(2):   # predicted motions, Pose2
+    for i in range(2):   # a second object
         vals[object_motion(2, i)] = Pose2(0.1 * i, 0.0, 0.1 * i)
         fs.append(DynamicObstacleFactor(robot_pose(i), object_motion(2, i), com_ref,
                                         1.0, 0.05, margin=0.05))
     fs.append(DynamicObstacleFactor(robot_pose(2), object_motion(1, 2), com_ref, 1.0,
                                     sigmas(rng, 1), margin=0.05))
     vals[robot_pose(9)] = Pose2(0.3, 0.2, 0.0)
-    vals[object_motion(1, 9)] = Pose3.identity()
+    vals[object_motion(1, 9)] = Pose2.identity()
     masked = DynamicObstacleFactor(robot_pose(9), object_motion(1, 9), com_ref, 1.0,
                                    0.05, margin=0.05), (False, True)
     return vals, fs, masked, [object_motion(1, 3)]
@@ -298,7 +263,6 @@ BUILDERS = {
     "PointMeasurementFactor": (9, build_point),
     "HybridMotionFactor": (5, build_hybrid),
     "ObjectSmoothingFactor": (8, build_smoothing),
-    "PlanarSmoothingFactor": (2, build_planar_smoothing),
     "MotionModelFactor": (7, build_motion_model),
     "LimitFactor": (6, build_limit),
     "BetweenFactor-vector": (1, build_vector_between),
@@ -392,12 +356,12 @@ def test_every_kernel_yields_residuals_then_jacobians(name):
     # the batches' instances, grouped as the graph groups them
     members = {}
     for f in graph.factors:
-        kinds = tuple(_value_kind(vals[k], j in f.planar_slots) for j, k in enumerate(f.keys))
+        kinds = tuple(_value_kind(vals[k]) for k in f.keys)
         members.setdefault((kinds, f.batch_key()), []).append(f)
     tables = graph._state(graph.values).tables
     assert len(graph.batches) == len(members)
     for batch, instances in zip(graph.batches, members.values()):
-        args = [take(tables[t], rows) for t, rows in batch.slots]
+        args = [tables[t][rows] for t, rows in batch.slots]
         out = list(batch.cls.evaluate(batch.params, args))
         assert len(out) == 2
         r, jac = out
@@ -422,16 +386,12 @@ def test_a_fixed_pose_has_no_columns_and_the_rest_match_the_reference():
 def test_planar_families_are_one_batch_each():
     rng = np.random.default_rng(42)
     vals, factors = {}, []
-    # a chain from a free, slightly non-planar Pose3, a Pose2 chain and a
-    # chain from a fixed Pose3
-    _motion_chain(rng, vals, factors, 0, 4, first_pose3=True)
-    vals[robot_pose(0)] = vals[robot_pose(0)].compose(
-        Pose3.exp(np.array([0.0, 0.0, 0.02, 0.01, -0.02, 0.0])))
-    _motion_chain(rng, vals, factors, 10, 3, first_pose3=False)
-    _motion_chain(rng, vals, factors, 20, 2, first_pose3=True)
+    # three plan chains, the last from a fixed pose
+    _motion_chain(rng, vals, factors, 0, 4)
+    _motion_chain(rng, vals, factors, 10, 3)
+    _motion_chain(rng, vals, factors, 20, 2)
     for k in (robot_pose(4), robot_pose(13)):
         factors.append(PriorFactor(k, pose2(rng), (0.1, 0.1, 0.3)))
-    # the free Pose3 needs support off the plane for the solve below
     factors.append(PriorFactor(robot_pose(0), vals[robot_pose(0)], 0.1))
     used = {k for f in factors for k in f.keys}
     vals = {k: v for k, v in vals.items() if k in used}
@@ -439,14 +399,14 @@ def test_planar_families_are_one_batch_each():
     system = graph.linearize(graph.values)
 
     listing = sorted((b.cls.__name__, len(b.cols)) for b in graph.batches)
-    assert listing == [("MotionModelFactor", 9), ("PriorFactor", 1), ("PriorFactor", 2)]
+    assert listing == [("MotionModelFactor", 9), ("PriorFactor", 3)]
     h_ref, g_ref, e_ref = per_factor_reference(graph, system, vals)
     assert_close(jtj(system), h_ref)
     assert_close(jtr(system), g_ref)
     assert graph.total_error(graph.values) == pytest.approx(e_ref, rel=RTOL)
 
-    # the solver's view rows follow the Pose3 it moves: its last error is
-    # the one a fresh evaluation of the returned values gives
+    # the solver's last error is the one a fresh evaluation of the returned
+    # values gives
     res = graph.optimize()
     assert res.values[robot_pose(0)] is not vals[robot_pose(0)]
     assert graph.total_error(res.values) == res.final_error

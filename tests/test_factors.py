@@ -31,13 +31,12 @@ from fgnav.factors import (
     ModeConfig,
     MotionModelFactor,
     ObjectSmoothingFactor,
-    PlanarSmoothingFactor,
     PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
     propagate_unicycle,
 )
-from fgnav.lie import Pose2, Pose3, embed_se3, stack
+from fgnav.lie import Pose2, stack
 from fgnav.pipeline import SIGMAS
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
@@ -47,15 +46,10 @@ def rand_pose2(rng, t_scale=1.0):
                  rng.uniform(-2.5, 2.5))
 
 
-def rand_pose3(rng, t_scale=1.0, r_scale=0.5):
-    xi = np.concatenate([rng.normal(0, t_scale, 3), rng.normal(0, r_scale, 3)])
-    return Pose3.exp(xi)
-
-
 def retract(value, delta):
     """``p * exp(delta)`` for a pose, ``v + delta`` for a vector."""
-    if isinstance(value, (Pose2, Pose3)):
-        return value.compose(type(value).exp(delta))
+    if isinstance(value, Pose2):
+        return value.compose(Pose2.exp(delta))
     return value + delta
 
 
@@ -86,18 +80,6 @@ def check_jacobians(factor, values, atol=1e-5):
         np.testing.assert_allclose(
             got, want, atol=atol,
             err_msg=f"{type(factor).__name__} jacobian for key {idx}")
-
-
-def check_planar_jacobians(factor, values, atol=1e-5):
-    """``check_jacobians``; a Pose3 key moves only on its columns 0, 1 and 5.
-
-    A planar Pose3 read through ``planar_view`` does not see z, roll or
-    pitch, so those columns are exact zeros.
-    """
-    check_jacobians(factor, values, atol)
-    for key, jac in zip(factor.keys, factor.linearize_raw(values)[1]):
-        if isinstance(values[key], Pose3):
-            assert np.all(jac[:, 2:5] == 0.0), key
 
 
 # ---------------------------------------------------------------------------
@@ -215,34 +197,26 @@ def test_prior_vector():
     check_jacobians(f, vals)
 
 
-@pytest.mark.parametrize("pose_type", ["se2", "se3"])
-def test_prior_jacobians(pose_type):
+def test_prior_jacobians():
     rng = np.random.default_rng(1)
     for _ in range(25):
-        if pose_type == "se2":
-            prior, x = rand_pose2(rng), rand_pose2(rng)
-        else:
-            prior, x = rand_pose3(rng), rand_pose3(rng)
+        prior, x = rand_pose2(rng), rand_pose2(rng)
         f = PriorFactor(robot_pose(0), prior, 0.2)
         check_jacobians(f, {robot_pose(0): x})
 
 
-@pytest.mark.parametrize("pose_type", ["se2", "se3"])
-def test_between_jacobians(pose_type):
+def test_between_jacobians():
     rng = np.random.default_rng(2)
     for _ in range(25):
-        if pose_type == "se2":
-            a, b, z = rand_pose2(rng), rand_pose2(rng), rand_pose2(rng, 0.3)
-        else:
-            a, b, z = rand_pose3(rng), rand_pose3(rng), rand_pose3(rng, 0.3)
+        a, b, z = rand_pose2(rng), rand_pose2(rng), rand_pose2(rng, 0.3)
         f = BetweenFactor(robot_pose(0), robot_pose(1), z, 0.1)
         check_jacobians(f, {robot_pose(0): a, robot_pose(1): b})
 
 
 def test_between_zero_residual_on_consistent_chain():
     rng = np.random.default_rng(3)
-    a = rand_pose3(rng)
-    z = rand_pose3(rng, 0.3)
+    a = rand_pose2(rng)
+    z = rand_pose2(rng, 0.3)
     f = BetweenFactor(robot_pose(0), robot_pose(1), z, 0.1)
     vals = {robot_pose(0): a, robot_pose(1): a.compose(z)}
     assert np.allclose(f.residual(vals), 0.0, atol=1e-14)
@@ -253,20 +227,20 @@ def test_between_near_identity_relative_rotation():
     # residuals there must still be smooth enough for FD to match analytic
     rng = np.random.default_rng(31)
     for _ in range(10):
-        a = rand_pose3(rng)
-        twist = np.zeros(6)
+        a = rand_pose2(rng)
+        twist = np.zeros(3)
         twist[:2] = rng.uniform(-0.5, 0.5, 2)
-        twist[5] = 1e-6 * rng.uniform(0.5, 2.0)
-        b = a.compose(Pose3.exp(twist))
-        z = Pose3.exp(np.array([twist[0], twist[1], 0, 0, 0, 0]))
+        twist[2] = 1e-6 * rng.uniform(0.5, 2.0)
+        b = a.compose(Pose2.exp(twist))
+        z = Pose2.exp(np.array([twist[0], twist[1], 0.0]))
         f = BetweenFactor(robot_pose(0), robot_pose(1), z, 0.1)
         check_jacobians(f, {robot_pose(0): a, robot_pose(1): b})
 
 
 def test_point_measurement_values_and_jacobians():
-    x = Pose3.exp(np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 2]))
+    x = Pose2(0.0, 0.0, math.pi / 2)
     m = np.array([0.0, 2.0, 0.5])
-    # body frame: rotate world by -90deg yaw
+    # body frame: rotate world by -90deg yaw; the point's height passes through
     f = PointMeasurementFactor(robot_pose(0), static_point(4),
                                np.array([2.0, 0.0, 0.5]), 0.1)
     vals = {robot_pose(0): x, static_point(4): m}
@@ -275,15 +249,18 @@ def test_point_measurement_values_and_jacobians():
     rng = np.random.default_rng(4)
     for _ in range(25):
         vals = {
-            robot_pose(0): rand_pose3(rng),
+            robot_pose(0): rand_pose2(rng),
             static_point(4): rng.normal(0, 2, 3),
         }
         check_jacobians(f, vals)
+        # no pose moves the height row, and the point's z moves it one to one
+        _, (j_pose, j_point) = f.linearize_raw(vals)
+        assert np.all(j_pose[2] == 0.0) and np.array_equal(j_point[2], [0.0, 0.0, 1.0])
 
 
 def test_hybrid_motion_reduces_to_point_measurement_at_identity():
     rng = np.random.default_rng(5)
-    x = rand_pose3(rng)
+    x = rand_pose2(rng)
     m = rng.normal(0, 2, 3)
     z = rng.normal(0, 1, 3)
     hyb = HybridMotionFactor(robot_pose(0), object_motion(7, 2),
@@ -291,7 +268,7 @@ def test_hybrid_motion_reduces_to_point_measurement_at_identity():
     pnt = PointMeasurementFactor(robot_pose(0), dynamic_point(7, 0), z, 0.1)
     vals = {
         robot_pose(0): x,
-        object_motion(7, 2): Pose3.identity(),
+        object_motion(7, 2): Pose2.identity(),
         dynamic_point(7, 0): m,
     }
     vals_p = {robot_pose(0): x, dynamic_point(7, 0): m}
@@ -308,8 +285,8 @@ def test_hybrid_motion_jacobians():
                            dynamic_point(3, 1), np.zeros(3), 0.1)
     for _ in range(25):
         vals = {
-            robot_pose(1): rand_pose3(rng),
-            object_motion(3, 5): rand_pose3(rng),
+            robot_pose(1): rand_pose2(rng),
+            object_motion(3, 5): rand_pose2(rng),
             dynamic_point(3, 1): rng.normal(0, 2, 3),
         }
         check_jacobians(f, vals)
@@ -317,9 +294,9 @@ def test_hybrid_motion_jacobians():
 
 def test_object_smoothing_zero_for_constant_motion():
     rng = np.random.default_rng(7)
-    c_ref = rand_pose3(rng)
-    c1 = rand_pose3(rng)
-    delta = rand_pose3(rng, 0.3, 0.2)
+    c_ref = rand_pose2(rng)
+    c1 = rand_pose2(rng)
+    delta = rand_pose2(rng, 0.3)
     c2 = c1.compose(delta)
     c3 = c2.compose(delta)
     keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
@@ -337,8 +314,8 @@ def test_object_smoothing_jacobians():
     rng = np.random.default_rng(8)
     keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
     for _ in range(25):
-        f = ObjectSmoothingFactor(keys, rand_pose3(rng), 0.05)
-        vals = {k: rand_pose3(rng, 0.8, 0.3) for k in keys}
+        f = ObjectSmoothingFactor(keys, rand_pose2(rng), 0.05)
+        vals = {k: rand_pose2(rng, 0.8) for k in keys}
         check_jacobians(f, vals)
 
 
@@ -349,11 +326,11 @@ def reference_smoothing_residual(motions, c_ref):
 
 
 def test_object_smoothing_conjugation_matches_the_centre_chain():
-    # non-planar motions and reference centres, several instances in one batch
+    # several motions and reference centres in one batch
     rng = np.random.default_rng(18)
     n = 12
-    refs = [rand_pose3(rng, 1.0, 0.6) for _ in range(n)]
-    motions = [[rand_pose3(rng, 0.8, 0.5) for _ in range(3)] for _ in range(n)]
+    refs = [rand_pose2(rng, 1.0) for _ in range(n)]
+    motions = [[rand_pose2(rng, 0.8) for _ in range(3)] for _ in range(n)]
     keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
     factors = [ObjectSmoothingFactor(keys, c_ref, 0.05) for c_ref in refs]
     args = [stack([m[i] for m in motions]) for i in range(3)]
@@ -371,39 +348,7 @@ def test_object_smoothing_conjugation_matches_the_centre_chain():
 def test_object_smoothing_needs_three_keys():
     with pytest.raises(ValueError):
         ObjectSmoothingFactor((object_motion(0, 1), object_motion(0, 2)),
-                              Pose3.identity(), 0.05)
-
-
-@pytest.mark.parametrize("boundary", [False, True])
-def test_planar_smoothing_jacobians(boundary):
-    # a predicted chain's first factor reads two Pose3 estimates through
-    # their planar view, the rest read Pose2 predictions alone
-    rng = np.random.default_rng(28)
-    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
-    for _ in range(25):
-        f = PlanarSmoothingFactor(keys, rand_pose3(rng), 0.05)
-        vals = {k: rand_pose2(rng, 0.8) for k in keys}
-        if boundary:
-            vals.update({k: embed_se3(vals[k]) for k in keys[:2]})
-        check_jacobians(f, vals)
-
-
-def test_planar_smoothing_is_the_planar_rows_of_the_se3_one():
-    # on planar motions the SE(3) residual leaves the plane nowhere, and its
-    # t_x, t_y and yaw rows are the SE(2) residual with the reference centre
-    # read in the plane
-    rng = np.random.default_rng(29)
-    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
-    for _ in range(10):
-        c_ref = Pose3(np.eye(3), rng.normal(0, 1, 3))
-        motions = [rand_pose2(rng, 0.8) for _ in keys]
-        planar = PlanarSmoothingFactor(keys, c_ref, 0.05)
-        full = ObjectSmoothingFactor(keys, c_ref, 0.05)
-        r = planar.residual(dict(zip(keys, motions)))
-        r3 = full.residual({k: embed_se3(m) for k, m in zip(keys, motions)})
-        assert r.shape == (3,)
-        np.testing.assert_allclose(r3[[0, 1, 5]], r, atol=1e-12)
-        np.testing.assert_allclose(r3[2:5], 0.0, atol=1e-12)
+                              Pose2.identity(), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -437,60 +382,20 @@ def test_motion_model_zero_when_consistent():
     assert f.component is Component.PLANNING
 
 
-@pytest.mark.parametrize("boundary", [False, True])
-def test_motion_model_jacobians(boundary):
+def test_motion_model_jacobians():
     rng = np.random.default_rng(9)
     keys = (robot_pose(0), robot_pose(1), velocity(0), velocity(1),
             acceleration(0))
     f = MotionModelFactor(*keys, dt=0.1, noise=1e-3)
     for _ in range(25):
-        xa = rand_pose2(rng)
         vals = {
-            keys[0]: embed_se3(xa) if boundary else xa,
+            keys[0]: rand_pose2(rng),
             keys[1]: rand_pose2(rng),
             keys[2]: rng.normal(0, 1, 2),
             keys[3]: rng.normal(0, 1, 2),
             keys[4]: rng.normal(0, 1, 2),
         }
         check_jacobians(f, vals)
-
-
-def test_pose3_boundary_keeps_its_six_wide_block():
-    # the kernel reads a Pose3 through its SE(2) view; the batch-of-one path
-    # maps the view's columns back onto t_x, t_y and yaw. The hinges' object
-    # centre sits above the plane, as the pipeline's centroids do, and still
-    # moves only with the motion's planar columns
-    rng = np.random.default_rng(12)
-    keys = (robot_pose(0), robot_pose(1), velocity(0), velocity(1),
-            acceleration(0))
-    xa = rand_pose2(rng)
-    centre = Pose3(np.eye(3), np.array([0.1, -0.05, 0.25]))
-    motion = Pose2(0.45, 0.1, 0.3).compose(Pose2(0.1, -0.05, 0.0).inverse())
-    cases = [
-        (MotionModelFactor(*keys, dt=0.1, noise=1e-3),
-         {keys[0]: xa, keys[1]: rand_pose2(rng), keys[2]: rng.normal(0, 1, 2),
-          keys[3]: rng.normal(0, 1, 2), keys[4]: rng.normal(0, 1, 2)}, [0]),
-        (StaticObstacleFactor(object_motion(0, 0), disk_esdf(), 0.6, 0.05, com_ref=centre),
-         {object_motion(0, 0): motion}, [0]),
-        (DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), centre,
-                               d_safe=1.0, noise=0.05, margin=0.05),
-         {robot_pose(0): Pose2(0.5, 0.2, 0.1), object_motion(1, 0): Pose2(0.1, 0.0, 0.4)},
-         [0, 1]),
-    ]
-    for f, planar, lifted in cases:
-        vals = dict(planar)
-        vals.update({f.keys[j]: embed_se3(planar[f.keys[j]]) for j in lifted})
-        r, jacs = f.linearize_raw(vals)
-        r2, jacs2 = f.linearize_raw(planar)
-        assert np.all(r2 != 0.0), type(f).__name__   # the hinges are active
-        np.testing.assert_allclose(r, r2, atol=1e-12)
-        for j in lifted:
-            assert jacs[j].shape == (f.dim, 6)
-            assert np.all(jacs[j][:, 2:5] == 0.0), type(f).__name__
-            np.testing.assert_allclose(jacs[j][:, [0, 1, 5]], jacs2[j], atol=1e-12)
-            assert np.any(jacs2[j] != 0.0)
-        _, blocks = f.whitened_linearization(vals)
-        assert all(blocks[j][1].shape == (f.dim, 6) for j in lifted)
 
 
 def test_limit_factor_branches():
@@ -575,41 +480,32 @@ def _interior_point(rng, esdf, d_safe):
             return x, y
 
 
-@pytest.mark.parametrize("variant", ["pose2", "pose3", "motion", "planar-motion"])
+@pytest.mark.parametrize("variant", ["pose2", "motion"])
 def test_static_obstacle_jacobians(variant):
     rng = np.random.default_rng(12)
     esdf = disk_esdf()
     d_safe = 0.6
     com_ref = None
     key = robot_pose(0)
-    if variant in ("motion", "planar-motion"):
-        com_ref = rand_pose3(rng, 0.05, 0.2)
+    if variant == "motion":
+        com_ref = rand_pose2(rng, 0.05)
         key = object_motion(0, 0)
     f = StaticObstacleFactor(key, esdf, d_safe, 0.05, com_ref=com_ref)
     for _ in range(20):
         x, y = _interior_point(rng, esdf, d_safe)
         theta = float(rng.uniform(-3, 3))
-        if variant == "pose2":
-            value = Pose2(x, y, theta)
-        elif variant == "pose3":
-            value = embed_se3(Pose2(x, y, theta))
-        elif variant == "planar-motion":
-            # a predicted motion placing the centre, read in the plane, there
-            c = com_ref.translation
-            value = Pose2(x, y, theta).compose(Pose2(c[0], c[1], 0.0).inverse())
-        else:
-            # a planar Pose3 motion placing the centre, read in the plane,
-            # there; it moves the centre on its columns 0, 1 and 5 only
-            c = com_ref.translation
-            value = embed_se3(Pose2(x, y, theta).compose(Pose2(c[0], c[1], 0.0).inverse()))
+        value = Pose2(x, y, theta)
+        if variant == "motion":
+            # a motion placing the centre there
+            value = value.compose(Pose2(com_ref.x, com_ref.y, 0.0).inverse())
         vals = {key: value}
         if f.residual(vals)[0] <= 1e-3:
             continue
-        check_planar_jacobians(f, vals, atol=2e-5)
+        check_jacobians(f, vals, atol=2e-5)
 
 
 def test_dynamic_obstacle_residual_and_direction():
-    com_ref = Pose3.identity()
+    com_ref = Pose2.identity()
     f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
                               d_safe=1.0, noise=0.05, margin=0.05)
     assert f.component is Component.PLANNING
@@ -621,7 +517,7 @@ def test_dynamic_obstacle_residual_and_direction():
 
     vals = {
         robot_pose(0): Pose2(0.6, 0.0, 0.0),
-        object_motion(1, 0): Pose3.identity(),
+        object_motion(1, 0): Pose2.identity(),
     }
     # the softplus m log(1 + exp((d_safe - range) / m)) lies above the hinge
     # max(0, d_safe - range) everywhere and meets it far from d_safe
@@ -630,43 +526,18 @@ def test_dynamic_obstacle_residual_and_direction():
     assert near > 0.4
     far = {
         robot_pose(0): Pose2(3.0, 0.0, 0.0),
-        object_motion(1, 0): Pose3.identity(),
+        object_motion(1, 0): Pose2.identity(),
     }
     r_far = f.residual(far)[0]
     assert r_far == pytest.approx(0.05 * math.log1p(math.exp(-2.0 / 0.05)), rel=1e-12)
     assert 0.0 < r_far < 1e-12
 
 
-@pytest.mark.parametrize("pose3", [False, True])
-def test_dynamic_obstacle_jacobians(pose3):
-    # a planar Pose3 motion, and the planned pose a Pose2 or a planar Pose3;
-    # the centre above the plane moves with the motion's planar columns only
-    rng = np.random.default_rng(13)
-    d_safe = 1.0
-    com_ref = rand_pose3(rng, 0.1, 0.2)
-    f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
-                              d_safe=d_safe, noise=0.05, margin=0.05)
-    checked = 0
-    while checked < 20:
-        pose = rand_pose2(rng, 0.6)
-        motion = embed_se3(rand_pose2(rng, 0.4))
-        vals = {
-            robot_pose(0): embed_se3(pose) if pose3 else pose,
-            object_motion(1, 0): motion,
-        }
-        r = f.residual(vals)[0]
-        if not (1e-3 < r < d_safe - 1e-3):
-            continue
-        check_planar_jacobians(f, vals, atol=2e-5)
-        checked += 1
-
-
 def test_dynamic_obstacle_jacobians_on_a_planar_motion():
-    # a predicted motion is a Pose2, and the centre it carries is the
-    # reference centre read in the plane
+    # the planned pose and the motion that carries the reference centre
     rng = np.random.default_rng(14)
     d_safe = 1.0
-    com_ref = rand_pose3(rng, 0.4, 0.2)
+    com_ref = rand_pose2(rng, 0.4)
     f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
                               d_safe=d_safe, noise=0.05, margin=0.05)
     checked = 0

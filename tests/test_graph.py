@@ -60,7 +60,7 @@ from fgnav.graph import (
     velocity,
 )
 from fgnav.graph import _Batch, _State
-from fgnav.lie import Pose2, Pose3, compose_batch, exp_batch, stack, unstack
+from fgnav.lie import Pose2, compose_batch, exp_batch, stack, unstack
 from fgnav.pipeline import mode_masks
 from fgnav.worldmap import EsdfGrid, OccupancyGrid
 from test_pipeline import crosser, run_closed_loop, walker
@@ -74,24 +74,23 @@ def rand_pose2(rng, t_scale=1.0):
 def retract(vals, system, delta):
     """``vals`` moved by ``delta``, a step in ``system``'s columns.
 
-    ``p * exp(d)`` for all poses of one kind in one batch, in column order,
-    and ``v + d`` for vectors: the arithmetic of the solver's own step.
+    ``p * exp(d)`` for all poses in one batch, in column order, and
+    ``v + d`` for vectors: the arithmetic of the solver's own step.
     """
     out = dict(vals)
-    poses = {Pose2: [], Pose3: []}
+    poses = []
     g = system.graph
     for key in g.ordering:
         o = g.offsets[key]
         d = delta[o:o + g.dims[key]]
-        if type(out[key]) in poses:
-            poses[type(out[key])].append((key, d))
+        if isinstance(out[key], Pose2):
+            poses.append((key, d))
         else:
             out[key] = out[key] + d
-    for moved in poses.values():
-        if moved:
-            keys, steps = zip(*moved)
-            out.update(zip(keys, unstack(compose_batch(
-                stack([out[k] for k in keys]), exp_batch(np.array(steps))))))
+    if poses:
+        keys, steps = zip(*poses)
+        out.update(zip(keys, unstack(compose_batch(
+            stack([out[k] for k in keys]), exp_batch(np.array(steps))))))
     return out
 
 
@@ -151,7 +150,7 @@ def test_add_factor_rejects_objects_that_are_not_factors():
 
 def test_active_keys_sorted_by_time_then_kind():
     g = FactorGraph({velocity(2): np.zeros(2), robot_pose(2): Pose2.identity(),
-                     object_motion(3, 1): Pose3.identity(), robot_pose(1): Pose2.identity(),
+                     object_motion(3, 1): Pose2.identity(), robot_pose(1): Pose2.identity(),
                      static_point(0): np.zeros(3)}, [])
     # no factor couples them, so the reverse Cuthill-McKee columns are the
     # free keys in time order, reversed
@@ -276,10 +275,10 @@ def test_jtj_matches_dense_jacobian():
         vals, factors = chain(np.random.default_rng(seed), n=5)
         # add a landmark-style branch with mixed dimensions
         vals[static_point(0)] = rng.normal(0, 1, 3)
-        vals[robot_pose(10)] = Pose3.exp(rng.normal(0, 0.4, 6))
+        vals[robot_pose(10)] = Pose2.exp(rng.normal(0, 0.4, 3))
         factors.append(PointMeasurementFactor(
             robot_pose(10), static_point(0), rng.normal(0, 1, 3), 0.1))
-        factors.append(PriorFactor(robot_pose(10), Pose3.identity(), 0.2))
+        factors.append(PriorFactor(robot_pose(10), Pose2.identity(), 0.2))
         g = FactorGraph(vals, factors)
         sys = g.linearize(vals)
         j = dense_jacobian(sys)
@@ -325,21 +324,20 @@ def wide_graph(steps=10):
     factors = []
 
     def noisy(pose, scale):
-        return pose.compose(Pose3.exp(rng.normal(0, scale, 6)))
+        return pose.compose(Pose2.exp(rng.normal(0, scale, 3)))
 
     for k in range(steps):
-        values[robot_pose(k)] = Pose3.exp(np.array([0.5 * k, 0, 0, 0, 0, 0]))
+        values[robot_pose(k)] = Pose2(0.5 * k, 0.0, 0.0)
         for obj in (1, 2):
-            values[object_motion(obj, k)] = Pose3.exp(
-                np.array([0.05 * k, 0.02 * obj, 0, 0, 0, 0.01 * k]))
-    factors.append(PriorFactor(robot_pose(0), Pose3.identity(), 0.05))
+            values[object_motion(obj, k)] = Pose2.exp(np.array([0.05 * k, 0.02 * obj, 0.01 * k]))
+    factors.append(PriorFactor(robot_pose(0), Pose2.identity(), 0.05))
     for k in range(steps - 1):
-        step = Pose3.exp(np.array([0.5, 0, 0, 0, 0, 0]))
+        step = Pose2(0.5, 0.0, 0.0)
         factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), noisy(step, 0.02), 0.05))
         for obj in (1, 2):
             factors.append(BetweenFactor(object_motion(obj, k), object_motion(obj, k + 1),
-                                         noisy(Pose3.identity(), 0.02), 0.1))
-    factors.append(PriorFactor(object_motion(2, 0), Pose3.identity(), 0.1))
+                                         noisy(Pose2.identity(), 0.02), 0.1))
+    factors.append(PriorFactor(object_motion(2, 0), Pose2.identity(), 0.1))
     for p in range(6):
         key = static_point(steps + 30 + p)
         values[key] = rng.normal(0, 2, 3)
@@ -352,7 +350,7 @@ def wide_graph(steps=10):
             for k in range(3):
                 factors.append(HybridMotionFactor(robot_pose(k), object_motion(obj, k), key,
                                                   rng.normal(0, 1, 3), 0.1))
-    com_ref = Pose3.exp(np.array([2.0, 0.3, 0, 0, 0, 0]))
+    com_ref = Pose2(2.0, 0.3, 0.0)
     # planning owns the late poses and prediction the late motions, so each
     # hinge masks the key its own component does not own
     owner = {}
@@ -706,12 +704,13 @@ class _Overshooting(PriorFactor):
 
 
 def mixed_graph():
-    """Pose2, Pose3 and vector values; fixed, mixed and masked factors.
+    """Pose and vector values; fixed, mixed and masked factors.
 
-    The Pose3 prior batch reads only fixed keys; the Pose3 between batch
-    has one instance on fixed keys and one on a fixed and a free key. The
-    overshooting prior makes the solver reject trial steps; it and one
-    point measurement are batches of test-local classes.
+    The pose prior batch has an instance on a free key and one on a fixed
+    key; the pose between batch has instances on free keys, one on fixed
+    keys and one on a fixed and a free key. The overshooting prior makes
+    the solver reject trial steps; it and one point measurement are batches
+    of test-local classes.
     """
     rng = np.random.default_rng(31)
     values = {}
@@ -719,8 +718,8 @@ def mixed_graph():
         values[robot_pose(k)] = Pose2(1.0 * k, 0.1 * k, 0.1).compose(
             Pose2.exp(rng.normal(0, 0.2, 3)))
     for k in range(3):
-        values[object_motion(1, k)] = Pose3.exp(
-            np.array([0.4 * k, 0.1, 0.0, 0.0, 0.0, 0.05 * k]) + rng.normal(0, 0.1, 6))
+        values[object_motion(1, k)] = Pose2.exp(
+            np.array([0.4 * k, 0.1, 0.05 * k]) + rng.normal(0, 0.1, 3))
     for p in range(3):
         values[static_point(p)] = rng.normal(0, 1, 3)
     values[velocity(0)] = rng.normal(0, 1, 2)
@@ -731,8 +730,8 @@ def mixed_graph():
                                      Pose2(1.0, 0.1, 0.0), [0.05, 0.05, 0.02]))
     factors.append(BetweenFactor(robot_pose(1), robot_pose(3), Pose2(2.0, 0.3, 0.1), 0.1))
     masks = [None] * (len(factors) - 1) + [(True, False)]
-    factors.append(PriorFactor(object_motion(1, 0), Pose3.identity(), 0.1))
-    step = Pose3.exp(np.array([0.4, 0, 0, 0, 0, 0.05]))
+    factors.append(PriorFactor(object_motion(1, 0), Pose2.identity(), 0.1))
+    step = Pose2.exp(np.array([0.4, 0.0, 0.05]))
     for k in range(2):
         factors.append(BetweenFactor(object_motion(1, k), object_motion(1, k + 1), step, 0.05))
     for p in range(3):
@@ -785,8 +784,6 @@ def reference_optimize(graph, config):
 def as_arrays(value):
     if isinstance(value, Pose2):
         return [np.array([value.x, value.y, value.theta])]
-    if isinstance(value, Pose3):
-        return [value.rotation, value.translation]
     return [value]
 
 
@@ -799,9 +796,14 @@ def assert_same_values(got, want):
 
 def test_mixed_graph_has_constant_and_mixed_batches():
     g = mixed_graph()
-    between3 = [b for b in g.batches
-                if b.cls is BetweenFactor and isinstance(b.params[1], tuple)]
-    assert len(between3) == 1 and len(between3[0].cols) == 2
+    [between] = [b for b in g.batches if b.cls is BetweenFactor and b.params[0]]
+    assert len(between.cols) == 6
+    # the robot chain's columns, and the motions': fixed keys only, then a
+    # fixed and a free key
+    kept = between.cols >= 0
+    assert kept[:4].all(axis=1).tolist() == [True, True, True, False]
+    assert kept[4:].any(axis=1).tolist() == [False, True]
+    assert not kept[5].all()
     own = [(b.cls, len(b.cols)) for b in g.batches
            if b.cls in (_Overshooting, _Wrapped)]
     assert own == [(_Overshooting, 1), (_Wrapped, 1)]
@@ -839,13 +841,13 @@ def hinge_chain(n=12):
     for k in range(n):
         values[velocity(k)] = rng.normal(0, 0.3, 2)
         values[robot_pose(k)] = Pose2(0.3 * k, 0.05 * rng.normal(), 0.0)
-        values[object_motion(1, k)] = Pose3(np.eye(3), np.array([0.3 * k + 0.1, 0.25, 0]))
+        values[object_motion(1, k)] = Pose2(0.3 * k + 0.1, 0.25, 0.0)
     factors = []
     for k in range(n):
         factors.append(LimitFactor(velocity(k), [-0.5, -0.5], [0.5, 0.5], 1e-3))
         factors.append(StaticObstacleFactor(robot_pose(k), wall, 0.35, 1e-3))
         factors.append(DynamicObstacleFactor(robot_pose(k), object_motion(1, k),
-                                             Pose3.identity(), 0.6, 5e-3, margin=0.05))
+                                             Pose2.identity(), 0.6, 5e-3, margin=0.05))
     factors.append(PriorFactor(robot_pose(0), Pose2.identity(), [0.05, 0.05, 0.05]))
     for k in range(n - 1):
         factors.append(BetweenFactor(robot_pose(k), robot_pose(k + 1), Pose2(0.3, 0.0, 0.0),
@@ -930,12 +932,10 @@ def test_an_accepted_trial_linearizes_bitwise_as_a_fresh_point(monkeypatch):
 
 
 def test_crossing_stage_graphs_linearize_accepted_trials_bitwise(monkeypatch):
-    # every stage graph of a cooperative step with two agents, the Pose3
-    # estimate read through its planar view by the plan
+    # every stage graph of a cooperative step with two agents
     reused = check_reused_linearizations(monkeypatch)
     run_closed_loop(Mode.COOPERATIVE, seed=3, agents=[walker(), crosser()], steps=3)
     assert len(reused) >= 6
-    assert any(g._view is not None for g in reused)
     classes = {b.cls.__name__ for g in reused for b in g.batches}
     assert {"DynamicObstacleFactor", "StaticObstacleFactor", "MotionModelFactor",
             "HybridMotionFactor", "BetweenFactor"} <= classes
@@ -1076,7 +1076,7 @@ def test_optimize_returns_values_that_share_no_memory():
 def test_no_cached_block_outlives_optimize():
     g = mixed_graph()
     vals = g.optimize().values.copy()
-    vals[object_motion(1, 0)] = Pose3.exp(np.array([0.3, -0.2, 0.0, 0.0, 0.0, 0.4]))
+    vals[object_motion(1, 0)] = Pose2.exp(np.array([0.3, -0.2, 0.4]))
     want = mixed_graph().total_error(vals)
     assert g.total_error(vals) == want
     assert g.linearize(vals).total_error() == want

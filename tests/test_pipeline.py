@@ -27,11 +27,12 @@ from fgnav.factors import (
     DynamicObstacleFactor,
     Mode,
     ModeConfig,
+    HybridMotionFactor,
     MotionModelFactor,
-    PlanarSmoothingFactor,
+    ObjectSmoothingFactor,
+    PointMeasurementFactor,
     PriorFactor,
     StaticObstacleFactor,
-    read_columns,
 )
 from fgnav.graph import (
     FactorGraph,
@@ -43,8 +44,9 @@ from fgnav.graph import (
 )
 from fgnav import graph as graph_module
 from fgnav.graph import _Batch
-from fgnav.lie import Pose2, Pose3, embed_se3, se2_view
+from fgnav.lie import Pose2, Pose3, embed_se3
 from fgnav.pipeline import (
+    PLANE_TOLERANCE,
     STAGES,
     InputError,
     Pipeline,
@@ -59,6 +61,18 @@ from fgnav.worldmap import EsdfGrid, OccupancyGrid
 
 HORIZON = 3
 STEPS = 2
+# the Pose3 identity: the origin as a start, a robot at rest as an odometry reading
+ORIGIN = embed_se3(Pose2())
+
+
+def tilted(axis: int, angle: float, translation=(0.0, 0.0, 0.0)) -> Pose3:
+    """A Pose3 turned by ``angle`` about world axis ``axis`` (0: roll, 1: pitch)."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [a for a in range(3) if a != axis]
+    r = np.eye(3)
+    r[i, i] = r[j, j] = c
+    r[i, j], r[j, i] = -s, s
+    return Pose3(r, np.array(translation))
 
 
 def walker():
@@ -113,6 +127,11 @@ def test_closed_loop_commands_are_usable_and_repeatable(mode):
     for k, out in enumerate(outputs):
         assert not out.diverged
         assert_usable(cfg, k, out)
+        # the sim's embed_se3 inputs are accepted, and the estimate leaves
+        # in the plane: z, roll and pitch exactly 0
+        r, t = out.estimate.rotation, out.estimate.translation
+        assert isinstance(out.estimate, Pose3)
+        assert (t[2], r[0, 2], r[1, 2], r[2, 0], r[2, 1], r[2, 2]) == (0, 0, 0, 0, 0, 1)
     _, again = run_closed_loop(mode, seed=3)
     assert_repeatable(outputs, again)
 
@@ -213,17 +232,16 @@ def test_modes_agree_without_agents_and_only_a_cold_plan_is_presolved(monkeypatc
 
 def test_a_rejected_step_can_be_retried():
     grid = OccupancyGrid.empty(20, 20, 0.1)
-    pipe = Pipeline(PipelineConfig(horizon=HORIZON), EsdfGrid.from_occupancy(grid),
-                    Pose3.identity())
+    pipe = Pipeline(PipelineConfig(horizon=HORIZON), EsdfGrid.from_occupancy(grid), ORIGIN)
     goal = Pose2(1.0, 0.0, 0.0)
     pipe.step(0, StepInput(), goal)
     with pytest.raises(ValueError, match="odometry required"):
         pipe.step(1, StepInput(), goal)
-    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    out = pipe.step(1, StepInput(odometry=ORIGIN), goal)
     assert out.step == 1
     assert sum(isinstance(f, BetweenFactor) for _, f in pipe._est_factors) == 1
     with pytest.raises(InputError, match="expected 2"):
-        pipe.step(3, StepInput(odometry=Pose3.identity()), goal)
+        pipe.step(3, StepInput(odometry=ORIGIN), goal)
 
 
 def empty_simulator(dt, **limits):
@@ -231,7 +249,7 @@ def empty_simulator(dt, **limits):
                      dt=dt, **limits)
 
 
-def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON, initial_pose=Pose3.identity()):
+def empty_grid_pipeline(mode=Mode.DIRECTED, horizon=HORIZON, initial_pose=ORIGIN):
     cfg = PipelineConfig(horizon=horizon, mode=ModeConfig(mode))
     grid = OccupancyGrid.empty(20, 20, 0.1)
     return Pipeline(cfg, EsdfGrid.from_occupancy(grid), initial_pose)
@@ -325,16 +343,14 @@ def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
     goal = Pose2(1.0, 0.0, 0.0)
     pipe.step(0, StepInput(), goal)
     with pytest.raises(InputError):
-        pipe.step(1, StepInput(odometry=Pose3.identity(), static_points=[(0, [1.0, 2.0])]),
-                  goal)
-    pipe.step(1, StepInput(odometry=Pose3.identity(), static_points=[(0, [1.0, 2.0, 0.5])]),
-              goal)
+        pipe.step(1, StepInput(odometry=ORIGIN, static_points=[(0, [1.0, 2.0])]), goal)
+    pipe.step(1, StepInput(odometry=ORIGIN, static_points=[(0, [1.0, 2.0, 0.5])]), goal)
     # each step solves estimation, then planning: nothing is tracked, so
     # there is no prediction stage
     assert [k for k, _ in graphs] == [0, 0, 1, 1]
     # the odometry is the one BetweenFactor on poses; the rest are the plan's smoothness
     odometry = [f for _, graph in graphs[2:] for f in graph.factors
-                if isinstance(f, BetweenFactor) and isinstance(f.measured, Pose3)]
+                if isinstance(f, BetweenFactor) and isinstance(f.measured, Pose2)]
     assert len(odometry) == 1
 
 
@@ -357,9 +373,14 @@ def test_a_rejected_point_leaves_no_odometry_behind(monkeypatch):
     dict(odometry=embed_se3(Pose2(0.0, 0.0, math.nan))),
     dict(global_pose=embed_se3(Pose2(math.nan, 0.0, 0.0))),
     dict(local_goal=Pose2(math.nan, 0.0, 0.0)),
+    # the estimator is planar: a pose off the plane is no input it can use
+    dict(odometry=Pose3(np.eye(3), np.array([0.1, 0.0, 10 * PLANE_TOLERANCE]))),
+    dict(odometry=tilted(0, 10 * PLANE_TOLERANCE, (0.1, 0.0, 0.0))),
+    dict(global_pose=tilted(1, 0.05)),
 ], ids=["nan-point", "inf-point", "2-vector", "float-id", "text-point", "nan-dynamic",
         "text-id", "one-id", "no-odometry", "pose2-odometry", "pose2-global", "tuple-goal",
-        "nan-odometry", "nan-heading-odometry", "nan-global", "nan-goal"])
+        "nan-odometry", "nan-heading-odometry", "nan-global", "nan-goal", "z-odometry",
+        "tilted-odometry", "tilted-global"])
 def test_bad_input_is_rejected_before_any_state_changes(bad):
     pipe = empty_grid_pipeline()
     goal = Pose2(1.0, 0.0, 0.0)
@@ -367,10 +388,10 @@ def test_bad_input_is_rejected_before_any_state_changes(bad):
     before = (dict(pipe._values), list(pipe._est_factors), pipe._step)
     fields = {key: value for key, value in bad.items() if key != "local_goal"}
     with pytest.raises(InputError):
-        pipe.step(1, StepInput(**{"odometry": Pose3.identity(), **fields}),
+        pipe.step(1, StepInput(**{"odometry": ORIGIN, **fields}),
                   bad.get("local_goal", goal))
     assert (dict(pipe._values), list(pipe._est_factors), pipe._step) == before
-    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    out = pipe.step(1, StepInput(odometry=ORIGIN), goal)
     assert not out.diverged and np.all(np.isfinite(out.command))
 
 
@@ -392,7 +413,7 @@ def test_reason_names_the_first_stage_that_stopped_short(monkeypatch):
     assert results[-1].converged   # the planning stage
     assert out.stats["reason"] == "max_iters" and not out.stats["converged"]
     # every stage converged: the last stage's reason
-    out = pipe.step(1, StepInput(odometry=Pose3.identity()), goal)
+    out = pipe.step(1, StepInput(odometry=ORIGIN), goal)
     assert out.stats["converged"] and out.stats["reason"] == results[-1].reason
 
 
@@ -553,7 +574,7 @@ def test_only_undirected_planning_moves_the_estimation_step(mode, monkeypatch):
         # so the estimate the step returns is the estimation-only solution,
         # bit for bit: the estimation shift is exactly zero
         alone = est_stage.optimize(config=cfg.optimizer).values
-        assert_same_pose(outputs[2].estimate, alone[robot_pose(2)])
+        assert_same_pose(outputs[2].estimate, embed_se3(alone[robot_pose(2)]))
         assert_same_pose(outputs[2].object_motions[1][2], alone[object_motion(1, 2)])
         return
     [graph] = step_graphs
@@ -673,21 +694,20 @@ def per_factor_layout(graph):
     """Each batch's (n, D) columns, one factor at a time, and the band width.
 
     The factors are grouped as the constructor groups them; a factor's
-    column is its key's offset plus the local column its slot reads, or -1
-    where the key is masked or fixed.
+    columns are its keys' offsets plus their local columns, or -1 where the
+    key is masked or fixed.
     """
     groups = {}
     for f, mask in zip(graph.factors, graph.masks):
-        kinds = tuple(graph_module._value_kind(graph.values[k], j in f.planar_slots)
-                      for j, k in enumerate(f.keys))
+        kinds = tuple(graph_module._value_kind(graph.values[k]) for k in f.keys)
         groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
     layout = []
     for members in groups.values():
         rows = []
         for f, mask in members:
             row = []
-            for j, (key, drop) in enumerate(zip(f.keys, mask)):
-                local = read_columns(graph._tangent[key], j in f.planar_slots)
+            for key, drop in zip(f.keys, mask):
+                local = np.arange(graph._tangent[key])
                 if drop or key in graph.fixed:
                     row.extend([-1] * len(local))
                 else:
@@ -721,8 +741,8 @@ def test_batch_columns_equal_the_per_factor_layout(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
-    # the chain's first pose is the Pose3 estimate, the rest are Pose2; the
-    # planar view puts all of its motion factors in one kernel call
+    # the chain's first pose is the estimate, the rest are planned poses;
+    # all of its motion factors are one kernel call
     graphs = record_step_graphs(monkeypatch)
     run_closed_loop(mode, seed=3, steps=1)
     planning = [g for _, g in graphs
@@ -735,8 +755,8 @@ def test_plan_chain_from_the_pose3_estimate_is_one_batch(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", [Mode.DIRECTED, Mode.COOPERATIVE])
 def test_plan_and_prediction_read_poses_only_in_se2(mode, monkeypatch):
-    # only estimation factors read the Pose3 table; a planning or prediction
-    # factor reads a Pose2, or a Pose3 estimate through its planar view
+    # no stage graph holds a Pose3: estimation, prediction and planning
+    # factors all read their poses from the one Pose2 table
     members = {}
     init = _Batch.__init__
 
@@ -749,24 +769,28 @@ def test_plan_and_prediction_read_poses_only_in_se2(mode, monkeypatch):
     run_closed_loop(mode, seed=5, agents=[crosser()], steps=3)
     read = set()
     for _, g in graphs:
-        [pose3] = [t for t, keys in enumerate(g._tables)
-                   if keys and isinstance(g.values[keys[0]], Pose3)]
+        assert not any(isinstance(v, Pose3) for v in g.values.values())
+        [pose2] = [t for t, keys in enumerate(g._tables) if isinstance(g.values[keys[0]], Pose2)]
         for b in g.batches:
-            if all(f.component is Component.ESTIMATION for f in members[id(b)]):
-                continue
-            read.add(b.cls)
-            assert all(t != pose3 for t, _ in b.slots), b.cls.__name__
-    # the crosser is tracked: both hinges and the prediction chain were read
-    assert {StaticObstacleFactor, DynamicObstacleFactor, MotionModelFactor,
-            PlanarSmoothingFactor} <= read
+            reads_poses = [t == pose2 for t, _ in b.slots]
+            if any(reads_poses):
+                read.add((b.cls, members[id(b)][0].component))
+    # the crosser is tracked: both hinges, the prediction chain and the
+    # estimation factors that read poses were read
+    assert {(StaticObstacleFactor, Component.PLANNING),
+            (StaticObstacleFactor, Component.PREDICTION),
+            (DynamicObstacleFactor, Component.PLANNING),
+            (MotionModelFactor, Component.PLANNING),
+            (ObjectSmoothingFactor, Component.PREDICTION),
+            (PointMeasurementFactor, Component.ESTIMATION),
+            (HybridMotionFactor, Component.ESTIMATION)} <= read
 
 
 # ---------------------------------------------------------------------------
 # prediction seeds
 
-# per-step world motions of two objects, out of the plane, and their points
-OBJECT_STEPS = {7: np.array([0.06, -0.02, 0.01, 0.02, -0.03, 0.08]),
-                8: np.array([-0.04, 0.05, -0.01, -0.02, 0.01, -0.05])}
+# per-step world motions of two objects, and their points
+OBJECT_STEPS = {7: np.array([0.06, -0.02, 0.08]), 8: np.array([-0.04, 0.05, -0.05])}
 OBJECT_POINTS = {7: [np.array([1.2, 1.2, 0.3]), np.array([1.5, 1.0, 0.1]),
                      np.array([1.1, 1.5, 0.6])],
                  8: [np.array([0.4, -1.3, 0.2]), np.array([0.7, -1.1, 0.4]),
@@ -778,20 +802,20 @@ def drive_objects(pipe, seen_at):
     goal = Pose2(1.0, 0.0, 0.0)
     last = max(k for steps in seen_at.values() for k in steps)
     for k in range(last + 1):
-        dynamic = [(obj, pid, Pose3.exp(k * OBJECT_STEPS[obj]).act(p))
+        dynamic = [(obj, pid, Pose2.exp(k * OBJECT_STEPS[obj]).act(p))
                    for obj, steps in seen_at.items() if k in steps
                    for pid, p in enumerate(OBJECT_POINTS[obj])]
-        pipe.step(k, StepInput(odometry=None if k == 0 else Pose3.identity(),
+        pipe.step(k, StepInput(odometry=None if k == 0 else ORIGIN,
                                dynamic_points=dynamic), goal)
 
 
 def reference_motion(pipe, obj, last, ahead):
-    """The planar constant-motion seed ``ahead`` steps past ``last``, composed from scratch."""
+    """The constant-motion seed ``ahead`` steps past ``last``, composed from scratch."""
     steps = pipe._motion_steps[obj]
-    h = se2_view(pipe._values[object_motion(obj, last)])
+    h = pipe._values[object_motion(obj, last)]
     if len(steps) < 2 or steps[-1] != last or steps[-2] != last - 1:
         return h
-    step = se2_view(pipe._values[object_motion(obj, last - 1)]).between(h)
+    step = pipe._values[object_motion(obj, last - 1)].between(h)
     for _ in range(ahead):
         h = h.compose(step)
     return h
@@ -811,8 +835,8 @@ def record_seeds(monkeypatch):
 
     A warm reference is the motion the previous step predicted and solved,
     from a snapshot taken when that step returned; a cold one is the
-    from-scratch seed, taken before the pipeline builds its own. Both are
-    Pose2, and a track extension's estimate is the reference lifted into SE(3).
+    from-scratch seed, taken before the pipeline builds its own. A track
+    extension's estimate starts at the reference.
     """
     seeds = []
     # the step a snapshot was taken at, the objects it predicted and its motions
@@ -841,8 +865,7 @@ def record_seeds(monkeypatch):
         key, solved = object_motion(obj, k), warm(k)
         want = solved[key] if key in solved else reference_motion(self, obj, prev, k - prev)
         extend(self, obj, k, obs, x_hat)
-        seeds.append((k, int(key not in solved), {key: self._values[key]},
-                      {key: embed_se3(want)}))
+        seeds.append((k, int(key not in solved), {key: self._values[key]}, {key: want}))
 
     def stepping(self, k, *args):
         last["objects"] = []
@@ -916,19 +939,20 @@ def test_predictions_are_planar_and_their_smoothing_is_one_batch(monkeypatch):
     graphs = record_step_graphs(monkeypatch)
     run_closed_loop(Mode.COOPERATIVE, seed=5, agents=[near], steps=4)
     predicting = [(k, g) for k, g in graphs
-                  if any(isinstance(f, PlanarSmoothingFactor) for f in g.factors)]
+                  if any(isinstance(f, ObjectSmoothingFactor)
+                         and f.component is Component.PREDICTION for f in g.factors)]
     assert [k for k, _ in predicting] == [1, 2, 3]
     for k, g in predicting:
         motions = {key: v for key, v in g.values.items() if key.kind is VarKind.OBJECT_MOTION}
-        # the predicted motions are Pose2, the estimates they start from Pose3
+        # the predicted motions and the estimates they start from are Pose2
         assert {key.time_step for key in motions} == set(range(k - 1, k + HORIZON + 1))
         for key, value in motions.items():
-            assert isinstance(value, Pose2 if key.time_step > k else Pose3), key
+            assert isinstance(value, Pose2), key
         # one kernel call smooths the whole chain, the factor that reads the
         # two estimates included
-        [batch] = [b for b in g.batches if b.cls is PlanarSmoothingFactor]
+        [batch] = [b for b in g.batches if b.cls is ObjectSmoothingFactor]
         assert len(batch.cols) == HORIZON
-        first = next(f for f in g.factors if isinstance(f, PlanarSmoothingFactor))
+        first = next(f for f in g.factors if isinstance(f, ObjectSmoothingFactor))
         assert first.keys[:2] == (object_motion(1, k - 1), object_motion(1, k))
         # the estimates are held by then: only the prediction's columns are kept
         assert np.all(batch.cols[0, :6] == -1) and np.all(batch.cols[0, 6:] >= 0)
@@ -981,6 +1005,9 @@ def test_predictions_are_planar_and_their_smoothing_is_one_batch(monkeypatch):
     # commands; a Pose2 one failed on the prior's sigma count
     lambda: empty_grid_pipeline(initial_pose=embed_se3(Pose2(math.nan, 0.0, 0.0))),
     lambda: empty_grid_pipeline(initial_pose=Pose2(0.0, 0.0, 0.0)),
+    # the estimator is planar: a start off the plane is rejected
+    lambda: empty_grid_pipeline(initial_pose=tilted(0, 0.05, (1.0, 0.0, 0.0))),
+    lambda: empty_grid_pipeline(initial_pose=Pose3(np.eye(3), np.array([0.0, 0.0, 0.2]))),
     # an agent that never arrives
     lambda: AgentSpec(1, 0.3, [(0.0, 0.0, 0.0)], math.inf),
 ], ids=["cooperation_weight", "factor_weight", "noise_sigma", "agent_speed",
@@ -989,7 +1016,7 @@ def test_predictions_are_planar_and_their_smoothing_is_one_batch(monkeypatch):
         "two-noise_sigma", "four-noise_sigma", "matrix-noise_sigma", "three-noise_sigma",
         "zero-sim_dt", "negative-sim_dt", "nan-sim_dt", "negative-agent_radius",
         "zero-esdf_resolution", "nan-initial_pose", "pose2-initial_pose",
-        "inf-agent_speed"])
+        "tilted-initial_pose", "z-initial_pose", "inf-agent_speed"])
 def test_nan_settings_are_rejected(make):
     with pytest.raises(ValueError):
         make()
