@@ -319,6 +319,28 @@ def test_object_smoothing_jacobians():
         check_jacobians(f, vals)
 
 
+@pytest.mark.parametrize("near_constant", [False, True])
+def test_planar_smoothing_jacobians(near_constant):
+    # a near-constant chain leaves the residual close to zero, where the
+    # kernel's SE(2) log and inverse Jacobian take their small-angle branch
+    rng = np.random.default_rng(28)
+    keys = (object_motion(0, 1), object_motion(0, 2), object_motion(0, 3))
+    for _ in range(25):
+        c_ref = rand_pose2(rng)
+        f = ObjectSmoothingFactor(keys, c_ref, 0.05)
+        if near_constant:
+            delta = rand_pose2(rng, 0.3)
+            centres = [rand_pose2(rng)]
+            for _ in keys[1:]:
+                jitter = Pose2.exp(rng.normal(0, 1e-4, 3))
+                centres.append(centres[-1].compose(delta).compose(jitter))
+            vals = {k: c.compose(c_ref.inverse()) for k, c in zip(keys, centres)}
+            assert np.all(np.abs(f.residual(vals)) < 1e-3)
+        else:
+            vals = {k: rand_pose2(rng, 0.8) for k in keys}
+        check_jacobians(f, vals)
+
+
 def reference_smoothing_residual(motions, c_ref):
     """r = log((C_1^-1 C_2)^-1 (C_2^-1 C_3)) with C_i = H_i C_ref, on single poses."""
     c1, c2, c3 = (h.compose(c_ref) for h in motions)
@@ -480,22 +502,24 @@ def _interior_point(rng, esdf, d_safe):
             return x, y
 
 
-@pytest.mark.parametrize("variant", ["pose2", "motion"])
+@pytest.mark.parametrize("variant", ["pose2", "motion", "planar-motion"])
 def test_static_obstacle_jacobians(variant):
+    # "motion" carries a centre near the object's origin; "planar-motion"
+    # one far from it, so that the motion's turn moves the centre a lot
     rng = np.random.default_rng(12)
     esdf = disk_esdf()
     d_safe = 0.6
     com_ref = None
     key = robot_pose(0)
-    if variant == "motion":
-        com_ref = rand_pose2(rng, 0.05)
+    if variant != "pose2":
+        com_ref = rand_pose2(rng, 0.05 if variant == "motion" else 1.0)
         key = object_motion(0, 0)
     f = StaticObstacleFactor(key, esdf, d_safe, 0.05, com_ref=com_ref)
     for _ in range(20):
         x, y = _interior_point(rng, esdf, d_safe)
         theta = float(rng.uniform(-3, 3))
         value = Pose2(x, y, theta)
-        if variant == "motion":
+        if com_ref is not None:
             # a motion placing the centre there
             value = value.compose(Pose2(com_ref.x, com_ref.y, 0.0).inverse())
         vals = {key: value}
@@ -531,6 +555,29 @@ def test_dynamic_obstacle_residual_and_direction():
     r_far = f.residual(far)[0]
     assert r_far == pytest.approx(0.05 * math.log1p(math.exp(-2.0 / 0.05)), rel=1e-12)
     assert 0.0 < r_far < 1e-12
+
+
+@pytest.mark.parametrize("centred", [False, True])
+def test_dynamic_obstacle_jacobians(centred):
+    # a centre at the object's origin does not move when the motion turns,
+    # so the motion's heading column is exactly zero; one off it does move
+    rng = np.random.default_rng(13)
+    d_safe = 1.0
+    com_ref = Pose2.identity() if centred else rand_pose2(rng, 0.4)
+    f = DynamicObstacleFactor(robot_pose(0), object_motion(1, 0), com_ref,
+                              d_safe=d_safe, noise=0.05, margin=0.05)
+    checked = 0
+    while checked < 20:
+        vals = {robot_pose(0): rand_pose2(rng, 0.6),
+                object_motion(1, 0): rand_pose2(rng, 0.4)}
+        r = f.residual(vals)[0]
+        if not (1e-3 < r < d_safe - 1e-3):
+            continue
+        check_jacobians(f, vals, atol=2e-5)
+        _, (j_pose, j_motion) = f.linearize_raw(vals)
+        assert j_pose[0, 2] == 0.0
+        assert (j_motion[0, 2] == 0.0) == centred
+        checked += 1
 
 
 def test_dynamic_obstacle_jacobians_on_a_planar_motion():
