@@ -36,18 +36,18 @@ evaluates nothing else. The per-factor methods (``residual``,
 ``linearize_raw`` and the whitened forms) are calls with a batch of one;
 they serve as the reference the batched system is tested against.
 
-Each factor also carries its whitening and its ``component``. The
-whitening ``sqrt_info`` is the inverse of the factor's standard deviations,
-given as one sigma for every dimension or one per dimension, all positive
-and finite. Factors given equal sigmas share one read-only array; a
-``weight`` other than 1 scales a fresh copy. The ``component`` is the part
-of the pipeline the factor belongs to and its only direction metadata; a
-factor holds no mask. A pipeline stage holds the factors of its components
-only (``fgnav.pipeline.STAGES``). In cooperative mode's prediction/plan
-stage, :func:`fgnav.pipeline.mode_masks` compares the component with the
-one that owns each key the factor reads, and the keys the factor may not
-move become its mask in the stage graph (the ``masks`` argument of
-:class:`fgnav.graph.FactorGraph`).
+Each factor also carries its whitening, its ``component`` and ``moves``.
+The whitening ``sqrt_info`` is the inverse of the factor's standard
+deviations, given as one sigma for every dimension or one per dimension,
+all positive and finite. Factors given equal sigmas share one read-only
+array; a ``weight`` other than 1 scales a fresh copy. The ``component`` is
+the part of the pipeline the factor belongs to, and a pipeline stage holds
+the factors of its components only (``fgnav.pipeline.STAGES``). ``moves``
+holds one flag per key: a *directed* factor reads every key but may not
+move one whose flag is False, and the graph leaves that key's Jacobian
+block out of the linear system (:mod:`fgnav.graph`). By default a factor
+moves every key it reads; only cooperative mode's dynamic-obstacle hinge
+pair is directed.
 
 The limit and static-clearance hinges return a zero residual and zero
 Jacobian on their inactive branch. A step linearized there cannot see the
@@ -153,12 +153,16 @@ def propagate_unicycle(x: Pose2, v: float, omega: float, dt: float) -> Pose2:
 
 
 class Factor:
-    """Base class: keys, whitening and component."""
+    """Base class: keys, whitening, component and the keys it moves."""
 
-    __slots__ = ("keys", "dim", "sqrt_info", "component")
+    __slots__ = ("keys", "dim", "sqrt_info", "component", "moves")
 
-    def __init__(self, keys, noise, dim, component=Component.ESTIMATION, weight=1.0):
+    def __init__(self, keys, noise, dim, component=Component.ESTIMATION, weight=1.0,
+                 moves=None):
         self.keys = tuple(keys)
+        self.moves = (True,) * len(self.keys) if moves is None else tuple(map(bool, moves))
+        if len(self.moves) != len(self.keys):
+            raise ValueError(f"{len(self.moves)} moves flags for {len(self.keys)} keys")
         self.dim = int(dim)
         w = _sqrt_info(noise, self.dim)
         if weight != 1.0:
@@ -545,7 +549,7 @@ class LimitFactor(Factor):
     of a least-squares graph therefore takes these rows at the trial point
     rather than at the linearization point (see
     :meth:`fgnav.graph.LinearSystem.solve`); the kernel is what every
-    residual, accept test and masked stage reads.
+    residual, accept test and directed stage reads.
     """
 
     __slots__ = ("lower", "upper")
@@ -626,7 +630,8 @@ class DynamicObstacleFactor(Factor):
     centre being the object's reference centre moved by the motion. A
     planning instance moves the planned pose around the predicted motion; a
     prediction instance (cooperative mode) moves the prediction to make
-    room for the plan.
+    room for the plan. In cooperative mode each instance moves only its own
+    component's key (``moves``).
     """
 
     __slots__ = ("com_ref", "d_safe", "margin")

@@ -1,6 +1,6 @@
 """Factor graph, linearization and nonlinear least-squares solving.
 
-A graph is built whole, in one call: ``FactorGraph(values, factors, masks,
+A graph is built whole, in one call: ``FactorGraph(values, factors,
 fixed)``. ``values`` maps each typed :class:`VariableKey` to its initial
 value, and each :class:`~fgnav.factors.Factor` produces a residual vector
 ``r`` and one Jacobian block per connected variable, both whitened by its
@@ -34,16 +34,16 @@ band (``i >= j`` of kept columns) and the kept ``J^T r`` terms. The layout
 holds at every linearization point because hinge factors return zero
 blocks rather than dropping them.
 
-One-way information flow is implemented at linearization: ``masks`` holds
-one mask per factor, and the Jacobian block of a masked key is left out of
-the linear system (structurally zero) while the residual still evaluates
-with the key's current value. Masked keys therefore influence other
-updates through the residual but receive none from that factor, and the
-corresponding Gauss-Newton cross terms vanish. The pipeline masks only in
-cooperative mode's prediction/plan stage, from the factor's component and
-the component that owns each key. A key in ``fixed`` gets no columns and
-its value is still read: the pipeline holds its fixed-lag window so, and
-in each stage every key an earlier stage solved.
+One-way information flow is a property of the factor: a directed factor
+does not move a key whose ``moves`` flag is False. The Jacobian block of
+such a key is left out of the linear system (structurally zero) while the
+residual still evaluates with the key's current value, so the key
+influences other updates through the residual but receives none from that
+factor, and the corresponding Gauss-Newton cross terms vanish. The
+pipeline builds directed factors only in cooperative mode's prediction/plan
+stage. A key in ``fixed`` gets no columns and its value is still read: the
+pipeline holds its fixed-lag window so, and in each stage every key an
+earlier stage solved.
 
 Solving uses Levenberg-Marquardt on the normal equations
 ``(J^T J + lambda diag(J^T J)) delta = -J^T r`` with multiplicative
@@ -54,10 +54,11 @@ residual is piecewise linear in the step, and the damped model of a
 least-squares graph holds it exactly: such a row enters neither ``J^T J``
 nor ``J^T r``, and :meth:`LinearSystem.solve` takes it where it is active
 at the trial point, re-solving while that active set changes, up to
-``ACTIVE_SET_PASSES`` solves. A graph that masks a free key is not a
-least-squares problem, and its step keeps the limit rows in ``J^T J`` as
-linearized. The objective, the accept test and the stop rules are the same
-either way, so the two steps lead to the same optimum.
+``ACTIVE_SET_PASSES`` solves. A graph with a factor that does not move a
+free key it reads is not a least-squares problem, and its step keeps the
+limit rows in ``J^T J`` as linearized. The objective, the accept test and
+the stop rules are the same either way, so the two steps lead to the same
+optimum.
 :meth:`FactorGraph.optimize` redoes only the work whose inputs change
 (Kaess et al., *iSAM2*, IJRR 2012, applied within one solve). Its iterate
 is the graph's stacked tables (:class:`_State`), not a dict: a trial
@@ -74,9 +75,9 @@ Nielsen & Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004,
 likewise reuse f(x_new) of an accepted step). The dict the solve returns
 is built once, on return; fixed keys keep their objects. The columns
 follow the reverse Cuthill-McKee order (Cuthill & McKee, 1969) of the free
-variables, numbered in time order, that unmasked factors couple, which
-keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals, the widest
-column span of any factor.
+variables, numbered in time order, that the factors moving them couple,
+which keeps every nonzero of ``J^T J`` within ``bw`` subdiagonals, the
+widest column span of any factor.
 ``J^T J`` is assembled straight into that lower band storage,
 ``(bw + 1, ncols)``, and each damped system is solved by LAPACK's banded
 Cholesky ``dpbsv``, so neither the dense matrix nor its factor is ever
@@ -200,7 +201,7 @@ def _kept(cols: np.ndarray, ncols: int) -> _Kept:
     """The products and terms of a batch that enter the system; empty if none does.
 
     ``cols`` is (n, D): the global column of each local Jacobian column, or
-    -1 for a masked or fixed one. Only the product of kept columns
+    -1 for one of a fixed key or a key the factor does not move. Only the product of kept columns
     ``i >= j`` counts; it lands at ``(i - j) * ncols + j`` of the band.
     """
     valid = cols >= 0
@@ -237,16 +238,16 @@ def _reverse_cuthill_mckee(neighbours: list[set[int]]) -> list[int]:
     return order[::-1]
 
 
-def _band_ordering(active: list[VariableKey], factors, masks) -> list[VariableKey]:
+def _band_ordering(active: list[VariableKey], factors) -> list[VariableKey]:
     """The ``active`` keys in reverse Cuthill-McKee order of their coupling.
 
-    Two variables are coupled when one factor reads both and neither is
-    masked there or fixed.
+    Two variables are coupled when one factor moves both and neither is
+    fixed.
     """
     node = {k: i for i, k in enumerate(active)}
     neighbours: list[set[int]] = [set() for _ in active]
-    for f, mask in zip(factors, masks):
-        kept = [node[k] for k, d in zip(f.keys, mask) if not d and k in node]
+    for f in factors:
+        kept = [node[k] for k, m in zip(f.keys, f.moves) if m and k in node]
         for a in kept:
             # each node also lands in its own set; that adds one to the
             # degree of every coupled node and leaves the order unchanged
@@ -341,7 +342,7 @@ class _Block(NamedTuple):
 
     residual: np.ndarray
     jacobian: np.ndarray
-    cols: np.ndarray      # (n, D) global columns, -1 for masked or fixed
+    cols: np.ndarray      # (n, D) global columns, -1 for unmoved or fixed
     kept: _Kept           # what enters J^T J and J^T r
 
 
@@ -382,11 +383,12 @@ class LinearSystem:
 
     ``J^T J`` is kept as its lower band: row ``d`` of the ``(bw + 1, ncols)``
     array holds the ``d``-th subdiagonal, ``band[d, j] = (J^T J)[j + d, j]``.
-    Masked and fixed Jacobian columns never enter ``J``: their products go
-    to no ``J^T J`` entry, so the block of two variables that no unmasked
-    factor couples is exactly zero. In a least-squares stage the limit rows
-    enter neither the band nor ``J^T r``: ``limits`` holds them, and
-    :meth:`solve` takes them at the trial point instead.
+    The Jacobian columns of a fixed key, or of a key a factor does not
+    move, never enter ``J``: their products go to no ``J^T J`` entry, so
+    the block of two variables that no factor moves together is exactly
+    zero. In a least-squares stage the limit rows enter neither the band
+    nor ``J^T r``: ``limits`` holds them, and :meth:`solve` takes them at
+    the trial point instead.
     """
 
     def __init__(self, graph: "FactorGraph", blocks: list[_Block], limits: _Limits | None):
@@ -455,7 +457,7 @@ class LinearSystem:
             g = self.graph
             bad = next(k for k in g.ordering if g.offsets[k] <= col < g.offsets[k] + g.dims[k])
             raise StructuralSingularityError(
-                f"variable {bad} has no unmasked factor support")
+                f"variable {bad} has no factor that moves it")
         if self.limits is None:
             return self._band_solve(lam)
         cols, w, lower, upper = self.limits
@@ -488,7 +490,8 @@ class OptimizerConfig:
     rel_tol: float = 1e-10      # on the relative error decrease
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if (not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
             raise ValueError("max_iters must be an int >= 1")
         if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and >= 0")
@@ -498,7 +501,6 @@ class OptimizerConfig:
 class OptimizeResult:
     values: dict
     iterations: int
-    final_error: float
     reason: str
     accepted_errors: list = field(default_factory=list)
 
@@ -512,36 +514,27 @@ class OptimizeResult:
 
 
 class FactorGraph:
-    """The variables, factors, masks and fixed keys of one solve, laid out once.
+    """The variables, factors and fixed keys of one solve, laid out once.
 
     ``values`` maps every key to its initial value, and every point the
-    graph is later evaluated at must hold values of the same kinds.
-    ``masks`` holds one mask per factor: None, or a flag per key the factor
-    may not move. A ``fixed`` key gets no columns; its value is still read.
-    The constructor builds the layout: the value tables, the columns in
-    reverse Cuthill-McKee order of the free keys that unmasked factors
-    couple, the batches, and ``bw``, the widest column span of any factor,
-    so every ``J^T J`` product falls inside a band of ``bw`` subdiagonals.
+    graph is later evaluated at must hold values of the same kinds. Each
+    factor moves the keys its ``moves`` flags, and a ``fixed`` key gets no
+    columns; the value of either is still read. The constructor builds the
+    layout: the value tables, the columns in reverse Cuthill-McKee order of
+    the free keys that the factors moving them couple, the batches, and
+    ``bw``, the widest column span of any factor, so every ``J^T J``
+    product falls inside a band of ``bw`` subdiagonals.
     """
 
-    def __init__(self, values: dict, factors, masks=None, fixed=()):
+    def __init__(self, values: dict, factors, fixed=()):
         self.values = dict(values)
         self.factors = list(factors)
-        if masks is None:
-            masks = [None] * len(self.factors)
-        if len(masks) != len(self.factors):
-            raise ValueError(f"{len(masks)} masks for {len(self.factors)} factors")
-        self.masks: list[tuple[bool, ...]] = []
-        for f, mask in zip(self.factors, masks):
+        for f in self.factors:
             if not isinstance(f, Factor):
                 raise TypeError(f"{type(f).__name__} is not a Factor")
             for key in f.keys:
                 if key not in self.values:
                     raise UnknownVariableError(f"factor references unknown variable {key}")
-            mask = (False,) * len(f.keys) if mask is None else tuple(map(bool, mask))
-            if len(mask) != len(f.keys):
-                raise ValueError("mask length must match keys")
-            self.masks.append(mask)
         self.fixed = frozenset(fixed)
         for key in self.fixed:
             if key not in self.values:
@@ -549,7 +542,7 @@ class FactorGraph:
 
         self._tangent = {k: tangent_dim(v) for k, v in self.values.items()}
         active = sorted((k for k in self.values if k not in self.fixed), key=_ordering_rank)
-        self.ordering = _band_ordering(active, self.factors, self.masks)
+        self.ordering = _band_ordering(active, self.factors)
         self.dims = {k: self._tangent[k] for k in self.ordering}
         self.offsets: dict[VariableKey, int] = {}
         off = 0
@@ -582,24 +575,23 @@ class FactorGraph:
                 self._moves.append((t, keys, rows, cols, kind is Pose2))
 
         groups: dict[object, list] = {}
-        for f, mask in zip(self.factors, self.masks):
+        for f in self.factors:
             kinds = tuple(_value_kind(self.values[k]) for k in f.keys)
-            groups.setdefault((type(f), kinds, f.batch_key()), []).append((f, mask))
+            groups.setdefault((type(f), kinds, f.batch_key()), []).append(f)
 
         # per key, the first global column of its tangent (-1 when fixed)
         index = {k: i for i, k in enumerate(self.values)}
         first = np.array([self.offsets.get(k, -1) for k in self.values], dtype=np.intp)
         self.batches: list[_Batch] = []
-        for members in groups.values():
-            factors = [f for f, _ in members]
+        for factors in groups.values():
             slots = []
             for j in range(len(factors[0].keys)):
                 rows = [row_of[f.keys[j]] for f in factors]
                 slots.append((rows[0][0], _rows([r for _, r in rows])))
-            # one gather: every key's first column, -1 where masked, spread
-            # over its slot's local columns
+            # one gather: every key's first column, -1 where the factor does
+            # not move it, spread over its slot's local columns
             keys = np.array([[index[k] for k in f.keys] for f in factors], dtype=np.intp)
-            starts = np.where([mask for _, mask in members], -1, first[keys])
+            starts = np.where([f.moves for f in factors], first[keys], -1)
             widths = [self._tangent[k] for k in factors[0].keys]
             starts = starts[:, np.repeat(np.arange(len(widths)), widths)]
             local = np.concatenate([np.arange(w) for w in widths])
@@ -608,12 +600,11 @@ class FactorGraph:
         self.bw = max((_span(b.cols) for b in self.batches), default=0)
         # a limit row reads one vector entry through an identity Jacobian, so
         # the damped step of a least-squares stage takes it exactly and J^T J
-        # holds none; a stage that masks a free key is no least-squares
-        # problem, and its step keeps the rows in J^T J
-        masks_free = any(d and k in self.offsets
-                         for f, mask in zip(self.factors, self.masks)
-                         for k, d in zip(f.keys, mask))
-        self._limits = [] if masks_free else [
+        # holds none; a stage with a factor that does not move a free key it
+        # reads is no least-squares problem, and its step keeps the rows in J^T J
+        leaves_a_free_key = any(not m and k in self.offsets
+                                for f in self.factors for k, m in zip(f.keys, f.moves))
+        self._limits = [] if leaves_a_free_key else [
             i for i, b in enumerate(self.batches) if b.cls is LimitFactor]
         self._summed = [i for i in range(len(self.batches)) if i not in self._limits]
         self._h_index = _concat([self.batches[i].kept.band for i in self._summed]).astype(np.intp)
@@ -674,9 +665,9 @@ class FactorGraph:
         """Whitened block linearization at ``values``.
 
         Finishes the kernels a full :meth:`total_error` of the same state
-        started, and starts the batches afresh otherwise. Masked and fixed
-        variables get no Jacobian columns; their current values still enter
-        every residual.
+        started, and starts the batches afresh otherwise. A fixed key, and
+        a key a factor does not move, get no Jacobian columns there; their
+        current values still enter every residual.
         """
         state = self._state(values)
         started = state.started or [b.start(state.tables) for b in self.batches]
@@ -723,7 +714,7 @@ class FactorGraph:
                 except NumericalSingularityError:
                     lam *= LAMBDA_SCALE
                     if lam > LAMBDA_CAP:
-                        return OptimizeResult(state.values(), it, err, "lambda_cap", history)
+                        return OptimizeResult(state.values(), it, "lambda_cap", history)
                     continue
                 cand = state.retract(delta)
                 cand_err = self.total_error(cand, err)
@@ -732,10 +723,10 @@ class FactorGraph:
                 if _norm(delta) < cfg.abs_tol:
                     # the damped step is below the step tolerance and still
                     # not accepted: stationary up to floating-point noise
-                    return OptimizeResult(state.values(), it, err, "abs_tol", history)
+                    return OptimizeResult(state.values(), it, "abs_tol", history)
                 lam *= LAMBDA_SCALE
                 if lam > LAMBDA_CAP:
-                    return OptimizeResult(state.values(), it, err, "lambda_cap", history)
+                    return OptimizeResult(state.values(), it, "lambda_cap", history)
             prev_err = err
             state, err = cand, cand_err
             history.append(err)
@@ -747,4 +738,4 @@ class FactorGraph:
             if prev_err - err < cfg.rel_tol * max(prev_err, 1e-300):
                 reason = "rel_tol"
                 break
-        return OptimizeResult(state.values(), iterations, err, reason, history)
+        return OptimizeResult(state.values(), iterations, reason, history)

@@ -12,14 +12,14 @@ poses and the start arrive as Pose3, are checked to lie in the plane
 leaves as ``embed_se3`` of the planar one.
 Prediction and planning own the variables they create, estimation the
 rest. All that sets a mode apart lives here: ``STAGES`` sets its solve
-order, which alone keeps a later component from moving an earlier one;
-only cooperative mode also masks, in its prediction/plan stage
-(:func:`mode_masks`), and only it builds a prediction-side copy of each
-dynamic obstacle hinge. Each stage is one factor graph, built whole in one
-constructor call from the stage's factors, their masks, the values of the
-keys they read and the keys held fixed; a stage with no factors is not
-solved. The optimized first acceleration is the control command. Every
-factor is whitened by the fixed sigma of its kind in ``SIGMAS``; the
+order, which alone keeps a later component from moving an earlier one.
+Only cooperative mode builds directed factors: each dynamic obstacle hinge
+comes as a pair, a planning copy that moves only the planned pose and a
+prediction copy that moves only the predicted motion (the factors'
+``moves``). Each stage is one factor graph, built whole in one constructor
+call from the stage's factors, the values of the keys they read and the
+keys held fixed; a stage with no factors is not solved. The optimized
+first acceleration is the control command. Every factor is whitened by the fixed sigma of its kind in ``SIGMAS``; the
 plan's goal and effort terms are priors on plan variables, like the
 estimation priors.
 
@@ -102,8 +102,8 @@ _ZERO_ACC.flags.writeable = False
 # the components each stage solves, in order; a stage evaluates only the factors
 # of its own components and holds fixed every key an earlier stage solved, so
 # no stage moves an earlier one's keys, not even through the accept test. Each
-# directed stage is an ordinary least-squares problem; in cooperative mode the
-# prediction still yields to the plan, through the hinge copies only it builds.
+# stage is an ordinary least-squares problem but cooperative mode's second, where
+# the prediction yields to the plan through the directed hinge pair.
 _EST, _PRED, _PLAN = Component.ESTIMATION, Component.PREDICTION, Component.PLANNING
 STAGES = {
     Mode.UNDIRECTED: ((_EST, _PRED, _PLAN),),
@@ -111,20 +111,6 @@ STAGES = {
     Mode.DECOUPLED: ((_EST,), (_PRED, _PLAN)),
     Mode.COOPERATIVE: ((_EST,), (_PRED, _PLAN)),
 }
-
-
-def mode_masks(mode: Mode, factors, owner) -> list:
-    """Each factor's mask in ``mode``: None, or a flag per key it may not move.
-
-    Only cooperative mode masks: in its prediction/plan stage a factor moves
-    only the keys its own component owns, so the prediction yields to the
-    plan through the hinge copies alone. ``owner`` lists the keys
-    estimation does not own.
-    """
-    if mode is not Mode.COOPERATIVE:
-        return [None] * len(factors)
-    est = Component.ESTIMATION
-    return [tuple(owner.get(key, est) != f.component for key in f.keys) for f in factors]
 
 
 # the exact solve's stopping rule, shared by every config
@@ -161,7 +147,8 @@ class PipelineConfig:
     optimizer: ClassVar[OptimizerConfig] = OPTIMIZER
 
     def __post_init__(self):
-        if not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
+        if (not isinstance(self.horizon, numbers.Integral) or isinstance(self.horizon, bool)
+                or self.horizon < 1):
             raise ValueError("horizon must be an int >= 1")
         if not isinstance(self.mode, ModeConfig):
             object.__setattr__(self, "mode", ModeConfig(Mode(self.mode)))
@@ -231,7 +218,8 @@ def check_input(k: int, inp: StepInput, local_goal) -> None:
                 z = np.asarray(z, dtype=float)
             except (TypeError, ValueError):
                 raise InputError(f"unreadable {kind} point {entry!r}") from None
-            if len(ids) != n_ids or not all(isinstance(i, numbers.Integral) for i in ids):
+            if len(ids) != n_ids or not all(isinstance(i, numbers.Integral)
+                                            and not isinstance(i, bool) for i in ids):
                 raise InputError(f"{kind} point ids must be {n_ids} int(s), got {ids!r}")
             if z.shape != (3,) or not np.all(np.isfinite(z)):
                 raise InputError(f"{kind} point must be a finite 3-vector, got {z!r}")
@@ -486,6 +474,9 @@ class Pipeline:
         v_lo, v_hi, a_lo, a_hi = cfg.control_bounds(cfg.limit_margin)
         d_rs = cfg.robot_radius + cfg.safety_offset
         d_ros = cfg.robot_radius + cfg.object_radius + cfg.safety_offset
+        # in cooperative mode the prediction yields to the plan through the
+        # hinge copies alone: each copy moves only its own component's key
+        cooperative = cfg.mode.mode is Mode.COOPERATIVE
 
         for j in range(1, cfg.horizon + 1):
             factors.append(MotionModelFactor(
@@ -506,13 +497,13 @@ class Pipeline:
                 factors.append(DynamicObstacleFactor(
                     robot_pose(k + j), object_motion(obj, k + j), c_ref,
                     d_ros + cfg.hinge_margin, SIGMAS["dynamic_obstacle"],
-                    margin=cfg.hinge_margin))
-                if cfg.mode.mode is Mode.COOPERATIVE:   # the prediction yields
+                    margin=cfg.hinge_margin, moves=(True, not cooperative)))
+                if cooperative:
                     factors.append(DynamicObstacleFactor(
                         robot_pose(k + j), object_motion(obj, k + j), c_ref,
                         d_ros + cfg.hinge_margin, SIGMAS["dynamic_obstacle"],
                         margin=cfg.hinge_margin, component=Component.PREDICTION,
-                        weight=cfg.mode.cooperation_weight))
+                        weight=cfg.mode.cooperation_weight, moves=(False, True)))
         factors.append(PriorFactor(robot_pose(k + cfg.horizon), local_goal, SIGMAS["goal"],
                                    component=Component.PLANNING))
         return factors, new_vals, pinned
@@ -565,7 +556,7 @@ class Pipeline:
             out[acceleration(k + j - 1)] = acc
         return out
 
-    def _solve(self, factors, masks, keys, fixed, presolve_step=None):
+    def _solve(self, factors, keys, fixed, presolve_step=None):
         """Solve one stage; pre-solve it first when it plans step ``presolve_step`` cold.
 
         The tight propagation sigma keeps the quadratic model valid only in a
@@ -575,8 +566,7 @@ class Pipeline:
         exact solve. A warm plan is already in its basin and goes to the exact
         solve as it is: re-rolling it costs more exact iterations than it saves.
         """
-        graph = FactorGraph({key: self._values[key] for key in sorted(keys)},
-                            factors, masks, fixed)
+        graph = FactorGraph({key: self._values[key] for key in sorted(keys)}, factors, fixed)
         warm = None
         if presolve_step is not None:
             pre = graph.relaxed(MotionModelFactor, 1000.0).optimize(config=PRESOLVE)
@@ -600,32 +590,27 @@ class Pipeline:
         plan_factors, plan_vals, pinned = self._build_planning(k, local_goal, objects)
         self._values.update(pred_vals)
         self._values.update(plan_vals)
-        owner = dict.fromkeys(pred_vals, Component.PREDICTION)
-        owner.update(dict.fromkeys(plan_vals, Component.PLANNING))
         joint = est_factors + pred_factors + plan_factors
 
-        mode = cfg.mode.mode
         diverged = False
         stats = {}
         try:
             results = []
             num_factors = 0
             held = set(pinned)   # and then every key an earlier stage solved
-            for components in STAGES[mode]:
+            for components in STAGES[cfg.mode.mode]:
                 factors = [f for f in joint if f.component in components]
                 if not factors:   # directed prediction with nothing tracked
                     continue
                 keys = {key for f in factors for key in f.keys}
                 fixed = self._fixed_keys(keys, fix_before) | (held & keys)
                 presolve = cold and Component.PLANNING in components
-                res, graph = self._solve(factors, mode_masks(mode, factors, owner), keys,
-                                         fixed, k if presolve else None)
+                res, graph = self._solve(factors, keys, fixed, k if presolve else None)
                 results.append(res)
                 num_factors += len(graph.factors)
                 held |= keys
             diverged = any(r.diverged for r in results)
             stats.update(iterations=sum(r.iterations for r in results),
-                         converged=all(r.converged for r in results),
                          # the first stage that stopped short, else the last
                          reason=next((r.reason for r in results if not r.converged),
                                      res.reason),
@@ -633,7 +618,7 @@ class Pipeline:
                          num_variables=len(held))   # the pinned keys are planning keys
         except SingularSystemError as exc:
             diverged = True
-            stats.update(converged=False, reason=f"singular: {exc}", iterations=0)
+            stats.update(reason=f"singular: {exc}", iterations=0)
 
         return self._emit(k, diverged, stats)
 

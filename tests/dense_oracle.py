@@ -91,7 +91,7 @@ def cross_block(system, key_a, key_b) -> np.ndarray:
 
 
 def damped_limit_step(graph, values, lam: float) -> np.ndarray:
-    """The damped step of an unmasked graph with its limit rows taken at the trial point.
+    """The damped step of an undirected graph with its limit rows taken at the trial point.
 
     It minimises ``|J delta + r|^2`` over the other factors' rows, plus each
     limit row's squared whitened hinge at ``values + delta``, plus
